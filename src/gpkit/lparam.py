@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import product
 
 from .epsilon import eps_half, eps_symplectic
@@ -191,48 +192,57 @@ def validate(rep: WeilRep, V: QuadSpace) -> LParameter:
 
 @dataclass(frozen=True)
 class ComponentElement:
-    """An element of 𝒮_φ: a ±1 assignment on the O-type basis."""
+    """An element of 𝒮_φ: a ±1 assignment on the O-type basis.
 
-    eps: tuple[tuple[IrredRep, int], ...]
+    Stored as a minus-set bitmask over ``basis``: bit i set ⟺ sign −1 on
+    basis slot i.  Signs, products and the central tests are read off the
+    mask.
+    """
+
+    basis: tuple[IrredRep, ...]
+    mask: int
+
+    def __post_init__(self) -> None:
+        if self.mask < 0 or self.mask >> len(self.basis):
+            raise ValueError("mask has bits outside the component-group basis")
 
     @classmethod
     def of(cls, basis, signs) -> "ComponentElement":
-        signs = tuple(signs)
+        basis, signs = tuple(basis), tuple(signs)
         if len(signs) != len(basis) or any(s not in (1, -1) for s in signs):
             raise ValueError("signs must be ±1, one per basis constituent")
-        return cls(tuple(zip(tuple(basis), signs)))
+        return cls(basis, sum(1 << i for i, s in enumerate(signs) if s == -1))
 
     def sign(self, rho: IrredRep) -> int:
-        for sigma, s in self.eps:
-            if sigma == rho:
-                return s
-        raise KeyError(f"{rho!r} is not in the component-group basis")
+        if rho not in self.basis:
+            raise KeyError(f"{rho!r} is not in the component-group basis")
+        return -1 if self.mask >> self.basis.index(rho) & 1 else 1
 
     @property
-    def basis(self) -> tuple[IrredRep, ...]:
-        return tuple(rho for rho, _ in self.eps)
+    def eps(self) -> tuple[tuple[IrredRep, int], ...]:
+        return tuple(zip(self.basis, self.signs))
 
     @property
     def signs(self) -> tuple[int, ...]:
-        return tuple(s for _, s in self.eps)
+        return tuple(
+            -1 if self.mask >> i & 1 else 1 for i in range(len(self.basis))
+        )
 
     @property
     def is_identity(self) -> bool:
-        return all(s == 1 for _, s in self.eps)
+        return self.mask == 0
 
     @property
     def is_all_minus(self) -> bool:
-        return all(s == -1 for _, s in self.eps)
+        return self.mask == (1 << len(self.basis)) - 1
 
     def __mul__(self, other: "ComponentElement") -> "ComponentElement":
         if self.basis != other.basis:
             raise ValueError("component elements live in different groups")
-        return ComponentElement.of(
-            self.basis, (a * b for a, b in zip(self.signs, other.signs))
-        )
+        return ComponentElement(self.basis, self.mask ^ other.mask)
 
     def minus_constituents(self) -> list[IrredRep]:
-        return [rho for rho, s in self.eps if s == -1]
+        return [rho for i, rho in enumerate(self.basis) if self.mask >> i & 1]
 
 
 @dataclass(frozen=True)
@@ -251,28 +261,34 @@ class ComponentGroup:
     def size(self) -> int:
         return 2 ** self.rank
 
-    def _admits(self, signs: tuple[int, ...]) -> bool:
-        if not self.constraint:
-            return True
-        prod = 1
-        for rho, s in zip(self.basis, signs):
-            if irred_dim(rho) % 2:
-                prod *= s
-        return prod == 1
+    @cached_property
+    def _odd_mask(self) -> int:
+        return sum(
+            1 << i for i, rho in enumerate(self.basis) if irred_dim(rho) % 2
+        )
+
+    def _admits(self, mask: int) -> bool:
+        """True iff the minus-set ``mask`` has an even number of odd slots."""
+        return (mask & self._odd_mask).bit_count() % 2 == 0
+
+    def masks(self) -> list[int]:
+        """Minus-set bitmasks of every element of 𝒮_φ, in ascending order."""
+        return [m for m in range(1 << len(self.basis)) if self._admits(m)]
 
     def elements(self) -> list[ComponentElement]:
         out = []
         for signs in product((1, -1), repeat=len(self.basis)):
-            if self._admits(signs):
-                out.append(ComponentElement.of(self.basis, signs))
+            el = ComponentElement.of(self.basis, signs)
+            if self._admits(el.mask):
+                out.append(el)
         return out
 
     def identity(self) -> ComponentElement:
-        return ComponentElement.of(self.basis, (1,) * len(self.basis))
+        return ComponentElement(self.basis, 0)
 
     def element(self, signs) -> ComponentElement:
         el = ComponentElement.of(self.basis, signs)
-        if not self._admits(el.signs):
+        if not self._admits(el.mask):
             raise ValueError("signs violate the odd-dimension product constraint")
         return el
 
@@ -356,9 +372,9 @@ def eigenspace_split(
     grp = component_group(phi)
     if s.basis != grp.basis:
         raise ValueError("component element does not match this parameter")
-    if not grp._admits(s.signs):
+    if not grp._admits(s.mask):
         raise ValueError("component element violates the group constraint")
-    minus = WeilRep(rho for rho in grp.basis if s.sign(rho) == -1)
+    minus = WeilRep(s.minus_constituents())
     plus = WeilRep(rho for rho in grp.basis if s.sign(rho) == 1)
     if grp.constraint and minus.dim % 2:
         raise AssertionError("constrained eigenspaces must have even dimension")
@@ -399,15 +415,38 @@ def _chi_one_side(minus: WeilRep, other: WeilRep) -> int:
     return pref * eps_symplectic(tensor(minus, other))
 
 
+def _subset_sums(values) -> list[int]:
+    """``out[m]`` = Σ values[i] over the set bits i of m, built by lowest set bit."""
+    out = [0]
+    for m in range(1, 1 << len(values)):
+        low = m & -m
+        out.append(out[m ^ low] + values[low.bit_length() - 1])
+    return out
+
+
 class GPCharacterTable:
-    """Precomputed root-number exponents of one Gross–Prasad pair.
+    """Precomputed χ factor table of one Gross–Prasad pair.
 
     ε is additive over direct sums and the tensor product is bilinear, so
     every value of χ_φ — and both factors of the dichotomy identity — is a
-    subset sum over the matrix ε(σ_i ⊗ ρ_j) of basis constituents.  Building
-    the matrix costs one small tensor decomposition per entry; evaluation at
-    a component element is then integer arithmetic, which is what makes
-    exhaustive sweeps over 𝒮_{φ_W} × 𝒮_{φ_V} cheap.
+    one-sided factor of a sub-pair σ_x × ρ_y, where x and y are minus-set
+    bitmasks of the W- and V-bases (bit i set ⟺ sign −1 on slot i):
+
+        F[x][y] = det(−Id_{σ_x})^{dim ρ_y/2} · det(−Id_{ρ_y})^{dim σ_x/2}
+                  · ε(σ_x ⊗ ρ_y).
+
+    Building the exponent matrix ε(σ_i ⊗ ρ_j) costs one small tensor
+    decomposition per entry; the block sums over all mask pairs and the
+    dimension sums are then built incrementally by lowest set bit, so every
+    evaluation is a lookup in F:
+
+        χ(x, y) = F[x][fullV] · F[fullW][y],
+        dichotomy factors F[fullW ^ x][y] and F[x][fullV ^ y].
+
+    F is a ±1 value only on symplectic blocks (both dimensions even, even
+    exponent sum); there the det(−Id) prefactors are (−1)^{a·b/2} = 1 for
+    even a, so F is the root number i^e.  Every other entry is stored as 0,
+    and reading one raises :class:`OddHalfExponent`.
     """
 
     def __init__(self, gp: GPPair):
@@ -416,44 +455,28 @@ class GPCharacterTable:
         self.gp = gp
         self.groupW = component_group(gp.phiW)
         self.groupV = component_group(gp.phiV)
-        self._dimsW = tuple(irred_dim(r) for r in self.groupW.basis)
-        self._dimsV = tuple(irred_dim(r) for r in self.groupV.basis)
-        self._exp = tuple(
+        singlesV = [WeilRep([rho]) for rho in self.groupV.basis]
+        exp = [
+            [eps_half(tensor(sig, rho)).e for rho in singlesV]
+            for sig in (WeilRep([s]) for s in self.groupW.basis)
+        ]
+        dimW = _subset_sums([irred_dim(r) for r in self.groupW.basis])
+        dimV = _subset_sums([irred_dim(r) for r in self.groupV.basis])
+        rows = [_subset_sums(row) for row in exp]
+        block = [[0] * len(dimV)]
+        for x in range(1, len(dimW)):
+            low = x & -x
+            prev, row = block[x ^ low], rows[low.bit_length() - 1]
+            block.append([p + r for p, r in zip(prev, row)])
+        self._F = tuple(
             tuple(
-                eps_half(tensor(WeilRep([sig]), WeilRep([rho]))).e
-                for rho in self.groupV.basis
+                0 if dimW[x] % 2 or b % 2 or e % 2 else 1 - (e & 2)
+                for b, e in zip(dimV, block[x])
             )
-            for sig in self.groupW.basis
+            for x in range(len(dimW))
         )
-
-    def _block(self, rows, cols) -> int:
-        return sum(self._exp[i][j] for i in rows for j in cols)
-
-    # -- bitmask evaluation (bit i set ⟺ sign −1 on basis slot i) ----------
-
-    @staticmethod
-    def _masks(group: ComponentGroup, dims) -> list[int]:
-        odd = [i for i, d in enumerate(dims) if d % 2]
-        out = []
-        for m in range(1 << len(dims)):
-            if not group.constraint or (
-                sum(1 for i in odd if m >> i & 1) % 2 == 0
-            ):
-                out.append(m)
-        return out
-
-    def _side_values(self, dims, exponents, other_dim) -> dict[int, int]:
-        """±1 value of one χ factor for every minus-set bitmask."""
-        vals = {}
-        for m in range(1 << len(dims)):
-            e = sum(x for i, x in enumerate(exponents) if m >> i & 1) % 4
-            a = sum(d for i, d in enumerate(dims) if m >> i & 1)
-            if e % 2 or a % 2:
-                continue  # not a symplectic block; never reached by 𝒮-masks
-            sign = _det_minus_id_power(a, other_dim)
-            sign *= _det_minus_id_power(other_dim, a)
-            vals[m] = sign * (1 if e == 0 else -1)
-        return vals
+        self._fullW = len(dimW) - 1
+        self._fullV = len(dimV) - 1
 
     def mask_tables(self):
         """(masksW, masksV, valueW, valueV): χ(s) = valueW[mW] · valueV[mV].
@@ -461,46 +484,24 @@ class GPCharacterTable:
         Masks run over the constraint-respecting elements of each component
         group; the two value maps are the one-sided χ factors.
         """
-        rowsum = [sum(r) % 4 for r in self._exp]
-        colsum = [
-            sum(self._exp[i][j] for i in range(len(self._exp))) % 4
-            for j in range(len(self.groupV.basis))
-        ]
-        masksW = self._masks(self.groupW, self._dimsW)
-        masksV = self._masks(self.groupV, self._dimsV)
-        valW = self._side_values(self._dimsW, rowsum, sum(self._dimsV))
-        valV = self._side_values(self._dimsV, colsum, sum(self._dimsW))
+        masksW, masksV = self.groupW.masks(), self.groupV.masks()
+        F = self._F
+        valW = {x: _symplectic(F[x][self._fullV]) for x in masksW}
+        valV = {y: _symplectic(F[self._fullW][y]) for y in masksV}
         return masksW, masksV, valW, valV
 
     def element_of_mask(self, group: ComponentGroup, mask: int) -> ComponentElement:
-        return ComponentElement.of(
-            group.basis,
-            (-1 if mask >> i & 1 else 1 for i in range(len(group.basis))),
-        )
+        return ComponentElement(group.basis, mask)
 
-    def _factor(self, rows, cols) -> int:
-        """χ one-sided factor for the sub-pair (rows of W-basis) × (cols of V-basis)."""
-        a = sum(self._dimsW[i] for i in rows)
-        b = sum(self._dimsV[j] for j in cols)
-        sign = _det_minus_id_power(a, b) * _det_minus_id_power(b, a)
-        e = self._block(rows, cols) % 4
-        if e % 2:
-            raise OddHalfExponent("non-symplectic tensor block in χ")
-        return sign * (1 if e == 0 else -1)
-
-    def _indices(self, s: tuple[ComponentElement, ComponentElement]):
+    def _masks_of(self, s: tuple[ComponentElement, ComponentElement]):
         sW, sV = s
         if sW.basis != self.groupW.basis or sV.basis != self.groupV.basis:
             raise ValueError("component elements do not match this pair")
-        minusW = tuple(i for i, sg in enumerate(sW.signs) if sg == -1)
-        minusV = tuple(j for j, sg in enumerate(sV.signs) if sg == -1)
-        return minusW, minusV
+        return sW.mask, sV.mask
 
     def chi(self, s: tuple[ComponentElement, ComponentElement]) -> int:
-        minusW, minusV = self._indices(s)
-        allW = range(len(self.groupW.basis))
-        allV = range(len(self.groupV.basis))
-        return self._factor(minusW, allV) * self._factor(allW, minusV)
+        x, y = self._masks_of(s)
+        return _symplectic(self._F[x][self._fullV] * self._F[self._fullW][y])
 
     def chi_table(self) -> dict:
         return {
@@ -512,20 +513,21 @@ class GPCharacterTable:
     def dichotomy(
         self, s: tuple[ComponentElement, ComponentElement]
     ) -> "DichotomyReport":
-        sW, sV = s
+        sV = s[1]
         if sV.is_identity or sV.is_all_minus:
             raise CentralElement("s_V lies in {identity, all-(-1)}")
-        minusW, minusV = self._indices(s)
-        plusW = tuple(
-            i for i in range(len(self.groupW.basis)) if i not in minusW
-        )
-        plusV = tuple(
-            j for j in range(len(self.groupV.basis)) if j not in minusV
-        )
-        factor1 = self._factor(plusW, minusV)
-        factor2 = self._factor(minusW, plusV)
+        x, y = self._masks_of(s)
+        factor1 = _symplectic(self._F[self._fullW ^ x][y])
+        factor2 = _symplectic(self._F[x][self._fullV ^ y])
         chi = self.chi(s)
         return DichotomyReport(factor1 * factor2 == chi, chi, factor1, factor2)
+
+
+def _symplectic(value: int) -> int:
+    """A ±1 read from a factor table; 0 marks a non-symplectic block."""
+    if not value:
+        raise OddHalfExponent("non-symplectic tensor block in χ")
+    return value
 
 
 def gp_character(
@@ -651,7 +653,8 @@ def enumerate_reduced(V: QuadSpace, max_k: int) -> list[LParameter]:
         ]
         want = V.dim
     out = []
-    for r in range(len(pool) + 1):
+    # every constituent has dimension ≥ 1, so no subset larger than ``want``
+    for r in range(min(len(pool), want) + 1):
         for sub in combinations(pool, r):
             if sum(irred_dim(x) for x in sub) == want:
                 out.append(validate(WeilRep(sub), V))

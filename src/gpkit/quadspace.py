@@ -95,8 +95,10 @@ def quasi_split_form(V: QuadSpace) -> QuadSpace:
     forms = quasi_split_forms(V)
     if not forms:  # cannot happen: every class contains a quasi-split form
         raise AssertionError(f"no quasi-split form in the class of {V}")
-    if V.dim % 2 or V.delta % 4 == 0:
-        assert len(forms) == 1
+    if (V.dim % 2 or V.delta % 4 == 0) and len(forms) != 1:
+        raise AssertionError(
+            f"{len(forms)} quasi-split forms in the class of {V}, expected one"
+        )
     return forms[0]
 
 

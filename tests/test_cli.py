@@ -1,11 +1,19 @@
 """End-to-end tests of the command-line front end, run in-process."""
 
 import json
+import os
+import subprocess
+import sys
+from itertools import product
+from pathlib import Path
 
 import pytest
 
+import gpkit
 from gpkit import cli
 from gpkit.cli import run
+from gpkit.lparam import GPCharacterTable, enumerate_reduced, make_gp_pair
+from gpkit.quadspace import QuadSpace
 
 
 PARAM_B = {
@@ -147,10 +155,35 @@ class TestVerify:
         assert rc == 0 and out["status"] == "PASS"
 
     def test_parallel_jobs(self, capsys):
-        rc, out = run_json(
-            capsys, ["verify", "union", "--max-dim", "4", "--jobs", "2"]
+        # the README promise: identical output for any job count, timing aside
+        for argv in (
+            ["verify", "union", "--max-dim", "4"],
+            ["verify", "dichotomy", "--max-dim", "6", "--max-k", "7"],
+        ):
+            reports = []
+            for jobs in ("1", "2"):
+                rc, out = run_json(capsys, argv + ["--jobs", jobs])
+                assert rc == 0 and out["status"] == "PASS"
+                del out["timing_ms"]
+                reports.append(out)
+            assert reports[0] == reports[1]
+
+    def test_optimized_interpreter_gives_same_report(self, capsys):
+        # Invariants are explicit raises, so `python -O` changes nothing.
+        argv = ["--json", "verify", "dichotomy", "--max-dim", "6", "--max-k", "7"]
+        src = str(Path(gpkit.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("GPKIT_JOBS", None)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "gpkit.cli"] + argv,
+            capture_output=True, text=True, env=env, timeout=120,
         )
-        assert rc == 0 and out["status"] == "PASS"
+        assert proc.returncode == 0, proc.stderr
+        optimized = json.loads(proc.stdout)
+        rc, normal = run_json(capsys, argv[1:])
+        assert rc == 0 and normal["cases_checked"] > 0
+        del optimized["timing_ms"], normal["timing_ms"]
+        assert optimized == normal
 
     def test_counterexample_exits_one(self, capsys, monkeypatch):
         fake = {"case": {"V": [1, 0]}, "lhs": [], "rhs": [[1]]}
@@ -216,3 +249,50 @@ class TestErrorsAndFormat:
         rc = run(["--json", "classify", jfile(PARAM_B)])
         out = capsys.readouterr().out
         assert rc == 0 and out.count("\n") == 1
+
+
+def _all_pairs_multiplicative(masksW, masksV, valW, valV):
+    """The quadratic oracle of acceptance criterion 5: every product identity."""
+    table = {(x, y): valW[x] * valV[y] for x in masksW for y in masksV}
+    return all(v in (1, -1) for v in table.values()) and all(
+        table[(x1 ^ x2, y1 ^ y2)] == v1 * v2
+        for ((x1, y1), v1), ((x2, y2), v2) in product(table.items(), repeat=2)
+    )
+
+
+def test_generator_criterion_matches_all_pairs_check_under_mutation():
+    """Every table of the criterion-5 family (targets <= 10, k <= 9) with
+    |S_W x S_V| <= 64 entries, and every single flip of one valW or valV value.
+
+    Both checks accept the true tables.  A flip at the identity breaks
+    chi(1, 1) = 1, and a flip at x != 0 leaves a homomorphism only when the
+    factor's group has order 2 (it swaps that group's two characters), so
+    both checks must reject exactly the other flips.
+    """
+    tables = rejected = 0
+    for dv in range(1, 11):
+        for dw in range(dv - 1, -1, -2):
+            a = (dv - dw + 1) // 2
+            W, V = QuadSpace(dw, 0), QuadSpace(dw + a, dv - dw - a)
+            for phiW in enumerate_reduced(W, 9):
+                for phiV in enumerate_reduced(V, 9):
+                    tab = GPCharacterTable(make_gp_pair(phiW, phiV))
+                    masksW, masksV, valW, valV = tab.mask_tables()
+                    if len(masksW) * len(masksV) > 64:
+                        continue
+                    tables += 1
+                    assert cli._is_multiplicative(masksW, masksV, valW, valV)
+                    assert _all_pairs_multiplicative(masksW, masksV, valW, valV)
+                    for side, (masks, val) in enumerate(
+                        ((masksW, valW), (masksV, valV))
+                    ):
+                        for m in masks:
+                            flipped = dict(val)
+                            flipped[m] = -val[m]
+                            vals = (flipped, valV) if side == 0 else (valW, flipped)
+                            fast = cli._is_multiplicative(masksW, masksV, *vals)
+                            slow = _all_pairs_multiplicative(masksW, masksV, *vals)
+                            still_character = m != 0 and len(masks) == 2
+                            assert fast == slow == still_character, (tab.gp, side, m)
+                            rejected += not fast
+    assert (tables, rejected) == (842, 9_770)

@@ -13,6 +13,7 @@ from gpkit.lparam import (
     GPCharacterTable,
     InvalidParameter,
     NotReduced,
+    OddHalfExponent,
     OddSpMultiplicity,
     UnpairedGLType,
     ambient_of,
@@ -218,6 +219,46 @@ class TestGPCharacter:
         tab = GPCharacterTable(gp)
         for (sW, sV), val in tab.chi_table().items():
             assert gp_character(gp, (sW, sV)) == val
+
+    def test_table_matches_direct_path_on_family(self):
+        # Every reduced pair with target dims <= 7 and k <= 9, on the sweep's
+        # representative spaces: the mask-indexed table against the WeilRep
+        # path (eigenspace splits, tensor products, symplectic root numbers).
+        n_chi = n_dichotomy = 0
+        for dv in range(1, 8):
+            for dw in range(dv - 1, -1, -2):
+                a = (dv - dw + 1) // 2
+                W, V = QuadSpace(dw, 0), QuadSpace(dw + a, dv - dw - a)
+                for phiW in enumerate_reduced(W, 9):
+                    for phiV in enumerate_reduced(V, 9):
+                        gp = make_gp_pair(phiW, phiV)
+                        tab = GPCharacterTable(gp)
+                        for sW, sV in product(
+                            tab.groupW.elements(), tab.groupV.elements()
+                        ):
+                            s = (sW, sV)
+                            n_chi += 1
+                            if sV.is_identity or sV.is_all_minus:
+                                assert tab.chi(s) == gp_character(gp, s)
+                                continue
+                            direct = dichotomy_identity_check(gp, s)
+                            n_dichotomy += 1
+                            assert tab.dichotomy(s) == direct, (gp, s)
+                            assert tab.chi(s) == direct.chi
+        assert (n_chi, n_dichotomy) == (17_161, 12_160)
+
+    def test_non_symplectic_block_raises(self):
+        # s_W = -1 on the trivial character alone lies outside the constrained
+        # group: its (-1)-eigenspace is odd-dimensional, so no block it
+        # selects is symplectic and reading one must raise, not return a sign.
+        phiW = validate(WeilRep([ONE, SGN, D(2)]), QuadSpace(2, 2))
+        phiV = validate(WeilRep([D(1), D(3)]), QuadSpace(3, 2))
+        tab = GPCharacterTable(make_gp_pair(phiW, phiV))
+        sW = ComponentElement.of(tab.groupW.basis, (-1, 1, 1))
+        sV = ComponentElement.of(tab.groupV.basis, (-1, 1))
+        for read in (tab.chi, tab.dichotomy):
+            with pytest.raises(OddHalfExponent):
+                read((sW, sV))
 
     def test_multiplicative(self):
         gp = so45_pair()

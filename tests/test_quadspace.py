@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from gpkit import quadspace
 from gpkit.quadspace import (
     AdmissiblePair,
     NotAdmissible,
@@ -99,6 +100,15 @@ def test_quasi_split_forms_doubled_class():
     # a dim-4 class with discriminant forcing |Δ| = 2 has two quasi-split forms
     assert quasi_split_forms(QuadSpace(3, 1)) == [QuadSpace(3, 1), QuadSpace(1, 3)]
     assert quasi_split_form(QuadSpace(3, 1)) == QuadSpace(3, 1)
+
+
+def test_quasi_split_form_rejects_extra_forms(monkeypatch):
+    # The uniqueness invariant is an explicit raise, so it also holds under -O.
+    monkeypatch.setattr(
+        quadspace, "quasi_split_forms", lambda V: [QuadSpace(2, 1), QuadSpace(1, 2)]
+    )
+    with pytest.raises(AssertionError, match="expected one"):
+        quasi_split_form(QuadSpace(2, 1))
 
 
 @given(spaces)
