@@ -6,15 +6,16 @@ result.  ``verify`` runs an exhaustive sweep and prints a report object
 ``{command, status, cases_checked, counterexamples, timing_ms}``.
 
 Exit codes: 0 success/PASS, 1 a sweep found a counterexample, 2 input or
-usage error.  All output is exact integers and sign strings; only the ε
-oracle produces floats, labelled with its tolerance.
+usage error (including a sweep whose bounds leave no case to check), 3 an
+internal invariant failed (a bug, not a counterexample).  All output is exact
+integers and sign strings; only the ε oracle produces floats, labelled with
+its tolerance.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -39,6 +40,7 @@ from .lparam import (
     param_from_json,
 )
 from .quadspace import (
+    InvariantViolation,
     QuadSpace,
     is_admissible_pair,
     is_quasi_split,
@@ -404,6 +406,8 @@ def _cmd_verify(args) -> int:
     results.sort(key=lambda r: r["key"])
 
     checked = sum(r["checked"] for r in results)
+    if not checked:
+        raise SystemExit2(f"verify {args.what}: the bounds leave no case to check")
     bad = [ce for r in results for ce in r["counterexamples"]]
     bad.sort(key=lambda ce: json.dumps(ce, sort_keys=True))
     status = "PASS" if not bad else "FAIL"
@@ -474,9 +478,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="largest discrete piece D_k (dichotomy sweep)")
     p.add_argument("--e0", type=int, choices=(1, -1), default=None,
                    help="restrict the union sweep to one Kottwitz sign")
-    p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("GPKIT_JOBS", "1")),
-                   help="worker processes (default: GPKIT_JOBS or 1)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes (default: 1)")
     p.set_defaults(fn=_cmd_verify)
     return top
 
@@ -488,6 +491,10 @@ def run(argv=None) -> int:
     except SystemExit2 as exc:
         _emit({"error": str(exc)}, getattr(args, "json", True))
         return 2
+    except InvariantViolation as exc:
+        _emit({"error": f"InvariantViolation: {exc}"},
+              getattr(args, "json", True))
+        return 3
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
             ArithmeticError) as exc:
         _emit({"error": f"{type(exc).__name__}: {exc}"},

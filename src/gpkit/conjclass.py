@@ -45,7 +45,6 @@ __all__ = [
     "CSplitFactor",
     "FactorDatum",
     "KappaDatum",
-    "KappaShape",
     "MismatchedSignVector",
     "BadParity",
     "factor_signature",
@@ -178,38 +177,6 @@ def token_to_complex(tok) -> complex:
     if tok[0] == "c":
         return complex(tok[1], tok[2])
     return cmath.exp(1j * math.pi * float(tok[1]))
-
-
-@dataclass(frozen=True)
-class KappaShape:
-    """Block counts of a class datum: definite planes by sign, split blocks."""
-
-    n_plus: int
-    n_minus: int
-    n_rsplit: int
-    n_csplit: int
-
-    @classmethod
-    def of(cls, kappa: "KappaDatum") -> "KappaShape":
-        np_ = sum(1 for f in kappa.factors
-                  if isinstance(f, CFieldFactor) and f.c == 1)
-        nm = sum(1 for f in kappa.factors
-                 if isinstance(f, CFieldFactor) and f.c == -1)
-        nr = sum(1 for f in kappa.factors if isinstance(f, RSplitFactor))
-        ns = sum(1 for f in kappa.factors if isinstance(f, CSplitFactor))
-        return cls(np_, nm, nr, ns)
-
-    @property
-    def dim(self) -> int:
-        return 2 * (self.n_plus + self.n_minus + self.n_rsplit) + 4 * self.n_csplit
-
-    @property
-    def sum_c(self) -> int:
-        return self.n_plus - self.n_minus
-
-    @property
-    def prod_c(self) -> int:
-        return -1 if self.n_minus % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -424,14 +391,14 @@ def verify_union_prop(
     n = kappa.n_elliptic
     lhs = set()
     selected = []
+    for Va in pure_inner_forms(V):
+        if kottwitz_sign(Va if odd else Va.orthogonal_sum(D)) != e0:
+            continue
+        selected.append((Va.p, Va.q))
+        for c in _sign_vectors(n):
+            if is_in_Xi_reg_V(kappa.with_signs(c), Va).member:
+                lhs.add(c)
     if odd:
-        for Va in pure_inner_forms(V):
-            if kottwitz_sign(Va) != e0:
-                continue
-            selected.append((Va.p, Va.q))
-            for c in _sign_vectors(n):
-                if is_in_Xi_reg_V(kappa.with_signs(c), Va).member:
-                    lhs.add(c)
         N = (
             -quasi_split_form(V).p
             + n
@@ -439,13 +406,6 @@ def verify_union_prop(
         )
     else:
         sig_d = 1 if D.p == 1 else -1
-        for Va in pure_inner_forms(V):
-            if kottwitz_sign(Va.orthogonal_sum(D)) != e0:
-                continue
-            selected.append((Va.p, Va.q))
-            for c in _sign_vectors(n):
-                if is_in_Xi_reg_V(kappa.with_signs(c), Va).member:
-                    lhs.add(c)
         N = (
             n
             + (V.dim + 1 + sig_d) // 2
@@ -614,7 +574,7 @@ def make_regular_kappa(
     return KappaDatum(facs)
 
 
-def kappa_shapes(total_dim: int, elliptic_only: bool = False):
+def kappa_shapes(total_dim: int):
     """All block-count triples (n_cfield, n_rsplit, n_csplit) of a given total
     dimension, as concrete representative class data."""
     out = []
@@ -623,8 +583,6 @@ def kappa_shapes(total_dim: int, elliptic_only: bool = False):
         for nr in range(rest // 2 + 1):
             nc = (rest - 2 * nr) // 2
             if 2 * nc + 2 * nr + 4 * ns != total_dim:
-                continue
-            if elliptic_only and (nr or ns):
                 continue
             out.append(make_regular_kappa(nc, nr, ns))
     return out

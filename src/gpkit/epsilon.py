@@ -32,13 +32,10 @@ from .weilrep import CharRep, DiscRep, IrredRep, WeilRep
 
 __all__ = [
     "FourthRoot",
-    "PsiConvention",
-    "PSI",
     "NotSymplectic",
     "PoleAt",
     "QuadratureFailure",
     "eps_half",
-    "eps_symplectic",
     "l_factor",
     "eps_numeric_oracle",
 ]
@@ -86,21 +83,8 @@ class FourthRoot:
         return ("1", "i", "-1", "-i")[self.e]
 
 
-@dataclass(frozen=True)
-class PsiConvention:
-    """The one supported additive character of ℝ, kept for documentation."""
-
-    formula: str = "psi(x) = exp(2*pi*i*x)"
-
-    def value(self, x: float) -> complex:
-        return cmath.exp(2j * math.pi * x)
-
-
-PSI = PsiConvention()
-
-
 def _base_exponent(rho: IrredRep) -> int:
-    # Certified by eps_numeric_oracle under the PSI conventions; see module doc.
+    # Certified by eps_numeric_oracle under the ψ convention of the module doc.
     if isinstance(rho, CharRep):
         return rho.a
     return (rho.k + 1) % 4
@@ -111,11 +95,6 @@ def eps_half(A: WeilRep | IrredRep) -> FourthRoot:
     if isinstance(A, (CharRep, DiscRep)):
         return FourthRoot(_base_exponent(A))
     return FourthRoot(sum(m * _base_exponent(rho) for rho, m in A))
-
-
-def eps_symplectic(A: WeilRep | IrredRep) -> int:
-    """ε(1/2, A, ψ) asserted real, returned as ±1 (symplectic-type inputs)."""
-    return eps_half(A).as_sign()
 
 
 def _pole_check(real_part: Fraction, t: Fraction) -> None:
@@ -191,8 +170,10 @@ class _ErrorBudget:
 
 
 def _fourier_real(f, y: float, budget: _ErrorBudget) -> complex:
-    """f̂(y) = ∫ f(x) ψ(xy) dx with the plus-sign kernel of PSI."""
-    val, err = _cquad(lambda x: f(x) * PSI.value(x * y), -_X_CUT, _X_CUT)
+    """f̂(y) = ∫ f(x) ψ(xy) dx with ψ(x) = e^{2πix}, the plus-sign kernel."""
+    val, err = _cquad(
+        lambda x: f(x) * cmath.exp(2j * math.pi * (x * y)), -_X_CUT, _X_CUT
+    )
     budget.add(err)
     return val
 

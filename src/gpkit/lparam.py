@@ -11,8 +11,9 @@ the ambient pairing sign the irreducible constituents are
 * GL-type: not self-dual — forced to come in dual pairs of equal multiplicity.
 
 On top of the validation sit the component group 𝒮_φ, the (B)/(P)/(E)
-classification, eigenspace splittings, the distinguished character χ_φ of a
-Gross–Prasad pair, and the endoscopic dichotomy identity it satisfies.
+classification, and the distinguished character χ_φ of a Gross–Prasad pair
+with the endoscopic dichotomy identity it satisfies, both read from one
+mask-indexed factor table (:class:`GPCharacterTable`).
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from enum import Enum
 from functools import cached_property
 from itertools import product
 
-from .epsilon import eps_half, eps_symplectic
+from .epsilon import eps_half
 from .quadspace import (
     AdmissiblePair,
+    InvariantViolation,
     NotAdmissible,
     QuadSpace,
     is_admissible_pair,
@@ -68,12 +70,6 @@ __all__ = [
     "classify",
     "Classification",
     "is_reduced",
-    "eigenspace_split",
-    "gp_character",
-    "endoscopic_split",
-    "EndoscopicSplit",
-    "SubParameter",
-    "dichotomy_identity_check",
     "DichotomyReport",
     "make_gp_pair",
     "param_to_json",
@@ -213,15 +209,6 @@ class ComponentElement:
             raise ValueError("signs must be ±1, one per basis constituent")
         return cls(basis, sum(1 << i for i, s in enumerate(signs) if s == -1))
 
-    def sign(self, rho: IrredRep) -> int:
-        if rho not in self.basis:
-            raise KeyError(f"{rho!r} is not in the component-group basis")
-        return -1 if self.mask >> self.basis.index(rho) & 1 else 1
-
-    @property
-    def eps(self) -> tuple[tuple[IrredRep, int], ...]:
-        return tuple(zip(self.basis, self.signs))
-
     @property
     def signs(self) -> tuple[int, ...]:
         return tuple(
@@ -240,9 +227,6 @@ class ComponentElement:
         if self.basis != other.basis:
             raise ValueError("component elements live in different groups")
         return ComponentElement(self.basis, self.mask ^ other.mask)
-
-    def minus_constituents(self) -> list[IrredRep]:
-        return [rho for i, rho in enumerate(self.basis) if self.mask >> i & 1]
 
 
 @dataclass(frozen=True)
@@ -299,14 +283,6 @@ def component_group(phi: LParameter) -> ComponentGroup:
     return ComponentGroup(basis, constraint)
 
 
-def _center_image(phi: LParameter) -> ComponentElement:
-    """Image of −Id in 𝒮_φ: ε_i = (−1)^{m_i} on the O-type basis."""
-    grp = component_group(phi)
-    return ComponentElement.of(
-        grp.basis, ((-1) ** phi.rep.mult(rho) for rho in grp.basis)
-    )
-
-
 def is_reduced(phi: LParameter) -> bool:
     """True iff every constituent is O-type with multiplicity one."""
     return all(
@@ -349,36 +325,21 @@ def classify(phi: LParameter) -> Classification:
         flags.add("E")
 
     grp = component_group(phi)
-    allowed = {grp.identity(), _center_image(phi)}
-    condition = any(el not in allowed for el in grp.elements())
+    # image of −Id: ε_i = (−1)^{m_i}, i.e. bit i set when m_i is odd
+    center = sum(
+        1 << i for i, rho in enumerate(grp.basis) if phi.rep.mult(rho) % 2
+    )
+    condition = any(m not in (0, center) for m in grp.masks())
 
     if is_reduced(phi) and phi.rep.dim > 2:
         if condition != ("E" in flags):
-            raise AssertionError(
+            raise InvariantViolation(
                 f"explicit component-group condition disagrees with the "
                 f"trichotomy on a reduced parameter: {phi!r}"
             )
 
     canonical = "P" if "P" in flags else ("B" if "B" in flags else "E")
     return Classification(frozenset(flags), canonical, condition)
-
-
-def eigenspace_split(
-    phi: LParameter, s: ComponentElement
-) -> tuple[WeilRep, WeilRep]:
-    """(plus, minus) eigenspace of ``s`` acting on M; reduced parameters only."""
-    if not is_reduced(phi):
-        raise NotReduced(f"{phi.rep!r} has non-O-type or repeated constituents")
-    grp = component_group(phi)
-    if s.basis != grp.basis:
-        raise ValueError("component element does not match this parameter")
-    if not grp._admits(s.mask):
-        raise ValueError("component element violates the group constraint")
-    minus = WeilRep(s.minus_constituents())
-    plus = WeilRep(rho for rho in grp.basis if s.sign(rho) == 1)
-    if grp.constraint and minus.dim % 2:
-        raise AssertionError("constrained eigenspaces must have even dimension")
-    return plus, minus
 
 
 @dataclass(frozen=True)
@@ -399,20 +360,6 @@ def make_gp_pair(phiW: LParameter, phiV: LParameter) -> GPPair:
             f"({phiW.target}, {phiV.target}) is not an admissible pair"
         )
     return GPPair(phiW, phiV, pair)
-
-
-def _det_minus_id_power(space_dim: int, half_of: int) -> int:
-    """det(−Id)^{half_of/2} on a ``space_dim``-dimensional piece, as ±1."""
-    if half_of % 2:
-        raise OddHalfExponent(f"exponent {half_of}/2 is not an integer")
-    return -1 if (space_dim * (half_of // 2)) % 2 else 1
-
-
-def _chi_one_side(minus: WeilRep, other: WeilRep) -> int:
-    """det(−Id_{minus})^{dim other/2} · det(−Id_{other})^{dim minus/2} · ε(minus ⊗ other)."""
-    pref = _det_minus_id_power(minus.dim, other.dim)
-    pref *= _det_minus_id_power(other.dim, minus.dim)
-    return pref * eps_symplectic(tensor(minus, other))
 
 
 def _subset_sums(values) -> list[int]:
@@ -530,74 +477,6 @@ def _symplectic(value: int) -> int:
     return value
 
 
-def gp_character(
-    gp: GPPair, s: tuple[ComponentElement, ComponentElement]
-) -> int:
-    """χ_φ(s_W, s_V) = χ^V_{φ_W}(s_W) · χ^W_{φ_V}(s_V), exactly ±1.
-
-    Each one-sided factor pairs the (−1)-eigenspace of one parameter against
-    the full partner representation through the symplectic root number.
-    """
-    sW, sV = s
-    _, minusW = eigenspace_split(gp.phiW, sW)
-    _, minusV = eigenspace_split(gp.phiV, sV)
-    return _chi_one_side(minusW, gp.phiV.rep) * _chi_one_side(minusV, gp.phiW.rep)
-
-
-@dataclass(frozen=True)
-class SubParameter:
-    """One eigenspace half of a split parameter, with its target dimension."""
-
-    rep: WeilRep
-    target_dim: int
-
-
-@dataclass(frozen=True)
-class EndoscopicSplit:
-    w_plus: SubParameter
-    w_minus: SubParameter
-    v_plus: SubParameter
-    v_minus: SubParameter
-
-    @property
-    def cross_pairs(self) -> tuple[tuple[SubParameter, SubParameter], ...]:
-        return ((self.w_plus, self.v_minus), (self.w_minus, self.v_plus))
-
-
-def endoscopic_split(
-    gp: GPPair, s: tuple[ComponentElement, ComponentElement]
-) -> EndoscopicSplit:
-    """Split both parameters by the ±1 eigenspaces of s = (s_W, s_V).
-
-    ``s_V`` must avoid the central subgroup {identity, all −1}; otherwise the
-    would-be endoscopic group is the group itself and :class:`CentralElement`
-    is raised.  Target dimensions follow dim V_± = dim M_{V±} (+1 in the odd
-    case); the two cross pairings always end up with odd dimension gaps, which
-    is re-checked.
-    """
-    sW, sV = s
-    if sV.is_identity or sV.is_all_minus:
-        raise CentralElement("s_V lies in {identity, all-(-1)}")
-    plusW, minusW = eigenspace_split(gp.phiW, sW)
-    plusV, minusV = eigenspace_split(gp.phiV, sV)
-
-    addV = 1 if gp.phiV.target.dim % 2 else 0
-    addW = 1 if gp.phiW.target.dim % 2 else 0
-    split = EndoscopicSplit(
-        w_plus=SubParameter(plusW, plusW.dim + addW),
-        w_minus=SubParameter(minusW, minusW.dim + addW),
-        v_plus=SubParameter(plusV, plusV.dim + addV),
-        v_minus=SubParameter(minusV, minusV.dim + addV),
-    )
-    for sub in (split.v_plus, split.v_minus):
-        if not sub.target_dim < gp.phiV.target.dim:
-            raise AssertionError("endoscopic halves must be proper")
-    for a, b in split.cross_pairs:
-        if (a.target_dim - b.target_dim) % 2 == 0:
-            raise AssertionError("cross pairings must have odd dimension gaps")
-    return split
-
-
 @dataclass(frozen=True)
 class DichotomyReport:
     ok: bool
@@ -613,22 +492,6 @@ class DichotomyReport:
             "product": self.factor_wplus_vminus * self.factor_wminus_vplus,
             "ok": self.ok,
         }
-
-
-def dichotomy_identity_check(
-    gp: GPPair, s: tuple[ComponentElement, ComponentElement]
-) -> DichotomyReport:
-    """Verify χ_{φ_{W+}×φ_{V−}}(1,−1) · χ_{φ_{W−}×φ_{V+}}(1,−1) = χ_φ(s).
-
-    The left factors are the distinguished characters of the two endoscopic
-    cross pairs, evaluated at the element that is trivial on the W half and
-    all −1 on the V half.
-    """
-    split = endoscopic_split(gp, s)
-    factor1 = _chi_one_side(split.v_minus.rep, split.w_plus.rep)
-    factor2 = _chi_one_side(split.v_plus.rep, split.w_minus.rep)
-    chi = gp_character(gp, s)
-    return DichotomyReport(factor1 * factor2 == chi, chi, factor1, factor2)
 
 
 def enumerate_reduced(V: QuadSpace, max_k: int) -> list[LParameter]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = [
+    "InvariantViolation",
     "NotAdmissible",
     "QuadSpace",
     "AdmissiblePair",
@@ -23,7 +24,12 @@ __all__ = [
     "relevant_pairs",
     "space_to_json",
     "space_from_json",
+    "int_field",
 ]
+
+
+class InvariantViolation(AssertionError):
+    """An internal invariant failed: a bug in gpkit, not a counterexample."""
 
 
 class NotAdmissible(ValueError):
@@ -94,9 +100,9 @@ def quasi_split_form(V: QuadSpace) -> QuadSpace:
     """The quasi-split pure inner form of ``V``; ties broken toward p ≥ q."""
     forms = quasi_split_forms(V)
     if not forms:  # cannot happen: every class contains a quasi-split form
-        raise AssertionError(f"no quasi-split form in the class of {V}")
+        raise InvariantViolation(f"no quasi-split form in the class of {V}")
     if (V.dim % 2 or V.delta % 4 == 0) and len(forms) != 1:
-        raise AssertionError(
+        raise InvariantViolation(
             f"{len(forms)} quasi-split forms in the class of {V}, expected one"
         )
     return forms[0]
@@ -167,4 +173,12 @@ def space_to_json(V: QuadSpace) -> dict:
 def space_from_json(obj: dict) -> QuadSpace:
     if not isinstance(obj, dict) or set(obj) != {"p", "q"}:
         raise ValueError(f"expected {{'p': int, 'q': int}}, got {obj!r}")
-    return QuadSpace(int(obj["p"]), int(obj["q"]))
+    return QuadSpace(int_field(obj, "p"), int_field(obj, "q"))
+
+
+def int_field(obj: dict, key: str, default: int | None = None) -> int:
+    """``obj[key]`` as an exact integer: bools, floats and strings are refused."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return value

@@ -27,6 +27,8 @@ from fractions import Fraction
 from collections.abc import Mapping
 from typing import Iterable, Union
 
+from .quadspace import int_field
+
 __all__ = [
     "CharRep",
     "DiscRep",
@@ -269,9 +271,9 @@ def irred_to_json(rho: IrredRep) -> dict:
 def irred_from_json(obj: dict) -> IrredRep:
     kind = obj.get("kind")
     if kind == "char":
-        return CharRep(int(obj["a"]), Fraction(str(obj["t"])))
+        return CharRep(int_field(obj, "a"), Fraction(str(obj["t"])))
     if kind == "disc":
-        return DiscRep(int(obj["k"]), Fraction(str(obj["t"])))
+        return DiscRep(int_field(obj, "k"), Fraction(str(obj["t"])))
     raise ValueError(f"unknown irreducible kind: {kind!r}")
 
 
@@ -284,5 +286,5 @@ def weilrep_from_json(arr) -> WeilRep:
         raise ValueError("a WeilRep is encoded as a list of {rep, mult} entries")
     out = []
     for entry in arr:
-        out.append((irred_from_json(entry["rep"]), int(entry.get("mult", 1))))
+        out.append((irred_from_json(entry["rep"]), int_field(entry, "mult", 1)))
     return WeilRep(out)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import gpkit
-from gpkit import cli
+from gpkit import cli, lparam, quadspace
 from gpkit.cli import run
 from gpkit.lparam import GPCharacterTable, enumerate_reduced, make_gp_pair
 from gpkit.quadspace import QuadSpace
@@ -21,13 +21,12 @@ PARAM_B = {
     "rep": [{"rep": {"kind": "disc", "k": 2, "t": "0"}, "mult": 1}],
 }
 
-PAIR_SO23 = {
-    "phiW": PARAM_B,
-    "phiV": {
-        "V": {"p": 2, "q": 1},
-        "rep": [{"rep": {"kind": "disc", "k": 1, "t": "0"}, "mult": 1}],
-    },
+PARAM_SO21 = {
+    "V": {"p": 2, "q": 1},
+    "rep": [{"rep": {"kind": "disc", "k": 1, "t": "0"}, "mult": 1}],
 }
+
+PAIR_SO23 = {"phiW": PARAM_B, "phiV": PARAM_SO21}
 
 PAIR_SO45 = {
     "phiW": {
@@ -173,7 +172,6 @@ class TestVerify:
         argv = ["--json", "verify", "dichotomy", "--max-dim", "6", "--max-k", "7"]
         src = str(Path(gpkit.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=src)
-        env.pop("GPKIT_JOBS", None)
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "gpkit.cli"] + argv,
             capture_output=True, text=True, env=env, timeout=120,
@@ -196,6 +194,40 @@ class TestVerify:
         assert rc == 1
         assert out["status"] == "FAIL"
         assert fake in out["counterexamples"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "union", "--max-dim", "-3"],
+            ["verify", "fibers", "--max-dv", "0"],
+            ["verify", "dichotomy", "--max-dim", "0"],
+        ],
+    )
+    def test_empty_sweep_is_an_input_error(self, capsys, argv):
+        # a sweep that checks nothing must not read as PASS
+        rc, out = run_json(capsys, argv)
+        assert rc == 2
+        assert "no case" in out["error"] and "status" not in out
+
+    def test_invariant_violation_in_sweep_exits_three(self, capsys, monkeypatch):
+        # two quasi-split forms in an odd-dimensional class cannot happen
+        monkeypatch.setattr(
+            quadspace, "quasi_split_forms", lambda V: [V, V]
+        )
+        rc, out = run_json(capsys, ["verify", "union", "--max-dim", "3"])
+        assert rc == 3
+        assert out["error"].startswith("InvariantViolation:")
+
+    def test_invariant_violation_in_classify_exits_three(
+        self, jfile, capsys, monkeypatch
+    ):
+        # hide every non-central element: the explicit condition then
+        # disagrees with the trichotomy on a reduced (E) parameter
+        monkeypatch.setattr(lparam.ComponentGroup, "masks", lambda self: [0])
+        param = {"V": {"p": 3, "q": 2}, "rep": PAIR_SO45["phiV"]["rep"]}
+        rc, out = run_json(capsys, ["classify", jfile(param)])
+        assert rc == 3
+        assert out["error"].startswith("InvariantViolation:")
 
 
 class TestErrorsAndFormat:
@@ -224,6 +256,29 @@ class TestErrorsAndFormat:
     def test_bad_space_string(self, capsys):
         rc, out = run_json(capsys, ["enumerate-pureinner", "5"])
         assert rc == 2 and "error" in out
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            (("V", "p"), 2.7),
+            (("V", "q"), True),
+            (("V", "p"), "2"),
+            (("rep", 0, "rep", "k"), 1.9),
+            (("rep", 0, "rep", "k"), 1.0),
+            (("rep", 0, "mult"), True),
+        ],
+    )
+    def test_integer_fields_are_strict(self, jfile, capsys, path, value):
+        # no silent int() truncation: each of these once decoded to SO(2,1)/D_1
+        param = json.loads(json.dumps(PARAM_SO21))
+        *parents, key = path
+        node = param
+        for step in parents:
+            node = node[step]
+        node[key] = value
+        rc, out = run_json(capsys, ["classify", jfile(param)])
+        assert rc == 2
+        assert repr(key) in out["error"]
 
     def test_invalid_parameter_dim(self, jfile, capsys):
         bad = {

@@ -9,7 +9,6 @@ from gpkit.conjclass import (
     CFieldFactor,
     CSplitFactor,
     KappaDatum,
-    KappaShape,
     MismatchedSignVector,
     RSplitFactor,
     factor_eigenvalues,
@@ -144,13 +143,6 @@ class TestKappaDatum:
         assert kappa.n_elliptic == 2
         assert kappa.sum_c == 0
         assert kappa.prod_c == -1
-
-    def test_shape(self):
-        kappa = make_regular_kappa(2, 1, 1)
-        shape = KappaShape.of(kappa)
-        assert (shape.n_plus, shape.n_minus, shape.n_rsplit, shape.n_csplit) == (2, 0, 1, 1)
-        assert shape.dim == kappa.dim == 10
-        assert shape.sum_c == 2 and shape.prod_c == 1
 
     def test_with_signs(self):
         kappa = make_regular_kappa(2, 1)
@@ -302,11 +294,17 @@ def test_kappa_shapes_cover_dimension():
     assert all(k.dim == 6 for k in shapes)
     # (3,0,0), (2,1,0), (1,2,0), (0,3,0), (1,0,1), (0,1,1)
     assert len(shapes) == 6
-    assert len(kappa_shapes(6, elliptic_only=True)) == 1
+    # exactly one of them is purely elliptic: (3,0,0)
+    assert sum(2 * k.n_elliptic == k.dim for k in shapes) == 1
 
 
 @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2))
 def test_shape_counts_round_trip(nc, nr, ns):
     kappa = make_regular_kappa(nc, nr, ns)
-    shape = KappaShape.of(kappa)
-    assert (shape.n_plus + shape.n_minus, shape.n_rsplit, shape.n_csplit) == (nc, nr, ns)
+    counts = tuple(
+        sum(isinstance(f, kind) for f in kappa)
+        for kind in (CFieldFactor, RSplitFactor, CSplitFactor)
+    )
+    assert kappa.n_elliptic == nc and counts == (nc, nr, ns)
+    assert kappa.dim == 2 * (nc + nr) + 4 * ns
+    assert (kappa.sum_c, kappa.prod_c) == (nc, 1)

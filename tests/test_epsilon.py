@@ -7,10 +7,8 @@ from gpkit.epsilon import (
     FourthRoot,
     NotSymplectic,
     PoleAt,
-    PSI,
     eps_half,
     eps_numeric_oracle,
-    eps_symplectic,
     l_factor,
 )
 from gpkit.weilrep import CharRep, DiscRep, WeilRep
@@ -65,18 +63,6 @@ def test_eps_half_additive():
     assert eps_half(WeilRep([D(1), D(3)])).e == 2
     assert eps_half(WeilRep([(D(2), 2)])).e == 2
     assert eps_half(WeilRep.zero()).e == 0
-
-
-def test_eps_symplectic():
-    assert eps_symplectic(WeilRep([D(1), D(3)])) == -1
-    assert eps_symplectic(WeilRep([(D(1), 2)])) == 1
-    with pytest.raises(NotSymplectic):
-        eps_symplectic(WeilRep([D(2)]))  # exponent 3: not ±1
-
-
-def test_psi_convention():
-    assert PSI.value(0.25) == pytest.approx(1j, abs=1e-12)
-    assert "2" in PSI.formula and "pi" in PSI.formula.lower()
 
 
 class TestLFactor:
