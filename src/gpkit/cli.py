@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -44,6 +45,7 @@ from .quadspace import (
     QuadSpace,
     is_admissible_pair,
     is_quasi_split,
+    json_object,
     kottwitz_sign,
     pure_inner_forms,
 )
@@ -158,8 +160,8 @@ def _cmd_dichotomy(args) -> int:
 
 def _cmd_epsilon(args) -> int:
     obj = _load_json(args.file)
-    if isinstance(obj, dict) and "rep" in obj:
-        obj = obj["rep"]
+    if isinstance(obj, dict):
+        obj = json_object(obj, "parameter", ("rep",), ("V",))["rep"]
     rho = weilrep_from_json(obj)
     root = eps_half(rho)
     out = {
@@ -393,11 +395,21 @@ def _sweep_cases(args):
     ]
 
 
+def _worker_count(jobs: int) -> int:
+    """The number of worker processes for ``--jobs``: at least 1 (else an
+    input error) and at most the CPUs this process may run on."""
+    if jobs < 1:
+        raise SystemExit2(f"--jobs: expected a positive integer, got {jobs}")
+    if hasattr(os, "sched_getaffinity"):
+        return min(jobs, len(os.sched_getaffinity(0)))
+    return min(jobs, os.cpu_count() or 1)
+
+
 def _cmd_verify(args) -> int:
     t0 = time.monotonic()
     unit = _SWEEPS[args.what]
     cases = _sweep_cases(args)
-    jobs = args.jobs
+    jobs = _worker_count(args.jobs)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(unit, cases))
@@ -479,7 +491,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e0", type=int, choices=(1, -1), default=None,
                    help="restrict the union sweep to one Kottwitz sign")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes (default: 1)")
+                   help="worker processes, at most the usable CPUs "
+                   "(default: 1)")
     p.set_defaults(fn=_cmd_verify)
     return top
 

@@ -83,7 +83,12 @@ def _frac(x) -> Fraction:
 
 @dataclass(frozen=True, order=True)
 class CFieldFactor:
-    """Rotation by ``angle``·π on a definite plane of sign ``c``."""
+    """Rotation by ``angle``·π on a definite plane of sign ``c``.
+
+    The factor of opposite sign is built once, on first request, by
+    :meth:`with_sign`; the two share the angle and the regularity data, which
+    do not depend on ``c``.
+    """
 
     angle: Fraction
     c: int = 1
@@ -93,6 +98,21 @@ class CFieldFactor:
         object.__setattr__(self, "angle", a)
         if self.c not in (1, -1):
             raise ValueError("plane sign c must be +1 or -1")
+        object.__setattr__(self, "_regularity", (a in (0, 1), _iso_class(self)))
+        object.__setattr__(self, "_twin", None)
+
+    def with_sign(self, c: int) -> "CFieldFactor":
+        """This rotation on a plane of sign ``c``."""
+        if c == self.c:
+            return self
+        if c != -self.c:
+            raise ValueError("plane sign c must be +1 or -1")
+        twin = self._twin
+        if twin is None:
+            twin = object.__new__(CFieldFactor)
+            twin.__dict__.update(self.__dict__, c=c, _twin=self)
+            object.__setattr__(self, "_twin", twin)
+        return twin
 
 
 @dataclass(frozen=True, order=True)
@@ -106,6 +126,7 @@ class RSplitFactor:
         if t == 0:
             raise ValueError("split eigenvalue t must be nonzero")
         object.__setattr__(self, "t", t)
+        object.__setattr__(self, "_regularity", (t in (1, -1), _iso_class(self)))
 
 
 @dataclass(frozen=True, order=True)
@@ -120,6 +141,8 @@ class CSplitFactor:
         if re == 0 and im == 0:
             raise ValueError("complex split eigenvalue w must be nonzero")
         object.__setattr__(self, "w", (re, im))
+        degenerate = im == 0 or re * re + im * im == 1
+        object.__setattr__(self, "_regularity", (degenerate, _iso_class(self)))
 
 
 FactorDatum = Union[CFieldFactor, RSplitFactor, CSplitFactor]
@@ -181,10 +204,23 @@ def token_to_complex(tok) -> complex:
 
 @dataclass(frozen=True)
 class KappaDatum:
+    """A class datum: its factors, with the signature, the number of definite
+    planes and their sign sum computed once at construction."""
+
     factors: tuple[FactorDatum, ...]
 
     def __init__(self, factors: Iterable[FactorDatum] = ()):
-        object.__setattr__(self, "factors", tuple(factors))
+        factors = tuple(factors)
+        p = q = n = sum_c = 0
+        for f in factors:
+            fp, fq = factor_signature(f)
+            p += fp
+            q += fq
+            if isinstance(f, CFieldFactor):
+                n += 1
+                sum_c += f.c
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "_invariants", (p, q, n, sum_c))
 
     def __iter__(self):
         return iter(self.factors)
@@ -194,13 +230,12 @@ class KappaDatum:
 
     @property
     def dim(self) -> int:
-        return sum(p + q for p, q in map(factor_signature, self.factors))
+        p, q, _, _ = self._invariants
+        return p + q
 
     @property
     def signature(self) -> tuple[int, int]:
-        p = sum(factor_signature(f)[0] for f in self.factors)
-        q = sum(factor_signature(f)[1] for f in self.factors)
-        return (p, q)
+        return self._invariants[:2]
 
     def cfield_factors(self) -> tuple[CFieldFactor, ...]:
         return tuple(f for f in self.factors if isinstance(f, CFieldFactor))
@@ -208,18 +243,17 @@ class KappaDatum:
     @property
     def n_elliptic(self) -> int:
         """|I*|: the number of definite (elliptic) planes."""
-        return len(self.cfield_factors())
+        return self._invariants[2]
 
     @property
     def sum_c(self) -> int:
-        return sum(f.c for f in self.cfield_factors())
+        return self._invariants[3]
 
     @property
     def prod_c(self) -> int:
-        out = 1
-        for f in self.cfield_factors():
-            out *= f.c
-        return out
+        # (n − Σc)/2 of the n signs are −1
+        _, _, n, sum_c = self._invariants
+        return -1 if (n - sum_c) // 2 % 2 else 1
 
     def with_signs(self, signs: Iterable[int]) -> "KappaDatum":
         """Replace the definite-plane signs, preserving everything else."""
@@ -230,7 +264,7 @@ class KappaDatum:
             )
         it = iter(signs)
         return KappaDatum(
-            CFieldFactor(f.angle, next(it)) if isinstance(f, CFieldFactor) else f
+            f.with_sign(next(it)) if isinstance(f, CFieldFactor) else f
             for f in self.factors
         )
 
@@ -248,20 +282,18 @@ def _iso_class(f: FactorDatum) -> frozenset:
 
 def is_regular(kappa: KappaDatum) -> bool:
     """Regular semisimple: distinct eigenvalues within and across factors,
-    and no eigenvalue ±1 (which would enlarge the centralizer)."""
-    for f in kappa:
-        if isinstance(f, CFieldFactor):
-            if f.angle == 0 or f.angle == 1:
-                return False
-        elif isinstance(f, RSplitFactor):
-            if f.t in (1, -1):
-                return False
-        else:
-            re, im = f.w
-            if im == 0 or re * re + im * im == 1:
-                return False
-    classes = [_iso_class(f) for f in kappa]
-    return len(classes) == len(set(classes))
+    and no eigenvalue ±1 (which would enlarge the centralizer).
+
+    Reads each factor's regularity data (degenerate flag, eigenvalue set),
+    computed once when the factor was built.
+    """
+    classes = set()
+    for f in kappa.factors:
+        degenerate, cls = f._regularity
+        if degenerate or cls in classes:
+            return False
+        classes.add(cls)
+    return True
 
 
 def iota(V: QuadSpace, kappa: KappaDatum) -> int:
@@ -295,7 +327,7 @@ def is_in_Xi_reg_V(kappa: KappaDatum, V: QuadSpace) -> XiRegResult:
 
 def is_in_Xi_dVdW(kappa: KappaDatum, d_V: int, d_W: int) -> bool:
     """Elliptic regular classes small enough to occur on both sides."""
-    if not all(isinstance(f, CFieldFactor) for f in kappa):
+    if kappa.n_elliptic != len(kappa):
         return False
     return is_regular(kappa) and 2 * len(kappa) <= min(d_V, d_W)
 
@@ -340,6 +372,11 @@ class CheckReport:
 
 def _sign_vectors(n: int):
     return product((1, -1), repeat=n)
+
+
+def _signed_data(kappa: KappaDatum) -> list:
+    """Each sign vector c with the class datum carrying those signs."""
+    return [(c, kappa.with_signs(c)) for c in _sign_vectors(kappa.n_elliptic)]
 
 
 def _sorted_sets(vectors) -> tuple:
@@ -389,14 +426,15 @@ def verify_union_prop(
         )
 
     n = kappa.n_elliptic
+    signed = _signed_data(kappa)
     lhs = set()
     selected = []
     for Va in pure_inner_forms(V):
         if kottwitz_sign(Va if odd else Va.orthogonal_sum(D)) != e0:
             continue
         selected.append((Va.p, Va.q))
-        for c in _sign_vectors(n):
-            if is_in_Xi_reg_V(kappa.with_signs(c), Va).member:
+        for c, kc in signed:
+            if is_in_Xi_reg_V(kc, Va).member:
                 lhs.add(c)
     if odd:
         N = (
@@ -451,11 +489,7 @@ def verify_fiber_lemma(
         raise ValueError("the class must be elliptic regular with 2|I| ≤ min dims")
 
     n = kappa.n_elliptic
-    fiber = {
-        c
-        for c in _sign_vectors(n)
-        if is_in_C_VW(kappa.with_signs(c), W, V)
-    }
+    fiber = {c for c, kc in _signed_data(kappa) if is_in_C_VW(kc, W, V)}
     if W.dim % 2:
         target = (W.delta - iota(W, kappa)) // 2
     else:
@@ -494,6 +528,7 @@ def verify_fiber_union(
         raise ValueError("the class must be elliptic regular with 2|I| ≤ min dims")
 
     n = kappa.n_elliptic
+    signed = _signed_data(kappa)
     lhs = set()
     selected = []
     if W.dim % 2:
@@ -503,8 +538,8 @@ def verify_fiber_union(
                 continue
             Va = Wa.orthogonal_sum(perp)
             selected.append(((Wa.p, Wa.q), (Va.p, Va.q)))
-            for c in _sign_vectors(n):
-                if is_in_C_VW(kappa.with_signs(c), Wa, Va):
+            for c, kc in signed:
+                if is_in_C_VW(kc, Wa, Va):
                     lhs.add(c)
         N = (
             -quasi_split_form(W).p
@@ -518,8 +553,7 @@ def verify_fiber_union(
             if kottwitz_sign(Va) != e0:
                 continue
             selected.append((Va.p, Va.q))
-            for c in _sign_vectors(n):
-                kc = kappa.with_signs(c)
+            for c, kc in signed:
                 if is_in_Xi_dVdW(kc, V.dim, W.dim) and _embeds_with_qs_complement(
                     kc, Va
                 ):

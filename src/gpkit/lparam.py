@@ -30,6 +30,7 @@ from .quadspace import (
     NotAdmissible,
     QuadSpace,
     is_admissible_pair,
+    json_object,
     space_from_json,
     space_to_json,
 )
@@ -533,8 +534,10 @@ def param_to_json(phi: LParameter) -> dict:
 
 
 def param_from_json(obj: dict) -> LParameter:
+    json_object(obj, "parameter", ("V", "rep"))
     return validate(weilrep_from_json(obj["rep"]), space_from_json(obj["V"]))
 
 
 def gp_pair_from_json(obj: dict) -> GPPair:
+    json_object(obj, "pair", ("phiW", "phiV"))
     return make_gp_pair(param_from_json(obj["phiW"]), param_from_json(obj["phiV"]))

@@ -7,7 +7,9 @@ indices (p, q), so no Gram matrices are ever materialized.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from fractions import Fraction
 
 __all__ = [
     "InvariantViolation",
@@ -24,7 +26,9 @@ __all__ = [
     "relevant_pairs",
     "space_to_json",
     "space_from_json",
+    "json_object",
     "int_field",
+    "rational_field",
 ]
 
 
@@ -171,9 +175,22 @@ def space_to_json(V: QuadSpace) -> dict:
 
 
 def space_from_json(obj: dict) -> QuadSpace:
-    if not isinstance(obj, dict) or set(obj) != {"p", "q"}:
-        raise ValueError(f"expected {{'p': int, 'q': int}}, got {obj!r}")
+    json_object(obj, "space", ("p", "q"))
     return QuadSpace(int_field(obj, "p"), int_field(obj, "q"))
+
+
+def json_object(obj, what: str, required, optional=()) -> dict:
+    """``obj`` checked to be a JSON object holding every key of ``required``
+    and no key outside ``required`` and ``optional``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a {what} object, got {obj!r}")
+    unknown = set(obj).difference(required, optional)
+    if unknown:
+        raise ValueError(f"unknown key(s) {sorted(unknown)} in {what} object")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ValueError(f"missing key(s) {missing} in {what} object")
+    return obj
 
 
 def int_field(obj: dict, key: str, default: int | None = None) -> int:
@@ -182,3 +199,19 @@ def int_field(obj: dict, key: str, default: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{key!r} must be an integer, got {value!r}")
     return value
+
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+
+
+def rational_field(obj: dict, key: str) -> Fraction:
+    """``obj[key]`` as an exact rational: a JSON integer or an ``"n"`` /
+    ``"p/q"`` string.  Bools, floats and decimal strings are refused."""
+    value = obj[key]
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
+        return Fraction(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise ValueError(
+        f"{key!r} must be an integer or a 'p/q' string, got {value!r}"
+    )

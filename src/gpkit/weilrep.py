@@ -27,7 +27,7 @@ from fractions import Fraction
 from collections.abc import Mapping
 from typing import Iterable, Union
 
-from .quadspace import int_field
+from .quadspace import int_field, json_object, rational_field
 
 __all__ = [
     "CharRep",
@@ -269,12 +269,15 @@ def irred_to_json(rho: IrredRep) -> dict:
 
 
 def irred_from_json(obj: dict) -> IrredRep:
-    kind = obj.get("kind")
-    if kind == "char":
-        return CharRep(int_field(obj, "a"), Fraction(str(obj["t"])))
-    if kind == "disc":
-        return DiscRep(int_field(obj, "k"), Fraction(str(obj["t"])))
-    raise ValueError(f"unknown irreducible kind: {kind!r}")
+    if not isinstance(obj, dict) or obj.get("kind") not in ("char", "disc"):
+        raise ValueError(
+            f"expected a rep object of kind 'char' or 'disc', got {obj!r}"
+        )
+    if obj["kind"] == "char":
+        json_object(obj, "char rep", ("kind", "a", "t"))
+        return CharRep(int_field(obj, "a"), rational_field(obj, "t"))
+    json_object(obj, "disc rep", ("kind", "k", "t"))
+    return DiscRep(int_field(obj, "k"), rational_field(obj, "t"))
 
 
 def weilrep_to_json(A: WeilRep) -> list:
@@ -286,5 +289,6 @@ def weilrep_from_json(arr) -> WeilRep:
         raise ValueError("a WeilRep is encoded as a list of {rep, mult} entries")
     out = []
     for entry in arr:
+        json_object(entry, "WeilRep entry", ("rep",), ("mult",))
         out.append((irred_from_json(entry["rep"]), int_field(entry, "mult", 1)))
     return WeilRep(out)

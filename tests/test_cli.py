@@ -8,12 +8,30 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import gpkit
 from gpkit import cli, lparam, quadspace
 from gpkit.cli import run
-from gpkit.lparam import GPCharacterTable, enumerate_reduced, make_gp_pair
-from gpkit.quadspace import QuadSpace
+from gpkit.lparam import (
+    GPCharacterTable,
+    enumerate_reduced,
+    make_gp_pair,
+    param_from_json,
+    param_to_json,
+    validate,
+)
+from gpkit.quadspace import QuadSpace, space_from_json, space_to_json
+from gpkit.weilrep import (
+    CharRep,
+    DiscRep,
+    WeilRep,
+    dual,
+    irred_from_json,
+    irred_to_json,
+    weilrep_from_json,
+    weilrep_to_json,
+)
 
 
 PARAM_B = {
@@ -157,6 +175,7 @@ class TestVerify:
         # the README promise: identical output for any job count, timing aside
         for argv in (
             ["verify", "union", "--max-dim", "4"],
+            ["verify", "fibers", "--max-dv", "5"],
             ["verify", "dichotomy", "--max-dim", "6", "--max-k", "7"],
         ):
             reports = []
@@ -182,6 +201,19 @@ class TestVerify:
         assert rc == 0 and normal["cases_checked"] > 0
         del optimized["timing_ms"], normal["timing_ms"]
         assert optimized == normal
+
+    @pytest.mark.parametrize("jobs", ["0", "-1", "-8"])
+    def test_nonpositive_jobs_is_an_input_error(self, capsys, jobs):
+        rc, out = run_json(capsys, ["verify", "union", "--max-dim", "3",
+                                    "--jobs", jobs])
+        assert rc == 2
+        assert "--jobs" in out["error"] and "status" not in out
+
+    def test_jobs_clamped_to_usable_cpus(self, monkeypatch):
+        # through the helper only: no pool is started here
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        assert [cli._worker_count(j) for j in (1, 2, 3, 10**6)] == [1, 2, 2, 2]
 
     def test_counterexample_exits_one(self, capsys, monkeypatch):
         fake = {"case": {"V": [1, 0]}, "lhs": [], "rhs": [[1]]}
@@ -280,6 +312,84 @@ class TestErrorsAndFormat:
         assert rc == 2
         assert repr(key) in out["error"]
 
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            (("rep", 0), {"rep": 5, "mult": 1}),
+            (("rep", 0), {"rep": [2], "mult": 1}),
+            (("rep", 0), 5),
+            (("rep", 0), [{"kind": "disc", "k": 1, "t": "0"}, 1]),
+            (("rep",), {"kind": "disc", "k": 1, "t": "0"}),
+            ((), [PARAM_SO21]),
+        ],
+    )
+    def test_non_object_entries_are_input_errors(
+        self, jfile, capsys, path, value
+    ):
+        # a non-dict rep or entry once ended in an AttributeError, exit 1
+        rc, out = run_json(capsys, ["classify", jfile(_edit(PARAM_SO21, path,
+                                                            value))])
+        assert rc == 2
+        assert "object" in out["error"] or "list" in out["error"]
+
+    @pytest.mark.parametrize(
+        "value",
+        [0.1, 0.5, True, False, "0.1", "1e3", "1/0", "x", "", None, [1]],
+        ids=repr,
+    )
+    def test_twists_are_strict(self, jfile, capsys, value):
+        # a float twist was read through its decimal repr, 0.1 as 1/10
+        param = _edit(PARAM_SO21, ("rep", 0, "rep", "t"), value)
+        rc, out = run_json(capsys, ["classify", jfile(param)])
+        assert rc == 2
+        assert "'t'" in out["error"]
+
+    @pytest.mark.parametrize("value", [0, "0", "-0/3", "+0"], ids=repr)
+    def test_twist_accepts_integers_and_fractions(self, jfile, capsys, value):
+        param = _edit(PARAM_SO21, ("rep", 0, "rep", "t"), value)
+        rc, out = run_json(capsys, ["component-group", jfile(param)])
+        assert rc == 0 and out["size"] == 2
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("rep", 0, "rep"),
+            ("rep", 0),
+            (),
+            ("V",),
+        ],
+    )
+    def test_unknown_keys_are_refused(self, jfile, capsys, path):
+        param = _edit(PARAM_SO21, path + ("junk",), 1)
+        rc, out = run_json(capsys, ["classify", jfile(param)])
+        assert rc == 2
+        assert "unknown key(s) ['junk']" in out["error"]
+
+    @pytest.mark.parametrize("path", [(), ("phiW",), ("phiV", "rep", 0)])
+    def test_unknown_keys_in_pair_files_are_refused(self, jfile, capsys, path):
+        pair = _edit(PAIR_SO23, path + ("junk",), 1)
+        rc, out = run_json(
+            capsys, ["chi", jfile(pair), "--sW", "0", "--sV", "1"]
+        )
+        assert rc == 2
+        assert "unknown key(s) ['junk']" in out["error"]
+
+    def test_epsilon_takes_a_parameter_object_and_nothing_else(
+        self, jfile, capsys
+    ):
+        rc, out = run_json(capsys, ["epsilon", jfile(PARAM_SO21)])
+        assert rc == 0 and out["exponent"] == 2
+        rc, out = run_json(
+            capsys, ["epsilon", jfile(dict(PARAM_SO21, junk=1))]
+        )
+        assert rc == 2 and "unknown key(s) ['junk']" in out["error"]
+
+    def test_missing_key_is_named(self, jfile, capsys):
+        param = json.loads(json.dumps(PARAM_SO21))
+        del param["rep"][0]["rep"]["t"]
+        rc, out = run_json(capsys, ["classify", jfile(param)])
+        assert rc == 2 and "missing key(s) ['t']" in out["error"]
+
     def test_invalid_parameter_dim(self, jfile, capsys):
         bad = {
             "V": {"p": 3, "q": 2},
@@ -304,6 +414,57 @@ class TestErrorsAndFormat:
         rc = run(["--json", "classify", jfile(PARAM_B)])
         out = capsys.readouterr().out
         assert rc == 0 and out.count("\n") == 1
+
+
+def _edit(obj, path, value):
+    """A deep copy of ``obj`` with the node at ``path`` set to ``value``."""
+    obj = json.loads(json.dumps(obj))
+    if not path:
+        return value
+    *parents, key = path
+    node = obj
+    for step in parents:
+        node = node[step]
+    node[key] = value
+    return obj
+
+
+_twists = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+_irreds = st.one_of(
+    st.builds(CharRep, st.integers(0, 1), _twists),
+    st.builds(DiscRep, st.integers(1, 12), _twists),
+)
+
+
+@st.composite
+def _params(draw):
+    """Valid parameters: GL-type pairs X + dual(X) and self-dual pieces
+    twice over, on a target space of matching dimension (any parity)."""
+    items = []
+    for rho in draw(st.lists(_irreds, max_size=4)):
+        items += [rho, dual(rho)]
+    rep = WeilRep(items)
+    dim = rep.dim + draw(st.integers(0, 1))
+    p = draw(st.integers(0, dim))
+    return validate(rep, QuadSpace(p, dim - p))
+
+
+@given(
+    st.builds(QuadSpace, st.integers(0, 9), st.integers(0, 9)),
+    st.lists(st.tuples(_irreds, st.integers(1, 3)), max_size=5),
+    _params(),
+)
+def test_json_round_trips_are_the_identity(V, items, phi):
+    def through_json(obj):
+        return json.loads(json.dumps(obj))
+
+    assert space_from_json(through_json(space_to_json(V))) == V
+    for rho, _ in items:
+        assert irred_from_json(through_json(irred_to_json(rho))) == rho
+    A = WeilRep(items)
+    assert weilrep_from_json(through_json(weilrep_to_json(A))) == A
+    phi2 = param_from_json(through_json(param_to_json(phi)))
+    assert (phi2.rep, phi2.target) == (phi.rep, phi.target)
 
 
 def _all_pairs_multiplicative(masksW, masksV, valW, valV):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -308,3 +309,92 @@ def test_shape_counts_round_trip(nc, nr, ns):
     assert kappa.n_elliptic == nc and counts == (nc, nr, ns)
     assert kappa.dim == 2 * (nc + nr) + 4 * ns
     assert (kappa.sum_c, kappa.prod_c) == (nc, 1)
+
+
+def _fresh(kappa, signs):
+    """``kappa`` with its definite-plane signs replaced, every factor built
+    anew through its constructor."""
+    it = iter(signs)
+    out = []
+    for f in kappa:
+        if isinstance(f, CFieldFactor):
+            out.append(CFieldFactor(f.angle, next(it)))
+        elif isinstance(f, RSplitFactor):
+            out.append(RSplitFactor(f.t))
+        else:
+            out.append(CSplitFactor(f.w))
+    return KappaDatum(out)
+
+
+def _reference_invariants(kappa):
+    """(dim, signature, n_elliptic, sum_c, prod_c) from factor_signature."""
+    sigs = [factor_signature(f) for f in kappa]
+    p, q = sum(s[0] for s in sigs), sum(s[1] for s in sigs)
+    plus, minus = sigs.count((2, 0)), sigs.count((0, 2))
+    return p + q, (p, q), plus + minus, plus - minus, (-1) ** minus
+
+
+def _reference_is_regular(kappa):
+    """The regularity test on uncached eigenvalues: no degenerate factor and
+    pairwise distinct eigenvalue sets."""
+    for f in kappa:
+        if isinstance(f, CFieldFactor):
+            if f.angle in (0, 1):
+                return False
+        elif isinstance(f, RSplitFactor):
+            if f.t in (1, -1):
+                return False
+        else:
+            re, im = f.w
+            if im == 0 or re * re + im * im == 1:
+                return False
+    classes = [frozenset(factor_eigenvalues(f)) for f in kappa]
+    return len(classes) == len(set(classes))
+
+
+def test_with_signs_matches_fresh_construction_on_families():
+    """Every shape of kappa_shapes(d), d <= 13, and make_regular_kappa(n),
+    n <= 6, each also with its first factor repeated and with a degenerate
+    factor added (two non-regular data), under every sign vector: with_signs
+    equals, hashes and prints like fresh factors, its invariants match
+    factor_signature, and is_regular matches the uncached reference."""
+    base = [k for d in range(14) for k in kappa_shapes(d)]
+    base += [make_regular_kappa(n) for n in range(7)]
+    degenerate = [cf(1, 1), RSplitFactor(F(-1)), CSplitFactor((F(3, 5), F(4, 5)))]
+    family = base + [KappaDatum(k.factors + k.factors[:1]) for k in base if len(k)]
+    family += [
+        KappaDatum(k.factors + (degenerate[i % 3],)) for i, k in enumerate(base)
+    ]
+    cases = regular = 0
+    for kappa in family:
+        for signs in product((1, -1), repeat=kappa.n_elliptic):
+            kc, fresh = kappa.with_signs(signs), _fresh(kappa, signs)
+            assert kc == fresh and hash(kc) == hash(fresh)
+            assert repr(kc) == repr(fresh)
+            assert repr(kc.factors) == repr(fresh.factors)
+            for f, g in zip(kc, fresh):
+                assert f == g and hash(f) == hash(g)
+            assert (
+                kc.dim, kc.signature, kc.n_elliptic, kc.sum_c, kc.prod_c
+            ) == _reference_invariants(kc) == _reference_invariants(fresh)
+            assert is_regular(kc) is _reference_is_regular(kc)
+            assert is_regular(fresh) is is_regular(kc)
+            cases += 1
+            regular += is_regular(kc)
+    assert (cases, regular) == (1_829, 443)
+
+
+def test_with_signs_reuses_one_twin_per_factor():
+    kappa = make_regular_kappa(3, 1, 1)
+    down = kappa.with_signs((-1, -1, -1))
+    again = kappa.with_signs((-1, 1, -1))
+    assert down.factors[0] is again.factors[0]
+    assert down.factors[2] is again.factors[2]
+    assert kappa.with_signs((1, 1, 1)).factors[0] is kappa.factors[0]
+    # the twin of the twin is the original
+    assert down.with_signs((1, 1, 1)).factors[0] is kappa.factors[0]
+    assert down.factors[3] is kappa.factors[3]  # split factors are shared
+    with pytest.raises(ValueError):
+        kappa.with_signs((2, 1, 1))
+    with pytest.raises(ValueError):
+        kappa.factors[0].with_sign(0)
