@@ -20,7 +20,6 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
 
 from .conjclass import (
     kappa_shapes,
@@ -48,20 +47,9 @@ from .quadspace import (
     json_object,
     kottwitz_sign,
     pure_inner_forms,
+    space_from_json,
 )
 from .weilrep import weilrep_from_json
-
-
-@dataclass
-class Report:
-    command: str
-    status: str
-    cases_checked: int
-    counterexamples: list = field(default_factory=list)
-    timing_ms: int = 0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _emit(obj, compact: bool) -> None:
@@ -161,7 +149,10 @@ def _cmd_dichotomy(args) -> int:
 def _cmd_epsilon(args) -> int:
     obj = _load_json(args.file)
     if isinstance(obj, dict):
-        obj = json_object(obj, "parameter", ("rep",), ("V",))["rep"]
+        json_object(obj, "parameter", ("rep",), ("V",))
+        if "V" in obj:
+            space_from_json(obj["V"])
+        obj = obj["rep"]
     rho = weilrep_from_json(obj)
     root = eps_half(rho)
     out = {
@@ -212,6 +203,15 @@ def _cmd_enumerate_pureinner(args) -> int:
 # Verification sweeps (coarse-grained parallel units, canonical ordering)
 # ---------------------------------------------------------------------------
 
+def _failure(report, **case) -> dict:
+    """The counterexample record of a failed check on ``case``."""
+    return {
+        "case": case,
+        "lhs": [list(c) for c in report.lhs],
+        "rhs": [list(c) for c in report.rhs],
+    }
+
+
 def _union_unit(case) -> dict:
     d, p, e0s = case
     V = QuadSpace(p, d - p)
@@ -225,18 +225,13 @@ def _union_unit(case) -> dict:
                 r = verify_union_prop(kappa, V, e0, D=D)
                 checked += 1
                 if not r.passed:
-                    bad.append(
-                        {
-                            "case": {
-                                "V": [p, d - p],
-                                "e0": e0,
-                                "D": None if D is None else [D.p, D.q],
-                                "shape": repr(kappa.factors),
-                            },
-                            "lhs": [list(c) for c in r.lhs],
-                            "rhs": [list(c) for c in r.rhs],
-                        }
-                    )
+                    bad.append(_failure(
+                        r,
+                        V=[p, d - p],
+                        e0=e0,
+                        D=None if D is None else [D.p, D.q],
+                        shape=repr(kappa.factors),
+                    ))
     return {"key": [d, p], "checked": checked, "counterexamples": bad}
 
 
@@ -245,13 +240,14 @@ def _fiber_unit(case) -> dict:
     V = QuadSpace(pv, dv - pv)
     checked = 0
     bad = []
+    # one class datum per n ≤ dim W / 2 ≤ (dv − 1) / 2, shared by every W
+    kappas = [make_regular_kappa(n) for n in range((dv + 1) // 2)]
     for dw in range(dv):
         for pw in range(dw + 1):
             W = QuadSpace(pw, dw - pw)
             if is_admissible_pair(W, V) is None:
                 continue
-            for n in range(min(dv, dw) // 2 + 1):
-                kappa = make_regular_kappa(n)
+            for n, kappa in enumerate(kappas[: dw // 2 + 1]):
                 reports = [("fiber", None, verify_fiber_lemma(kappa, W, V))]
                 for e0 in (1, -1):
                     reports.append(
@@ -260,19 +256,14 @@ def _fiber_unit(case) -> dict:
                 for kind, e0, r in reports:
                     checked += 1
                     if not r.passed:
-                        bad.append(
-                            {
-                                "case": {
-                                    "kind": kind,
-                                    "W": [pw, dw - pw],
-                                    "V": [pv, dv - pv],
-                                    "n_elliptic": n,
-                                    "e0": e0,
-                                },
-                                "lhs": [list(c) for c in r.lhs],
-                                "rhs": [list(c) for c in r.rhs],
-                            }
-                        )
+                        bad.append(_failure(
+                            r,
+                            kind=kind,
+                            W=[pw, dw - pw],
+                            V=[pv, dv - pv],
+                            n_elliptic=n,
+                            e0=e0,
+                        ))
     return {"key": [dv, pv], "checked": checked, "counterexamples": bad}
 
 
@@ -422,16 +413,17 @@ def _cmd_verify(args) -> int:
         raise SystemExit2(f"verify {args.what}: the bounds leave no case to check")
     bad = [ce for r in results for ce in r["counterexamples"]]
     bad.sort(key=lambda ce: json.dumps(ce, sort_keys=True))
-    status = "PASS" if not bad else "FAIL"
-    report = Report(
-        command=f"verify {args.what}",
-        status=status,
-        cases_checked=checked,
-        counterexamples=bad,
-        timing_ms=int((time.monotonic() - t0) * 1000),
+    _emit(
+        {
+            "command": f"verify {args.what}",
+            "status": "FAIL" if bad else "PASS",
+            "cases_checked": checked,
+            "counterexamples": bad,
+            "timing_ms": int((time.monotonic() - t0) * 1000),
+        },
+        args.json,
     )
-    _emit(report.to_dict(), args.json)
-    return 0 if status == "PASS" else 1
+    return 1 if bad else 0
 
 
 # ---------------------------------------------------------------------------

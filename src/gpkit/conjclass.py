@@ -24,14 +24,17 @@ drive the sign dichotomy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Optional, Union
 
 from .quadspace import (
+    AdmissiblePair,
     NotAdmissible,
     QuadSpace,
+    _as_fraction,
     is_admissible_pair,
     is_quasi_split,
     kottwitz_sign,
@@ -73,14 +76,6 @@ class BadParity(ValueError):
     """A line datum was supplied/omitted against the parity of the space."""
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
-
-
 @dataclass(frozen=True, order=True)
 class CFieldFactor:
     """Rotation by ``angle``·π on a definite plane of sign ``c``.
@@ -94,7 +89,7 @@ class CFieldFactor:
     c: int = 1
 
     def __post_init__(self):
-        a = _frac(self.angle) % 2
+        a = _as_fraction(self.angle) % 2
         object.__setattr__(self, "angle", a)
         if self.c not in (1, -1):
             raise ValueError("plane sign c must be +1 or -1")
@@ -122,7 +117,7 @@ class RSplitFactor:
     t: Fraction
 
     def __post_init__(self):
-        t = _frac(self.t)
+        t = _as_fraction(self.t)
         if t == 0:
             raise ValueError("split eigenvalue t must be nonzero")
         object.__setattr__(self, "t", t)
@@ -137,7 +132,7 @@ class CSplitFactor:
 
     def __post_init__(self):
         re, im = self.w
-        re, im = _frac(re), _frac(im)
+        re, im = _as_fraction(re), _as_fraction(im)
         if re == 0 and im == 0:
             raise ValueError("complex split eigenvalue w must be nonzero")
         object.__setattr__(self, "w", (re, im))
@@ -374,23 +369,78 @@ def _sign_vectors(n: int):
     return product((1, -1), repeat=n)
 
 
-def _signed_data(kappa: KappaDatum) -> list:
-    """Each sign vector c with the class datum carrying those signs."""
-    return [(c, kappa.with_signs(c)) for c in _sign_vectors(kappa.n_elliptic)]
+def _sweep(kappa: KappaDatum, forms, member) -> set:
+    """The sign vectors c for which ``member(κ_c, form)`` holds for some form.
+
+    Forms run in the outer loop and sign vectors in the inner one, and every
+    (form, c) is tested: the predicates see the same calls in the same order
+    whatever they return.  κ_c is built once per sign vector.
+    """
+    signed = [(c, kappa.with_signs(c)) for c in _sign_vectors(kappa.n_elliptic)]
+    return {c for form in forms for c, kc in signed if member(kc, form)}
 
 
-def _sorted_sets(vectors) -> tuple:
-    return tuple(sorted(vectors, reverse=True))
+def _forms_with_sign(X: QuadSpace, e0: int, D: Optional[QuadSpace] = None):
+    """The pure inner forms X_α of X with e(X_α ⊥ D) = e0 (e(X_α) without D)."""
+    return [
+        Xa
+        for Xa in pure_inner_forms(X)
+        if kottwitz_sign(Xa if D is None else Xa.orthogonal_sum(D)) == e0
+    ]
 
 
-def _fourth_root_sign(n: int) -> Optional[int]:
-    """i^n as ±1, or None when imaginary."""
-    n %= 4
+def _odd_side_exponent(X: QuadSpace, kappa: KappaDatum) -> int:
+    """The exponent of ε for the odd-dimensional member X of the check:
+    −p(X_qs) + |I*| + (dim X + 𝔦_{X,κ})/2."""
+    return (
+        -quasi_split_form(X).p
+        + kappa.n_elliptic
+        + (X.dim + iota(X, kappa)) // 2
+    )
+
+
+def _in_C(kc: KappaDatum, pair) -> bool:
+    return is_in_C_VW(kc, *pair)
+
+
+def _report(kind: str, lhs: set, rhs: set, n: int, details: dict) -> CheckReport:
+    details["n_elliptic"] = n
     if n == 0:
-        return 1
-    if n == 2:
-        return -1
-    return None
+        details["degenerate"] = "no definite planes"
+    return CheckReport(
+        kind,
+        lhs == rhs,
+        tuple(sorted(lhs, reverse=True)),
+        tuple(sorted(rhs, reverse=True)),
+        details,
+    )
+
+
+def _coset_report(kind, lhs, kappa, e0, N, **selected) -> CheckReport:
+    """Compare ``lhs`` with the coset {c : Πc = e0·ε}, ε = i^N; the coset is
+    empty when ε is imaginary.  ``selected`` names the forms swept."""
+    n = kappa.n_elliptic
+    eps = {0: 1, 2: -1}.get(N % 4)
+    rhs = set()
+    if eps is not None:
+        rhs = {c for c in _sign_vectors(n) if math.prod(c) == e0 * eps}
+    details = {
+        "exponent": N % 4,
+        "epsilon": eps if eps is not None else "imaginary",
+        **selected,
+    }
+    return _report(kind, lhs, rhs, n, details)
+
+
+def _fiber_pair(kappa: KappaDatum, W: QuadSpace, V: QuadSpace) -> AdmissiblePair:
+    """The admissible pair (W, V), with κ checked to be elliptic regular and
+    small enough for both sides."""
+    pair = is_admissible_pair(W, V)
+    if pair is None:
+        raise NotAdmissible(f"({W}, {V}) is not an admissible pair")
+    if not is_in_Xi_dVdW(kappa, V.dim, W.dim):
+        raise ValueError("the class must be elliptic regular with 2|I| ≤ min dims")
+    return pair
 
 
 def verify_union_prop(
@@ -425,55 +475,20 @@ def verify_union_prop(
             f"class of dimension {kappa.dim} cannot fill SO({V.p},{V.q})"
         )
 
-    n = kappa.n_elliptic
-    signed = _signed_data(kappa)
-    lhs = set()
-    selected = []
-    for Va in pure_inner_forms(V):
-        if kottwitz_sign(Va if odd else Va.orthogonal_sum(D)) != e0:
-            continue
-        selected.append((Va.p, Va.q))
-        for c, kc in signed:
-            if is_in_Xi_reg_V(kc, Va).member:
-                lhs.add(c)
+    forms = _forms_with_sign(V, e0, D)
+    lhs = _sweep(kappa, forms, lambda kc, Va: is_in_Xi_reg_V(kc, Va).member)
     if odd:
-        N = (
-            -quasi_split_form(V).p
-            + n
-            + (V.dim + iota(V, kappa)) // 2
-        )
+        N = _odd_side_exponent(V, kappa)
     else:
         sig_d = 1 if D.p == 1 else -1
         N = (
-            n
+            kappa.n_elliptic
             + (V.dim + 1 + sig_d) // 2
             - quasi_split_form(V.orthogonal_sum(D)).p
         )
-
-    eps = _fourth_root_sign(N)
-    if eps is None:
-        rhs = set()
-    else:
-        rhs = {c for c in _sign_vectors(n) if _prod(c) == e0 * eps}
-
-    details = {
-        "exponent": N % 4,
-        "epsilon": eps if eps is not None else "imaginary",
-        "selected_forms": selected,
-        "n_elliptic": n,
-    }
-    if n == 0:
-        details["degenerate"] = "no definite planes"
-    return CheckReport(
-        "union", lhs == rhs, _sorted_sets(lhs), _sorted_sets(rhs), details
+    return _coset_report(
+        "union", lhs, kappa, e0, N, selected_forms=[(Va.p, Va.q) for Va in forms]
     )
-
-
-def _prod(signs) -> int:
-    out = 1
-    for s in signs:
-        out *= s
-    return out
 
 
 def verify_fiber_lemma(
@@ -482,30 +497,13 @@ def verify_fiber_lemma(
     """Check that the C_{V,W}-fiber over an elliptic class is the predicted
     fixed-sum slice {c : Σc = (Δ − 𝔦)/2} of the sign hypercube, the invariants
     taken on the odd-dimensional member of the pair."""
-    pair = is_admissible_pair(W, V)
-    if pair is None:
-        raise NotAdmissible(f"({W}, {V}) is not an admissible pair")
-    if not is_in_Xi_dVdW(kappa, V.dim, W.dim):
-        raise ValueError("the class must be elliptic regular with 2|I| ≤ min dims")
-
+    _fiber_pair(kappa, W, V)
+    fiber = _sweep(kappa, [(W, V)], _in_C)
+    X = W if W.dim % 2 else V
+    target = (X.delta - iota(X, kappa)) // 2
     n = kappa.n_elliptic
-    fiber = {c for c, kc in _signed_data(kappa) if is_in_C_VW(kc, W, V)}
-    if W.dim % 2:
-        target = (W.delta - iota(W, kappa)) // 2
-    else:
-        target = (V.delta - iota(V, kappa)) // 2
     predicted = {c for c in _sign_vectors(n) if sum(c) == target}
-
-    details = {"target_sum": target, "n_elliptic": n}
-    if n == 0:
-        details["degenerate"] = "no definite planes"
-    return CheckReport(
-        "fiber",
-        fiber == predicted,
-        _sorted_sets(fiber),
-        _sorted_sets(predicted),
-        details,
-    )
+    return _report("fiber", fiber, predicted, n, {"target_sum": target})
 
 
 def verify_fiber_union(
@@ -521,67 +519,30 @@ def verify_fiber_union(
     """
     if e0 not in (1, -1):
         raise ValueError("e0 must be +1 or -1")
-    pair = is_admissible_pair(W, V)
-    if pair is None:
-        raise NotAdmissible(f"({W}, {V}) is not an admissible pair")
-    if not is_in_Xi_dVdW(kappa, V.dim, W.dim):
-        raise ValueError("the class must be elliptic regular with 2|I| ≤ min dims")
-
-    n = kappa.n_elliptic
-    signed = _signed_data(kappa)
-    lhs = set()
-    selected = []
+    pair = _fiber_pair(kappa, W, V)
     if W.dim % 2:
-        perp = QuadSpace(V.p - W.p, V.q - W.q)
-        for Wa in pure_inner_forms(W):
-            if kottwitz_sign(Wa) != e0:
-                continue
-            Va = Wa.orthogonal_sum(perp)
-            selected.append(((Wa.p, Wa.q), (Va.p, Va.q)))
-            for c, kc in signed:
-                if is_in_C_VW(kc, Wa, Va):
-                    lhs.add(c)
-        N = (
-            -quasi_split_form(W).p
-            + n
-            + (W.dim + iota(W, kappa)) // 2
-        )
+        forms = [
+            (Wa, Wa.orthogonal_sum(pair.w_perp)) for Wa in _forms_with_sign(W, e0)
+        ]
+        lhs = _sweep(kappa, forms, _in_C)
+        N = _odd_side_exponent(W, kappa)
+        selected = [((Wa.p, Wa.q), (Va.p, Va.q)) for Wa, Va in forms]
     else:
-        D = pair.line
-        sig_d = pair.d_sign
-        for Va in pure_inner_forms(V):
-            if kottwitz_sign(Va) != e0:
-                continue
-            selected.append((Va.p, Va.q))
-            for c, kc in signed:
-                if is_in_Xi_dVdW(kc, V.dim, W.dim) and _embeds_with_qs_complement(
-                    kc, Va
-                ):
-                    lhs.add(c)
+        forms = _forms_with_sign(V, e0)
+        lhs = _sweep(
+            kappa,
+            forms,
+            lambda kc, Va: is_in_Xi_dVdW(kc, V.dim, W.dim)
+            and _embeds_with_qs_complement(kc, Va),
+        )
         N = (
-            n
+            kappa.n_elliptic
             - (V.delta - iota(V, kappa)) // 2
-            + (W.dim + 1 + W.delta + sig_d) // 2
-            - quasi_split_form(W.orthogonal_sum(D)).p
+            + (W.dim + 1 + W.delta + pair.d_sign) // 2
+            - quasi_split_form(W.orthogonal_sum(pair.line)).p
         )
-
-    eps = _fourth_root_sign(N)
-    if eps is None:
-        rhs = set()
-    else:
-        rhs = {c for c in _sign_vectors(n) if _prod(c) == e0 * eps}
-
-    details = {
-        "exponent": N % 4,
-        "epsilon": eps if eps is not None else "imaginary",
-        "selected": selected,
-        "n_elliptic": n,
-    }
-    if n == 0:
-        details["degenerate"] = "no definite planes"
-    return CheckReport(
-        "fiber-union", lhs == rhs, _sorted_sets(lhs), _sorted_sets(rhs), details
-    )
+        selected = [(Va.p, Va.q) for Va in forms]
+    return _coset_report("fiber-union", lhs, kappa, e0, N, selected=selected)
 
 
 # ---------------------------------------------------------------------------

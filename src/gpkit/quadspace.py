@@ -215,3 +215,12 @@ def rational_field(obj: dict, key: str) -> Fraction:
     raise ValueError(
         f"{key!r} must be an integer or a 'p/q' string, got {value!r}"
     )
+
+
+def _as_fraction(x) -> Fraction:
+    """``x`` as an exact rational: a Fraction, an int or a rational string."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, str)):
+        return Fraction(x)
+    raise TypeError(f"expected an exact rational, got {type(x).__name__}")

@@ -27,7 +27,7 @@ from fractions import Fraction
 from collections.abc import Mapping
 from typing import Iterable, Union
 
-from .quadspace import int_field, json_object, rational_field
+from .quadspace import _as_fraction, int_field, json_object, rational_field
 
 __all__ = [
     "CharRep",
@@ -46,16 +46,6 @@ __all__ = [
     "weilrep_to_json",
     "weilrep_from_json",
 ]
-
-
-def _as_fraction(t) -> Fraction:
-    if isinstance(t, Fraction):
-        return t
-    if isinstance(t, int):
-        return Fraction(t)
-    if isinstance(t, str):
-        return Fraction(t)
-    raise TypeError(f"twist must be an exact rational, got {type(t).__name__}")
 
 
 @dataclass(frozen=True, order=True)

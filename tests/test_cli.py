@@ -8,14 +8,15 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import gpkit
-from gpkit import cli, lparam, quadspace
+from gpkit import cli, conjclass, lparam, quadspace
 from gpkit.cli import run
 from gpkit.lparam import (
     GPCharacterTable,
     enumerate_reduced,
+    gp_pair_from_json,
     make_gp_pair,
     param_from_json,
     param_to_json,
@@ -228,6 +229,36 @@ class TestVerify:
         assert fake in out["counterexamples"]
 
     @pytest.mark.parametrize(
+        "argv,case_keys",
+        [
+            (["verify", "union", "--max-dim", "3"], {"V", "e0", "D", "shape"}),
+            (
+                ["verify", "fibers", "--max-dv", "3"],
+                {"kind", "W", "V", "n_elliptic", "e0"},
+            ),
+        ],
+        ids=["union", "fibers"],
+    )
+    def test_broken_identity_gives_failure_records(
+        self, capsys, monkeypatch, argv, case_keys
+    ):
+        # every form gets Kottwitz sign +1, so the e0 = -1 side selects
+        # nothing and its predicted coset is missed
+        monkeypatch.setattr(conjclass, "kottwitz_sign", lambda V: 1)
+        rc, out = run_json(capsys, argv)
+        assert rc == 1 and out["status"] == "FAIL"
+        assert out["counterexamples"]
+        for ce in out["counterexamples"]:
+            assert set(ce) == {"case", "lhs", "rhs"}
+            assert set(ce["case"]) == case_keys
+            for side in (ce["lhs"], ce["rhs"]):
+                assert isinstance(side, list)
+                assert all(
+                    isinstance(c, list) and set(c) <= {1, -1} for c in side
+                )
+            assert ce["lhs"] != ce["rhs"]
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["verify", "union", "--max-dim", "-3"],
@@ -384,6 +415,20 @@ class TestErrorsAndFormat:
         )
         assert rc == 2 and "unknown key(s) ['junk']" in out["error"]
 
+    @pytest.mark.parametrize(
+        "space,message",
+        [
+            ("nonsense", "expected a space object"),
+            ({"p": 2.7, "junk": 1}, "unknown key(s) ['junk']"),
+            ({"p": 2.7, "q": 1}, "'p' must be an integer"),
+            ({"p": 2}, "missing key(s) ['q']"),
+        ],
+        ids=["not-an-object", "unknown-key", "float-field", "missing-key"],
+    )
+    def test_epsilon_decodes_the_space(self, jfile, capsys, space, message):
+        rc, out = run_json(capsys, ["epsilon", jfile(dict(PARAM_SO21, V=space))])
+        assert rc == 2 and message in out["error"]
+
     def test_missing_key_is_named(self, jfile, capsys):
         param = json.loads(json.dumps(PARAM_SO21))
         del param["rep"][0]["rep"]["t"]
@@ -512,3 +557,34 @@ def test_generator_criterion_matches_all_pairs_check_under_mutation():
                             assert fast == slow == still_character, (tab.gp, side, m)
                             rejected += not fast
     assert (tables, rejected) == (842, 9_770)
+
+
+_KEYS = ("p", "q", "V", "rep", "mult", "kind", "a", "k", "t", "phiW", "phiV")
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 12)
+    | st.integers()
+    | st.floats()
+    | st.sampled_from(["char", "disc", "0", "1/2", "-1/3", "1/0", "2.5"])
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), inner,
+                      max_size=5),
+    max_leaves=24,
+)
+
+
+@pytest.mark.parametrize(
+    "decode",
+    [space_from_json, irred_from_json, weilrep_from_json, param_from_json,
+     gp_pair_from_json],
+)
+@settings(deadline=None)
+@given(value=_json_values)
+def test_decoders_raise_only_input_errors(decode, value):
+    # the exception types run() reports as an input error (exit 2)
+    try:
+        decode(value)
+    except (ValueError, TypeError, KeyError, ArithmeticError):
+        pass

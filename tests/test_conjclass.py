@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -26,7 +28,7 @@ from gpkit.conjclass import (
     verify_fiber_union,
     verify_union_prop,
 )
-from gpkit.quadspace import NotAdmissible, QuadSpace
+from gpkit.quadspace import NotAdmissible, QuadSpace, is_admissible_pair
 
 
 def F(n, d=1):
@@ -272,17 +274,7 @@ class TestVerifiers:
             )
 
     def test_small_exhaustive_sweep(self):
-        for dv in range(1, 7):
-            for pv in range(dv + 1):
-                V = QuadSpace(pv, dv - pv)
-                target = dv - 1 if dv % 2 else dv
-                for kappa in kappa_shapes(target):
-                    for e0 in (1, -1):
-                        if dv % 2:
-                            assert verify_union_prop(kappa, V, e0).passed
-                        else:
-                            for D in (QuadSpace(1, 0), QuadSpace(0, 1)):
-                                assert verify_union_prop(kappa, V, e0, D=D).passed
+        assert all(r.passed for r in _union_reports(6))
 
 
 def test_make_regular_kappa_is_regular():
@@ -398,3 +390,52 @@ def test_with_signs_reuses_one_twin_per_factor():
         kappa.with_signs((2, 1, 1))
     with pytest.raises(ValueError):
         kappa.factors[0].with_sign(0)
+
+
+def _union_reports(max_dim):
+    """Every ``verify union`` check with dim V ≤ ``max_dim``, in sweep order."""
+    for d in range(1, max_dim + 1):
+        lines = [None] if d % 2 else [QuadSpace(1, 0), QuadSpace(0, 1)]
+        for p in range(d + 1):
+            V = QuadSpace(p, d - p)
+            for kappa in kappa_shapes(d - 1 if d % 2 else d):
+                for e0 in (1, -1):
+                    for D in lines:
+                        yield verify_union_prop(kappa, V, e0, D=D)
+
+
+def _fiber_reports(max_dv):
+    """Every ``verify fibers`` check with dim V ≤ ``max_dv``, in sweep order."""
+    for dv in range(1, max_dv + 1):
+        for pv in range(dv + 1):
+            V = QuadSpace(pv, dv - pv)
+            for dw in range(dv):
+                for pw in range(dw + 1):
+                    W = QuadSpace(pw, dw - pw)
+                    if is_admissible_pair(W, V) is None:
+                        continue
+                    for n in range(dw // 2 + 1):
+                        kappa = make_regular_kappa(n)
+                        yield verify_fiber_lemma(kappa, W, V)
+                        for e0 in (1, -1):
+                            yield verify_fiber_union(kappa, W, V, e0)
+
+
+# sha256 of the reports below, pinned from the earlier verifiers that each
+# wrote their own sweep: a change to any verdict, sign set or details entry
+# changes it.
+REPORT_DIGEST = (
+    "d5915807a649f0342cf41e477310af21f909fa866e08eb73e7af040d567a4a82"
+)
+
+
+def test_report_digest_is_pinned():
+    reports = [*_union_reports(11), *_fiber_reports(10)]
+    lines = [
+        json.dumps([r.kind, r.passed, r.lhs, r.rhs, r.details], sort_keys=True)
+        for r in reports
+    ]
+    assert len(lines) == 4066
+    assert all(r.passed for r in reports)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == REPORT_DIGEST
