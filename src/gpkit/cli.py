@@ -47,7 +47,6 @@ from .quadspace import (
     json_object,
     kottwitz_sign,
     pure_inner_forms,
-    space_from_json,
 )
 from .weilrep import weilrep_from_json
 
@@ -148,12 +147,14 @@ def _cmd_dichotomy(args) -> int:
 
 def _cmd_epsilon(args) -> int:
     obj = _load_json(args.file)
-    if isinstance(obj, dict):
+    if not isinstance(obj, dict):
+        rho = weilrep_from_json(obj)
+    elif "V" in obj:
+        # a parameter object: its rep is validated against the space
+        rho = param_from_json(obj).rep
+    else:
         json_object(obj, "parameter", ("rep",), ("V",))
-        if "V" in obj:
-            space_from_json(obj["V"])
-        obj = obj["rep"]
-    rho = weilrep_from_json(obj)
+        rho = weilrep_from_json(obj["rep"])
     root = eps_half(rho)
     out = {
         "epsilon": str(root),

@@ -16,17 +16,20 @@ nothing of the table: it evaluates the local γ-factor at s = 1/2 by numerical
 quadrature of Tate/Godement–Jacquet zeta integrals against Gaussian test
 functions, on ℝ for characters and on ℂ (through induction in stages, with
 λ(ℂ/ℝ, ψ) itself computed numerically as ε(1/2, sgn, ψ)) for the D_k.
+
+scipy is imported on first use, by the oracle or :func:`l_factor`; the exact
+table does not need it, so importing this module leaves scipy unloaded.
 """
 
 from __future__ import annotations
 
 import cmath
+import importlib
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-from scipy import integrate, special
 
 from .weilrep import CharRep, DiscRep, IrredRep, WeilRep
 
@@ -39,6 +42,26 @@ __all__ = [
     "l_factor",
     "eps_numeric_oracle",
 ]
+
+
+def _scipy(name: str):
+    """``scipy.<name>``, imported on first use and kept as a module global.
+
+    Only the ε oracle and :func:`l_factor` need scipy, so importing this
+    module does not load it.  A global that is already set (for instance a
+    wrapper put in its place) is returned as it is, never replaced.
+    """
+    mod = globals().get(name)
+    if mod is None:
+        mod = globals()[name] = importlib.import_module(f"scipy.{name}")
+    return mod
+
+
+def __getattr__(name: str):
+    # PEP 562: ``integrate`` and ``special`` resolve on first attribute access.
+    if name in ("integrate", "special"):
+        return _scipy(name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class NotSymplectic(ValueError):
@@ -119,15 +142,16 @@ def l_factor(rho: IrredRep, s) -> complex:
     Disc(k,t) ↦ 2(2π)^{-(s+it+k/2)} Γ(s+it+k/2).
     """
     s = _exact(s)
+    gamma = _scipy("special").gamma
     if isinstance(rho, CharRep):
         re, tw = (s + rho.a) / 2, rho.t / 2
         _pole_check(re, tw)
         w = complex(float(re), float(tw))
-        return cmath.exp(-w * math.log(math.pi)) * complex(special.gamma(w))
+        return cmath.exp(-w * math.log(math.pi)) * complex(gamma(w))
     re, tw = s + Fraction(rho.k, 2), rho.t
     _pole_check(re, tw)
     w = complex(float(re), float(tw))
-    return 2 * cmath.exp(-w * math.log(2 * math.pi)) * complex(special.gamma(w))
+    return 2 * cmath.exp(-w * math.log(2 * math.pi)) * complex(gamma(w))
 
 
 # ---------------------------------------------------------------------------
@@ -146,18 +170,16 @@ _U_LO, _U_HI = -90.0, 1.7   # x = e^u window for Mellin integrals (e^{1.7} ≈ 5
 _R_CUT = 4.0       # radial cut for e^{-2πr²}-weighted integrands
 
 
-def _cquad(f, a, b) -> tuple[complex, float]:
-    import warnings
+class _Quadrature:
+    """One oracle call's integrator: scipy's ``quad`` and ``jv``, bound once
+    per call through :func:`_scipy`, and the error budget that every integral
+    of the call draws on."""
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", category=integrate.IntegrationWarning)
-        re, re_err = integrate.quad(lambda x: f(x).real, a, b, **_QUAD_OPTS)
-        im, im_err = integrate.quad(lambda x: f(x).imag, a, b, **_QUAD_OPTS)
-    return complex(re, im), re_err + im_err
-
-
-class _ErrorBudget:
     def __init__(self, tol: float) -> None:
+        integrate = _scipy("integrate")
+        self.quad = integrate.quad
+        self.warning = integrate.IntegrationWarning
+        self.jv = _scipy("special").jv
         self.tol = tol
         self.spent = 0.0
 
@@ -168,16 +190,23 @@ class _ErrorBudget:
                 f"accumulated quadrature error {self.spent:.2e} exceeds {self.tol:.2e}"
             )
 
+    def cquad(self, f, a, b) -> tuple[complex, float]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", category=self.warning)
+            re, re_err = self.quad(lambda x: f(x).real, a, b, **_QUAD_OPTS)
+            im, im_err = self.quad(lambda x: f(x).imag, a, b, **_QUAD_OPTS)
+        return complex(re, im), re_err + im_err
 
-def _fourier_real(f, y: float, budget: _ErrorBudget) -> complex:
+
+def _fourier_real(f, y: float, q: _Quadrature) -> complex:
     """f̂(y) = ∫ f(x) ψ(xy) dx with ψ(x) = e^{2πix}, the plus-sign kernel."""
-    val, err = _cquad(
+    val, err = q.cquad(
         lambda x: f(x) * cmath.exp(2j * math.pi * (x * y)), -_X_CUT, _X_CUT
     )
-    budget.add(err)
+    q.add(err)
     return val
 
-def _mellin_real(f, a: int, s: float, t: float, budget: _ErrorBudget) -> complex:
+def _mellin_real(f, a: int, s: float, t: float, q: _Quadrature) -> complex:
     """∫_{ℝ^×} f(x) sgn(x)^a |x|^{s+it} d^×x via the substitution x = ±e^u."""
     sign = (-1) ** a
 
@@ -185,12 +214,12 @@ def _mellin_real(f, a: int, s: float, t: float, budget: _ErrorBudget) -> complex
         x = math.exp(u)
         return (f(x) + sign * f(-x)) * cmath.exp((s + 1j * t) * u)
 
-    val, err = _cquad(integrand, _U_LO, _U_HI)
-    budget.add(err)
+    val, err = q.cquad(integrand, _U_LO, _U_HI)
+    q.add(err)
     return val
 
 
-def _eps_oracle_char(a: int, t: float, budget: _ErrorBudget) -> complex:
+def _eps_oracle_char(a: int, t: float, q: _Quadrature) -> complex:
     # Gaussian test functions matched to the parity of the character.
     if a == 0:
         f = lambda x: cmath.exp(-math.pi * x * x)
@@ -201,11 +230,11 @@ def _eps_oracle_char(a: int, t: float, budget: _ErrorBudget) -> complex:
 
     def fhat(y: float) -> complex:
         if y not in fhat_cache:
-            fhat_cache[y] = _fourier_real(f, y, budget)
+            fhat_cache[y] = _fourier_real(f, y, q)
         return fhat_cache[y]
 
-    z_top = _mellin_real(fhat, a, 0.5, -t, budget)   # Z(f̂, χ^{-1}, 1-s) at s=1/2
-    z_bot = _mellin_real(f, a, 0.5, t, budget)       # Z(f, χ, s) at s=1/2
+    z_top = _mellin_real(fhat, a, 0.5, -t, q)   # Z(f̂, χ^{-1}, 1-s) at s=1/2
+    z_bot = _mellin_real(f, a, 0.5, t, q)       # Z(f, χ, s) at s=1/2
     gamma = z_top / z_bot
     tt = Fraction(t).limit_denominator(10**9)
     return (
@@ -218,10 +247,10 @@ def _eps_oracle_char(a: int, t: float, budget: _ErrorBudget) -> complex:
 @lru_cache(maxsize=1)
 def _lambda_factor() -> complex:
     """λ(ℂ/ℝ, ψ) = ε(1/2, sgn, ψ), computed numerically."""
-    return _eps_oracle_char(1, 0.0, _ErrorBudget(1e-7))
+    return _eps_oracle_char(1, 0.0, _Quadrature(1e-7))
 
 
-def _eps_oracle_disc(k: int, t: float, budget: _ErrorBudget) -> complex:
+def _eps_oracle_disc(k: int, t: float, q: _Quadrature) -> complex:
     """ε(1/2, D_k ⊗ |·|^{it}, ψ) = λ(ℂ/ℝ,ψ) · ε(1/2, χ_{k,t}, ψ_ℂ).
 
     The ℂ^×-side zeta integrals use f(z) = z̄^k e^{-2π|z|²}.  The angular
@@ -234,29 +263,31 @@ def _eps_oracle_disc(k: int, t: float, budget: _ErrorBudget) -> complex:
         G(ρ)                = ∫ r^{k+1} e^{-2πr²} J_k(4πrρ) dr.
     """
 
+    quad, jv = q.quad, q.jv
+
     def G(rho: float) -> float:
-        val, err = integrate.quad(
+        val, err = quad(
             lambda r: r ** (k + 1) * math.exp(-2 * math.pi * r * r)
-            * special.jv(k, 4 * math.pi * r * rho),
+            * jv(k, 4 * math.pi * r * rho),
             0.0,
             _R_CUT,
             **_QUAD_OPTS,
         )
-        budget.add(err, scale=0.1)
+        q.add(err, scale=0.1)
         return val
 
     def outer(rho: float) -> complex:
         return G(rho) * cmath.exp(-2j * t * math.log(rho)) if rho > 0 else 0j
 
-    z_top_int, err = _cquad(outer, 0.0, _R_CUT)
-    budget.add(err)
+    z_top_int, err = q.cquad(outer, 0.0, _R_CUT)
+    q.add(err)
     z_top = 16 * math.pi**2 * 1j**k * z_top_int
 
     def radial(r: float) -> complex:
         return cmath.exp((k + 2j * t) * math.log(r)) * math.exp(-2 * math.pi * r * r)
 
-    z_bot_int, err = _cquad(radial, 0.0, _R_CUT)
-    budget.add(err)
+    z_bot_int, err = q.cquad(radial, 0.0, _R_CUT)
+    q.add(err)
     z_bot = 4 * math.pi * z_bot_int
 
     tt = Fraction(t).limit_denominator(10**9)
@@ -275,9 +306,9 @@ def eps_numeric_oracle(rho: IrredRep, tol: float = 1e-6) -> complex:
     Raises :class:`QuadratureFailure` if the integrators cannot promise the
     requested tolerance.
     """
-    budget = _ErrorBudget(tol / 10)
+    q = _Quadrature(tol / 10)
     if isinstance(rho, CharRep):
-        return _eps_oracle_char(rho.a, float(rho.t), budget)
+        return _eps_oracle_char(rho.a, float(rho.t), q)
     if isinstance(rho, DiscRep):
-        return _eps_oracle_disc(rho.k, float(rho.t), budget)
+        return _eps_oracle_disc(rho.k, float(rho.t), q)
     raise TypeError(f"not an irreducible representation: {rho!r}")

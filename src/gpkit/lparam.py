@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 
 from .epsilon import eps_half
@@ -384,7 +384,8 @@ class GPCharacterTable:
                   · ε(σ_x ⊗ ρ_y).
 
     Building the exponent matrix ε(σ_i ⊗ ρ_j) costs one small tensor
-    decomposition per entry; the block sums over all mask pairs and the
+    decomposition per distinct irreducible pair (:func:`_pair_exponent`
+    memoises it across tables); the block sums over all mask pairs and the
     dimension sums are then built incrementally by lowest set bit, so every
     evaluation is a lookup in F:
 
@@ -403,10 +404,9 @@ class GPCharacterTable:
         self.gp = gp
         self.groupW = component_group(gp.phiW)
         self.groupV = component_group(gp.phiV)
-        singlesV = [WeilRep([rho]) for rho in self.groupV.basis]
         exp = [
-            [eps_half(tensor(sig, rho)).e for rho in singlesV]
-            for sig in (WeilRep([s]) for s in self.groupW.basis)
+            [_pair_exponent(sig, rho) for rho in self.groupV.basis]
+            for sig in self.groupW.basis
         ]
         dimW = _subset_sums([irred_dim(r) for r in self.groupW.basis])
         dimV = _subset_sums([irred_dim(r) for r in self.groupV.basis])
@@ -469,6 +469,12 @@ class GPCharacterTable:
         factor2 = _symplectic(self._F[x][self._fullV ^ y])
         chi = self.chi(s)
         return DichotomyReport(factor1 * factor2 == chi, chi, factor1, factor2)
+
+
+@cache
+def _pair_exponent(sig: IrredRep, rho: IrredRep) -> int:
+    """The exponent e of ε(σ ⊗ ρ) = i^e, memoised on the irreducible pair."""
+    return eps_half(tensor(WeilRep([sig]), WeilRep([rho]))).e
 
 
 def _symplectic(value: int) -> int:

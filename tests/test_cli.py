@@ -120,6 +120,48 @@ class TestOneShots:
         (check,) = out["oracle"]
         assert check["distance"] < check["tol"] == 1e-6
 
+    def test_epsilon_oracle_quadrature_failure_is_an_input_error(
+        self, jfile, capsys
+    ):
+        # D_400 oscillates beyond what the integrators can resolve within
+        # the tolerance: the oracle refuses, it does not return a value.
+        rep = [{"rep": {"kind": "disc", "k": 400, "t": "0"}, "mult": 1}]
+        rc, out = run_json(capsys, ["epsilon", jfile(rep), "--oracle"])
+        assert rc == 2
+        assert out["error"].startswith("QuadratureFailure: ")
+
+    def test_scipy_is_loaded_only_by_the_oracle(self, jfile):
+        # A fresh interpreter: the sweeps and one-shots must not import
+        # scipy; the oracle does, and unknown module attributes still raise.
+        script = f"""
+import sys
+import gpkit.cli, gpkit.epsilon
+from gpkit.cli import run
+assert "scipy" not in sys.modules
+for argv in (
+    ["enumerate-pureinner", "1,0"],
+    ["verify", "union", "--max-dim", "4"],
+    ["verify", "dichotomy", "--max-dim", "5", "--max-k", "5"],
+):
+    assert run(["--json"] + argv) == 0, argv
+assert "scipy" not in sys.modules
+try:
+    getattr(gpkit.epsilon, "nope")
+except AttributeError:
+    pass
+else:
+    raise AssertionError("gpkit.epsilon.nope resolved")
+assert run(["--json", "epsilon", {jfile(PARAM_SO21)!r}, "--oracle"]) == 0
+assert "scipy" in sys.modules
+"""
+        src = str(Path(gpkit.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_dichotomy(self, jfile, capsys):
         rc, out = run_json(
             capsys, ["dichotomy", jfile(PAIR_SO45), "--sW", "00", "--sV", "01"]
@@ -428,6 +470,15 @@ class TestErrorsAndFormat:
     def test_epsilon_decodes_the_space(self, jfile, capsys, space, message):
         rc, out = run_json(capsys, ["epsilon", jfile(dict(PARAM_SO21, V=space))])
         assert rc == 2 and message in out["error"]
+
+    def test_epsilon_validates_the_parameter(self, jfile, capsys):
+        # D_1 is Sp-type against SO(5,5), so the rep is no parameter there.
+        bad = dict(PARAM_SO21, V={"p": 5, "q": 5})
+        rc, out = run_json(capsys, ["epsilon", jfile(bad)])
+        assert rc == 2 and out["error"].startswith("OddSpMultiplicity: ")
+        rc, out = run_json(capsys, ["epsilon", jfile(PARAM_SO21)])
+        assert rc == 0
+        assert out == {"epsilon": "-1", "exponent": 2, "is_real": True}
 
     def test_missing_key_is_named(self, jfile, capsys):
         param = json.loads(json.dumps(PARAM_SO21))

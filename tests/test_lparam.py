@@ -10,6 +10,8 @@ from gp_reference import (
     endoscopic_split,
     gp_character,
 )
+from gpkit import lparam
+from gpkit.epsilon import eps_half
 from gpkit.lparam import (
     Ambient,
     CentralElement,
@@ -35,7 +37,7 @@ from gpkit.lparam import (
     validate,
 )
 from gpkit.quadspace import NotAdmissible, QuadSpace
-from gpkit.weilrep import CharRep, DiscRep, WeilRep
+from gpkit.weilrep import CharRep, DiscRep, WeilRep, tensor
 
 
 def D(k, t=0):
@@ -340,6 +342,45 @@ class TestEndoscopy:
         sV = ComponentElement.of((D(1), D(3)), (1, -1))
         assert tab.dichotomy((sW, sV)).ok
         assert dichotomy_identity_check(gp, (sW, sV)).ok
+
+
+def _criterion5_pairs():
+    # acceptance criterion 5's family: target dims <= 10, k <= 9
+    for dv in range(1, 11):
+        for dw in range(dv - 1, -1, -2):
+            a = (dv - dw + 1) // 2
+            W, V = QuadSpace(dw, 0), QuadSpace(dw + a, dv - dw - a)
+            for phiW in enumerate_reduced(W, 9):
+                for phiV in enumerate_reduced(V, 9):
+                    yield make_gp_pair(phiW, phiV)
+
+
+class TestPairExponentMemo:
+    def test_entries_match_direct_tensor_on_family(self):
+        lparam._pair_exponent.cache_clear()
+        pairs = set()
+        for gp in _criterion5_pairs():
+            GPCharacterTable(gp)
+            pairs.update(
+                product(
+                    component_group(gp.phiW).basis,
+                    component_group(gp.phiV).basis,
+                )
+            )
+        assert lparam._pair_exponent.cache_info().currsize == len(pairs)
+        for sig, rho in pairs:
+            direct = eps_half(tensor(WeilRep([sig]), WeilRep([rho]))).e
+            assert lparam._pair_exponent(sig, rho) == direct, (sig, rho)
+
+    def test_cold_and_warm_tables_agree_on_family(self):
+        for gp in _criterion5_pairs():
+            lparam._pair_exponent.cache_clear()
+            cold = GPCharacterTable(gp)
+            warm = GPCharacterTable(gp)
+            info = lparam._pair_exponent.cache_info()
+            assert info.hits == info.misses  # the warm build missed nothing
+            assert warm._F == cold._F
+            assert warm.mask_tables() == cold.mask_tables()
 
 
 def test_enumerate_reduced_counts():
