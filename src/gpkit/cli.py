@@ -175,9 +175,14 @@ def _cmd_epsilon(args) -> int:
                     "tol": tol,
                 }
             )
+        # a constituent off its exact root number is a counterexample to the
+        # table, so it fails the command like a sweep's counterexample
+        missed = [c["constituent"] for c in checks if not c["distance"] < tol]
         out["oracle"] = checks
+        out["status"] = "FAIL" if missed else "PASS"
+        out["counterexamples"] = missed
     _emit(out, args.json)
-    return 0
+    return 1 if out.get("counterexamples") else 0
 
 
 def _cmd_enumerate_pureinner(args) -> int:

@@ -15,7 +15,11 @@ certified — before being relied on — by :func:`eps_numeric_oracle`, which kn
 nothing of the table: it evaluates the local γ-factor at s = 1/2 by numerical
 quadrature of Tate/Godement–Jacquet zeta integrals against Gaussian test
 functions, on ℝ for characters and on ℂ (through induction in stages, with
-λ(ℂ/ℝ, ψ) itself computed numerically as ε(1/2, sgn, ψ)) for the D_k.
+λ(ℂ/ℝ, ψ) itself computed numerically as ε(1/2, sgn, ψ)) for the D_k.  The
+Fourier transforms of the real test functions are integrated with QUADPACK's
+oscillatory-weight rule (QAWO); on the ℂ side the radial Fourier transform is
+Weber's closed form (Gradshteyn–Ryzhik 6.631.4), which is real and positive
+and so adds no phase of its own.
 
 scipy is imported on first use, by the oracle or :func:`l_factor`; the exact
 table does not need it, so importing this module leaves scipy unloaded.
@@ -163,28 +167,27 @@ _QUAD_OPTS = dict(limit=250, epsabs=1e-11, epsrel=1e-11)
 # Finite integration windows.  Every integrand below carries a factor
 # e^{-πx²} (real side) or e^{-2πr²} (complex side), so the discarded tails are
 # of order e^{-π·36} ≈ 1e-49 — twenty orders of magnitude below the oracle
-# tolerance — while keeping the oscillatory Fourier kernels at frequencies the
-# adaptive integrator can resolve.
+# tolerance.  The Fourier kernels e^{2πixy} are QAWO weights: the rule
+# integrates the oscillation through Chebyshev moments instead of resolving it.
 _X_CUT = 6.0       # |x| cut for e^{-πx²}-weighted integrands
 _U_LO, _U_HI = -90.0, 1.7   # x = e^u window for Mellin integrals (e^{1.7} ≈ 5.5)
-_R_CUT = 4.0       # radial cut for e^{-2πr²}-weighted integrands
+_R_CUT = 4.0       # radial cut for the ρ^k e^{-2πρ²} and r^k e^{-2πr²} integrands
 
 
 class _Quadrature:
-    """One oracle call's integrator: scipy's ``quad`` and ``jv``, bound once
-    per call through :func:`_scipy`, and the error budget that every integral
-    of the call draws on."""
+    """One oracle call's integrator: scipy's ``quad``, bound once per call
+    through :func:`_scipy`, and the error budget that every integral of the
+    call draws on."""
 
     def __init__(self, tol: float) -> None:
         integrate = _scipy("integrate")
         self.quad = integrate.quad
         self.warning = integrate.IntegrationWarning
-        self.jv = _scipy("special").jv
         self.tol = tol
         self.spent = 0.0
 
-    def add(self, err: float, scale: float = 1.0) -> None:
-        self.spent += err * scale
+    def add(self, err: float) -> None:
+        self.spent += err
         if self.spent > self.tol:
             raise QuadratureFailure(
                 f"accumulated quadrature error {self.spent:.2e} exceeds {self.tol:.2e}"
@@ -199,12 +202,19 @@ class _Quadrature:
 
 
 def _fourier_real(f, y: float, q: _Quadrature) -> complex:
-    """f̂(y) = ∫ f(x) ψ(xy) dx with ψ(x) = e^{2πix}, the plus-sign kernel."""
-    val, err = q.cquad(
-        lambda x: f(x) * cmath.exp(2j * math.pi * (x * y)), -_X_CUT, _X_CUT
-    )
-    q.add(err)
-    return val
+    """f̂(y) = ∫ f(x) ψ(xy) dx with ψ(x) = e^{2πix}, the plus-sign kernel.
+
+    f must be real: the kernel splits into cos(2πxy) + i·sin(2πxy), and each
+    part is one QAWO integral of f against that weight.
+    """
+    w = 2 * math.pi * y
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", category=q.warning)
+        re, re_err = q.quad(f, -_X_CUT, _X_CUT, weight="cos", wvar=w, **_QUAD_OPTS)
+        im, im_err = q.quad(f, -_X_CUT, _X_CUT, weight="sin", wvar=w, **_QUAD_OPTS)
+    q.add(re_err + im_err)
+    return complex(re, im)
+
 
 def _mellin_real(f, a: int, s: float, t: float, q: _Quadrature) -> complex:
     """∫_{ℝ^×} f(x) sgn(x)^a |x|^{s+it} d^×x via the substitution x = ±e^u."""
@@ -222,9 +232,9 @@ def _mellin_real(f, a: int, s: float, t: float, q: _Quadrature) -> complex:
 def _eps_oracle_char(a: int, t: float, q: _Quadrature) -> complex:
     # Gaussian test functions matched to the parity of the character.
     if a == 0:
-        f = lambda x: cmath.exp(-math.pi * x * x)
+        f = lambda x: math.exp(-math.pi * x * x)
     else:
-        f = lambda x: x * cmath.exp(-math.pi * x * x)
+        f = lambda x: x * math.exp(-math.pi * x * x)
 
     fhat_cache: dict[float, complex] = {}
 
@@ -250,34 +260,33 @@ def _lambda_factor() -> complex:
     return _eps_oracle_char(1, 0.0, _Quadrature(1e-7))
 
 
+def _hankel_G(k: int, rho: float) -> float:
+    """G(ρ) = ∫₀^∞ r^{k+1} e^{-2πr²} J_k(4πrρ) dr = ρ^k e^{-2πρ²} / (4π)."""
+    return rho**k * math.exp(-2 * math.pi * rho * rho) / (4 * math.pi)
+
+
 def _eps_oracle_disc(k: int, t: float, q: _Quadrature) -> complex:
     """ε(1/2, D_k ⊗ |·|^{it}, ψ) = λ(ℂ/ℝ,ψ) · ε(1/2, χ_{k,t}, ψ_ℂ).
 
     The ℂ^×-side zeta integrals use f(z) = z̄^k e^{-2π|z|²}.  The angular
     integral in the ψ_ℂ-Fourier transform of f is carried out with the Bessel
-    identity ∫₀^{2π} e^{i(x cos θ − kθ)} dθ = 2π i^k J_k(x), leaving radial
-    integrals that are evaluated by adaptive quadrature:
+    identity ∫₀^{2π} e^{i(x cos θ − kθ)} dθ = 2π i^k J_k(x), which leaves the
+    Hankel integral G in closed form (Weber; Gradshteyn–Ryzhik 6.631.4) and
+    two radial integrals that are evaluated by adaptive quadrature:
 
         Z(f, χ, s)          = 4π ∫ r^{2s+k+2it-1} e^{-2πr²} dr
         Z(f̂, χ^{-1}, 1-s)  = 16π² i^k ∫ G(ρ) ρ^{1-2s-2it} dρ,
-        G(ρ)                = ∫ r^{k+1} e^{-2πr²} J_k(4πrρ) dr.
+        G(ρ)                = ∫₀^∞ r^{k+1} e^{-2πr²} J_k(4πrρ) dr
+                            = ρ^k e^{-2πρ²} / (4π).
+
+    G is real and positive, so it carries no phase: the i^k is the angular
+    identity's and the remaining i is λ(ℂ/ℝ, ψ), computed numerically.
     """
 
-    quad, jv = q.quad, q.jv
-
-    def G(rho: float) -> float:
-        val, err = quad(
-            lambda r: r ** (k + 1) * math.exp(-2 * math.pi * r * r)
-            * jv(k, 4 * math.pi * r * rho),
-            0.0,
-            _R_CUT,
-            **_QUAD_OPTS,
-        )
-        q.add(err, scale=0.1)
-        return val
-
     def outer(rho: float) -> complex:
-        return G(rho) * cmath.exp(-2j * t * math.log(rho)) if rho > 0 else 0j
+        if rho <= 0:
+            return 0j
+        return _hankel_G(k, rho) * cmath.exp(-2j * t * math.log(rho))
 
     z_top_int, err = q.cquad(outer, 0.0, _R_CUT)
     q.add(err)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -119,12 +120,35 @@ class TestOneShots:
         assert rc == 0
         (check,) = out["oracle"]
         assert check["distance"] < check["tol"] == 1e-6
+        assert out["status"] == "PASS" and out["counterexamples"] == []
+
+    def test_epsilon_oracle_disagreement_is_a_counterexample(
+        self, jfile, capsys, monkeypatch
+    ):
+        # An oracle that lands on −ε for every constituent: the command
+        # must fail with exit 1 and name each constituent it missed.
+        monkeypatch.setattr(
+            cli, "eps_numeric_oracle", lambda rho, tol: -cli.eps_half(rho).value
+        )
+        rep = [
+            {"rep": {"kind": "char", "a": 1, "t": "0"}, "mult": 1},
+            {"rep": {"kind": "disc", "k": 2, "t": "1/3"}, "mult": 1},
+        ]
+        rc, out = run_json(capsys, ["epsilon", jfile(rep), "--oracle"])
+        assert rc == 1
+        assert out["status"] == "FAIL"
+        names = [repr(CharRep(1, 0)), repr(DiscRep(2, Fraction(1, 3)))]
+        assert out["counterexamples"] == names
+        assert [c["constituent"] for c in out["oracle"]] == names
+        assert all(c["distance"] == pytest.approx(2.0) for c in out["oracle"])
 
     def test_epsilon_oracle_quadrature_failure_is_an_input_error(
         self, jfile, capsys
     ):
-        # D_400 oscillates beyond what the integrators can resolve within
-        # the tolerance: the oracle refuses, it does not return a value.
+        # For D_400 the radial zeta integrands r^400 e^{-2πr²} reach ~1e196
+        # on the window, so the integrators' absolute error estimates alone
+        # exceed the error budget: the oracle refuses, it does not return a
+        # value.
         rep = [{"rep": {"kind": "disc", "k": 400, "t": "0"}, "mult": 1}]
         rc, out = run_json(capsys, ["epsilon", jfile(rep), "--oracle"])
         assert rc == 2

@@ -7,6 +7,9 @@ from gpkit.epsilon import (
     FourthRoot,
     NotSymplectic,
     PoleAt,
+    _fourier_real,
+    _hankel_G,
+    _Quadrature,
     eps_half,
     eps_numeric_oracle,
     l_factor,
@@ -91,10 +94,70 @@ class TestLFactor:
         assert a.imag != 0
 
 
-@pytest.mark.parametrize("rho", [C(0), C(1), D(1)])
+# sgn^a|·|^{it} for a ∈ {0, 1}, t ∈ {0, ±1/3, 1/2, 1}, and D_k ⊗ |·|^{it}
+# for k = 1..30, t ∈ {0, -1/4}; C(0), C(1), D(1) come first, as rho0..rho2.
+ORACLE_FAMILY = [C(0), C(1), D(1)]
+ORACLE_FAMILY += [
+    rho
+    for rho in [C(a, t) for a in (0, 1)
+                for t in (0, Fraction(1, 3), Fraction(-1, 3), Fraction(1, 2), 1)]
+    + [D(k, t) for k in range(1, 31) for t in (0, Fraction(-1, 4))]
+    if rho not in ORACLE_FAMILY
+]
+
+
+@pytest.mark.parametrize("rho", ORACLE_FAMILY)
 def test_oracle_matches_table_fast_cases(rho):
     got = eps_numeric_oracle(rho, tol=1e-6)
     assert abs(got - eps_half(rho).value) < 1e-6
+
+
+def _hankel_numeric(k: int, rho: float) -> float:
+    """G(ρ) = ∫₀^4 r^{k+1} e^{-2πr²} J_k(4πrρ) dr by adaptive quadrature."""
+    from scipy.integrate import quad
+    from scipy.special import jv
+
+    val, _err = quad(
+        lambda r: r ** (k + 1) * math.exp(-2 * math.pi * r * r)
+        * jv(k, 4 * math.pi * r * rho),
+        0.0,
+        4.0,
+        limit=250,
+        epsabs=1e-11,
+        epsrel=1e-11,
+    )
+    return val
+
+
+@pytest.mark.parametrize("k", range(1, 31))
+def test_hankel_closed_form(k):
+    # Weber (Gradshteyn–Ryzhik 6.631.4), the G of _eps_oracle_disc:
+    # ∫ r^{k+1} e^{-2πr²} J_k(4πrρ) dr = ρ^k e^{-2πρ²} / (4π).  The error
+    # is measured against the largest |G| on the grid (its peak is at
+    # ρ² = k/(4π)): near ρ = 4 G falls to 1e-44, far below what quadrature
+    # of an integrand of size ~0.1 that cancels down to it can resolve.
+    grid = [j / 5 for j in range(1, 21)] + [0.01, 0.37, 2.9]
+    numeric = [_hankel_numeric(k, rho) for rho in grid]
+    scale = max(map(abs, numeric))
+    for rho, val in zip(grid, numeric):
+        assert abs(val - _hankel_G(k, rho)) <= 1e-9 * scale, rho
+
+
+@pytest.mark.parametrize(
+    "y", [sign * v for v in (0.01, 0.5, 1.0, 3.0, 5.5) for sign in (1, -1)]
+)
+def test_fourier_transform_of_the_test_functions(y):
+    # ψ(x) = e^{2πix}: the Gaussian is self-dual and x·e^{-πx²} ↦ i·y·e^{-πy²}.
+    # 5.5 ≈ e^{1.7} is the largest |y| the Mellin window reaches.
+    gauss = math.exp(-math.pi * y * y)
+    cases = [
+        (lambda x: math.exp(-math.pi * x * x), gauss),
+        (lambda x: x * math.exp(-math.pi * x * x), 1j * y * gauss),
+    ]
+    for f, exact in cases:
+        q = _Quadrature(1e-7)
+        assert abs(_fourier_real(f, y, q) - exact) < 1e-10
+        assert q.spent > 0
 
 
 def test_oracle_rejects_unknown():
