@@ -273,25 +273,25 @@ def _fiber_unit(case) -> dict:
     return {"key": [dv, pv], "checked": checked, "counterexamples": bad}
 
 
-def _is_homomorphism(masks, val) -> bool:
-    """Whether x ↦ val[0]·val[x] is a homomorphism from ``masks`` (XOR) to ±1.
+def _is_homomorphism(group, val) -> bool:
+    """Whether x ↦ val[0]·val[x] is a homomorphism from ``group.masks()``
+    (XOR) to ±1.
 
-    Checked as f(x ⊕ g) = f(x)·f(g) for every x and every g in a generating
-    set picked greedily from ``masks``, at O(|masks|·rank) cost.
+    Checked as f(x ⊕ g) = f(x)·f(g) for every x and every g in the group's
+    generating set, at O(|masks|·rank) cost.
     """
-    span, gens = {0}, []
-    for m in masks:
-        if m not in span:
-            gens.append(m)
-            span |= {s ^ m for s in span}
-    base = val[0]
-    return all(base * val[x ^ g] == val[x] * val[g] for g in gens for x in masks)
+    base, masks = val[0], group.masks()
+    return all(
+        base * val[x ^ g] == val[x] * val[g]
+        for g in group.generators
+        for x in masks
+    )
 
 
-def _is_multiplicative(masksW, masksV, valW, valV) -> bool:
+def _is_multiplicative(groupW, groupV, valW, valV) -> bool:
     """Whether χ(x, y) = valW[x]·valV[y] is a character of 𝒮_W × 𝒮_V.
 
-    The mask lists are groups under XOR and the values are ±1.  Criterion:
+    The groups' masks are groups under XOR and the values are ±1.  Criterion:
     χ is multiplicative iff χ(0, 0) = 1 and the normalised factors
     w(x) = valW[0]·valW[x] and u(y) = valV[0]·valV[y] are homomorphisms;
     and a map f with f(0) = 1 is a homomorphism iff f(x ⊕ g) = f(x)·f(g)
@@ -312,8 +312,8 @@ def _is_multiplicative(masksW, masksV, valW, valV) -> bool:
     """
     return (
         valW[0] * valV[0] == 1
-        and _is_homomorphism(masksW, valW)
-        and _is_homomorphism(masksV, valV)
+        and _is_homomorphism(groupW, valW)
+        and _is_homomorphism(groupV, valV)
     )
 
 
@@ -331,7 +331,7 @@ def _dichotomy_unit(case) -> dict:
             masksW, masksV, valW, valV = tab.mask_tables()
             # the product identities certified, as the all-pairs check counts
             checked += (len(masksW) * len(masksV)) ** 2
-            if not _is_multiplicative(masksW, masksV, valW, valV):
+            if not _is_multiplicative(tab.groupW, tab.groupV, valW, valV):
                 bad.append(
                     {
                         "case": {

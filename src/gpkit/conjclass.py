@@ -334,6 +334,14 @@ def _embeds_with_qs_complement(kappa: KappaDatum, space: QuadSpace) -> bool:
     return is_quasi_split(QuadSpace(space.p - p, space.q - q))
 
 
+def _admissible(W: QuadSpace, V: QuadSpace) -> AdmissiblePair:
+    """The admissible pair (W, V); :class:`NotAdmissible` if there is none."""
+    pair = is_admissible_pair(W, V)
+    if pair is None:
+        raise NotAdmissible(f"({W}, {V}) is not an admissible pair")
+    return pair
+
+
 def is_in_C_VW(kappa: KappaDatum, W: QuadSpace, V: QuadSpace) -> bool:
     """Membership in the correspondence set C_{V,W} of the admissible pair.
 
@@ -341,12 +349,8 @@ def is_in_C_VW(kappa: KappaDatum, W: QuadSpace, V: QuadSpace) -> bool:
     there with quasi-split complement.  For odd W that is a condition inside
     W; for even W the pair has odd V and the condition lives inside V.
     """
-    if is_admissible_pair(W, V) is None:
-        raise NotAdmissible(f"({W}, {V}) is not an admissible pair")
-    if not is_in_Xi_dVdW(kappa, V.dim, W.dim):
-        return False
-    side = W if W.dim % 2 else V
-    return _embeds_with_qs_complement(kappa, side)
+    _admissible(W, V)
+    return _in_C(kappa, (W, V))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +404,12 @@ def _odd_side_exponent(X: QuadSpace, kappa: KappaDatum) -> int:
 
 
 def _in_C(kc: KappaDatum, pair) -> bool:
-    return is_in_C_VW(kc, *pair)
+    """:func:`is_in_C_VW` on ``pair`` = (W, V) without the admissibility
+    check, which the sweeps make once per pair, before its sign sweep."""
+    W, V = pair
+    if not is_in_Xi_dVdW(kc, V.dim, W.dim):
+        return False
+    return _embeds_with_qs_complement(kc, W if W.dim % 2 else V)
 
 
 def _report(kind: str, lhs: set, rhs: set, n: int, details: dict) -> CheckReport:
@@ -435,9 +444,7 @@ def _coset_report(kind, lhs, kappa, e0, N, **selected) -> CheckReport:
 def _fiber_pair(kappa: KappaDatum, W: QuadSpace, V: QuadSpace) -> AdmissiblePair:
     """The admissible pair (W, V), with κ checked to be elliptic regular and
     small enough for both sides."""
-    pair = is_admissible_pair(W, V)
-    if pair is None:
-        raise NotAdmissible(f"({W}, {V}) is not an admissible pair")
+    pair = _admissible(W, V)
     if not is_in_Xi_dVdW(kappa, V.dim, W.dim):
         raise ValueError("the class must be elliptic regular with 2|I| ≤ min dims")
     return pair
@@ -524,6 +531,8 @@ def verify_fiber_union(
         forms = [
             (Wa, Wa.orthogonal_sum(pair.w_perp)) for Wa in _forms_with_sign(W, e0)
         ]
+        for form in forms:
+            _admissible(*form)
         lhs = _sweep(kappa, forms, _in_C)
         N = _odd_side_exponent(W, kappa)
         selected = [((Wa.p, Wa.q), (Va.p, Va.q)) for Wa, Va in forms]

@@ -171,7 +171,7 @@ _QUAD_OPTS = dict(limit=250, epsabs=1e-11, epsrel=1e-11)
 # integrates the oscillation through Chebyshev moments instead of resolving it.
 _X_CUT = 6.0       # |x| cut for e^{-πx²}-weighted integrands
 _U_LO, _U_HI = -90.0, 1.7   # x = e^u window for Mellin integrals (e^{1.7} ≈ 5.5)
-_R_CUT = 4.0       # radial cut for the ρ^k e^{-2πρ²} and r^k e^{-2πr²} integrands
+_R_CUT = 4.0       # least radial cut for the ρ^k e^{-2πρ²} and r^k e^{-2πr²} integrands
 
 
 class _Quadrature:
@@ -188,7 +188,7 @@ class _Quadrature:
 
     def add(self, err: float) -> None:
         self.spent += err
-        if self.spent > self.tol:
+        if not self.spent <= self.tol:  # a NaN estimate fails too
             raise QuadratureFailure(
                 f"accumulated quadrature error {self.spent:.2e} exceeds {self.tol:.2e}"
             )
@@ -281,31 +281,49 @@ def _eps_oracle_disc(k: int, t: float, q: _Quadrature) -> complex:
 
     G is real and positive, so it carries no phase: the i^k is the angular
     identity's and the remaining i is λ(ℂ/ℝ, ψ), computed numerically.
+
+    Both radial integrands are r^k e^{-2πr²} up to a unimodular twist, which
+    peaks at r = √(k/4π) with width ≈ 0.2, so the window runs three units
+    past the peak (it is ``_R_CUT`` for k ≤ 12).  The integrals grow like
+    Γ((k+1)/2)/(2π)^{k/2} and only their ratio counts, so each error
+    estimate is charged relative to the integral's modulus: since |ε| = 1,
+    the two relative errors bound the error of ε.  Where the integrands or
+    the L-factors leave the float range the oracle raises
+    :class:`QuadratureFailure`.
     """
+    r_cut = max(_R_CUT, math.sqrt(k / (4 * math.pi)) + 3)
 
     def outer(rho: float) -> complex:
         if rho <= 0:
             return 0j
         return _hankel_G(k, rho) * cmath.exp(-2j * t * math.log(rho))
 
-    z_top_int, err = q.cquad(outer, 0.0, _R_CUT)
-    q.add(err)
-    z_top = 16 * math.pi**2 * 1j**k * z_top_int
-
     def radial(r: float) -> complex:
         return cmath.exp((k + 2j * t) * math.log(r)) * math.exp(-2 * math.pi * r * r)
 
-    z_bot_int, err = q.cquad(radial, 0.0, _R_CUT)
-    q.add(err)
-    z_bot = 4 * math.pi * z_bot_int
-
     tt = Fraction(t).limit_denominator(10**9)
-    eps_c = (
-        (z_top / z_bot)
-        * l_factor(DiscRep(k, tt), Fraction(1, 2))
-        / l_factor(DiscRep(k, -tt), Fraction(1, 2))
-    )
-    return _lambda_factor() * eps_c
+    try:
+        z_top_int = _radial_integral(outer, r_cut, q)
+        z_bot_int = _radial_integral(radial, r_cut, q)
+        l_plus = l_factor(DiscRep(k, tt), Fraction(1, 2))
+        l_minus = l_factor(DiscRep(k, -tt), Fraction(1, 2))
+    except OverflowError as exc:
+        raise QuadratureFailure(f"D_{k} leaves the float range: {exc}") from exc
+    for value in (l_plus, l_minus):
+        if not (cmath.isfinite(value) and value):
+            raise QuadratureFailure(f"L-factor of D_{k} came out {value}")
+    z_top = 16 * math.pi**2 * (1, 1j, -1, -1j)[k % 4] * z_top_int
+    z_bot = 4 * math.pi * z_bot_int
+    return _lambda_factor() * (z_top / z_bot) * l_plus / l_minus
+
+
+def _radial_integral(f, r_cut: float, q: _Quadrature) -> complex:
+    """∫₀^{r_cut} f, its error estimate charged relative to its modulus."""
+    val, err = q.cquad(f, 0.0, r_cut)
+    if not (cmath.isfinite(val) and val):
+        raise QuadratureFailure(f"radial integral came out {val}")
+    q.add(err / abs(val))
+    return val
 
 
 def eps_numeric_oracle(rho: IrredRep, tol: float = 1e-6) -> complex:

@@ -151,6 +151,16 @@ class LParameter:
             if constituent_type(rho, self.ambient) is ConstituentType.O
         ]
 
+    @cached_property
+    def group(self) -> "ComponentGroup":
+        """:func:`component_group` of this parameter, built once."""
+        return component_group(self)
+
+    @cached_property
+    def reduced(self) -> bool:
+        """:func:`is_reduced` of this parameter, computed once."""
+        return is_reduced(self)
+
 
 def validate(rep: WeilRep, V: QuadSpace) -> LParameter:
     """Check ``rep`` against the target space, reporting every violation."""
@@ -232,7 +242,12 @@ class ComponentElement:
 
 @dataclass(frozen=True)
 class ComponentGroup:
-    """𝒮_φ ≤ {±1}^{I_O}, cut out by Π ε_i = 1 over odd-dimensional i if any."""
+    """𝒮_φ ≤ {±1}^{I_O}, cut out by Π ε_i = 1 over odd-dimensional i if any.
+
+    The mask data every Gross–Prasad pair of the parameter reads — the
+    element masks, the dimension subset sums and a generating set — are
+    tuples computed on first use and kept.
+    """
 
     basis: tuple[IrredRep, ...]
     constraint: bool
@@ -256,9 +271,30 @@ class ComponentGroup:
         """True iff the minus-set ``mask`` has an even number of odd slots."""
         return (mask & self._odd_mask).bit_count() % 2 == 0
 
-    def masks(self) -> list[int]:
+    def masks(self) -> tuple[int, ...]:
         """Minus-set bitmasks of every element of 𝒮_φ, in ascending order."""
-        return [m for m in range(1 << len(self.basis)) if self._admits(m)]
+        return self._masks
+
+    @cached_property
+    def _masks(self) -> tuple[int, ...]:
+        return tuple(m for m in range(1 << len(self.basis)) if self._admits(m))
+
+    @cached_property
+    def dim_sums(self) -> tuple[int, ...]:
+        """``dim_sums[m]`` = dim of the sum of the basis slots set in ``m``,
+        for every subset m of the basis (not only the elements of 𝒮_φ)."""
+        return tuple(_subset_sums([irred_dim(rho) for rho in self.basis]))
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A generating set of :meth:`masks` under XOR, each mask taken in
+        ascending order unless the earlier ones already span it."""
+        span, gens = {0}, []
+        for m in self.masks():
+            if m not in span:
+                gens.append(m)
+                span |= {s ^ m for s in span}
+        return tuple(gens)
 
     def elements(self) -> list[ComponentElement]:
         out = []
@@ -325,14 +361,14 @@ def classify(phi: LParameter) -> Classification:
     if not flags:
         flags.add("E")
 
-    grp = component_group(phi)
+    grp = phi.group
     # image of −Id: ε_i = (−1)^{m_i}, i.e. bit i set when m_i is odd
     center = sum(
         1 << i for i, rho in enumerate(grp.basis) if phi.rep.mult(rho) % 2
     )
     condition = any(m not in (0, center) for m in grp.masks())
 
-    if is_reduced(phi) and phi.rep.dim > 2:
+    if phi.reduced and phi.rep.dim > 2:
         if condition != ("E" in flags):
             raise InvariantViolation(
                 f"explicit component-group condition disagrees with the "
@@ -396,20 +432,25 @@ class GPCharacterTable:
     exponent sum); there the det(−Id) prefactors are (−1)^{a·b/2} = 1 for
     even a, so F is the root number i^e.  Every other entry is stored as 0,
     and reading one raises :class:`OddHalfExponent`.
+
+    What depends on one side only is built once per parameter and shared by
+    every table of a sweep that pairs it: the reducedness test and the
+    component group (:attr:`LParameter.reduced`, :attr:`LParameter.group`),
+    and the group's element masks, dimension subset sums and generating set.
+    Per pair remain the exponent-matrix lookups, the block sums and F.
     """
 
     def __init__(self, gp: GPPair):
-        if not (is_reduced(gp.phiW) and is_reduced(gp.phiV)):
+        if not (gp.phiW.reduced and gp.phiV.reduced):
             raise NotReduced("character tables need reduced parameters")
         self.gp = gp
-        self.groupW = component_group(gp.phiW)
-        self.groupV = component_group(gp.phiV)
+        self.groupW = gp.phiW.group
+        self.groupV = gp.phiV.group
         exp = [
             [_pair_exponent(sig, rho) for rho in self.groupV.basis]
             for sig in self.groupW.basis
         ]
-        dimW = _subset_sums([irred_dim(r) for r in self.groupW.basis])
-        dimV = _subset_sums([irred_dim(r) for r in self.groupV.basis])
+        dimW, dimV = self.groupW.dim_sums, self.groupV.dim_sums
         rows = [_subset_sums(row) for row in exp]
         block = [[0] * len(dimV)]
         for x in range(1, len(dimW)):
@@ -465,9 +506,10 @@ class GPCharacterTable:
         if sV.is_identity or sV.is_all_minus:
             raise CentralElement("s_V lies in {identity, all-(-1)}")
         x, y = self._masks_of(s)
-        factor1 = _symplectic(self._F[self._fullW ^ x][y])
-        factor2 = _symplectic(self._F[x][self._fullV ^ y])
-        chi = self.chi(s)
+        F, fullW, fullV = self._F, self._fullW, self._fullV
+        factor1 = _symplectic(F[fullW ^ x][y])
+        factor2 = _symplectic(F[x][fullV ^ y])
+        chi = _symplectic(F[x][fullV] * F[fullW][y])
         return DichotomyReport(factor1 * factor2 == chi, chi, factor1, factor2)
 
 
@@ -501,6 +543,21 @@ class DichotomyReport:
         }
 
 
+@cache
+def _reduced_pool(symplectic: bool, max_k: int) -> tuple[IrredRep, ...]:
+    """The O-type irreducibles with k ≤ max_k of one ambient, one object each.
+
+    Every enumeration with the same bounds builds its parameters from these
+    same objects, so the memo lookups of :func:`_pair_exponent` find their
+    keys by identity instead of comparing twists.
+    """
+    if symplectic:
+        return tuple(DiscRep(k) for k in range(1, max_k + 1, 2))
+    return (CharRep(0), CharRep(1)) + tuple(
+        DiscRep(k) for k in range(2, max_k + 1, 2)
+    )
+
+
 def enumerate_reduced(V: QuadSpace, max_k: int) -> list[LParameter]:
     """All reduced parameters for SO(V) with discrete pieces D_k, k ≤ max_k.
 
@@ -510,18 +567,8 @@ def enumerate_reduced(V: QuadSpace, max_k: int) -> list[LParameter]:
     """
     from itertools import combinations
 
-    from fractions import Fraction
-
-    if V.dim % 2:
-        pool: list[IrredRep] = [
-            DiscRep(k, Fraction(0)) for k in range(1, max_k + 1, 2)
-        ]
-        want = V.dim - 1
-    else:
-        pool = [CharRep(0, Fraction(0)), CharRep(1, Fraction(0))] + [
-            DiscRep(k, Fraction(0)) for k in range(2, max_k + 1, 2)
-        ]
-        want = V.dim
+    pool = _reduced_pool(bool(V.dim % 2), max_k)
+    want = V.dim - 1 if V.dim % 2 else V.dim
     out = []
     # every constituent has dimension ≥ 1, so no subset larger than ``want``
     for r in range(min(len(pool), want) + 1):

@@ -4,7 +4,9 @@ An irreducible is either a unitary character of ℝ^× pulled back through the
 abelianization, ``Char(a, t)`` = sgn^a·|·|^{it}, or the two-dimensional induced
 representation ``Disc(k, t)`` = D_k ⊗ |·|^{it} with k ≥ 1.  Twists t live in
 ``fractions.Fraction`` so that equality (hence canonical forms, duals, tensor
-bookkeeping) is exact.
+bookkeeping) is exact.  Each irreducible hashes its fields once, when it is
+built, since ``Fraction.__hash__`` runs in Python and irreducibles key the
+memo tables of the χ sweep.
 
 A ``WeilRep`` is a finite multiset of irreducibles.  The tensor rules are the
 classical ones:
@@ -59,6 +61,10 @@ class CharRep:
         if self.a not in (0, 1):
             raise ValueError("sign exponent a must be 0 or 1")
         object.__setattr__(self, "t", _as_fraction(self.t))
+        object.__setattr__(self, "_hash", hash((self.a, self.t)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True, order=True)
@@ -76,6 +82,10 @@ class DiscRep:
             raise ValueError("D_k requires an integer k >= 1; D_0 is reducible "
                              "and must be entered as Char(0,t) + Char(1,t)")
         object.__setattr__(self, "t", _as_fraction(self.t))
+        object.__setattr__(self, "_hash", hash((self.k, self.t)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 IrredRep = Union[CharRep, DiscRep]

@@ -145,10 +145,10 @@ class TestOneShots:
     def test_epsilon_oracle_quadrature_failure_is_an_input_error(
         self, jfile, capsys
     ):
-        # For D_400 the radial zeta integrands r^400 e^{-2πr²} reach ~1e196
-        # on the window, so the integrators' absolute error estimates alone
-        # exceed the error budget: the oracle refuses, it does not return a
-        # value.
+        # For D_400 the radial window runs to √(400/4π) + 3 ≈ 8.6, past the
+        # peak of r^400 e^{-2πr²}, and r^400 alone leaves the float range
+        # there (as does Γ(200.5) in the L-factor): the oracle refuses, it
+        # does not return a value.
         rep = [{"rep": {"kind": "disc", "k": 400, "t": "0"}, "mult": 1}]
         rc, out = run_json(capsys, ["epsilon", jfile(rep), "--oracle"])
         assert rc == 2
@@ -617,7 +617,8 @@ def test_generator_criterion_matches_all_pairs_check_under_mutation():
                     if len(masksW) * len(masksV) > 64:
                         continue
                     tables += 1
-                    assert cli._is_multiplicative(masksW, masksV, valW, valV)
+                    groups = tab.groupW, tab.groupV
+                    assert cli._is_multiplicative(*groups, valW, valV)
                     assert _all_pairs_multiplicative(masksW, masksV, valW, valV)
                     for side, (masks, val) in enumerate(
                         ((masksW, valW), (masksV, valV))
@@ -626,12 +627,44 @@ def test_generator_criterion_matches_all_pairs_check_under_mutation():
                             flipped = dict(val)
                             flipped[m] = -val[m]
                             vals = (flipped, valV) if side == 0 else (valW, flipped)
-                            fast = cli._is_multiplicative(masksW, masksV, *vals)
+                            fast = cli._is_multiplicative(*groups, *vals)
                             slow = _all_pairs_multiplicative(masksW, masksV, *vals)
                             still_character = m != 0 and len(masks) == 2
                             assert fast == slow == still_character, (tab.gp, side, m)
                             rejected += not fast
     assert (tables, rejected) == (842, 9_770)
+
+
+# The exact-count identities of the benchmark's χ workloads, per sweep:
+# (table builds, dichotomy calls, cases_checked).
+BENCHMARK_IDENTITIES = {
+    "chi-narrow": (5, 25, 8_464, 57_096, 1_749_697),
+    "chi-wide": (10, 9, 992, 42_430, 6_608_055),
+}
+
+
+@pytest.mark.parametrize("workload", BENCHMARK_IDENTITIES)
+def test_sweep_pins_the_benchmark_call_counts(workload, monkeypatch):
+    # one table per pair and one dichotomy call per non-central element: the
+    # counts the traced benchmark asserts, counted by wrapping the class the
+    # same way, so a change that moves one fails here first
+    max_dim, max_k, tables, dichotomies, cases = BENCHMARK_IDENTITIES[workload]
+    calls = {"__init__": 0, "dichotomy": 0}
+    for name in calls:
+        method = vars(GPCharacterTable)[name]
+
+        def counted(*args, _name=name, _method=method, **kwargs):
+            calls[_name] += 1
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(GPCharacterTable, name, counted)
+    args = cli._build_parser().parse_args(
+        ["verify", "dichotomy", "--max-dim", str(max_dim), "--max-k", str(max_k)]
+    )
+    results = [cli._dichotomy_unit(case) for case in cli._sweep_cases(args)]
+    assert sum(r["checked"] for r in results) == cases
+    assert not any(r["counterexamples"] for r in results)
+    assert calls == {"__init__": tables, "dichotomy": dichotomies}
 
 
 _KEYS = ("p", "q", "V", "rep", "mult", "kind", "a", "k", "t", "phiW", "phiV")

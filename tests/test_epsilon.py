@@ -10,6 +10,8 @@ from gpkit.epsilon import (
     _fourier_real,
     _hankel_G,
     _Quadrature,
+    _eps_oracle_char,
+    _eps_oracle_disc,
     eps_half,
     eps_numeric_oracle,
     l_factor,
@@ -110,6 +112,53 @@ ORACLE_FAMILY += [
 def test_oracle_matches_table_fast_cases(rho):
     got = eps_numeric_oracle(rho, tol=1e-6)
     assert abs(got - eps_half(rho).value) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [D(k, t) for k in (60, 100, 200, 300)
+     for t in (0, Fraction(-1, 4), Fraction(1, 3))],
+)
+def test_oracle_certifies_large_k(rho):
+    # r^k e^{-2πr²} peaks at √(k/4π), past a fixed window of 4 from k ≈ 200
+    # on, and the zeta integrals grow like Γ((k+1)/2)/(2π)^{k/2}: the window
+    # must follow the peak and the error budget must be relative.
+    got = eps_numeric_oracle(rho, tol=1e-6)
+    assert abs(got - eps_half(rho).value) < 1e-6
+
+
+def _recording(q: _Quadrature) -> list:
+    """Record every (value, error) pair ``q`` integrates."""
+    seen, quad = [], q.quad
+
+    def recorded(*args, **kwargs):
+        val, err = quad(*args, **kwargs)
+        seen.append((val, err))
+        return val, err
+
+    q.quad = recorded
+    return seen
+
+
+def test_character_path_charges_absolute_errors():
+    q = _Quadrature(1e-7)
+    seen = _recording(q)
+    _eps_oracle_char(1, 1 / 3, q)
+    assert q.spent == pytest.approx(sum(err for _, err in seen), rel=1e-9)
+
+
+def test_disc_path_charges_errors_relative_to_each_integral():
+    # the two radial integrals, each a real and an imaginary quad
+    q = _Quadrature(1e-7)
+    seen = _recording(q)
+    _eps_oracle_disc(60, -0.25, q)
+    assert len(seen) == 4
+    relative = sum(
+        (re_err + im_err) / abs(complex(re, im))
+        for (re, re_err), (im, im_err) in (seen[:2], seen[2:])
+    )
+    assert q.spent == pytest.approx(relative, rel=1e-9)
+    assert q.spent < sum(err for _, err in seen)  # the integrals are large
 
 
 def _hankel_numeric(k: int, rho: float) -> float:

@@ -1,8 +1,11 @@
 import json
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gp_reference import (
     dichotomy_identity_check,
@@ -344,15 +347,28 @@ class TestEndoscopy:
         assert dichotomy_identity_check(gp, (sW, sV)).ok
 
 
-def _criterion5_pairs():
-    # acceptance criterion 5's family: target dims <= 10, k <= 9
-    for dv in range(1, 11):
+def _sweep_pairs(max_dim, max_k):
+    # the pairs of `verify dichotomy --max-dim max_dim --max-k max_k`, built
+    # as the sweep builds them: each parameter is enumerated once per
+    # dimension pair and shared by every pair it enters
+    for dv in range(1, max_dim + 1):
         for dw in range(dv - 1, -1, -2):
             a = (dv - dw + 1) // 2
             W, V = QuadSpace(dw, 0), QuadSpace(dw + a, dv - dw - a)
-            for phiW in enumerate_reduced(W, 9):
-                for phiV in enumerate_reduced(V, 9):
+            paramsV = enumerate_reduced(V, max_k)
+            for phiW in enumerate_reduced(W, max_k):
+                for phiV in paramsV:
                     yield make_gp_pair(phiW, phiV)
+
+
+def _criterion5_pairs():
+    # acceptance criterion 5's family: target dims <= 10, k <= 9
+    return _sweep_pairs(10, 9)
+
+
+# the families of acceptance criterion 5 and of the chi-narrow benchmark
+# workload (`verify dichotomy --max-dim 5 --max-k 25`), with their pair counts
+SWEEP_FAMILIES = {"criterion-5": (10, 9, 992), "chi-narrow": (5, 25, 8_464)}
 
 
 class TestPairExponentMemo:
@@ -381,6 +397,102 @@ class TestPairExponentMemo:
             assert info.hits == info.misses  # the warm build missed nothing
             assert warm._F == cold._F
             assert warm.mask_tables() == cold.mask_tables()
+
+
+def _cold_copy(phi):
+    # a parameter validated afresh from its JSON, sharing no object with phi
+    return param_from_json(json.loads(json.dumps(param_to_json(phi))))
+
+
+def _span(gens):
+    span = {0}
+    for g in gens:
+        span |= {s ^ g for s in span}
+    return span
+
+
+@pytest.mark.parametrize("family", SWEEP_FAMILIES)
+class TestPerParameterCaches:
+    def test_warm_and_cold_parameters_give_the_same_table(self, family):
+        max_dim, max_k, n_pairs = SWEEP_FAMILIES[family]
+        n = 0
+        for gp in _sweep_pairs(max_dim, max_k):
+            warm = GPCharacterTable(gp)
+            cold_gp = make_gp_pair(_cold_copy(gp.phiW), _cold_copy(gp.phiV))
+            assert "group" not in vars(cold_gp.phiW)  # nothing cached yet
+            cold = GPCharacterTable(cold_gp)
+            assert warm._F == cold._F, gp
+            assert warm.mask_tables() == cold.mask_tables(), gp
+            n += 1
+        assert n == n_pairs
+
+    def test_cached_group_data_match_a_fresh_computation(self, family):
+        max_dim, max_k, _ = SWEEP_FAMILIES[family]
+        seen = set()
+        for gp in _sweep_pairs(max_dim, max_k):
+            for phi in (gp.phiW, gp.phiV):
+                if id(phi) in seen:
+                    continue
+                seen.add(id(phi))
+                grp = phi.group
+                assert grp == component_group(phi)
+                assert phi.reduced == is_reduced(phi)
+                dims = [2 if isinstance(rho, DiscRep) else 1 for rho in grp.basis]
+                subsets = range(1 << len(dims))
+                sums = [sum(d for i, d in enumerate(dims) if m >> i & 1)
+                        for m in subsets]
+                assert grp.dim_sums == tuple(sums)
+                # the elements: an even number of odd-dimensional -1 slots
+                want = [m for m in subsets
+                        if sum(d % 2 for i, d in enumerate(dims) if m >> i & 1) % 2 == 0]
+                assert grp.masks() == tuple(want)
+                assert len(grp.generators) == grp.rank
+                assert _span(grp.generators) == set(want)
+        assert seen
+
+    def test_cached_masks_are_immutable_and_shared(self, family):
+        max_dim, max_k, _ = SWEEP_FAMILIES[family]
+        for gp in _sweep_pairs(max_dim, max_k):
+            tab = GPCharacterTable(gp)
+            assert tab.groupW is gp.phiW.group and tab.groupV is gp.phiV.group
+            masksW, masksV, _, _ = tab.mask_tables()
+            assert masksW is tab.groupW.masks() and masksV is tab.groupV.masks()
+            for grp in (tab.groupW, tab.groupV):
+                for data in (grp.masks(), grp.dim_sums, grp.generators):
+                    assert type(data) is tuple
+                for name in ("dim_sums", "generators"):
+                    with pytest.raises(FrozenInstanceError):
+                        setattr(grp, name, ())
+            for phi in (gp.phiW, gp.phiV):
+                for name in ("group", "reduced"):
+                    with pytest.raises(FrozenInstanceError):
+                        setattr(phi, name, None)
+
+
+_twists = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+def _twist_spellings(t):
+    # one twist written three ways: as given, unreduced, and as a string
+    return [t, Fraction(t.numerator * 2, t.denominator * 2), str(t)]
+
+
+@given(
+    kind=st.sampled_from([CharRep, DiscRep]),
+    index=st.integers(0, 7),
+    t=_twists,
+)
+def test_equal_irreducibles_hash_equal(kind, index, t):
+    first = index % 2 if kind is CharRep else index + 1
+    reps = [kind(first, spelled) for spelled in _twist_spellings(t)]
+    reps += [pickle.loads(pickle.dumps(rho)) for rho in reps]
+    for rho in reps:
+        assert rho == reps[0] and hash(rho) == hash(reps[0])
+        # the hash the field-wise dataclass hash would give
+        assert hash(rho) == hash((first, t))
+    other = kind(first, t + 1)
+    assert other != reps[0]
+    assert {rho: 1 for rho in reps}.keys() == {reps[0]}
 
 
 def test_enumerate_reduced_counts():
