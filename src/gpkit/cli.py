@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -63,9 +64,27 @@ def _load_json(path: str):
         return json.load(fh)
 
 
+_INT = re.compile(r"-?[0-9]+")
+
+
+def _parse_int(text: str) -> int:
+    """A command-line integer: ASCII ``-?[0-9]+`` only, so no ``_``
+    separators, ``+`` signs, blanks or non-ASCII digits, which ``int()``
+    would accept."""
+    if not _INT.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _parse_space(text: str) -> QuadSpace:
-    p, q = (int(x) for x in text.split(","))
-    return QuadSpace(p, q)
+    """The ``P,Q`` argument: two integers, each read by :func:`_parse_int`."""
+    fields = text.split(",")
+    if len(fields) != 2:
+        raise SystemExit2(f"space: expected P,Q, got {text!r}")
+    try:
+        return QuadSpace(*map(_parse_int, fields))
+    except (argparse.ArgumentTypeError, ValueError) as exc:
+        raise SystemExit2(f"space: {exc}")
 
 
 def _parse_bits(text: str, rank: int, flag: str):
@@ -480,15 +499,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exhaustive verification sweeps")
     p.add_argument("what", choices=("union", "fibers", "dichotomy"))
-    p.add_argument("--max-dim", type=int, default=8,
+    p.add_argument("--max-dim", type=_parse_int, default=8,
                    help="largest space dimension (union/dichotomy sweeps)")
-    p.add_argument("--max-dv", type=int, default=8,
+    p.add_argument("--max-dv", type=_parse_int, default=8,
                    help="largest dim V (fiber sweeps)")
-    p.add_argument("--max-k", type=int, default=9,
+    p.add_argument("--max-k", type=_parse_int, default=9,
                    help="largest discrete piece D_k (dichotomy sweep)")
-    p.add_argument("--e0", type=int, choices=(1, -1), default=None,
+    p.add_argument("--e0", type=_parse_int, choices=(1, -1), default=None,
                    help="restrict the union sweep to one Kottwitz sign")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_parse_int, default=1,
                    help="worker processes, at most the usable CPUs "
                    "(default: 1)")
     p.set_defaults(fn=_cmd_verify)

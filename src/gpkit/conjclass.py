@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Optional, Union
@@ -35,8 +36,8 @@ from .quadspace import (
     NotAdmissible,
     QuadSpace,
     _as_fraction,
+    _signature_is_quasi_split,
     is_admissible_pair,
-    is_quasi_split,
     kottwitz_sign,
     pure_inner_forms,
     quasi_split_form,
@@ -200,7 +201,8 @@ def token_to_complex(tok) -> complex:
 @dataclass(frozen=True)
 class KappaDatum:
     """A class datum: its factors, with the signature, the number of definite
-    planes and their sign sum computed once at construction."""
+    planes and their sign sum computed once at construction, and the datum
+    under every sign vector (:attr:`signed`) built once, on first request."""
 
     factors: tuple[FactorDatum, ...]
 
@@ -263,6 +265,14 @@ class KappaDatum:
             for f in self.factors
         )
 
+    @cached_property
+    def signed(self) -> tuple[tuple[tuple[int, ...], "KappaDatum"], ...]:
+        """(c, κ_c) for every sign vector c of the definite planes, in
+        :func:`_sign_vectors` order, κ_c = ``self.with_signs(c)``."""
+        return tuple(
+            (c, self.with_signs(c)) for c in _sign_vectors(self.n_elliptic)
+        )
+
     def eigenvalue_tokens(self) -> list:
         toks = []
         for f in self.factors:
@@ -305,6 +315,15 @@ class XiRegResult:
     line: Optional[QuadSpace] = None
 
 
+# The four possible results, shared by every call.
+_NOT_MEMBER = XiRegResult(False)
+_MEMBER = XiRegResult(True)
+_MEMBER_WITH_LINE = {
+    1: XiRegResult(True, QuadSpace(1, 0)),
+    -1: XiRegResult(True, QuadSpace(0, 1)),
+}
+
+
 def is_in_Xi_reg_V(kappa: KappaDatum, V: QuadSpace) -> XiRegResult:
     """Does κ occur as a (regular) class of SO(V)?
 
@@ -313,11 +332,11 @@ def is_in_Xi_reg_V(kappa: KappaDatum, V: QuadSpace) -> XiRegResult:
     """
     if V.dim % 2 == 0:
         member = kappa.dim == V.dim and 2 * kappa.sum_c == V.delta
-        return XiRegResult(member)
+        return _MEMBER if member else _NOT_MEMBER
     i = iota(V, kappa)
-    member = kappa.dim == V.dim - 1 and 2 * kappa.sum_c == V.delta - i
-    line = QuadSpace(1, 0) if i == 1 else QuadSpace(0, 1)
-    return XiRegResult(member, line if member else None)
+    if kappa.dim == V.dim - 1 and 2 * kappa.sum_c == V.delta - i:
+        return _MEMBER_WITH_LINE[i]
+    return _NOT_MEMBER
 
 
 def is_in_Xi_dVdW(kappa: KappaDatum, d_V: int, d_W: int) -> bool:
@@ -331,7 +350,7 @@ def _embeds_with_qs_complement(kappa: KappaDatum, space: QuadSpace) -> bool:
     p, q = kappa.signature
     if p > space.p or q > space.q:
         return False
-    return is_quasi_split(QuadSpace(space.p - p, space.q - q))
+    return _signature_is_quasi_split(space.p - p, space.q - q)
 
 
 def _admissible(W: QuadSpace, V: QuadSpace) -> AdmissiblePair:
@@ -378,9 +397,10 @@ def _sweep(kappa: KappaDatum, forms, member) -> set:
 
     Forms run in the outer loop and sign vectors in the inner one, and every
     (form, c) is tested: the predicates see the same calls in the same order
-    whatever they return.  κ_c is built once per sign vector.
+    whatever they return.  Each κ_c comes from ``kappa.signed``, built once
+    per datum.
     """
-    signed = [(c, kappa.with_signs(c)) for c in _sign_vectors(kappa.n_elliptic)]
+    signed = kappa.signed
     return {c for form in forms for c, kc in signed if member(kc, form)}
 
 
@@ -558,6 +578,7 @@ def verify_fiber_union(
 # Shape sweeps
 # ---------------------------------------------------------------------------
 
+@cache
 def make_regular_kappa(
     n_cfield: int, n_rsplit: int = 0, n_csplit: int = 0
 ) -> KappaDatum:
@@ -565,7 +586,8 @@ def make_regular_kappa(
 
     Angles are distinct points of (0, 1), split eigenvalues distinct integers
     ≥ 2, complex ones distinct non-real points off the unit circle; all
-    definite-plane signs start at +1.
+    definite-plane signs start at +1.  Built once per argument tuple, so the
+    sweeps share each datum and its :attr:`~KappaDatum.signed` data.
     """
     facs: list[FactorDatum] = []
     denom = 2 * n_cfield + 1
@@ -578,9 +600,11 @@ def make_regular_kappa(
     return KappaDatum(facs)
 
 
-def kappa_shapes(total_dim: int):
+@cache
+def kappa_shapes(total_dim: int) -> tuple[KappaDatum, ...]:
     """All block-count triples (n_cfield, n_rsplit, n_csplit) of a given total
-    dimension, as concrete representative class data."""
+    dimension, as concrete representative class data; built once per
+    dimension."""
     out = []
     for ns in range(total_dim // 4 + 1):
         rest = total_dim - 4 * ns
@@ -589,4 +613,4 @@ def kappa_shapes(total_dim: int):
             if 2 * nc + 2 * nr + 4 * ns != total_dim:
                 continue
             out.append(make_regular_kappa(nc, nr, ns))
-    return out
+    return tuple(out)

@@ -87,9 +87,14 @@ def pure_inner_forms(V: QuadSpace) -> list[QuadSpace]:
 
 def is_quasi_split(V: QuadSpace) -> bool:
     """True iff SO(V) is quasi-split: |Δ| ≤ 1 (odd dim) or Δ ∈ {0, ±2} (even dim)."""
-    if V.dim % 2:
-        return abs(V.delta) <= 1
-    return V.delta in (-2, 0, 2)
+    return _signature_is_quasi_split(V.p, V.q)
+
+
+def _signature_is_quasi_split(p: int, q: int) -> bool:
+    """:func:`is_quasi_split` on the signature (p, q), with no space built."""
+    if (p + q) % 2:
+        return abs(p - q) <= 1
+    return p - q in (-2, 0, 2)
 
 
 def quasi_split_forms(V: QuadSpace) -> list[QuadSpace]:

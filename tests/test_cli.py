@@ -255,19 +255,23 @@ class TestVerify:
 
     def test_optimized_interpreter_gives_same_report(self, capsys):
         # Invariants are explicit raises, so `python -O` changes nothing.
-        argv = ["--json", "verify", "dichotomy", "--max-dim", "6", "--max-k", "7"]
         src = str(Path(gpkit.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "gpkit.cli"] + argv,
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        optimized = json.loads(proc.stdout)
-        rc, normal = run_json(capsys, argv[1:])
-        assert rc == 0 and normal["cases_checked"] > 0
-        del optimized["timing_ms"], normal["timing_ms"]
-        assert optimized == normal
+        for argv in (
+            ["verify", "dichotomy", "--max-dim", "6", "--max-k", "7"],
+            ["verify", "union", "--max-dim", "7"],
+            ["verify", "fibers", "--max-dv", "7"],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-O", "-m", "gpkit.cli", "--json"] + argv,
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            optimized = json.loads(proc.stdout)
+            rc, normal = run_json(capsys, argv)
+            assert rc == 0 and normal["cases_checked"] > 0
+            del optimized["timing_ms"], normal["timing_ms"]
+            assert optimized == normal, argv
 
     @pytest.mark.parametrize("jobs", ["0", "-1", "-8"])
     def test_nonpositive_jobs_is_an_input_error(self, capsys, jobs):
@@ -385,6 +389,36 @@ class TestErrorsAndFormat:
     def test_bad_space_string(self, capsys):
         rc, out = run_json(capsys, ["enumerate-pureinner", "5"])
         assert rc == 2 and "error" in out
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1_0,0", "\u0661,0", "1,0,0", "+1,0", " 1,0", "1,0\n", "1.0,0",
+         "0x1,0", "1,", ",", "-1,0"],
+        ids=repr,
+    )
+    def test_space_integers_are_strict(self, capsys, text):
+        # int() read 1_0 as 10 and the Arabic-Indic digit one as 1
+        rc, out = run_json(capsys, ["enumerate-pureinner", "--", text])
+        assert rc == 2
+        assert out["error"].startswith("space: ")
+
+    @pytest.mark.parametrize("flag", ["--max-dim", "--max-dv", "--max-k",
+                                      "--jobs", "--e0"])
+    @pytest.mark.parametrize(
+        "value", ["0_1", "\u0661", "+1", " 1", "1 ", "1.0"], ids=repr
+    )
+    def test_integer_flags_are_strict(self, capsys, flag, value):
+        # each of these once read as 1 through int()
+        with pytest.raises(SystemExit) as exc:
+            run(["--json", "verify", "union", "--max-dim", "2", flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected an integer" in capsys.readouterr().err
+
+    def test_integer_flags_take_plain_integers(self, capsys):
+        rc, out = run_json(capsys, ["verify", "union", "--max-dim", "3",
+                                    "--max-dv", "-0", "--max-k", "007",
+                                    "--e0", "-1", "--jobs", "1"])
+        assert rc == 0 and out["status"] == "PASS"
 
     @pytest.mark.parametrize(
         "path,value",
@@ -665,6 +699,47 @@ def test_sweep_pins_the_benchmark_call_counts(workload, monkeypatch):
     assert sum(r["checked"] for r in results) == cases
     assert not any(r["counterexamples"] for r in results)
     assert calls == {"__init__": tables, "dichotomy": dichotomies}
+
+
+# The exact-count identities of the benchmark's conjclass workload, `verify
+# union --max-dim 13` then `verify fibers --max-dv 12`: calls of each traced
+# conjclass name, and cases_checked per sweep.
+CONJCLASS_CALLS = {
+    "verify_union_prop": 3_036,
+    "verify_fiber_lemma": 1_456,
+    "verify_fiber_union": 2_912,
+    "is_regular": 50_524,
+    "is_in_Xi_reg_V": 67_234,
+}
+CONJCLASS_CASES = {"union": 3_036, "fibers": 4_368}
+
+
+def test_conjclass_sweeps_pin_the_benchmark_call_counts(monkeypatch):
+    # each name wrapped in every module that holds it, as the traced
+    # benchmark does: every predicate runs on every (form, sign vector), so
+    # a change that memoises a verdict or skips a call fails here first
+    calls = dict.fromkeys(CONJCLASS_CALLS, 0)
+    for name in calls:
+        target = getattr(conjclass, name)
+
+        def counted(*args, _name=name, _fn=target, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in (cli, conjclass):
+            if getattr(mod, name, None) is target:
+                monkeypatch.setattr(mod, name, counted)
+    cases = {}
+    for what, flag, bound, unit in (
+        ("union", "--max-dim", 13, cli._union_unit),
+        ("fibers", "--max-dv", 12, cli._fiber_unit),
+    ):
+        args = cli._build_parser().parse_args(["verify", what, flag, str(bound)])
+        results = [unit(case) for case in cli._sweep_cases(args)]
+        assert not any(r["counterexamples"] for r in results)
+        cases[what] = sum(r["checked"] for r in results)
+    assert cases == CONJCLASS_CASES
+    assert calls == CONJCLASS_CALLS
 
 
 _KEYS = ("p", "q", "V", "rep", "mult", "kind", "a", "k", "t", "phiW", "phiV")

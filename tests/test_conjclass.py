@@ -14,6 +14,8 @@ from gpkit.conjclass import (
     KappaDatum,
     MismatchedSignVector,
     RSplitFactor,
+    XiRegResult,
+    _embeds_with_qs_complement,
     factor_eigenvalues,
     factor_signature,
     iota,
@@ -28,7 +30,14 @@ from gpkit.conjclass import (
     verify_fiber_union,
     verify_union_prop,
 )
-from gpkit.quadspace import NotAdmissible, QuadSpace, is_admissible_pair
+from gpkit.quadspace import (
+    NotAdmissible,
+    QuadSpace,
+    _signature_is_quasi_split,
+    is_admissible_pair,
+    is_quasi_split,
+    pure_inner_forms,
+)
 
 
 def F(n, d=1):
@@ -390,6 +399,153 @@ def test_with_signs_reuses_one_twin_per_factor():
         kappa.with_signs((2, 1, 1))
     with pytest.raises(ValueError):
         kappa.factors[0].with_sign(0)
+
+
+def _shape_family():
+    """Every shape of kappa_shapes(d), d <= 13, and make_regular_kappa(n),
+    n <= 6."""
+    return [k for d in range(14) for k in kappa_shapes(d)] + [
+        make_regular_kappa(n) for n in range(7)
+    ]
+
+
+def test_signed_data_matches_with_signs_on_families():
+    """Each entry (c, κ_c) of ``signed`` equals a fresh ``with_signs(c)`` and
+    the fresh-factor reference in equality, hash, repr and the five
+    invariants, in sign-vector order; building it changes neither the
+    datum's equality nor its hash or repr."""
+    cases = 0
+    for kappa in _shape_family():
+        bare = KappaDatum(kappa.factors)
+        key = (hash(bare), repr(bare))
+        signed = kappa.signed
+        assert kappa.signed is signed and isinstance(signed, tuple)
+        assert [c for c, _ in signed] == list(
+            product((1, -1), repeat=kappa.n_elliptic)
+        )
+        for c, kc in signed:
+            fresh, ref = kappa.with_signs(c), _fresh(kappa, c)
+            assert kc == fresh == ref
+            assert hash(kc) == hash(fresh) == hash(ref)
+            assert repr(kc) == repr(fresh) == repr(ref)
+            assert (
+                kc.dim, kc.signature, kc.n_elliptic, kc.sum_c, kc.prod_c
+            ) == _reference_invariants(ref)
+            assert tuple(f.c for f in kc.cfield_factors()) == c
+            cases += 1
+        assert kappa == bare and (hash(kappa), repr(kappa)) == key
+    assert cases == 443
+
+
+def _reference_regular_kappa(nc, nr, ns):
+    """make_regular_kappa(nc, nr, ns) built anew from its docstring."""
+    return KappaDatum(
+        [CFieldFactor(F(2 * j + 1, 2 * nc + 1)) for j in range(nc)]
+        + [RSplitFactor(F(j + 2)) for j in range(nr)]
+        + [CSplitFactor((F(j + 2), F(1))) for j in range(ns)]
+    )
+
+
+def _reference_shapes(d):
+    """Every (nc, nr, ns) with 2nc + 2nr + 4ns = d, ns then nr ascending."""
+    return [
+        _reference_regular_kappa((d - 4 * ns - 2 * nr) // 2, nr, ns)
+        for ns in range(d // 4 + 1)
+        for nr in range((d - 4 * ns) // 2 + 1)
+        if d % 2 == 0
+    ]
+
+
+def test_shapes_are_built_once_and_equal_fresh_data():
+    for kappa in _shape_family():
+        kappa.signed  # warm, as after a sweep
+    for d in range(14):
+        shapes = kappa_shapes(d)
+        assert isinstance(shapes, tuple) and kappa_shapes(d) is shapes
+        ref = _reference_shapes(d)
+        assert shapes == tuple(ref)
+        assert [repr(k) for k in shapes] == [repr(k) for k in ref]
+        assert [hash(k) for k in shapes] == [hash(k) for k in ref]
+    for n in range(7):
+        kappa = make_regular_kappa(n)
+        assert make_regular_kappa(n) is kappa
+        assert kappa == _reference_regular_kappa(n, 0, 0)
+        assert repr(kappa) == repr(_reference_regular_kappa(n, 0, 0))
+
+
+def test_xi_reg_matches_direct_formula_on_union_sweep():
+    """On every (κ_c, V_α) of the union sweep with d <= 9 (every pure inner
+    form, so both e0): κ_c lies in Ξ_reg(V_α) iff its signature, plus in odd
+    dimension the line of sign 𝔦, is that of V_α; the line is returned."""
+    lines = {1: QuadSpace(1, 0), -1: QuadSpace(0, 1)}
+    seen = {}
+    for d in range(1, 10):
+        for p in range(d + 1):
+            for kappa in kappa_shapes(d - 1 if d % 2 else d):
+                for _, kc in kappa.signed:
+                    for Va in pure_inner_forms(QuadSpace(p, d - p)):
+                        line = None
+                        kp, kq = kc.signature
+                        if d % 2:
+                            i = (-1) ** ((1 - Va.delta) // 2 + kc.n_elliptic)
+                            line = lines[i]
+                            kp, kq = kp + line.p, kq + line.q
+                        member = (kp, kq) == (Va.p, Va.q)
+                        res = is_in_Xi_reg_V(kc, Va)
+                        assert isinstance(res, XiRegResult)
+                        assert res.member is member
+                        assert res.line == (line if member else None)
+                        assert res == XiRegResult(member, res.line)
+                        key = (member, res.line)
+                        seen[key] = seen.get(key, 0) + 1
+    assert seen == {
+        (False, None): 3_992,
+        (True, None): 276,
+        (True, QuadSpace(1, 0)): 298,
+        (True, QuadSpace(0, 1)): 298,
+    }
+
+
+def _reference_is_quasi_split(V):
+    """The quasi-split rule as written on a QuadSpace."""
+    if V.dim % 2:
+        return abs(V.delta) <= 1
+    return V.delta in (-2, 0, 2)
+
+
+def test_signature_quasi_split_rule_matches_the_space_rule():
+    count = 0
+    for dim in range(25):
+        for p in range(dim + 1):
+            V = QuadSpace(p, dim - p)
+            expected = _reference_is_quasi_split(V)
+            assert _signature_is_quasi_split(p, dim - p) is expected
+            assert is_quasi_split(V) is expected
+            count += expected
+    assert count == 61
+
+
+def test_embedding_with_quasi_split_complement_matches_the_space_rule():
+    """On every shape of dimension <= 8 under every sign vector, in every
+    space of dimension <= 12: κ fits with a quasi-split complement."""
+    fits = 0
+    for d in range(9):
+        for kappa in kappa_shapes(d):
+            for _, kc in kappa.signed:
+                p, q = kc.signature
+                for dim in range(13):
+                    for sp in range(dim + 1):
+                        space = QuadSpace(sp, dim - sp)
+                        expected = (
+                            p <= space.p
+                            and q <= space.q
+                            and _reference_is_quasi_split(
+                                QuadSpace(space.p - p, space.q - q)
+                            )
+                        )
+                        assert _embeds_with_qs_complement(kc, space) is expected
+                        fits += expected
+    assert fits > 0
 
 
 def _union_reports(max_dim):
