@@ -130,9 +130,10 @@ def _cmd_component_group(args) -> int:
             "basis": [repr(rho) for rho in grp.basis],
             "constraint": grp.constraint,
             "size": grp.size,
+            # product order of the sign tuples: ++, +-, -+, --
             "elements": [
-                "".join("+" if s == 1 else "-" for s in el.signs)
-                for el in grp.elements()
+                "".join("+" if s == 1 else "-" for s in signs)
+                for signs in sorted(map(grp.signs_of, grp.masks()), reverse=True)
             ],
         },
         args.json,
@@ -143,21 +144,21 @@ def _cmd_component_group(args) -> int:
 def _chi_inputs(args):
     gp = gp_pair_from_json(_load_json(args.file))
     tab = GPCharacterTable(gp)
-    sW = tab.groupW.element(_parse_bits(args.sW, len(tab.groupW.basis), "--sW"))
-    sV = tab.groupV.element(_parse_bits(args.sV, len(tab.groupV.basis), "--sV"))
-    return tab, sW, sV
+    x = tab.groupW.mask_of(_parse_bits(args.sW, len(tab.groupW.basis), "--sW"))
+    y = tab.groupV.mask_of(_parse_bits(args.sV, len(tab.groupV.basis), "--sV"))
+    return tab, x, y
 
 
 def _cmd_chi(args) -> int:
-    tab, sW, sV = _chi_inputs(args)
-    _emit({"chi": tab.chi((sW, sV))}, args.json)
+    tab, x, y = _chi_inputs(args)
+    _emit({"chi": tab.chi(x, y)}, args.json)
     return 0
 
 
 def _cmd_dichotomy(args) -> int:
-    tab, sW, sV = _chi_inputs(args)
+    tab, x, y = _chi_inputs(args)
     try:
-        rep = tab.dichotomy((sW, sV))
+        rep = tab.dichotomy(x, y)
     except CentralElement as exc:
         raise SystemExit2(f"--sV: {exc}")
     _emit(rep.breakdown(), args.json)
@@ -360,14 +361,12 @@ def _dichotomy_unit(case) -> dict:
                         }
                     }
                 )
-            elementsW = [tab.element_of_mask(tab.groupW, x) for x in masksW]
             full = (1 << len(tab.groupV.basis)) - 1
             for y in masksV:
                 if y == 0 or y == full:
                     continue
-                sV = tab.element_of_mask(tab.groupV, y)
-                for sW in elementsW:
-                    rep = tab.dichotomy((sW, sV))
+                for x in masksW:
+                    rep = tab.dichotomy(x, y)
                     checked += 1
                     if not rep.ok:
                         bad.append(
@@ -376,8 +375,8 @@ def _dichotomy_unit(case) -> dict:
                                     "kind": "dichotomy",
                                     "phiW": repr(phiW.rep),
                                     "phiV": repr(phiV.rep),
-                                    "sW": list(sW.signs),
-                                    "sV": list(sV.signs),
+                                    "sW": list(tab.groupW.signs_of(x)),
+                                    "sV": list(tab.groupV.signs_of(y)),
                                 },
                                 "breakdown": rep.breakdown(),
                             }

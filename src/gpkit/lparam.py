@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
-from itertools import product
 
 from .epsilon import eps_half
 from .quadspace import (
@@ -60,7 +59,6 @@ __all__ = [
     "CentralElement",
     "LParameter",
     "ComponentGroup",
-    "ComponentElement",
     "GPPair",
     "GPCharacterTable",
     "validate",
@@ -198,54 +196,13 @@ def validate(rep: WeilRep, V: QuadSpace) -> LParameter:
 
 
 @dataclass(frozen=True)
-class ComponentElement:
-    """An element of 𝒮_φ: a ±1 assignment on the O-type basis.
-
-    Stored as a minus-set bitmask over ``basis``: bit i set ⟺ sign −1 on
-    basis slot i.  Signs, products and the central tests are read off the
-    mask.
-    """
-
-    basis: tuple[IrredRep, ...]
-    mask: int
-
-    def __post_init__(self) -> None:
-        if self.mask < 0 or self.mask >> len(self.basis):
-            raise ValueError("mask has bits outside the component-group basis")
-
-    @classmethod
-    def of(cls, basis, signs) -> "ComponentElement":
-        basis, signs = tuple(basis), tuple(signs)
-        if len(signs) != len(basis) or any(s not in (1, -1) for s in signs):
-            raise ValueError("signs must be ±1, one per basis constituent")
-        return cls(basis, sum(1 << i for i, s in enumerate(signs) if s == -1))
-
-    @property
-    def signs(self) -> tuple[int, ...]:
-        return tuple(
-            -1 if self.mask >> i & 1 else 1 for i in range(len(self.basis))
-        )
-
-    @property
-    def is_identity(self) -> bool:
-        return self.mask == 0
-
-    @property
-    def is_all_minus(self) -> bool:
-        return self.mask == (1 << len(self.basis)) - 1
-
-    def __mul__(self, other: "ComponentElement") -> "ComponentElement":
-        if self.basis != other.basis:
-            raise ValueError("component elements live in different groups")
-        return ComponentElement(self.basis, self.mask ^ other.mask)
-
-
-@dataclass(frozen=True)
 class ComponentGroup:
     """𝒮_φ ≤ {±1}^{I_O}, cut out by Π ε_i = 1 over odd-dimensional i if any.
 
-    The mask data every Gross–Prasad pair of the parameter reads — the
-    element masks, the dimension subset sums and a generating set — are
+    An element is its minus-set bitmask over ``basis`` (bit i set ⟺ sign
+    −1 on slot i); :meth:`mask_of` and :meth:`signs_of` convert from and to
+    ±1 signs.  The mask data every Gross–Prasad pair of the parameter reads
+    — the element masks, the dimension subset sums and a generating set — are
     tuples computed on first use and kept.
     """
 
@@ -296,22 +253,20 @@ class ComponentGroup:
                 span |= {s ^ m for s in span}
         return tuple(gens)
 
-    def elements(self) -> list[ComponentElement]:
-        out = []
-        for signs in product((1, -1), repeat=len(self.basis)):
-            el = ComponentElement.of(self.basis, signs)
-            if self._admits(el.mask):
-                out.append(el)
-        return out
-
-    def identity(self) -> ComponentElement:
-        return ComponentElement(self.basis, 0)
-
-    def element(self, signs) -> ComponentElement:
-        el = ComponentElement.of(self.basis, signs)
-        if not self._admits(el.mask):
+    def mask_of(self, signs) -> int:
+        """The minus-set mask of the element with ±1 ``signs`` on the basis:
+        bit i set ⟺ sign −1 on basis slot i."""
+        signs = tuple(signs)
+        if len(signs) != len(self.basis) or any(s not in (1, -1) for s in signs):
+            raise ValueError("signs must be ±1, one per basis constituent")
+        mask = sum(1 << i for i, s in enumerate(signs) if s == -1)
+        if not self._admits(mask):
             raise ValueError("signs violate the odd-dimension product constraint")
-        return el
+        return mask
+
+    def signs_of(self, mask: int) -> tuple[int, ...]:
+        """The ±1 signs on the basis of the minus-set ``mask``."""
+        return tuple(-1 if mask >> i & 1 else 1 for i in range(len(self.basis)))
 
 
 def component_group(phi: LParameter) -> ComponentGroup:
@@ -479,34 +434,29 @@ class GPCharacterTable:
         valV = {y: _symplectic(F[self._fullW][y]) for y in masksV}
         return masksW, masksV, valW, valV
 
-    def element_of_mask(self, group: ComponentGroup, mask: int) -> ComponentElement:
-        return ComponentElement(group.basis, mask)
+    def _check_masks(self, x: int, y: int) -> None:
+        if not (0 <= x <= self._fullW and 0 <= y <= self._fullV):
+            raise ValueError("masks have bits outside the component-group bases")
 
-    def _masks_of(self, s: tuple[ComponentElement, ComponentElement]):
-        sW, sV = s
-        if sW.basis != self.groupW.basis or sV.basis != self.groupV.basis:
-            raise ValueError("component elements do not match this pair")
-        return sW.mask, sV.mask
-
-    def chi(self, s: tuple[ComponentElement, ComponentElement]) -> int:
-        x, y = self._masks_of(s)
+    def chi(self, x: int, y: int) -> int:
+        """χ_φ at the element with minus-set masks x (of 𝒮_W) and y (of 𝒮_V)."""
+        self._check_masks(x, y)
         return _symplectic(self._F[x][self._fullV] * self._F[self._fullW][y])
 
     def chi_table(self) -> dict:
+        """χ_φ on every element, keyed by the mask pair (x, y)."""
         return {
-            (sW, sV): self.chi((sW, sV))
-            for sW in self.groupW.elements()
-            for sV in self.groupV.elements()
+            (x, y): self.chi(x, y)
+            for x in self.groupW.masks()
+            for y in self.groupV.masks()
         }
 
-    def dichotomy(
-        self, s: tuple[ComponentElement, ComponentElement]
-    ) -> "DichotomyReport":
-        sV = s[1]
-        if sV.is_identity or sV.is_all_minus:
-            raise CentralElement("s_V lies in {identity, all-(-1)}")
-        x, y = self._masks_of(s)
+    def dichotomy(self, x: int, y: int) -> "DichotomyReport":
+        """The dichotomy identity at the element with masks (x, y)."""
+        self._check_masks(x, y)
         F, fullW, fullV = self._F, self._fullW, self._fullV
+        if y in (0, fullV):
+            raise CentralElement("s_V lies in {identity, all-(-1)}")
         factor1 = _symplectic(F[fullW ^ x][y])
         factor2 = _symplectic(F[x][fullV ^ y])
         chi = _symplectic(F[x][fullV] * F[fullW][y])

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from gpkit.epsilon import eps_half
 from gpkit.lparam import (
     CentralElement,
-    ComponentElement,
     DichotomyReport,
     GPPair,
     LParameter,
@@ -36,18 +35,17 @@ def eps_symplectic(A: WeilRep | IrredRep) -> int:
     return eps_half(A).as_sign()
 
 
-def eigenspace_split(
-    phi: LParameter, s: ComponentElement
-) -> tuple[WeilRep, WeilRep]:
-    """(plus, minus) eigenspace of ``s`` acting on M; reduced parameters only."""
+def eigenspace_split(phi: LParameter, mask: int) -> tuple[WeilRep, WeilRep]:
+    """(plus, minus) eigenspace on M of the component element with minus-set
+    ``mask``; reduced parameters only."""
     if not is_reduced(phi):
         raise NotReduced(f"{phi.rep!r} has non-O-type or repeated constituents")
     grp = component_group(phi)
-    if s.basis != grp.basis:
-        raise ValueError("component element does not match this parameter")
-    if not grp._admits(s.mask):
+    if not 0 <= mask < 1 << len(grp.basis):
+        raise ValueError("mask has bits outside the component-group basis")
+    if not grp._admits(mask):
         raise ValueError("component element violates the group constraint")
-    signed = list(zip(grp.basis, s.signs))
+    signed = list(zip(grp.basis, grp.signs_of(mask)))
     plus = WeilRep(rho for rho, sign in signed if sign == 1)
     minus = WeilRep(rho for rho, sign in signed if sign == -1)
     if grp.constraint and minus.dim % 2:
@@ -69,17 +67,15 @@ def _chi_one_side(minus: WeilRep, other: WeilRep) -> int:
     return pref * eps_symplectic(tensor(minus, other))
 
 
-def gp_character(
-    gp: GPPair, s: tuple[ComponentElement, ComponentElement]
-) -> int:
-    """χ_φ(s_W, s_V) = χ^V_{φ_W}(s_W) · χ^W_{φ_V}(s_V), exactly ±1.
+def gp_character(gp: GPPair, x: int, y: int) -> int:
+    """χ_φ(s_W, s_V) = χ^V_{φ_W}(s_W) · χ^W_{φ_V}(s_V), exactly ±1, where x
+    and y are the minus-set masks of s_W and s_V.
 
     Each one-sided factor pairs the (−1)-eigenspace of one parameter against
     the full partner representation through the symplectic root number.
     """
-    sW, sV = s
-    _, minusW = eigenspace_split(gp.phiW, sW)
-    _, minusV = eigenspace_split(gp.phiV, sV)
+    _, minusW = eigenspace_split(gp.phiW, x)
+    _, minusV = eigenspace_split(gp.phiV, y)
     return _chi_one_side(minusW, gp.phiV.rep) * _chi_one_side(minusV, gp.phiW.rep)
 
 
@@ -103,10 +99,9 @@ class EndoscopicSplit:
         return ((self.w_plus, self.v_minus), (self.w_minus, self.v_plus))
 
 
-def endoscopic_split(
-    gp: GPPair, s: tuple[ComponentElement, ComponentElement]
-) -> EndoscopicSplit:
-    """Split both parameters by the ±1 eigenspaces of s = (s_W, s_V).
+def endoscopic_split(gp: GPPair, x: int, y: int) -> EndoscopicSplit:
+    """Split both parameters by the ±1 eigenspaces of s = (s_W, s_V), given
+    by the minus-set masks x and y.
 
     ``s_V`` must avoid the central subgroup {identity, all −1}; otherwise the
     would-be endoscopic group is the group itself and :class:`CentralElement`
@@ -114,11 +109,10 @@ def endoscopic_split(
     case); the two cross pairings always end up with odd dimension gaps, which
     is re-checked.
     """
-    sW, sV = s
-    if sV.is_identity or sV.is_all_minus:
+    if y in (0, (1 << len(component_group(gp.phiV).basis)) - 1):
         raise CentralElement("s_V lies in {identity, all-(-1)}")
-    plusW, minusW = eigenspace_split(gp.phiW, sW)
-    plusV, minusV = eigenspace_split(gp.phiV, sV)
+    plusW, minusW = eigenspace_split(gp.phiW, x)
+    plusV, minusV = eigenspace_split(gp.phiV, y)
 
     addV = 1 if gp.phiV.target.dim % 2 else 0
     addW = 1 if gp.phiW.target.dim % 2 else 0
@@ -137,17 +131,15 @@ def endoscopic_split(
     return split
 
 
-def dichotomy_identity_check(
-    gp: GPPair, s: tuple[ComponentElement, ComponentElement]
-) -> DichotomyReport:
+def dichotomy_identity_check(gp: GPPair, x: int, y: int) -> DichotomyReport:
     """Verify χ_{φ_{W+}×φ_{V−}}(1,−1) · χ_{φ_{W−}×φ_{V+}}(1,−1) = χ_φ(s).
 
     The left factors are the distinguished characters of the two endoscopic
     cross pairs, evaluated at the element that is trivial on the W half and
     all −1 on the V half.
     """
-    split = endoscopic_split(gp, s)
+    split = endoscopic_split(gp, x, y)
     factor1 = _chi_one_side(split.v_minus.rep, split.w_plus.rep)
     factor2 = _chi_one_side(split.v_plus.rep, split.w_minus.rep)
-    chi = gp_character(gp, s)
+    chi = gp_character(gp, x, y)
     return DichotomyReport(factor1 * factor2 == chi, chi, factor1, factor2)

@@ -258,11 +258,9 @@ def character_sweep():
                     for y in masksV:
                         if y in (0, full):
                             continue
-                        sV = tab.element_of_mask(tab.groupV, y)
                         for x in masksW:
-                            sW = tab.element_of_mask(tab.groupW, x)
                             dich_checked += 1
-                            if not tab.dichotomy((sW, sV)).ok:
+                            if not tab.dichotomy(x, y).ok:
                                 dich_bad.append((phiW.rep, phiV.rep, x, y))
 
     # Form-independence spot check justifying the representative spaces:

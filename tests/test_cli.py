@@ -216,6 +216,47 @@ assert "scipy" in sys.modules
         ]
 
 
+# the report every dichotomy call gives in the broken-identity test
+BROKEN_REPORT = lparam.DichotomyReport(False, 1, 1, -1)
+
+
+def _broken_dichotomy_records(max_dim, max_k):
+    """The counterexamples of `verify dichotomy` when every multiplicativity
+    check and every dichotomy identity fails, in report order: one record
+    per pair, and one per (s_W, non-central s_V) with s_W and s_V as ±1
+    lists, one entry per basis slot."""
+    def signs(mask, group):
+        return [-1 if mask >> i & 1 else 1 for i in range(len(group.basis))]
+
+    records = []
+    for dv in range(1, max_dim + 1):
+        for dw in range(dv - 1, -1, -2):
+            a = (dv - dw + 1) // 2
+            W, V = QuadSpace(dw, 0), QuadSpace(dw + a, dv - dw - a)
+            for phiW in enumerate_reduced(W, max_k):
+                for phiV in enumerate_reduced(V, max_k):
+                    pair = {"phiW": repr(phiW.rep), "phiV": repr(phiV.rep)}
+                    records.append(
+                        {"case": {"kind": "chi-multiplicativity", **pair}}
+                    )
+                    gW, gV = phiW.group, phiV.group
+                    central = (0, (1 << len(gV.basis)) - 1)
+                    records += [
+                        {
+                            "case": {
+                                "kind": "dichotomy",
+                                **pair,
+                                "sW": signs(x, gW),
+                                "sV": signs(y, gV),
+                            },
+                            "breakdown": BROKEN_REPORT.breakdown(),
+                        }
+                        for y in gV.masks() if y not in central
+                        for x in gW.masks()
+                    ]
+    return sorted(records, key=lambda ce: json.dumps(ce, sort_keys=True))
+
+
 class TestVerify:
     @pytest.mark.parametrize(
         "argv",
@@ -306,18 +347,39 @@ class TestVerify:
                 ["verify", "fibers", "--max-dv", "3"],
                 {"kind", "W", "V", "n_elliptic", "e0"},
             ),
+            (
+                ["verify", "dichotomy", "--max-dim", "5", "--max-k", "5"],
+                {"kind", "phiW", "phiV", "sW", "sV"},
+            ),
         ],
-        ids=["union", "fibers"],
+        ids=["union", "fibers", "dichotomy"],
     )
     def test_broken_identity_gives_failure_records(
         self, capsys, monkeypatch, argv, case_keys
     ):
-        # every form gets Kottwitz sign +1, so the e0 = -1 side selects
-        # nothing and its predicted coset is missed
-        monkeypatch.setattr(conjclass, "kottwitz_sign", lambda V: 1)
+        if argv[1] == "dichotomy":
+            # every multiplicativity check and every identity fails
+            monkeypatch.setattr(cli, "_is_multiplicative", lambda *a: False)
+            monkeypatch.setattr(
+                GPCharacterTable, "dichotomy", lambda self, *s: BROKEN_REPORT
+            )
+        else:
+            # every form gets Kottwitz sign +1, so the e0 = -1 side selects
+            # nothing and its predicted coset is missed
+            monkeypatch.setattr(conjclass, "kottwitz_sign", lambda V: 1)
         rc, out = run_json(capsys, argv)
         assert rc == 1 and out["status"] == "FAIL"
         assert out["counterexamples"]
+        if argv[1] == "dichotomy":
+            for ce in out["counterexamples"]:
+                if ce["case"]["kind"] == "dichotomy":
+                    assert set(ce) == {"case", "breakdown"}
+                    assert set(ce["case"]) == case_keys
+                else:
+                    assert set(ce) == {"case"}
+                    assert ce["case"]["kind"] == "chi-multiplicativity"
+            assert out["counterexamples"] == _broken_dichotomy_records(5, 5)
+            return
         for ce in out["counterexamples"]:
             assert set(ce) == {"case", "lhs", "rhs"}
             assert set(ce["case"]) == case_keys

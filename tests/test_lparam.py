@@ -18,7 +18,6 @@ from gpkit.epsilon import eps_half
 from gpkit.lparam import (
     Ambient,
     CentralElement,
-    ComponentElement,
     ConstituentType,
     DimMismatch,
     GPCharacterTable,
@@ -112,7 +111,7 @@ class TestComponentGroup:
     def test_unconstrained(self):
         grp = component_group(validate(WeilRep([D(1), D(3)]), QuadSpace(3, 2)))
         assert grp.size == 4 and not grp.constraint
-        assert len(grp.elements()) == 4
+        assert grp.masks() == (0b00, 0b01, 0b10, 0b11)
 
     def test_constrained_by_odd_dimension(self):
         grp = component_group(
@@ -120,9 +119,9 @@ class TestComponentGroup:
         )
         assert grp.constraint and grp.size == 4
         one, sgn = grp.basis.index(ONE), grp.basis.index(SGN)
-        for el in grp.elements():
-            prod = el.signs[one] * el.signs[sgn]
-            assert prod == 1  # the two odd-dimensional slots multiply to +1
+        for m in grp.masks():
+            signs = grp.signs_of(m)
+            assert signs[one] * signs[sgn] == 1  # the odd slots multiply to +1
 
     def test_so2(self):
         grp = component_group(validate(WeilRep([ONE, SGN]), QuadSpace(1, 1)))
@@ -132,17 +131,41 @@ class TestComponentGroup:
         grp = component_group(
             validate(WeilRep([ONE, SGN, D(2)]), QuadSpace(2, 2))
         )
-        with pytest.raises(ValueError):
-            grp.element((1, -1, 1))
+        with pytest.raises(ValueError, match="constraint"):
+            grp.mask_of((1, -1, 1))
+
+    @pytest.mark.parametrize(
+        "signs", [(1,), (1, 1, 1), (1, 0), (1, 2), (-1, "-1")]
+    )
+    def test_mask_of_rejects_malformed_signs(self, signs):
+        grp = component_group(validate(WeilRep([D(1), D(3)]), QuadSpace(3, 2)))
+        with pytest.raises(ValueError, match="one per basis constituent"):
+            grp.mask_of(signs)
 
     def test_component_element_algebra(self):
-        basis = (D(1), D(3))
-        a = ComponentElement.of(basis, (1, -1))
-        b = ComponentElement.of(basis, (-1, -1))
-        assert (a * b).signs == (-1, 1)
-        assert a.mask == 0b10  # bit 1: sign -1 on D(3)
-        assert not a.is_identity
-        assert b.is_all_minus
+        grp = component_group(validate(WeilRep([D(1), D(3)]), QuadSpace(3, 2)))
+        assert grp.mask_of((1, -1)) == 0b10  # bit 1: sign -1 on D(3)
+        assert grp.signs_of(0b10) == (1, -1)
+        # the product of two elements is the XOR of their masks
+        assert grp.mask_of((-1, -1)) == 0b11
+        assert grp.signs_of(0b10 ^ 0b11) == (-1, 1)
+
+    def test_signs_and_masks_round_trip_on_family(self):
+        # every ±1 assignment of every group of the criterion-5 family: the
+        # admitted ones round-trip through their mask, the rest are refused
+        groups = {id(g): g for gp in _criterion5_pairs()
+                  for g in (gp.phiW.group, gp.phiV.group)}
+        for grp in groups.values():
+            admitted = []
+            for signs in product((1, -1), repeat=len(grp.basis)):
+                try:
+                    m = grp.mask_of(signs)
+                except ValueError:
+                    continue
+                assert grp.signs_of(m) == signs
+                admitted.append(m)
+            assert sorted(admitted) == list(grp.masks())
+        assert len(groups) > 1
 
 
 class TestClassify:
@@ -176,20 +199,20 @@ class TestEigenspaceSplit:
     def test_split(self):
         phi = validate(WeilRep([D(1), D(3)]), QuadSpace(3, 2))
         grp = component_group(phi)
-        s = grp.element((-1, 1))
-        plus, minus = eigenspace_split(phi, s)
+        plus, minus = eigenspace_split(phi, grp.mask_of((-1, 1)))
         assert minus == WeilRep([D(1)]) and plus == WeilRep([D(3)])
 
     def test_requires_reduced(self):
         phi = validate(WeilRep([(D(1), 2)]), QuadSpace(3, 2))
-        s = ComponentElement.of((D(1),), (-1,))
         with pytest.raises(NotReduced):
-            eigenspace_split(phi, s)
+            eigenspace_split(phi, 0b1)
 
     def test_rejects_foreign_element(self):
         phi = validate(WeilRep([D(1), D(3)]), QuadSpace(3, 2))
-        with pytest.raises(ValueError):
-            eigenspace_split(phi, ComponentElement.of((D(1),), (-1,)))
+        # the basis has two slots, so bit 2 and negative masks are foreign
+        for mask in (0b100, -1):
+            with pytest.raises(ValueError, match="outside"):
+                eigenspace_split(phi, mask)
 
 
 def so23_pair():
@@ -207,26 +230,22 @@ def so45_pair():
 class TestGPCharacter:
     def test_so2_so3_worked_value(self):
         gp = so23_pair()
-        sW = ComponentElement.of((D(2),), (1,))
-        sV = ComponentElement.of((D(1),), (-1,))
-        assert gp_character(gp, (sW, sV)) == -1
+        assert gp_character(gp, 0b0, 0b1) == -1
 
     def test_so4_so5_worked_value(self):
         gp = so45_pair()
-        sW = ComponentElement.of((D(2), D(4)), (1, 1))
-        sV = ComponentElement.of((D(1), D(3)), (-1, 1))
-        assert gp_character(gp, (sW, sV)) == 1
+        assert gp_character(gp, 0b00, 0b01) == 1
 
     def test_identity_maps_to_one(self):
         gp = so45_pair()
         tab = GPCharacterTable(gp)
-        assert tab.chi((tab.groupW.identity(), tab.groupV.identity())) == 1
+        assert tab.chi(0, 0) == 1
 
     def test_table_matches_direct_evaluation(self):
         gp = so45_pair()
         tab = GPCharacterTable(gp)
-        for (sW, sV), val in tab.chi_table().items():
-            assert gp_character(gp, (sW, sV)) == val
+        for (x, y), val in tab.chi_table().items():
+            assert gp_character(gp, x, y) == val
 
     def test_table_matches_direct_path_on_family(self):
         # Every reduced pair with target dims <= 8 and k <= 9, on the sweep's
@@ -242,18 +261,18 @@ class TestGPCharacter:
                     for phiV in enumerate_reduced(V, 9):
                         gp = make_gp_pair(phiW, phiV)
                         tab = GPCharacterTable(gp)
-                        for sW, sV in product(
-                            tab.groupW.elements(), tab.groupV.elements()
+                        full = (1 << len(tab.groupV.basis)) - 1
+                        for x, y in product(
+                            tab.groupW.masks(), tab.groupV.masks()
                         ):
-                            s = (sW, sV)
                             n_chi += 1
-                            if sV.is_identity or sV.is_all_minus:
-                                assert tab.chi(s) == gp_character(gp, s)
+                            if y in (0, full):
+                                assert tab.chi(x, y) == gp_character(gp, x, y)
                                 continue
-                            direct = dichotomy_identity_check(gp, s)
+                            direct = dichotomy_identity_check(gp, x, y)
                             n_dichotomy += 1
-                            assert tab.dichotomy(s) == direct, (gp, s)
-                            assert tab.chi(s) == direct.chi
+                            assert tab.dichotomy(x, y) == direct, (gp, x, y)
+                            assert tab.chi(x, y) == direct.chi
         assert (n_chi, n_dichotomy) == (27_641, 21_330)
 
     def test_non_symplectic_block_raises(self):
@@ -263,18 +282,25 @@ class TestGPCharacter:
         phiW = validate(WeilRep([ONE, SGN, D(2)]), QuadSpace(2, 2))
         phiV = validate(WeilRep([D(1), D(3)]), QuadSpace(3, 2))
         tab = GPCharacterTable(make_gp_pair(phiW, phiV))
-        sW = ComponentElement.of(tab.groupW.basis, (-1, 1, 1))
-        sV = ComponentElement.of(tab.groupV.basis, (-1, 1))
+        x = 1 << tab.groupW.basis.index(ONE)
         for read in (tab.chi, tab.dichotomy):
             with pytest.raises(OddHalfExponent):
-                read((sW, sV))
+                read(x, 0b01)
+
+    def test_masks_outside_the_bases_are_refused(self):
+        tab = GPCharacterTable(so45_pair())
+        # both bases have two slots: masks run over 0..3
+        for x, y in ((-1, 0b01), (1 << 2, 0b01), (0, -1), (0, 1 << 2)):
+            for read in (tab.chi, tab.dichotomy):
+                with pytest.raises(ValueError, match="outside"):
+                    read(x, y)
 
     def test_multiplicative(self):
         gp = so45_pair()
         tab = GPCharacterTable(gp)
         table = tab.chi_table()
-        for (s1, v1), (s2, v2) in product(table.items(), repeat=2):
-            assert table[(s1[0] * s2[0], s1[1] * s2[1])] == v1 * v2
+        for ((x1, y1), v1), ((x2, y2), v2) in product(table.items(), repeat=2):
+            assert table[(x1 ^ x2, y1 ^ y2)] == v1 * v2
 
     def test_mask_tables_consistent(self):
         gp = so45_pair()
@@ -282,19 +308,13 @@ class TestGPCharacter:
         masksW, masksV, valW, valV = tab.mask_tables()
         for mw in masksW:
             for mv in masksV:
-                s = (
-                    tab.element_of_mask(tab.groupW, mw),
-                    tab.element_of_mask(tab.groupV, mv),
-                )
-                assert tab.chi(s) == valW[mw] * valV[mv]
+                assert tab.chi(mw, mv) == valW[mw] * valV[mv]
 
     def test_character_only_depends_on_parameters(self):
         phiW = validate(WeilRep([D(2)]), QuadSpace(0, 2))
         phiV = validate(WeilRep([D(1)]), QuadSpace(1, 2))
         gp = make_gp_pair(phiW, phiV)
-        sW = ComponentElement.of((D(2),), (1,))
-        sV = ComponentElement.of((D(1),), (-1,))
-        assert gp_character(gp, (sW, sV)) == -1
+        assert gp_character(gp, 0b0, 0b1) == -1
 
 
 class TestGPPairConstruction:
@@ -314,16 +334,16 @@ class TestGPPairConstruction:
 class TestEndoscopy:
     def test_central_elements_rejected(self):
         gp = so45_pair()
-        sW = ComponentElement.of((D(2), D(4)), (1, 1))
-        for signs in ((1, 1), (-1, -1)):
+        tab = GPCharacterTable(gp)
+        for y in (0b00, 0b11):
             with pytest.raises(CentralElement):
-                endoscopic_split(gp, (sW, ComponentElement.of((D(1), D(3)), signs)))
+                endoscopic_split(gp, 0b00, y)
+            with pytest.raises(CentralElement):
+                tab.dichotomy(0b00, y)
 
     def test_split_dimensions(self):
         gp = so45_pair()
-        sW = ComponentElement.of((D(2), D(4)), (-1, 1))
-        sV = ComponentElement.of((D(1), D(3)), (-1, 1))
-        split = endoscopic_split(gp, (sW, sV))
+        split = endoscopic_split(gp, 0b01, 0b01)
         assert split.v_minus.rep == WeilRep([D(1)])
         assert split.v_minus.target_dim == 3  # 2 + 1 for the odd target
         assert split.w_minus.target_dim == 2
@@ -332,19 +352,15 @@ class TestEndoscopy:
 
     def test_dichotomy_worked(self):
         gp = so45_pair()
-        sW = ComponentElement.of((D(2), D(4)), (1, 1))
-        sV = ComponentElement.of((D(1), D(3)), (-1, 1))
-        rep = dichotomy_identity_check(gp, (sW, sV))
+        rep = dichotomy_identity_check(gp, 0b00, 0b01)
         assert rep.ok and rep.chi == 1
         assert rep.breakdown()["product"] == rep.chi
 
     def test_dichotomy_agrees_with_table(self):
         gp = so45_pair()
         tab = GPCharacterTable(gp)
-        sW = ComponentElement.of((D(2), D(4)), (-1, -1))
-        sV = ComponentElement.of((D(1), D(3)), (1, -1))
-        assert tab.dichotomy((sW, sV)).ok
-        assert dichotomy_identity_check(gp, (sW, sV)).ok
+        assert tab.dichotomy(0b11, 0b10).ok
+        assert dichotomy_identity_check(gp, 0b11, 0b10).ok
 
 
 def _sweep_pairs(max_dim, max_k):
