@@ -493,6 +493,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate-pureinner",
                        help="pure inner forms with invariants")
+    # argparse reads a word that starts with "-" as an option unless it looks
+    # like a negative number, and "-1,0" does not: read every "-<digit>..."
+    # as the positional, so that _parse_space reports a negative entry.
+    p._negative_number_matcher = re.compile(r"-[0-9]")
     p.add_argument("space", help="signature as P,Q")
     p.set_defaults(fn=_cmd_enumerate_pureinner)
 

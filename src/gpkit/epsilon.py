@@ -15,11 +15,18 @@ certified — before being relied on — by :func:`eps_numeric_oracle`, which kn
 nothing of the table: it evaluates the local γ-factor at s = 1/2 by numerical
 quadrature of Tate/Godement–Jacquet zeta integrals against Gaussian test
 functions, on ℝ for characters and on ℂ (through induction in stages, with
-λ(ℂ/ℝ, ψ) itself computed numerically as ε(1/2, sgn, ψ)) for the D_k.  The
-Fourier transforms of the real test functions are integrated with QUADPACK's
-oscillatory-weight rule (QAWO); on the ℂ side the radial Fourier transform is
-Weber's closed form (Gradshteyn–Ryzhik 6.631.4), which is real and positive
-and so adds no phase of its own.
+λ(ℂ/ℝ, ψ) itself computed numerically as ε(1/2, sgn, ψ)) for the D_k.
+
+On ℝ the Mellin integral of f̂ against sgn^a reads f̂(y) + (−1)^a f̂(−y) at
+nodes y > 0.  The test functions are real, so f̂(−y) = conj f̂(y) and that is
+2·Re f̂(y) for a = 0 and 2i·Im f̂(y) for a = 1: only that part is integrated,
+as one integral with QUADPACK's oscillatory-weight rule (QAWO).  The twist t
+enters the Mellin kernel |x|^{it} and never f̂, so each node's part depends on
+(a, y) alone and is computed once per process, for every twist.  On the ℂ
+side the radial Fourier transform is Weber's closed form (Gradshteyn–Ryzhik
+6.631.4), which is real and positive and so adds no phase of its own.  The
+L-factors are evaluated through log Γ, and their ratio as one exponential,
+so that they stay in the float range for large k.
 
 scipy is imported on first use, by the oracle or :func:`l_factor`; the exact
 table does not need it, so importing this module leaves scipy unloaded.
@@ -33,7 +40,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .weilrep import CharRep, DiscRep, IrredRep, WeilRep
 
@@ -145,17 +152,29 @@ def l_factor(rho: IrredRep, s) -> complex:
     Char(a,t) ↦ π^{-(s+it+a)/2} Γ((s+it+a)/2);
     Disc(k,t) ↦ 2(2π)^{-(s+it+k/2)} Γ(s+it+k/2).
     """
+    return cmath.exp(_log_l_factor(rho, s))
+
+
+def _log_l_factor(rho: IrredRep, s) -> complex:
+    """log L(s, ρ), through log Γ: it stays in the float range where Γ
+    itself overflows (from Γ(172) on)."""
     s = _exact(s)
-    gamma = _scipy("special").gamma
+    loggamma = _scipy("special").loggamma
     if isinstance(rho, CharRep):
         re, tw = (s + rho.a) / 2, rho.t / 2
         _pole_check(re, tw)
         w = complex(float(re), float(tw))
-        return cmath.exp(-w * math.log(math.pi)) * complex(gamma(w))
+        return complex(loggamma(w)) - w * math.log(math.pi)
     re, tw = s + Fraction(rho.k, 2), rho.t
     _pole_check(re, tw)
     w = complex(float(re), float(tw))
-    return 2 * cmath.exp(-w * math.log(2 * math.pi)) * complex(gamma(w))
+    return math.log(2) + complex(loggamma(w)) - w * math.log(2 * math.pi)
+
+
+def _l_ratio(plus: IrredRep, minus: IrredRep) -> complex:
+    """L(1/2, plus) / L(1/2, minus) as exp(log L⁺ − log L⁻)."""
+    half = Fraction(1, 2)
+    return cmath.exp(_log_l_factor(plus, half) - _log_l_factor(minus, half))
 
 
 # ---------------------------------------------------------------------------
@@ -201,28 +220,50 @@ class _Quadrature:
         return complex(re, im), re_err + im_err
 
 
-def _fourier_real(f, y: float, q: _Quadrature) -> complex:
-    """f̂(y) = ∫ f(x) ψ(xy) dx with ψ(x) = e^{2πix}, the plus-sign kernel.
+def _gauss(x: float) -> float:
+    return math.exp(-math.pi * x * x)
 
-    f must be real: the kernel splits into cos(2πxy) + i·sin(2πxy), and each
-    part is one QAWO integral of f against that weight.
+
+def _x_gauss(x: float) -> float:
+    return x * math.exp(-math.pi * x * x)
+
+
+# The real Gaussian test function of parity a, indexed by a: it is matched to
+# the parity of sgn^a, so neither zeta integral vanishes.
+_TEST_FUNCTIONS = (_gauss, _x_gauss)
+
+
+@cache
+def _fourier_part(a: int, y: float) -> tuple[float, float]:
+    """The part of f̂_a(y) that the Mellin integral reads, and its error.
+
+    f̂(y) = ∫ f(x) ψ(xy) dx with ψ(x) = e^{2πix}, for the test function f_a.
+    The part is Re f̂_a(y) = ∫ f_a(x) cos(2πxy) dx for a = 0 and
+    Im f̂_a(y) = ∫ f_a(x) sin(2πxy) dx for a = 1, one QAWO integral either
+    way, at the node y > 0.  It depends on (a, y) alone, so it is memoised
+    for the process; the Mellin nodes lie in the fixed window e^{[_U_LO,
+    _U_HI]} on subdivisions bounded by the QUADPACK ``limit``, which bounds
+    the memo.  The integral runs through :func:`_scipy`, so a wrapper put in
+    place of ``scipy.integrate`` sees it.
     """
-    w = 2 * math.pi * y
+    integrate = _scipy("integrate")
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", category=q.warning)
-        re, re_err = q.quad(f, -_X_CUT, _X_CUT, weight="cos", wvar=w, **_QUAD_OPTS)
-        im, im_err = q.quad(f, -_X_CUT, _X_CUT, weight="sin", wvar=w, **_QUAD_OPTS)
-    q.add(re_err + im_err)
-    return complex(re, im)
+        warnings.simplefilter("ignore", category=integrate.IntegrationWarning)
+        return integrate.quad(
+            _TEST_FUNCTIONS[a], -_X_CUT, _X_CUT,
+            weight=("cos", "sin")[a], wvar=2 * math.pi * y, **_QUAD_OPTS,
+        )
 
 
-def _mellin_real(f, a: int, s: float, t: float, q: _Quadrature) -> complex:
-    """∫_{ℝ^×} f(x) sgn(x)^a |x|^{s+it} d^×x via the substitution x = ±e^u."""
-    sign = (-1) ** a
+def _mellin_real(g, s: float, t: float, q: _Quadrature) -> complex:
+    """∫₀^∞ g(x) x^{s+it} d^×x via the substitution x = e^u.
+
+    With g(x) = φ(x) + (−1)^a φ(−x) this is the zeta integral
+    ∫_{ℝ^×} φ(x) sgn(x)^a |x|^{s+it} d^×x.
+    """
 
     def integrand(u: float) -> complex:
-        x = math.exp(u)
-        return (f(x) + sign * f(-x)) * cmath.exp((s + 1j * t) * u)
+        return g(math.exp(u)) * cmath.exp((s + 1j * t) * u)
 
     val, err = q.cquad(integrand, _U_LO, _U_HI)
     q.add(err)
@@ -230,28 +271,38 @@ def _mellin_real(f, a: int, s: float, t: float, q: _Quadrature) -> complex:
 
 
 def _eps_oracle_char(a: int, t: float, q: _Quadrature) -> complex:
-    # Gaussian test functions matched to the parity of the character.
-    if a == 0:
-        f = lambda x: math.exp(-math.pi * x * x)
-    else:
-        f = lambda x: x * math.exp(-math.pi * x * x)
+    """ε(1/2, sgn^a|·|^{it}, ψ) = γ(1/2) · L(1/2, χ) / L(1/2, χ^{-1}).
 
-    fhat_cache: dict[float, complex] = {}
+    γ(1/2) = Z(f̂, χ^{-1}, 1/2) / Z(f, χ, 1/2) for the test function f = f_a
+    of parity a (Tate's local functional equation), and each zeta integral
+    is a Mellin integral over x > 0 of φ(x) + (−1)^a φ(−x), for φ = f or f̂.
 
-    def fhat(y: float) -> complex:
-        if y not in fhat_cache:
-            fhat_cache[y] = _fourier_real(f, y, q)
-        return fhat_cache[y]
+    Only one part of f̂ is integrated.  f is real, so f̂(−y) = conj f̂(y)
+    and f̂(y) + (−1)^a f̂(−y) is 2·Re f̂(y) for a = 0 and 2i·Im f̂(y) for
+    a = 1: one QAWO integral (cos or sin weight) per node y of the Mellin
+    rule, :func:`_fourier_part`.  The twist t never enters f̂: it sits in
+    the Mellin kernel x^{1/2−it} alone, so a node's part depends on (a, y)
+    only and is computed once per process, and every twist's Mellin rule
+    subdivides the same u window from the same Gauss–Kronrod nodes.  The
+    error budget does not depend on what an earlier call computed: each
+    call charges 2·err, the error of what its integrand reads, once for
+    every distinct node it reads.
+    """
+    f = _TEST_FUNCTIONS[a]
+    sign, fold = (-1) ** a, (2, 2j)[a]
+    read: set[float] = set()
 
-    z_top = _mellin_real(fhat, a, 0.5, -t, q)   # Z(f̂, χ^{-1}, 1-s) at s=1/2
-    z_bot = _mellin_real(f, a, 0.5, t, q)       # Z(f, χ, s) at s=1/2
-    gamma = z_top / z_bot
+    def fhat_fold(y: float) -> complex:
+        part, err = _fourier_part(a, y)
+        if y not in read:
+            read.add(y)
+            q.add(2 * err)
+        return fold * part
+
+    z_top = _mellin_real(fhat_fold, 0.5, -t, q)   # Z(f̂, χ^{-1}, 1-s) at s=1/2
+    z_bot = _mellin_real(lambda x: f(x) + sign * f(-x), 0.5, t, q)  # Z(f, χ, s)
     tt = Fraction(t).limit_denominator(10**9)
-    return (
-        gamma
-        * l_factor(CharRep(a, tt), Fraction(1, 2))
-        / l_factor(CharRep(a, -tt), Fraction(1, 2))
-    )
+    return z_top / z_bot * _l_ratio(CharRep(a, tt), CharRep(a, -tt))
 
 
 @lru_cache(maxsize=1)
@@ -262,7 +313,7 @@ def _lambda_factor() -> complex:
 
 def _hankel_G(k: int, rho: float) -> float:
     """G(ρ) = ∫₀^∞ r^{k+1} e^{-2πr²} J_k(4πrρ) dr = ρ^k e^{-2πρ²} / (4π)."""
-    return rho**k * math.exp(-2 * math.pi * rho * rho) / (4 * math.pi)
+    return math.exp(k * math.log(rho) - 2 * math.pi * rho * rho) / (4 * math.pi)
 
 
 def _eps_oracle_disc(k: int, t: float, q: _Quadrature) -> complex:
@@ -287,8 +338,11 @@ def _eps_oracle_disc(k: int, t: float, q: _Quadrature) -> complex:
     past the peak (it is ``_R_CUT`` for k ≤ 12).  The integrals grow like
     Γ((k+1)/2)/(2π)^{k/2} and only their ratio counts, so each error
     estimate is charged relative to the integral's modulus: since |ε| = 1,
-    the two relative errors bound the error of ε.  Where the integrands or
-    the L-factors leave the float range the oracle raises
+    the two relative errors bound the error of ε.  Each integrand is one
+    exponential, e^{k·log r − 2πr²} with the twist inside, and the L-ratio is
+    exp(log L⁺ − log L⁻), so nothing overflows before the integrals do: D_k
+    is certified up to k = 520, and from k = 521 on, where e^{k·log r − 2πr²}
+    leaves the float range at its peak, the oracle raises
     :class:`QuadratureFailure`.
     """
     r_cut = max(_R_CUT, math.sqrt(k / (4 * math.pi)) + 3)
@@ -299,22 +353,18 @@ def _eps_oracle_disc(k: int, t: float, q: _Quadrature) -> complex:
         return _hankel_G(k, rho) * cmath.exp(-2j * t * math.log(rho))
 
     def radial(r: float) -> complex:
-        return cmath.exp((k + 2j * t) * math.log(r)) * math.exp(-2 * math.pi * r * r)
+        return cmath.exp((k + 2j * t) * math.log(r) - 2 * math.pi * r * r)
 
     tt = Fraction(t).limit_denominator(10**9)
     try:
         z_top_int = _radial_integral(outer, r_cut, q)
         z_bot_int = _radial_integral(radial, r_cut, q)
-        l_plus = l_factor(DiscRep(k, tt), Fraction(1, 2))
-        l_minus = l_factor(DiscRep(k, -tt), Fraction(1, 2))
     except OverflowError as exc:
         raise QuadratureFailure(f"D_{k} leaves the float range: {exc}") from exc
-    for value in (l_plus, l_minus):
-        if not (cmath.isfinite(value) and value):
-            raise QuadratureFailure(f"L-factor of D_{k} came out {value}")
-    z_top = 16 * math.pi**2 * (1, 1j, -1, -1j)[k % 4] * z_top_int
-    z_bot = 4 * math.pi * z_bot_int
-    return _lambda_factor() * (z_top / z_bot) * l_plus / l_minus
+    # Z(f̂)/Z(f) = 16π² i^k ∫G / (4π ∫r^k…).  The integrals are divided
+    # first: near k = 520 either one times 16π² leaves the float range.
+    gamma = 4 * math.pi * (1, 1j, -1, -1j)[k % 4] * (z_top_int / z_bot_int)
+    return _lambda_factor() * gamma * _l_ratio(DiscRep(k, tt), DiscRep(k, -tt))
 
 
 def _radial_integral(f, r_cut: float, q: _Quadrature) -> complex:

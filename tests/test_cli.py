@@ -145,11 +145,10 @@ class TestOneShots:
     def test_epsilon_oracle_quadrature_failure_is_an_input_error(
         self, jfile, capsys
     ):
-        # For D_400 the radial window runs to √(400/4π) + 3 ≈ 8.6, past the
-        # peak of r^400 e^{-2πr²}, and r^400 alone leaves the float range
-        # there (as does Γ(200.5) in the L-factor): the oracle refuses, it
-        # does not return a value.
-        rep = [{"rep": {"kind": "disc", "k": 400, "t": "0"}, "mult": 1}]
+        # r^600 e^{-2πr²} peaks at √(600/4π) ≈ 6.9 near e^{860}, past the
+        # largest float (≈ e^{709.8}), even taken as one exponential: the
+        # oracle refuses, it does not return a value.
+        rep = [{"rep": {"kind": "disc", "k": 600, "t": "0"}, "mult": 1}]
         rc, out = run_json(capsys, ["epsilon", jfile(rep), "--oracle"])
         assert rc == 2
         assert out["error"].startswith("QuadratureFailure: ")
@@ -447,6 +446,13 @@ class TestErrorsAndFormat:
             capsys, ["chi", jfile(PAIR_SO23), "--sW", "00", "--sV", "0"]
         )
         assert rc == 2 and "rank-1" in out["error"]
+
+    @pytest.mark.parametrize("argv", [["-1,0"], ["--", "-1,0"]], ids=repr)
+    def test_negative_space_entry_is_a_space_error(self, capsys, argv):
+        # argparse once read a bare -1,0 as an unknown option (usage error)
+        rc, out = run_json(capsys, ["enumerate-pureinner", *argv])
+        assert rc == 2
+        assert out == {"error": "space: negative signature entry in (-1, 0)"}
 
     def test_bad_space_string(self, capsys):
         rc, out = run_json(capsys, ["enumerate-pureinner", "5"])

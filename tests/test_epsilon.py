@@ -7,11 +7,12 @@ from gpkit.epsilon import (
     FourthRoot,
     NotSymplectic,
     PoleAt,
-    _fourier_real,
-    _hankel_G,
-    _Quadrature,
     _eps_oracle_char,
     _eps_oracle_disc,
+    _fourier_part,
+    _hankel_G,
+    _Quadrature,
+    _TEST_FUNCTIONS,
     eps_half,
     eps_numeric_oracle,
     l_factor,
@@ -116,13 +117,16 @@ def test_oracle_matches_table_fast_cases(rho):
 
 @pytest.mark.parametrize(
     "rho",
-    [D(k, t) for k in (60, 100, 200, 300)
+    [D(k, t) for k in (60, 100, 200, 300, 400, 500, 520)
      for t in (0, Fraction(-1, 4), Fraction(1, 3))],
 )
 def test_oracle_certifies_large_k(rho):
     # r^k e^{-2πr²} peaks at √(k/4π), past a fixed window of 4 from k ≈ 200
     # on, and the zeta integrals grow like Γ((k+1)/2)/(2π)^{k/2}: the window
-    # must follow the peak and the error budget must be relative.
+    # must follow the peak and the error budget must be relative.  r^k and
+    # Γ(k/2 + 1/2) leave the float range from k ≈ 340 on, so the integrands
+    # are single exponentials and the L-ratio is exp(log L⁺ − log L⁻); at
+    # k = 520 the integrals reach 1/13 of the largest float.
     got = eps_numeric_oracle(rho, tol=1e-6)
     assert abs(got - eps_half(rho).value) < 1e-6
 
@@ -140,11 +144,55 @@ def _recording(q: _Quadrature) -> list:
     return seen
 
 
-def test_character_path_charges_absolute_errors():
+@pytest.fixture
+def quad_log(monkeypatch) -> list:
+    """(weighted, value, error) of every quad call made through
+    ``gpkit.epsilon.integrate``, with the Fourier memo cleared first;
+    ``weighted`` marks the QAWO calls, i.e. the Fourier parts."""
+    import gpkit.epsilon as eps
+
+    real, log = eps.integrate, []
+
+    class Recorded:
+        def quad(self, *args, **kwargs):
+            val, err = real.quad(*args, **kwargs)
+            log.append(("weight" in kwargs, val, err))
+            return val, err
+
+        def __getattr__(self, attr):
+            return getattr(real, attr)
+
+    monkeypatch.setattr(eps, "integrate", Recorded())
+    _fourier_part.cache_clear()
+    return log
+
+
+def test_character_path_charges_absolute_errors(quad_log):
+    # With the memo cold every node the integrand reads is integrated once
+    # here, and is charged twice its error: the integrand reads 2·part.
     q = _Quadrature(1e-7)
-    seen = _recording(q)
     _eps_oracle_char(1, 1 / 3, q)
-    assert q.spent == pytest.approx(sum(err for _, err in seen), rel=1e-9)
+    fourier = sum(err for weighted, _, err in quad_log if weighted)
+    mellin = sum(err for weighted, _, err in quad_log if not weighted)
+    assert fourier > 0 and mellin > 0
+    assert q.spent == pytest.approx(2 * fourier + mellin, rel=1e-9)
+
+
+def test_character_path_charge_does_not_depend_on_the_memo(quad_log):
+    # t = 3 from a cold memo, from one warmed by t = 1/3 (whose Mellin rule
+    # reads part of t = 3's nodes) and from one warmed by t = 3 itself.
+    computed, spent = [], []
+    for warm_up in (None, 1 / 3, 3):
+        _fourier_part.cache_clear()
+        if warm_up is not None:
+            _eps_oracle_char(1, warm_up, _Quadrature(1e-7))
+        before = len(quad_log)
+        q = _Quadrature(1e-7)
+        _eps_oracle_char(1, 3, q)
+        computed.append(sum(weighted for weighted, _, _ in quad_log[before:]))
+        spent.append(q.spent)
+    assert computed[0] > computed[1] > computed[2] == 0
+    assert spent[0] == spent[1] == spent[2]
 
 
 def test_disc_path_charges_errors_relative_to_each_integral():
@@ -192,6 +240,29 @@ def test_hankel_closed_form(k):
         assert abs(val - _hankel_G(k, rho)) <= 1e-9 * scale, rho
 
 
+def fourier_reference(f, y: float) -> complex:
+    """Test oracle for :func:`_fourier_part`: the whole f̂(y) = ∫ f(x)
+    e^{2πixy} dx of a real f, both its cos and its sin part integrated by
+    QAWO at y itself, whatever the sign of y."""
+    from scipy.integrate import quad
+
+    w = 2 * math.pi * y
+    re, im = (
+        quad(f, -6.0, 6.0, weight=weight, wvar=w, limit=250, epsabs=1e-11,
+             epsrel=1e-11)[0]
+        for weight in ("cos", "sin")
+    )
+    return complex(re, im)
+
+
+def reconstructed(a: int, y: float) -> complex:
+    """f̂_a(y) from the one part :func:`_fourier_part` integrates at |y|:
+    f_a has parity a, so f̂_a is real and even for a = 0, imaginary and odd
+    for a = 1."""
+    part, _err = _fourier_part(a, abs(y))
+    return part if a == 0 else 1j * (1 if y > 0 else -1) * part
+
+
 @pytest.mark.parametrize(
     "y", [sign * v for v in (0.01, 0.5, 1.0, 3.0, 5.5) for sign in (1, -1)]
 )
@@ -199,14 +270,31 @@ def test_fourier_transform_of_the_test_functions(y):
     # ψ(x) = e^{2πix}: the Gaussian is self-dual and x·e^{-πx²} ↦ i·y·e^{-πy²}.
     # 5.5 ≈ e^{1.7} is the largest |y| the Mellin window reaches.
     gauss = math.exp(-math.pi * y * y)
-    cases = [
-        (lambda x: math.exp(-math.pi * x * x), gauss),
-        (lambda x: x * math.exp(-math.pi * x * x), 1j * y * gauss),
-    ]
-    for f, exact in cases:
-        q = _Quadrature(1e-7)
-        assert abs(_fourier_real(f, y, q) - exact) < 1e-10
-        assert q.spent > 0
+    for a, exact in ((0, gauss), (1, 1j * y * gauss)):
+        assert abs(reconstructed(a, y) - exact) < 1e-10
+        assert _fourier_part(a, abs(y))[1] > 0
+
+
+def test_fourier_part_matches_the_two_part_transform(monkeypatch):
+    # Every node the ORACLE_FAMILY characters read, both signs, both parities.
+    import gpkit.epsilon as eps
+
+    nodes = set()
+
+    def recorded(a, y):
+        nodes.add(y)
+        return _fourier_part(a, y)
+
+    monkeypatch.setattr(eps, "_fourier_part", recorded)
+    for rho in ORACLE_FAMILY:
+        if isinstance(rho, CharRep):
+            eps_numeric_oracle(rho, tol=1e-6)
+    assert len(nodes) > 100
+    for a, f in enumerate(_TEST_FUNCTIONS):
+        for y in nodes:
+            for signed in (y, -y):
+                assert abs(reconstructed(a, signed)
+                           - fourier_reference(f, signed)) < 1e-12, (a, signed)
 
 
 def test_oracle_rejects_unknown():
