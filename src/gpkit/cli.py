@@ -10,6 +10,13 @@ usage error (including a sweep whose bounds leave no case to check), 3 an
 internal invariant failed (a bug, not a counterexample).  All output is exact
 integers and sign strings; only the ε oracle produces floats, labelled with
 its tolerance.
+
+Start-up: at module level this file imports only the standard library and
+``quadspace``.  Each handler and sweep unit imports the layer it runs when it
+is called (``conjclass``, ``lparam``, ``epsilon``, ``weilrep``), and the
+process pool is imported only for ``--jobs`` > 1, so a command loads no code
+it does not run.  The names are read from the layer module at call time, so
+a wrapper put on a layer's name is seen by every call.
 """
 
 from __future__ import annotations
@@ -20,26 +27,7 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
-from .conjclass import (
-    kappa_shapes,
-    make_regular_kappa,
-    verify_fiber_lemma,
-    verify_fiber_union,
-    verify_union_prop,
-)
-from .epsilon import eps_half, eps_numeric_oracle
-from .lparam import (
-    CentralElement,
-    GPCharacterTable,
-    classify,
-    component_group,
-    enumerate_reduced,
-    gp_pair_from_json,
-    make_gp_pair,
-    param_from_json,
-)
 from .quadspace import (
     InvariantViolation,
     QuadSpace,
@@ -49,7 +37,6 @@ from .quadspace import (
     kottwitz_sign,
     pure_inner_forms,
 )
-from .weilrep import weilrep_from_json
 
 
 def _emit(obj, compact: bool) -> None:
@@ -109,6 +96,8 @@ class SystemExit2(Exception):
 # ---------------------------------------------------------------------------
 
 def _cmd_classify(args) -> int:
+    from .lparam import classify, param_from_json
+
     phi = param_from_json(_load_json(args.file))
     res = classify(phi)
     _emit(
@@ -123,6 +112,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_component_group(args) -> int:
+    from .lparam import component_group, param_from_json
+
     phi = param_from_json(_load_json(args.file))
     grp = component_group(phi)
     _emit(
@@ -142,6 +133,8 @@ def _cmd_component_group(args) -> int:
 
 
 def _chi_inputs(args):
+    from .lparam import GPCharacterTable, gp_pair_from_json
+
     gp = gp_pair_from_json(_load_json(args.file))
     tab = GPCharacterTable(gp)
     x = tab.groupW.mask_of(_parse_bits(args.sW, len(tab.groupW.basis), "--sW"))
@@ -156,6 +149,8 @@ def _cmd_chi(args) -> int:
 
 
 def _cmd_dichotomy(args) -> int:
+    from .lparam import CentralElement
+
     tab, x, y = _chi_inputs(args)
     try:
         rep = tab.dichotomy(x, y)
@@ -166,6 +161,10 @@ def _cmd_dichotomy(args) -> int:
 
 
 def _cmd_epsilon(args) -> int:
+    from .epsilon import eps_half, eps_numeric_oracle
+    from .lparam import param_from_json
+    from .weilrep import weilrep_from_json
+
     obj = _load_json(args.file)
     if not isinstance(obj, dict):
         rho = weilrep_from_json(obj)
@@ -239,6 +238,8 @@ def _failure(report, **case) -> dict:
 
 
 def _union_unit(case) -> dict:
+    from .conjclass import kappa_shapes, verify_union_prop
+
     d, p, e0s = case
     V = QuadSpace(p, d - p)
     checked = 0
@@ -262,6 +263,12 @@ def _union_unit(case) -> dict:
 
 
 def _fiber_unit(case) -> dict:
+    from .conjclass import (
+        make_regular_kappa,
+        verify_fiber_lemma,
+        verify_fiber_union,
+    )
+
     dv, pv = case
     V = QuadSpace(pv, dv - pv)
     checked = 0
@@ -338,6 +345,8 @@ def _is_multiplicative(groupW, groupV, valW, valV) -> bool:
 
 
 def _dichotomy_unit(case) -> dict:
+    from .lparam import GPCharacterTable, enumerate_reduced, make_gp_pair
+
     dw, dv, max_k = case
     a = (dv - dw + 1) // 2
     W = QuadSpace(dw, 0)
@@ -426,6 +435,8 @@ def _cmd_verify(args) -> int:
     cases = _sweep_cases(args)
     jobs = _worker_count(args.jobs)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(unit, cases))
     else:

@@ -28,8 +28,8 @@ side the radial Fourier transform is Weber's closed form (Gradshteyn–Ryzhik
 L-factors are evaluated through log Γ, and their ratio as one exponential,
 so that they stay in the float range for large k.
 
-scipy is imported on first use, by the oracle or :func:`l_factor`; the exact
-table does not need it, so importing this module leaves scipy unloaded.
+scipy is imported on first use, by the oracle; the exact table does not
+need it, so importing this module leaves scipy unloaded.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ __all__ = [
     "PoleAt",
     "QuadratureFailure",
     "eps_half",
-    "l_factor",
     "eps_numeric_oracle",
 ]
 
@@ -58,9 +57,9 @@ __all__ = [
 def _scipy(name: str):
     """``scipy.<name>``, imported on first use and kept as a module global.
 
-    Only the ε oracle and :func:`l_factor` need scipy, so importing this
-    module does not load it.  A global that is already set (for instance a
-    wrapper put in its place) is returned as it is, never replaced.
+    Only the ε oracle needs scipy, so importing this module does not load
+    it.  A global that is already set (for instance a wrapper put in its
+    place) is returned as it is, never replaced.
     """
     mod = globals().get(name)
     if mod is None:
@@ -146,18 +145,14 @@ def _exact(s) -> Fraction:
     raise TypeError(f"cannot treat {type(s).__name__} as an exact rational")
 
 
-def l_factor(rho: IrredRep, s) -> complex:
-    """The local L-factor L(s, ρ) as a complex number.
-
-    Char(a,t) ↦ π^{-(s+it+a)/2} Γ((s+it+a)/2);
-    Disc(k,t) ↦ 2(2π)^{-(s+it+k/2)} Γ(s+it+k/2).
-    """
-    return cmath.exp(_log_l_factor(rho, s))
-
-
 def _log_l_factor(rho: IrredRep, s) -> complex:
-    """log L(s, ρ), through log Γ: it stays in the float range where Γ
-    itself overflows (from Γ(172) on)."""
+    """log L(s, ρ) of the local L-factor
+
+        Char(a,t) ↦ π^{-(s+it+a)/2} Γ((s+it+a)/2);
+        Disc(k,t) ↦ 2(2π)^{-(s+it+k/2)} Γ(s+it+k/2),
+
+    through log Γ: it stays in the float range where Γ itself overflows
+    (from Γ(172) on)."""
     s = _exact(s)
     loggamma = _scipy("special").loggamma
     if isinstance(rho, CharRep):

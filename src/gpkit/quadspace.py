@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 __all__ = [
     "InvariantViolation",
@@ -74,15 +75,17 @@ def discriminant(V: QuadSpace) -> int:
     return -1 if (V.dim // 2 + V.q) % 2 else 1
 
 
-def pure_inner_forms(V: QuadSpace) -> list[QuadSpace]:
+@cache
+def pure_inner_forms(V: QuadSpace) -> tuple[QuadSpace, ...]:
     """All signatures with the same dimension and discriminant as ``V``.
 
     Same-discriminant at fixed dimension is the congruence p' ≡ p (mod 2).
-    Returned with p descending; ``V`` itself is always a member.
+    Returned with p descending; ``V`` itself is always a member.  The tuple
+    is built once per space and shared by every later call.
     """
     d = V.dim
     top = d if (d - V.p) % 2 == 0 else d - 1
-    return [QuadSpace(pp, d - pp) for pp in range(top, -1, -2)]
+    return tuple(QuadSpace(pp, d - pp) for pp in range(top, -1, -2))
 
 
 def is_quasi_split(V: QuadSpace) -> bool:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gpkit
-from gpkit import cli, conjclass, lparam, quadspace
+from gpkit import cli, conjclass, epsilon, lparam, quadspace
 from gpkit.cli import run
 from gpkit.lparam import (
     GPCharacterTable,
@@ -82,6 +82,27 @@ def run_json(capsys, argv):
     return rc, json.loads(out)
 
 
+def _fresh_python(*args):
+    """``python *args`` in a fresh interpreter that imports this gpkit."""
+    src = str(Path(gpkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+
+
+# the modules whose loading the start-up test tracks: the process pool, the
+# layers that `cli` imports on demand, and scipy
+POOL_MODULES = {"concurrent.futures", "multiprocessing"}
+WATCHED_MODULES = POOL_MODULES | {
+    "gpkit.conjclass",
+    "gpkit.epsilon",
+    "gpkit.lparam",
+    "scipy",
+}
+
+
 class TestOneShots:
     def test_classify(self, jfile, capsys):
         rc, out = run_json(capsys, ["classify", jfile(PARAM_B)])
@@ -128,7 +149,9 @@ class TestOneShots:
         # An oracle that lands on −ε for every constituent: the command
         # must fail with exit 1 and name each constituent it missed.
         monkeypatch.setattr(
-            cli, "eps_numeric_oracle", lambda rho, tol: -cli.eps_half(rho).value
+            epsilon,
+            "eps_numeric_oracle",
+            lambda rho, tol: -epsilon.eps_half(rho).value,
         )
         rep = [
             {"rep": {"kind": "char", "a": 1, "t": "0"}, "mult": 1},
@@ -154,36 +177,45 @@ class TestOneShots:
         assert out["error"].startswith("QuadratureFailure: ")
 
     def test_scipy_is_loaded_only_by_the_oracle(self, jfile):
-        # A fresh interpreter: the sweeps and one-shots must not import
-        # scipy; the oracle does, and unknown module attributes still raise.
-        script = f"""
-import sys
-import gpkit.cli, gpkit.epsilon
-from gpkit.cli import run
-assert "scipy" not in sys.modules
-for argv in (
-    ["enumerate-pureinner", "1,0"],
-    ["verify", "union", "--max-dim", "4"],
-    ["verify", "dichotomy", "--max-dim", "5", "--max-k", "5"],
-):
-    assert run(["--json"] + argv) == 0, argv
-assert "scipy" not in sys.modules
-try:
-    getattr(gpkit.epsilon, "nope")
-except AttributeError:
-    pass
-else:
-    raise AssertionError("gpkit.epsilon.nope resolved")
-assert run(["--json", "epsilon", {jfile(PARAM_SO21)!r}, "--oracle"]) == 0
-assert "scipy" in sys.modules
+        # A fresh interpreter per command: `import gpkit.cli` loads no layer
+        # and no process pool, each command loads only the layers it runs,
+        # and only the oracle loads scipy.  Unknown attributes of
+        # gpkit.epsilon still raise without loading scipy.
+        lp, eps = "gpkit.lparam", "gpkit.epsilon"
+        for argv, loaded in (
+            (None, set()),
+            (["enumerate-pureinner", "1,0"], set()),
+            (["verify", "union", "--max-dim", "4", "--jobs", "1"],
+             {"gpkit.conjclass"}),
+            (["verify", "fibers", "--max-dv", "5", "--jobs", "1"],
+             {"gpkit.conjclass"}),
+            (["verify", "dichotomy", "--max-dim", "5", "--max-k", "5"],
+             {lp, eps}),
+            (["classify", jfile(PARAM_SO21)], {lp, eps}),
+            (["epsilon", jfile(PARAM_SO21)], {lp, eps}),
+            (["epsilon", jfile(PARAM_SO21), "--oracle"], {lp, eps, "scipy"}),
+        ):
+            script = f"""
+import json, sys
+import gpkit.cli
+argv = {argv!r}
+if argv is not None:
+    assert gpkit.cli.run(["--json"] + argv) == 0, argv
+if "gpkit.epsilon" in sys.modules and "scipy" not in sys.modules:
+    try:
+        getattr(sys.modules["gpkit.epsilon"], "nope")
+    except AttributeError:
+        pass
+    else:
+        raise AssertionError("gpkit.epsilon.nope resolved")
+print(json.dumps([m for m in {sorted(WATCHED_MODULES)!r} if m in sys.modules]))
 """
-        src = str(Path(gpkit.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
+            proc = _fresh_python("-c", script)
+            assert proc.returncode == 0, (argv, proc.stderr)
+            found = set(json.loads(proc.stdout.splitlines()[-1]))
+            if "scipy" in loaded:
+                found -= POOL_MODULES  # scipy may load them itself
+            assert found == loaded, argv
 
     def test_dichotomy(self, jfile, capsys):
         rc, out = run_json(
@@ -293,19 +325,32 @@ class TestVerify:
                 reports.append(out)
             assert reports[0] == reports[1]
 
+    def test_parallel_jobs_from_a_fresh_interpreter(self, capsys):
+        # test_parallel_jobs runs with every layer already imported; here
+        # the parent process and the pool workers start from nothing, so a
+        # unit that misses one of its own imports fails here
+        for argv in (
+            ["verify", "union", "--max-dim", "4"],
+            ["verify", "fibers", "--max-dv", "5"],
+            ["verify", "dichotomy", "--max-dim", "6", "--max-k", "7"],
+        ):
+            proc = _fresh_python("-m", "gpkit.cli", "--json", *argv,
+                                 "--jobs", "2")
+            assert proc.returncode == 0, proc.stderr
+            parallel = json.loads(proc.stdout)
+            rc, serial = run_json(capsys, argv + ["--jobs", "1"])
+            assert rc == 0 and serial["status"] == "PASS"
+            del parallel["timing_ms"], serial["timing_ms"]
+            assert parallel == serial, argv
+
     def test_optimized_interpreter_gives_same_report(self, capsys):
         # Invariants are explicit raises, so `python -O` changes nothing.
-        src = str(Path(gpkit.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=src)
         for argv in (
             ["verify", "dichotomy", "--max-dim", "6", "--max-k", "7"],
             ["verify", "union", "--max-dim", "7"],
             ["verify", "fibers", "--max-dv", "7"],
         ):
-            proc = subprocess.run(
-                [sys.executable, "-O", "-m", "gpkit.cli", "--json"] + argv,
-                capture_output=True, text=True, env=env, timeout=120,
-            )
+            proc = _fresh_python("-O", "-m", "gpkit.cli", "--json", *argv)
             assert proc.returncode == 0, proc.stderr
             optimized = json.loads(proc.stdout)
             rc, normal = run_json(capsys, argv)

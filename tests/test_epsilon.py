@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -11,11 +12,11 @@ from gpkit.epsilon import (
     _eps_oracle_disc,
     _fourier_part,
     _hankel_G,
+    _log_l_factor,
     _Quadrature,
     _TEST_FUNCTIONS,
     eps_half,
     eps_numeric_oracle,
-    l_factor,
 )
 from gpkit.weilrep import CharRep, DiscRep, WeilRep
 
@@ -71,6 +72,13 @@ def test_eps_half_additive():
     assert eps_half(WeilRep.zero()).e == 0
 
 
+def l_factor(rho, s) -> complex:
+    """Test reference for :func:`_log_l_factor`: the local L-factor L(s, ρ)
+    itself, as exp of its logarithm.  Raises ``OverflowError`` where L leaves
+    the float range; the oracle never needs L alone, only ratios of it."""
+    return cmath.exp(_log_l_factor(rho, s))
+
+
 class TestLFactor:
     def test_char_values(self):
         assert l_factor(C(0), 1) == pytest.approx(1.0, abs=1e-12)
@@ -95,6 +103,13 @@ class TestLFactor:
         b = l_factor(C(0, Fraction(-1, 3)), Fraction(1, 2))
         assert a == pytest.approx(b.conjugate(), rel=1e-12)
         assert a.imag != 0
+
+    def test_log_stays_finite_past_the_float_range(self):
+        # L(1/2, D_600) ≈ e^{860}, past the largest float (≈ e^{709.8}):
+        # its log is finite
+        val = _log_l_factor(D(600), Fraction(1, 2))
+        assert cmath.isfinite(val)
+        assert val.real > 709.8
 
 
 # sgn^a|·|^{it} for a ∈ {0, 1}, t ∈ {0, ±1/3, 1/2, 1}, and D_k ⊗ |·|^{it}

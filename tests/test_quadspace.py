@@ -72,6 +72,21 @@ def test_pure_inner_forms(p, q, forms):
     assert got == forms
 
 
+def test_pure_inner_forms_are_cached_per_space():
+    # from a cold cache: each space's tuple equals the list built from the
+    # definition (same dimension, same p parity, p descending), and a repeat
+    # call returns the same object
+    pure_inner_forms.cache_clear()
+    for d in range(25):
+        for p in range(d + 1):
+            V = QuadSpace(p, d - p)
+            fresh = [QuadSpace(pp, d - pp) for pp in range(d, -1, -1)
+                     if (pp - p) % 2 == 0]
+            forms = pure_inner_forms(V)
+            assert isinstance(forms, tuple) and list(forms) == fresh
+            assert pure_inner_forms(V) is forms
+
+
 @given(spaces)
 def test_pure_inner_forms_partition(V):
     """Same dimension, p-parity preserved, p strictly descending, V included."""
