@@ -13,4 +13,15 @@ cli         JSON-reporting command-line front end
 __version__ = "0.1.0"
 
 from .quadspace import QuadSpace  # noqa: F401
-from .weilrep import CharRep, DiscRep, WeilRep  # noqa: F401
+
+_WEILREP_NAMES = ("CharRep", "DiscRep", "WeilRep")
+
+
+def __getattr__(name: str):
+    # PEP 562: the weilrep re-exports import gpkit.weilrep on first access,
+    # so processes that never touch a representation do not load it.
+    if name in _WEILREP_NAMES:
+        from . import weilrep
+
+        return getattr(weilrep, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -308,11 +308,12 @@ def _is_homomorphism(group, val) -> bool:
     generating set, at O(|masks|·rank) cost.
     """
     base, masks = val[0], group.masks()
-    return all(
-        base * val[x ^ g] == val[x] * val[g]
-        for g in group.generators
-        for x in masks
-    )
+    for g in group.generators:
+        vg = base * val[g]  # base² = 1: the check is val[x ^ g] = val[x]·vg
+        for x in masks:
+            if val[x ^ g] != val[x] * vg:
+                return False
+    return True
 
 
 def _is_multiplicative(groupW, groupV, valW, valV) -> bool:

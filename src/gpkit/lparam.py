@@ -202,8 +202,8 @@ class ComponentGroup:
     An element is its minus-set bitmask over ``basis`` (bit i set ⟺ sign
     −1 on slot i); :meth:`mask_of` and :meth:`signs_of` convert from and to
     ±1 signs.  The mask data every Gross–Prasad pair of the parameter reads
-    — the element masks, the dimension subset sums and a generating set — are
-    tuples computed on first use and kept.
+    — the element masks, the dimension subset sums and their parity bits, and
+    a generating set — are computed on first use and kept.
     """
 
     basis: tuple[IrredRep, ...]
@@ -241,6 +241,12 @@ class ComponentGroup:
         """``dim_sums[m]`` = dim of the sum of the basis slots set in ``m``,
         for every subset m of the basis (not only the elements of 𝒮_φ)."""
         return tuple(_subset_sums([irred_dim(rho) for rho in self.basis]))
+
+    @cached_property
+    def even_dims(self) -> int:
+        """The subsets of the basis with even dimension, as one bitmask: bit m
+        set ⟺ ``dim_sums[m]`` is even."""
+        return sum(1 << m for m, d in enumerate(self.dim_sums) if d % 2 == 0)
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
@@ -374,25 +380,45 @@ class GPCharacterTable:
         F[x][y] = det(−Id_{σ_x})^{dim ρ_y/2} · det(−Id_{ρ_y})^{dim σ_x/2}
                   · ε(σ_x ⊗ ρ_y).
 
-    Building the exponent matrix ε(σ_i ⊗ ρ_j) costs one small tensor
-    decomposition per distinct irreducible pair (:func:`_pair_exponent`
-    memoises it across tables); the block sums over all mask pairs and the
-    dimension sums are then built incrementally by lowest set bit, so every
-    evaluation is a lookup in F:
+    Building the exponent matrix e_ij of ε(σ_i ⊗ ρ_j) = i^{e_ij} costs one
+    small tensor decomposition per distinct irreducible pair
+    (:func:`_pair_exponent` memoises it across tables), and every evaluation
+    is then a read of F:
 
         χ(x, y) = F[x][fullV] · F[fullW][y],
         dichotomy factors F[fullW ^ x][y] and F[x][fullV ^ y].
 
-    F is a ±1 value only on symplectic blocks (both dimensions even, even
-    exponent sum); there the det(−Id) prefactors are (−1)^{a·b/2} = 1 for
-    even a, so F is the root number i^e.  Every other entry is stored as 0,
-    and reading one raises :class:`OddHalfExponent`.
+    F is ±1 only on symplectic blocks: dim σ_x and dim ρ_y even and the block
+    sum E(x, y) = Σ_{i∈x, j∈y} e_ij even.  There the det(−Id) prefactors are
+    (−1)^{a·b/2} = 1 for even a, so F is the root number i^E = (−1)^{E/2}.
+    Reading any other entry raises :class:`OddHalfExponent`.
 
-    What depends on one side only is built once per parameter and shared by
-    every table of a sweep that pairs it: the reducedness test and the
-    component group (:attr:`LParameter.reduced`, :attr:`LParameter.group`),
-    and the group's element masks, dimension subset sums and generating set.
-    Per pair remain the exponent-matrix lookups, the block sums and F.
+    The table is stored as two bit rows per W-mask x, bit y of each row
+    standing for the entry F[x][y]:
+
+        ``_defined[x]``: the y where F[x][y] is ±1, i.e. dim σ_x even,
+                         dim ρ_y even and E(x, y) even;
+        ``_minus[x]``:   the y where F[x][y] = −1, i.e. E(x, y) ≡ 2 (mod 4).
+
+    Both come from E(x, ·) mod 4, held as two bit planes (bit 0 and bit 1 of
+    E(x, y) at bit y).  Row x is row x ⊕ low plus the plane of slot
+    low = lowest set bit of x (:func:`_slot_planes`, memoised per W-slot
+    irreducible and V-basis), added with the bitwise mod-4 adder
+
+        lo = a₀ ⊕ b₀,   hi = a₁ ⊕ b₁ ⊕ (a₀ ∧ b₀).
+
+    Proof.  For a = a₀ + 2a₁ and b = b₀ + 2b₁ with bits a_k, b_k,
+    a₀ + b₀ = (a₀ ⊕ b₀) + 2(a₀ ∧ b₀), so a + b = (a₀ ⊕ b₀) +
+    2(a₁ + b₁ + a₀ ∧ b₀); and 2c mod 4 depends only on c mod 2 =
+    a₁ ⊕ b₁ ⊕ (a₀ ∧ b₀).  No bit position carries into another, so the
+    integer XOR and AND add all 2^|basis_V| entries of a row at once.  ∎
+
+    A table build is thus O(2^|basis_W|) big-integer operations.  What
+    depends on one side only is built once per parameter and shared by every
+    table of a sweep that pairs it: the reducedness test and the component
+    group (:attr:`LParameter.reduced`, :attr:`LParameter.group`), and the
+    group's element masks, dimension subset sums and their parity bits, and
+    generating set.
     """
 
     def __init__(self, gp: GPPair):
@@ -401,26 +427,23 @@ class GPCharacterTable:
         self.gp = gp
         self.groupW = gp.phiW.group
         self.groupV = gp.phiV.group
-        exp = [
-            [_pair_exponent(sig, rho) for rho in self.groupV.basis]
-            for sig in self.groupW.basis
-        ]
-        dimW, dimV = self.groupW.dim_sums, self.groupV.dim_sums
-        rows = [_subset_sums(row) for row in exp]
-        block = [[0] * len(dimV)]
+        basisV = self.groupV.basis
+        planes = [_slot_planes(sig, basisV) for sig in self.groupW.basis]
+        dimW = self.groupW.dim_sums
+        lo, hi = [0], [0]
         for x in range(1, len(dimW)):
             low = x & -x
-            prev, row = block[x ^ low], rows[low.bit_length() - 1]
-            block.append([p + r for p, r in zip(prev, row)])
-        self._F = tuple(
-            tuple(
-                0 if dimW[x] % 2 or b % 2 or e % 2 else 1 - (e & 2)
-                for b, e in zip(dimV, block[x])
-            )
-            for x in range(len(dimW))
+            a0, a1 = lo[x ^ low], hi[x ^ low]
+            b0, b1 = planes[low.bit_length() - 1]
+            lo.append(a0 ^ b0)
+            hi.append(a1 ^ b1 ^ (a0 & b0))
+        evenV = self.groupV.even_dims
+        self._defined = tuple(
+            0 if d % 2 else evenV & ~odd for d, odd in zip(dimW, lo)
         )
+        self._minus = tuple(ok & two for ok, two in zip(self._defined, hi))
         self._fullW = len(dimW) - 1
-        self._fullV = len(dimV) - 1
+        self._fullV = (1 << len(basisV)) - 1
 
     def mask_tables(self):
         """(masksW, masksV, valueW, valueV): χ(s) = valueW[mW] · valueV[mV].
@@ -429,9 +452,10 @@ class GPCharacterTable:
         group; the two value maps are the one-sided χ factors.
         """
         masksW, masksV = self.groupW.masks(), self.groupV.masks()
-        F = self._F
-        valW = {x: _symplectic(F[x][self._fullV]) for x in masksW}
-        valV = {y: _symplectic(F[self._fullW][y]) for y in masksV}
+        defined, minus, fullV = self._defined, self._minus, self._fullV
+        valW = {x: _sign(defined[x], minus[x], fullV) for x in masksW}
+        rowD, rowM = defined[self._fullW], minus[self._fullW]
+        valV = {y: _sign(rowD, rowM, y) for y in masksV}
         return masksW, masksV, valW, valV
 
     def _check_masks(self, x: int, y: int) -> None:
@@ -441,7 +465,8 @@ class GPCharacterTable:
     def chi(self, x: int, y: int) -> int:
         """χ_φ at the element with minus-set masks x (of 𝒮_W) and y (of 𝒮_V)."""
         self._check_masks(x, y)
-        return _symplectic(self._F[x][self._fullV] * self._F[self._fullW][y])
+        d, m, fullW = self._defined, self._minus, self._fullW
+        return _sign(d[x], m[x], self._fullV) * _sign(d[fullW], m[fullW], y)
 
     def chi_table(self) -> dict:
         """χ_φ on every element, keyed by the mask pair (x, y)."""
@@ -454,13 +479,18 @@ class GPCharacterTable:
     def dichotomy(self, x: int, y: int) -> "DichotomyReport":
         """The dichotomy identity at the element with masks (x, y)."""
         self._check_masks(x, y)
-        F, fullW, fullV = self._F, self._fullW, self._fullV
+        fullW, fullV = self._fullW, self._fullV
         if y in (0, fullV):
             raise CentralElement("s_V lies in {identity, all-(-1)}")
-        factor1 = _symplectic(F[fullW ^ x][y])
-        factor2 = _symplectic(F[x][fullV ^ y])
-        chi = _symplectic(F[x][fullV] * F[fullW][y])
-        return DichotomyReport(factor1 * factor2 == chi, chi, factor1, factor2)
+        d, m, xc, yc = self._defined, self._minus, fullW ^ x, fullV ^ y
+        # the four entries F[xc][y], F[x][yc], F[x][fullV], F[fullW][y]
+        if not d[xc] >> y & d[x] >> yc & d[x] >> fullV & d[fullW] >> y & 1:
+            raise OddHalfExponent("non-symplectic tensor block in χ")
+        return _REPORTS[
+            (m[xc] >> y & 1) << 2
+            | (m[x] >> yc & 1) << 1
+            | (m[x] >> fullV ^ m[fullW] >> y) & 1
+        ]
 
 
 @cache
@@ -469,11 +499,30 @@ def _pair_exponent(sig: IrredRep, rho: IrredRep) -> int:
     return eps_half(tensor(WeilRep([sig]), WeilRep([rho]))).e
 
 
-def _symplectic(value: int) -> int:
-    """A ±1 read from a factor table; 0 marks a non-symplectic block."""
-    if not value:
+@cache
+def _slot_planes(sig: IrredRep, basisV: tuple[IrredRep, ...]) -> tuple[int, int]:
+    """(lo, hi): bit y of each is bit 0, resp. bit 1, of the exponent row sum
+    Σ_{j∈y} e(σ, ρ_j) mod 4, for every subset y of ``basisV``.
+
+    Built by doubling: the subsets holding slot j are those without it, shifted
+    up by 2^j, plus the constant e(σ, ρ_j), added with the bitwise mod-4 adder
+    of :class:`GPCharacterTable` (a constant's planes are all ones or all
+    zeros).  Memoised, like :func:`_pair_exponent`, once per process.
+    """
+    lo = hi = 0
+    for j, rho in enumerate(basisV):
+        e, width = _pair_exponent(sig, rho), 1 << j
+        ones = (1 << width) - 1
+        e0, e1 = ones if e & 1 else 0, ones if e & 2 else 0
+        lo, hi = lo | (lo ^ e0) << width, hi | (hi ^ e1 ^ (lo & e0)) << width
+    return lo, hi
+
+
+def _sign(defined: int, minus: int, y: int) -> int:
+    """The ±1 entry at bit y of a factor-table row given by its two bit rows."""
+    if not defined >> y & 1:
         raise OddHalfExponent("non-symplectic tensor block in χ")
-    return value
+    return -1 if minus >> y & 1 else 1
 
 
 @dataclass(frozen=True)
@@ -491,6 +540,16 @@ class DichotomyReport:
             "product": self.factor_wplus_vminus * self.factor_wminus_vplus,
             "ok": self.ok,
         }
+
+
+# The eight possible reports, shared by every table: index bits 2, 1 and 0
+# are set when factor_wplus_vminus, factor_wminus_vplus and χ are −1.
+_REPORTS = tuple(
+    DichotomyReport(f1 * f2 == chi, chi, f1, f2)
+    for f1 in (1, -1)
+    for f2 in (1, -1)
+    for chi in (1, -1)
+)
 
 
 @cache

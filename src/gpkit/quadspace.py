@@ -161,8 +161,13 @@ class AdmissiblePair:
         return QuadSpace(self.V.p - self.W.p, self.V.q - self.W.q)
 
 
+@cache
 def is_admissible_pair(W: QuadSpace, V: QuadSpace) -> AdmissiblePair | None:
-    """Decompose V = W ⟂ D ⟂ Z if possible, returning the (r, d_sign) datum."""
+    """Decompose V = W ⟂ D ⟂ Z if possible, returning the (r, d_sign) datum.
+
+    The pair is built and validated once per (W, V) and shared by every
+    later call.
+    """
     a, b = V.p - W.p, V.q - W.q
     if a < 0 or b < 0 or (a + b) % 2 == 0 or abs(a - b) != 1:
         return None

@@ -6,7 +6,9 @@ component element, form the tensor products of the pieces with the partner
 parameter, and read the symplectic root numbers off the exact ε table.  The
 library's :class:`gpkit.lparam.GPCharacterTable` evaluates the same values
 from one mask-indexed factor table; the tests compare the two paths over
-whole families of pairs.
+whole families of pairs.  :func:`reference_factor_table` is that table's
+earlier integer form, one ±1/0 entry per mask pair, kept to check the
+library's bit rows entry by entry.
 
 The module name does not start with ``test_``, so pytest does not collect it.
 """
@@ -14,6 +16,7 @@ The module name does not start with ``test_``, so pytest does not collect it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from gpkit.epsilon import eps_half
 from gpkit.lparam import (
@@ -27,7 +30,51 @@ from gpkit.lparam import (
     is_reduced,
 )
 from gpkit.quadspace import InvariantViolation
-from gpkit.weilrep import IrredRep, WeilRep, tensor
+from gpkit.weilrep import IrredRep, WeilRep, irred_dim, tensor
+
+
+@cache
+def direct_exponent(sig: IrredRep, rho: IrredRep) -> int:
+    """The exponent e of ε(σ ⊗ ρ) = i^e, from the tensor product directly."""
+    return eps_half(tensor(WeilRep([sig]), WeilRep([rho]))).e
+
+
+def _subset_sums(values) -> list[int]:
+    """``out[m]`` = Σ values[i] over the set bits i of m."""
+    out = [0]
+    for i, v in enumerate(values):
+        out += [s + v for s in out]
+    return out
+
+
+def reference_factor_table(gp: GPPair, exponent=direct_exponent):
+    """The factor table F[x][y] of :class:`gpkit.lparam.GPCharacterTable` as
+    integers, one per pair of W-mask x and V-mask y (every subset, not only
+    the group elements): 0 on a non-symplectic block (dim σ_x or dim ρ_y odd,
+    or the block sum E(x, y) of the exponents ``exponent(σ_i, ρ_j)`` odd),
+    and otherwise (−1)^{E(x, y)/2}.
+
+    The block sums are built row by row, E(x, ·) = E(x ⊕ low, ·) + the
+    subset sums of slot low's exponent row, with low the lowest set bit of x.
+    """
+    basisW = component_group(gp.phiW).basis
+    basisV = component_group(gp.phiV).basis
+    dimW = _subset_sums([irred_dim(sig) for sig in basisW])
+    dimV = _subset_sums([irred_dim(rho) for rho in basisV])
+    rows = [_subset_sums([exponent(sig, rho) for rho in basisV])
+            for sig in basisW]
+    block = [[0] * len(dimV)]
+    for x in range(1, len(dimW)):
+        low = x & -x
+        prev, row = block[x ^ low], rows[low.bit_length() - 1]
+        block.append([p + r for p, r in zip(prev, row)])
+    return tuple(
+        tuple(
+            0 if dimW[x] % 2 or b % 2 or e % 2 else 1 - (e & 2)
+            for b, e in zip(dimV, block[x])
+        )
+        for x in range(len(dimW))
+    )
 
 
 def eps_symplectic(A: WeilRep | IrredRep) -> int:

@@ -99,6 +99,7 @@ WATCHED_MODULES = POOL_MODULES | {
     "gpkit.conjclass",
     "gpkit.epsilon",
     "gpkit.lparam",
+    "gpkit.weilrep",
     "scipy",
 }
 
@@ -178,10 +179,11 @@ class TestOneShots:
 
     def test_scipy_is_loaded_only_by_the_oracle(self, jfile):
         # A fresh interpreter per command: `import gpkit.cli` loads no layer
-        # and no process pool, each command loads only the layers it runs,
-        # and only the oracle loads scipy.  Unknown attributes of
-        # gpkit.epsilon still raise without loading scipy.
-        lp, eps = "gpkit.lparam", "gpkit.epsilon"
+        # (not even gpkit.weilrep, which the package re-exports lazily) and
+        # no process pool, each command loads only the layers it runs, and
+        # only the oracle loads scipy.  Unknown attributes of gpkit.epsilon
+        # still raise without loading scipy.
+        lp, eps, wr = "gpkit.lparam", "gpkit.epsilon", "gpkit.weilrep"
         for argv, loaded in (
             (None, set()),
             (["enumerate-pureinner", "1,0"], set()),
@@ -190,10 +192,11 @@ class TestOneShots:
             (["verify", "fibers", "--max-dv", "5", "--jobs", "1"],
              {"gpkit.conjclass"}),
             (["verify", "dichotomy", "--max-dim", "5", "--max-k", "5"],
-             {lp, eps}),
-            (["classify", jfile(PARAM_SO21)], {lp, eps}),
-            (["epsilon", jfile(PARAM_SO21)], {lp, eps}),
-            (["epsilon", jfile(PARAM_SO21), "--oracle"], {lp, eps, "scipy"}),
+             {lp, eps, wr}),
+            (["classify", jfile(PARAM_SO21)], {lp, eps, wr}),
+            (["epsilon", jfile(PARAM_SO21)], {lp, eps, wr}),
+            (["epsilon", jfile(PARAM_SO21), "--oracle"],
+             {lp, eps, wr, "scipy"}),
         ):
             script = f"""
 import json, sys
@@ -357,6 +360,39 @@ class TestVerify:
             assert rc == 0 and normal["cases_checked"] > 0
             del optimized["timing_ms"], normal["timing_ms"]
             assert optimized == normal, argv
+
+    def test_table_errors_raise_under_optimized_interpreter(self):
+        # the factor table's range, central-element and non-symplectic
+        # checks are explicit raises, so `python -O` keeps all three
+        script = """
+from fractions import Fraction
+from gpkit.lparam import (CentralElement, GPCharacterTable, OddHalfExponent,
+                          make_gp_pair, validate)
+from gpkit.quadspace import QuadSpace
+from gpkit.weilrep import CharRep, DiscRep, WeilRep
+ONE, SGN = CharRep(0, Fraction(0)), CharRep(1, Fraction(0))
+phiW = validate(WeilRep([ONE, SGN, DiscRep(2, Fraction(0))]), QuadSpace(2, 2))
+phiV = validate(WeilRep([DiscRep(1, Fraction(0)), DiscRep(3, Fraction(0))]),
+                QuadSpace(3, 2))
+tab = GPCharacterTable(make_gp_pair(phiW, phiV))
+x = 1 << tab.groupW.basis.index(ONE)
+for read, args, error in (
+    (tab.chi, (x, 0b01), OddHalfExponent),
+    (tab.dichotomy, (x, 0b01), OddHalfExponent),
+    (tab.dichotomy, (0, 0b00), CentralElement),
+    (tab.dichotomy, (0, 0b11), CentralElement),
+    (tab.chi, (0, 1 << 2), ValueError),
+    (tab.dichotomy, (-1, 0b01), ValueError),
+):
+    try:
+        read(*args)
+    except error:
+        continue
+    raise SystemExit(f"{read.__name__}{args} did not raise {error.__name__}")
+print("ok")
+"""
+        proc = _fresh_python("-O", "-c", script)
+        assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
 
     @pytest.mark.parametrize("jobs", ["0", "-1", "-8"])
     def test_nonpositive_jobs_is_an_input_error(self, capsys, jobs):

@@ -12,6 +12,7 @@ from gp_reference import (
     eigenspace_split,
     endoscopic_split,
     gp_character,
+    reference_factor_table,
 )
 from gpkit import lparam
 from gpkit.epsilon import eps_half
@@ -19,6 +20,7 @@ from gpkit.lparam import (
     Ambient,
     CentralElement,
     ConstituentType,
+    DichotomyReport,
     DimMismatch,
     GPCharacterTable,
     InvalidParameter,
@@ -387,9 +389,118 @@ def _criterion5_pairs():
 SWEEP_FAMILIES = {"criterion-5": (10, 9, 992), "chi-narrow": (5, 25, 8_464)}
 
 
+def _rows(tab):
+    # the factor table's two bit rows per W-mask
+    return tab._defined, tab._minus
+
+
+def _entries(tab):
+    # the bit rows read back as integer entries F[x][y] in {1, -1, 0}
+    width = 1 << len(tab.groupV.basis)
+    return tuple(
+        tuple(
+            (-1 if minus >> y & 1 else 1) if defined >> y & 1 else 0
+            for y in range(width)
+        )
+        for defined, minus in zip(*_rows(tab))
+    )
+
+
+def _assert_rows_match_reference(tab, ref):
+    defined, minus = _rows(tab)
+    assert len(defined) == len(ref) == 1 << len(tab.groupW.basis)
+    for d, m in zip(defined, minus):
+        assert d >> len(ref[0]) == 0  # no bit beyond the last V-mask
+        assert m & ~d == 0  # a -1 entry is a defined entry
+    assert _entries(tab) == ref
+
+
+@pytest.mark.parametrize("family", SWEEP_FAMILIES)
+def test_bit_rows_match_the_integer_table(family):
+    # every entry, the 0 (non-symplectic) ones included
+    max_dim, max_k, n_pairs = SWEEP_FAMILIES[family]
+    n = 0
+    for gp in _sweep_pairs(max_dim, max_k):
+        _assert_rows_match_reference(
+            GPCharacterTable(gp), reference_factor_table(gp)
+        )
+        n += 1
+    assert n == n_pairs
+
+
+def _synthetic_exponent(sig, rho):
+    # odd and negative exponents, -5..5, which no reduced pair has (every
+    # reduced e_ij is even): they reach the mod-4 carry and the zeros of
+    # odd block sums
+    i = sig.k if isinstance(sig, DiscRep) else sig.a
+    j = rho.k if isinstance(rho, DiscRep) else rho.a
+    return (7 * i - 3 * j) % 11 - 5
+
+
+@pytest.fixture
+def synthetic_exponents(monkeypatch):
+    monkeypatch.setattr(lparam, "_pair_exponent", _synthetic_exponent)
+    lparam._slot_planes.cache_clear()
+    yield _synthetic_exponent
+    lparam._slot_planes.cache_clear()  # drop the synthetic planes
+
+
+def test_bit_rows_match_the_integer_table_on_synthetic_exponents(
+    synthetic_exponents,
+):
+    seen, zeros = set(), 0
+    for gp in _criterion5_pairs():
+        tab = GPCharacterTable(gp)
+        ref = reference_factor_table(gp, synthetic_exponents)
+        _assert_rows_match_reference(tab, ref)
+        seen.update(
+            synthetic_exponents(sig, rho)
+            for sig, rho in product(tab.groupW.basis, tab.groupV.basis)
+        )
+        # entries of symplectic dimensions that are 0 by an odd block sum
+        dimW, dimV = tab.groupW.dim_sums, tab.groupV.dim_sums
+        zeros += sum(
+            ref[x][y] == 0
+            for x in range(len(dimW)) if dimW[x] % 2 == 0
+            for y in range(len(dimV)) if dimV[y] % 2 == 0
+        )
+    assert seen == set(range(-5, 6)) and zeros
+
+
+def test_reads_follow_the_integer_table_on_synthetic_exponents(
+    synthetic_exponents,
+):
+    # chi and dichotomy on every mask pair: the value read off the
+    # reference table, or OddHalfExponent when an entry they read is 0
+    raised = read = 0
+    for gp in _criterion5_pairs():
+        tab = GPCharacterTable(gp)
+        F = reference_factor_table(gp, synthetic_exponents)
+        fullW, fullV = len(F) - 1, len(F[0]) - 1
+        for x, y in product(range(fullW + 1), range(fullV + 1)):
+            chi = F[x][fullV] * F[fullW][y]
+            factors = (F[fullW ^ x][y], F[x][fullV ^ y])
+            reads = [(tab.chi, chi, chi)]
+            if y not in (0, fullV):
+                want = DichotomyReport(
+                    factors[0] * factors[1] == chi, chi, *factors
+                )
+                reads.append((tab.dichotomy, want, chi * factors[0] * factors[1]))
+            for method, want, defined in reads:
+                if defined:
+                    assert method(x, y) == want, (gp, x, y)
+                    read += 1
+                else:
+                    with pytest.raises(OddHalfExponent):
+                        method(x, y)
+                    raised += 1
+    assert read and raised
+
+
 class TestPairExponentMemo:
     def test_entries_match_direct_tensor_on_family(self):
         lparam._pair_exponent.cache_clear()
+        lparam._slot_planes.cache_clear()
         pairs = set()
         for gp in _criterion5_pairs():
             GPCharacterTable(gp)
@@ -407,11 +518,16 @@ class TestPairExponentMemo:
     def test_cold_and_warm_tables_agree_on_family(self):
         for gp in _criterion5_pairs():
             lparam._pair_exponent.cache_clear()
+            lparam._slot_planes.cache_clear()
             cold = GPCharacterTable(gp)
+            exponents = lparam._pair_exponent.cache_info()
             warm = GPCharacterTable(gp)
-            info = lparam._pair_exponent.cache_info()
-            assert info.hits == info.misses  # the warm build missed nothing
-            assert warm._F == cold._F
+            # the warm build computes no new exponent: it reads every slot
+            # plane the cold build made
+            assert lparam._pair_exponent.cache_info() == exponents
+            planes = lparam._slot_planes.cache_info()
+            assert planes.hits == planes.misses
+            assert _rows(warm) == _rows(cold)
             assert warm.mask_tables() == cold.mask_tables()
 
 
@@ -437,7 +553,7 @@ class TestPerParameterCaches:
             cold_gp = make_gp_pair(_cold_copy(gp.phiW), _cold_copy(gp.phiV))
             assert "group" not in vars(cold_gp.phiW)  # nothing cached yet
             cold = GPCharacterTable(cold_gp)
-            assert warm._F == cold._F, gp
+            assert _rows(warm) == _rows(cold), gp
             assert warm.mask_tables() == cold.mask_tables(), gp
             n += 1
         assert n == n_pairs

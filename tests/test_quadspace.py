@@ -87,6 +87,29 @@ def test_pure_inner_forms_are_cached_per_space():
             assert pure_inner_forms(V) is forms
 
 
+def test_admissible_pairs_are_cached_per_pair():
+    # from a cold cache, for every (W, V) with dims <= 12: the result equals
+    # the pair found from the definition V = W + D + Z (D a line of sign
+    # d_sign, Z split of dimension 2r), or None when there is none, and a
+    # repeat call, also with equal but distinct spaces, returns the same object
+    is_admissible_pair.cache_clear()
+    spaces = [QuadSpace(p, d - p) for d in range(13) for p in range(d + 1)]
+    for W in spaces:
+        for V in spaces:
+            fresh = [
+                AdmissiblePair(W, V, r, d_sign)
+                for r in range(7)
+                for d_sign in (1, -1)
+                if V == QuadSpace(W.p + r + (d_sign > 0), W.q + r + (d_sign < 0))
+            ]
+            pair = is_admissible_pair(W, V)
+            assert len(fresh) <= 1
+            assert pair == (fresh[0] if fresh else None), (W, V)
+            assert is_admissible_pair(W, V) is pair
+            assert is_admissible_pair(QuadSpace(W.p, W.q),
+                                      QuadSpace(V.p, V.q)) is pair
+
+
 @given(spaces)
 def test_pure_inner_forms_partition(V):
     """Same dimension, p-parity preserved, p strictly descending, V included."""
