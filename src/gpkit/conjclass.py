@@ -33,11 +33,10 @@ from typing import Iterable, Optional, Union
 
 from .quadspace import (
     AdmissiblePair,
-    NotAdmissible,
     QuadSpace,
     _as_fraction,
     _signature_is_quasi_split,
-    is_admissible_pair,
+    admissible_pair,
     kottwitz_sign,
     pure_inner_forms,
     quasi_split_form,
@@ -53,7 +52,6 @@ __all__ = [
     "BadParity",
     "factor_signature",
     "factor_eigenvalues",
-    "token_to_complex",
     "is_regular",
     "iota",
     "is_in_Xi_reg_V",
@@ -189,15 +187,6 @@ def factor_eigenvalues(f: FactorDatum) -> tuple:
     )
 
 
-def token_to_complex(tok) -> complex:
-    import cmath
-    import math
-
-    if tok[0] == "c":
-        return complex(tok[1], tok[2])
-    return cmath.exp(1j * math.pi * float(tok[1]))
-
-
 @dataclass(frozen=True)
 class KappaDatum:
     """A class datum: its factors, with the signature, the number of definite
@@ -273,12 +262,6 @@ class KappaDatum:
             (c, self.with_signs(c)) for c in _sign_vectors(self.n_elliptic)
         )
 
-    def eigenvalue_tokens(self) -> list:
-        toks = []
-        for f in self.factors:
-            toks.extend(factor_eigenvalues(f))
-        return toks
-
 
 def _iso_class(f: FactorDatum) -> frozenset:
     """Invariant separating factors with distinct eigenvalue sets."""
@@ -353,14 +336,6 @@ def _embeds_with_qs_complement(kappa: KappaDatum, space: QuadSpace) -> bool:
     return _signature_is_quasi_split(space.p - p, space.q - q)
 
 
-def _admissible(W: QuadSpace, V: QuadSpace) -> AdmissiblePair:
-    """The admissible pair (W, V); :class:`NotAdmissible` if there is none."""
-    pair = is_admissible_pair(W, V)
-    if pair is None:
-        raise NotAdmissible(f"({W}, {V}) is not an admissible pair")
-    return pair
-
-
 def is_in_C_VW(kappa: KappaDatum, W: QuadSpace, V: QuadSpace) -> bool:
     """Membership in the correspondence set C_{V,W} of the admissible pair.
 
@@ -368,7 +343,7 @@ def is_in_C_VW(kappa: KappaDatum, W: QuadSpace, V: QuadSpace) -> bool:
     there with quasi-split complement.  For odd W that is a condition inside
     W; for even W the pair has odd V and the condition lives inside V.
     """
-    _admissible(W, V)
+    admissible_pair(W, V)
     return _in_C(kappa, (W, V))
 
 
@@ -464,7 +439,7 @@ def _coset_report(kind, lhs, kappa, e0, N, **selected) -> CheckReport:
 def _fiber_pair(kappa: KappaDatum, W: QuadSpace, V: QuadSpace) -> AdmissiblePair:
     """The admissible pair (W, V), with κ checked to be elliptic regular and
     small enough for both sides."""
-    pair = _admissible(W, V)
+    pair = admissible_pair(W, V)
     if not is_in_Xi_dVdW(kappa, V.dim, W.dim):
         raise ValueError("the class must be elliptic regular with 2|I| ≤ min dims")
     return pair
@@ -552,7 +527,7 @@ def verify_fiber_union(
             (Wa, Wa.orthogonal_sum(pair.w_perp)) for Wa in _forms_with_sign(W, e0)
         ]
         for form in forms:
-            _admissible(*form)
+            admissible_pair(*form)
         lhs = _sweep(kappa, forms, _in_C)
         N = _odd_side_exponent(W, kappa)
         selected = [((Wa.p, Wa.q), (Va.p, Va.q)) for Wa, Va in forms]

@@ -26,9 +26,8 @@ from .epsilon import eps_half
 from .quadspace import (
     AdmissiblePair,
     InvariantViolation,
-    NotAdmissible,
     QuadSpace,
-    is_admissible_pair,
+    admissible_pair,
     json_object,
     space_from_json,
     space_to_json,
@@ -141,13 +140,6 @@ class LParameter:
     rep: WeilRep
     ambient: Ambient
     target: QuadSpace
-
-    def o_type_constituents(self) -> list[IrredRep]:
-        return [
-            rho
-            for rho, _ in self.rep
-            if constituent_type(rho, self.ambient) is ConstituentType.O
-        ]
 
     @cached_property
     def group(self) -> "ComponentGroup":
@@ -276,7 +268,11 @@ class ComponentGroup:
 
 
 def component_group(phi: LParameter) -> ComponentGroup:
-    basis = tuple(phi.o_type_constituents())
+    basis = tuple(
+        rho
+        for rho, _ in phi.rep
+        if constituent_type(rho, phi.ambient) is ConstituentType.O
+    )
     constraint = any(irred_dim(rho) % 2 for rho in basis)
     return ComponentGroup(basis, constraint)
 
@@ -310,12 +306,8 @@ def classify(phi: LParameter) -> Classification:
     with dim M_V > 2 it provably coincides with ¬B ∧ ¬P, and that agreement is
     re-asserted at runtime on that domain.
     """
-    degenerate = any(
-        constituent_type(rho, phi.ambient) is not ConstituentType.O or m > 1
-        for rho, m in phi.rep
-    )
     flags = set()
-    if degenerate:
+    if not phi.reduced:
         flags.add("P")
     if phi.target.dim <= 3:
         flags.add("B")
@@ -352,12 +344,7 @@ def make_gp_pair(phiW: LParameter, phiV: LParameter) -> GPPair:
         raise InvalidParameter(
             ["a Gross–Prasad pair needs one even and one odd target space"]
         )
-    pair = is_admissible_pair(phiW.target, phiV.target)
-    if pair is None:
-        raise NotAdmissible(
-            f"({phiW.target}, {phiV.target}) is not an admissible pair"
-        )
-    return GPPair(phiW, phiV, pair)
+    return GPPair(phiW, phiV, admissible_pair(phiW.target, phiV.target))
 
 
 def _subset_sums(values) -> list[int]:

@@ -24,6 +24,7 @@ __all__ = [
     "quasi_split_forms",
     "kottwitz_sign",
     "is_admissible_pair",
+    "admissible_pair",
     "relevant_pairs",
     "space_to_json",
     "space_from_json",
@@ -49,7 +50,8 @@ class QuadSpace:
     q: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.p, int) and isinstance(self.q, int)):
+        # exact ints: bools and floats are refused, not truncated
+        if type(self.p) is not int or type(self.q) is not int:
             raise TypeError("signature entries must be integers")
         if self.p < 0 or self.q < 0:
             raise ValueError(f"negative signature entry in ({self.p}, {self.q})")
@@ -174,12 +176,18 @@ def is_admissible_pair(W: QuadSpace, V: QuadSpace) -> AdmissiblePair | None:
     return AdmissiblePair(W, V, min(a, b), 1 if a > b else -1)
 
 
-def relevant_pairs(W: QuadSpace, V: QuadSpace) -> list[tuple[QuadSpace, QuadSpace]]:
-    """The pairs (W_α, V_α = W_α ⟂ W^⟂) over pure inner forms W_α of W."""
+def admissible_pair(W: QuadSpace, V: QuadSpace) -> AdmissiblePair:
+    """The decomposition V = W ⟂ D ⟂ Z of :func:`is_admissible_pair`;
+    :class:`NotAdmissible` if there is none."""
     pair = is_admissible_pair(W, V)
     if pair is None:
         raise NotAdmissible(f"({W}, {V}) is not an admissible pair")
-    perp = pair.w_perp
+    return pair
+
+
+def relevant_pairs(W: QuadSpace, V: QuadSpace) -> list[tuple[QuadSpace, QuadSpace]]:
+    """The pairs (W_α, V_α = W_α ⟂ W^⟂) over pure inner forms W_α of W."""
+    perp = admissible_pair(W, V).w_perp
     return [(Wa, Wa.orthogonal_sum(perp)) for Wa in pure_inner_forms(W)]
 
 

@@ -82,9 +82,11 @@ def eps_symplectic(A: WeilRep | IrredRep) -> int:
     return eps_half(A).as_sign()
 
 
+@cache
 def eigenspace_split(phi: LParameter, mask: int) -> tuple[WeilRep, WeilRep]:
     """(plus, minus) eigenspace on M of the component element with minus-set
-    ``mask``; reduced parameters only."""
+    ``mask``; reduced parameters only.  Memoised: the family tests split
+    each (parameter, mask) many times."""
     if not is_reduced(phi):
         raise NotReduced(f"{phi.rep!r} has non-O-type or repeated constituents")
     grp = component_group(phi)
@@ -107,6 +109,7 @@ def _det_minus_id_power(space_dim: int, half_of: int) -> int:
     return -1 if (space_dim * (half_of // 2)) % 2 else 1
 
 
+@cache
 def _chi_one_side(minus: WeilRep, other: WeilRep) -> int:
     """det(−Id_{minus})^{dim other/2} · det(−Id_{other})^{dim minus/2} · ε(minus ⊗ other)."""
     pref = _det_minus_id_power(minus.dim, other.dim)

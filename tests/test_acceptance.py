@@ -19,17 +19,13 @@ from types import SimpleNamespace
 
 import pytest
 
+from gpkit import cli, conjclass
 from gpkit.conjclass import (
     CFieldFactor,
     CSplitFactor,
     KappaDatum,
     RSplitFactor,
     is_regular,
-    kappa_shapes,
-    make_regular_kappa,
-    verify_fiber_lemma,
-    verify_fiber_union,
-    verify_union_prop,
 )
 from gpkit.epsilon import eps_half, eps_numeric_oracle
 from gpkit.lparam import (
@@ -42,20 +38,12 @@ from gpkit.lparam import (
 )
 from gpkit.quadspace import (
     QuadSpace,
-    is_admissible_pair,
     kottwitz_sign,
     pure_inner_forms,
     quasi_split_form,
 )
-from gpkit.weilrep import (
-    CharRep,
-    DiscRep,
-    WeilElement,
-    WeilRep,
-    irred_dim,
-    tensor,
-    trace,
-)
+from gpkit.weilrep import CharRep, DiscRep, WeilRep, irred_dim, tensor
+from trace_reference import WeilElement, eigenvalue_tokens, trace
 
 
 def _verdict(capsys, num, label, ok, elapsed, budget, detail):
@@ -398,24 +386,35 @@ def test_criterion_07_classification_trichotomy(capsys):
 # 8-10: conjugacy class statements
 # ---------------------------------------------------------------------------
 
-def test_criterion_08_union_over_pure_inner_forms(capsys):
+def _cli_sweep(monkeypatch, argv, counted):
+    """The sweep of ``gpkit verify ARGV``, run in-process unit by unit as
+    ``--jobs 1`` runs it, with each ``conjclass`` verifier named in
+    ``counted`` wrapped to count its calls.
+
+    Returns (summed ``checked``, counterexamples, calls per verifier).
+    """
+    calls = dict.fromkeys(counted, 0)
+    for name in counted:
+
+        def wrapped(*args, _name=name, _fn=getattr(conjclass, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        # the units import their verifiers from conjclass when they run
+        monkeypatch.setattr(conjclass, name, wrapped)
+    args = cli._build_parser().parse_args(["verify", *argv])
+    results = [cli._SWEEPS[args.what](case) for case in cli._sweep_cases(args)]
+    bad = [ce for r in results for ce in r["counterexamples"]]
+    return sum(r["checked"] for r in results), bad, calls
+
+
+def test_criterion_08_union_over_pure_inner_forms(capsys, monkeypatch):
+    """The sweep of ``verify union --max-dim 9``."""
     t0 = time.monotonic()
-    cases = 0
-    bad = []
-    for d in range(1, 10):
-        odd = d % 2 == 1
-        lines = (None,) if odd else (QuadSpace(1, 0), QuadSpace(0, 1))
-        shapes = kappa_shapes(d - 1 if odd else d)
-        for p in range(d + 1):
-            V = QuadSpace(p, d - p)
-            for kappa in shapes:
-                for e0 in (1, -1):
-                    for D in lines:
-                        cases += 1
-                        rep = verify_union_prop(kappa, V, e0, D=D)
-                        if not rep.passed:
-                            bad.append((V, e0, D, rep))
-    ok = not bad and cases == 940
+    cases, bad, calls = _cli_sweep(
+        monkeypatch, ["union", "--max-dim", "9"], ("verify_union_prop",)
+    )
+    ok = not bad and cases == 940 and calls == {"verify_union_prop": 940}
     _verdict(
         capsys, 8, "union over pure inner forms",
         ok, time.monotonic() - t0, 60.0,
@@ -423,30 +422,22 @@ def test_criterion_08_union_over_pure_inner_forms(capsys):
     )
 
 
-def test_criterion_09_fiber_lemmas(capsys):
+def test_criterion_09_fiber_lemmas(capsys, monkeypatch):
+    """The sweep of ``verify fibers --max-dv 9``."""
     t0 = time.monotonic()
-    n_fiber = n_union = 0
-    bad = []
-    for dv in range(1, 10):
-        for pv in range(dv + 1):
-            V = QuadSpace(pv, dv - pv)
-            for dw in range(dv):
-                for pw in range(dw + 1):
-                    W = QuadSpace(pw, dw - pw)
-                    if is_admissible_pair(W, V) is None:
-                        continue
-                    for n in range(min(dv, dw) // 2 + 1):
-                        kappa = make_regular_kappa(n)
-                        r = verify_fiber_lemma(kappa, W, V)
-                        n_fiber += 1
-                        if not r.passed:
-                            bad.append(("fiber", W, V, n))
-                        for e0 in (1, -1):
-                            r = verify_fiber_union(kappa, W, V, e0)
-                            n_union += 1
-                            if not r.passed:
-                                bad.append(("fiber-union", W, V, n, e0))
-    ok = not bad and n_fiber == 550 and n_union == 1100
+    cases, bad, calls = _cli_sweep(
+        monkeypatch,
+        ["fibers", "--max-dv", "9"],
+        ("verify_fiber_lemma", "verify_fiber_union"),
+    )
+    n_fiber = calls["verify_fiber_lemma"]
+    n_union = calls["verify_fiber_union"]
+    ok = (
+        not bad
+        and n_fiber == 550
+        and n_union == 1100
+        and cases == n_fiber + n_union
+    )
     _verdict(
         capsys, 9, "fiber lemma and fiber union",
         ok, time.monotonic() - t0, 60.0,
@@ -483,7 +474,7 @@ def test_criterion_10_regularity_duality(capsys):
     bad = 0
     for _ in range(1000):
         kappa = _random_kappa(rng)
-        toks = kappa.eigenvalue_tokens()
+        toks = eigenvalue_tokens(kappa)
         oracle = (
             len(set(toks)) == len(toks)
             and one not in toks

@@ -69,7 +69,7 @@ def test_eps_half_exponents(rho, exponent):
 def test_eps_half_additive():
     assert eps_half(WeilRep([D(1), D(3)])).e == 2
     assert eps_half(WeilRep([(D(2), 2)])).e == 2
-    assert eps_half(WeilRep.zero()).e == 0
+    assert eps_half(WeilRep()).e == 0
 
 
 def l_factor(rho, s) -> complex:

@@ -8,6 +8,7 @@ from gpkit.quadspace import (
     AdmissiblePair,
     NotAdmissible,
     QuadSpace,
+    admissible_pair,
     discriminant,
     is_admissible_pair,
     is_quasi_split,
@@ -37,6 +38,14 @@ def test_negative_signature_rejected():
         QuadSpace(-1, 2)
     with pytest.raises(ValueError):
         QuadSpace(0, -3)
+
+
+@pytest.mark.parametrize(
+    "p,q", [(True, False), (1, True), (1.0, 0), (2, 1.5), ("1", 0)]
+)
+def test_non_integer_signature_rejected(p, q):
+    with pytest.raises(TypeError):
+        QuadSpace(p, q)
 
 
 @pytest.mark.parametrize(
@@ -224,6 +233,25 @@ def test_relevant_pairs_worked():
 def test_relevant_pairs_requires_admissible():
     with pytest.raises(NotAdmissible):
         relevant_pairs(QuadSpace(1, 1), QuadSpace(2, 2))
+
+
+def test_admissible_pair_checks_once(monkeypatch):
+    calls = []
+
+    def counted(W, V):
+        calls.append((W, V))
+        return is_admissible_pair(W, V)
+
+    monkeypatch.setattr(quadspace, "is_admissible_pair", counted)
+    W, V = QuadSpace(2, 0), QuadSpace(3, 2)
+    assert admissible_pair(W, V) is is_admissible_pair(W, V)
+    assert len(calls) == 1
+    with pytest.raises(NotAdmissible) as err:
+        admissible_pair(QuadSpace(1, 1), QuadSpace(2, 2))
+    assert str(err.value) == (
+        "(QuadSpace(1, 1), QuadSpace(2, 2)) is not an admissible pair"
+    )
+    assert len(calls) == 2
 
 
 @given(spaces.filter(lambda V: V.dim >= 1))

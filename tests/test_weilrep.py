@@ -11,7 +11,6 @@ from gpkit.weilrep import (
     CharRep,
     DiscRep,
     SelfDualType,
-    WeilElement,
     WeilRep,
     dual,
     irred_dim,
@@ -19,10 +18,10 @@ from gpkit.weilrep import (
     irred_to_json,
     self_dual_type,
     tensor,
-    trace,
     weilrep_from_json,
     weilrep_to_json,
 )
+from trace_reference import WeilElement, trace
 
 twists = st.fractions(min_value=-3, max_value=3).map(lambda t: Fraction(t))
 chars = st.builds(CharRep, st.integers(0, 1), twists)
@@ -45,6 +44,27 @@ def test_constructor_validation():
         DiscRep(0, Fraction(0))  # D_0 is not irreducible here
     with pytest.raises(TypeError):
         CharRep(0, 0.25)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CharRep(True),
+        lambda: CharRep(1.0),
+        lambda: DiscRep(True),
+        lambda: DiscRep(3.0),
+        lambda: WeilRep([(D(1), 1.5)]),
+        lambda: WeilRep([(D(1), True)]),
+        lambda: WeilRep([(D(1), "2")]),
+        lambda: WeilRep({C(0): 2.0}),
+    ],
+    ids=["CharRep(True)", "CharRep(1.0)", "DiscRep(True)", "DiscRep(3.0)",
+         "mult 1.5", "mult True", "mult '2'", "mapping mult 2.0"],
+)
+def test_constructors_refuse_non_int_values(build):
+    # an exact integer or an error, never a silent int() of a float or bool
+    with pytest.raises((TypeError, ValueError)):
+        build()
 
 
 def test_irred_dim():
@@ -82,7 +102,7 @@ def test_weilrep_canonicalization():
 
 
 def test_weilrep_add_and_zero():
-    z = WeilRep.zero()
+    z = WeilRep()
     assert not z and z.dim == 0
     r = WeilRep([D(1)]) + WeilRep([D(1), C(1)])
     assert r.mult(D(1)) == 2
