@@ -74,17 +74,17 @@ def _parse_space(text: str) -> QuadSpace:
         raise SystemExit2(f"space: {exc}")
 
 
-def _parse_bits(text: str, rank: int, flag: str):
+def _parse_element(text: str, group, flag: str) -> int:
+    """The minus-set mask of the element of ``group`` with the sign string
+    ``text``; :meth:`~gpkit.lparam.ComponentGroup.mask_of` checks the signs,
+    and every error names ``flag``."""
     mapping = {"0": 1, "+": 1, "1": -1, "-": -1}
     try:
-        signs = tuple(mapping[ch] for ch in text)
+        return group.mask_of(mapping[ch] for ch in text)
     except KeyError:
         raise SystemExit2(f"{flag}: expected a string over 0/1 (or +/-)")
-    if len(signs) != rank:
-        raise SystemExit2(
-            f"{flag}: got {len(signs)} signs for a rank-{rank} component group"
-        )
-    return signs
+    except ValueError as exc:
+        raise SystemExit2(f"{flag}: {exc}")
 
 
 class SystemExit2(Exception):
@@ -124,7 +124,7 @@ def _cmd_component_group(args) -> int:
             # product order of the sign tuples: ++, +-, -+, --
             "elements": [
                 "".join("+" if s == 1 else "-" for s in signs)
-                for signs in sorted(map(grp.signs_of, grp.masks()), reverse=True)
+                for signs in sorted(map(grp.signs_of, grp.masks), reverse=True)
             ],
         },
         args.json,
@@ -137,8 +137,8 @@ def _chi_inputs(args):
 
     gp = gp_pair_from_json(_load_json(args.file))
     tab = GPCharacterTable(gp)
-    x = tab.groupW.mask_of(_parse_bits(args.sW, len(tab.groupW.basis), "--sW"))
-    y = tab.groupV.mask_of(_parse_bits(args.sV, len(tab.groupV.basis), "--sV"))
+    x = _parse_element(args.sW, tab.groupW, "--sW")
+    y = _parse_element(args.sV, tab.groupV, "--sV")
     return tab, x, y
 
 
@@ -301,13 +301,13 @@ def _fiber_unit(case) -> dict:
 
 
 def _is_homomorphism(group, val) -> bool:
-    """Whether x ↦ val[0]·val[x] is a homomorphism from ``group.masks()``
+    """Whether x ↦ val[0]·val[x] is a homomorphism from ``group.masks``
     (XOR) to ±1.
 
     Checked as f(x ⊕ g) = f(x)·f(g) for every x and every g in the group's
     generating set, at O(|masks|·rank) cost.
     """
-    base, masks = val[0], group.masks()
+    base, masks = val[0], group.masks
     for g in group.generators:
         vg = base * val[g]  # base² = 1: the check is val[x ^ g] = val[x]·vg
         for x in masks:

@@ -79,8 +79,8 @@ class BadParity(ValueError):
 class CFieldFactor:
     """Rotation by ``angle``·π on a definite plane of sign ``c``.
 
-    The factor of opposite sign is built once, on first request, by
-    :meth:`with_sign`; the two share the angle and the regularity data, which
+    :meth:`with_sign` builds the factor of opposite sign without running the
+    constructor again; the two share the angle and the regularity data, which
     do not depend on ``c``.
     """
 
@@ -90,23 +90,19 @@ class CFieldFactor:
     def __post_init__(self):
         a = _as_fraction(self.angle) % 2
         object.__setattr__(self, "angle", a)
-        if self.c not in (1, -1):
+        if type(self.c) is not int or self.c not in (1, -1):  # no bools
             raise ValueError("plane sign c must be +1 or -1")
         object.__setattr__(self, "_regularity", (a in (0, 1), _iso_class(self)))
-        object.__setattr__(self, "_twin", None)
 
     def with_sign(self, c: int) -> "CFieldFactor":
         """This rotation on a plane of sign ``c``."""
         if c == self.c:
             return self
-        if c != -self.c:
+        if type(c) is not int or c != -self.c:
             raise ValueError("plane sign c must be +1 or -1")
-        twin = self._twin
-        if twin is None:
-            twin = object.__new__(CFieldFactor)
-            twin.__dict__.update(self.__dict__, c=c, _twin=self)
-            object.__setattr__(self, "_twin", twin)
-        return twin
+        flipped = object.__new__(CFieldFactor)
+        flipped.__dict__.update(self.__dict__, c=c)
+        return flipped
 
 
 @dataclass(frozen=True, order=True)
@@ -223,9 +219,6 @@ class KappaDatum:
     def signature(self) -> tuple[int, int]:
         return self._invariants[:2]
 
-    def cfield_factors(self) -> tuple[CFieldFactor, ...]:
-        return tuple(f for f in self.factors if isinstance(f, CFieldFactor))
-
     @property
     def n_elliptic(self) -> int:
         """|I*|: the number of definite (elliptic) planes."""
@@ -234,12 +227,6 @@ class KappaDatum:
     @property
     def sum_c(self) -> int:
         return self._invariants[3]
-
-    @property
-    def prod_c(self) -> int:
-        # (n − Σc)/2 of the n signs are −1
-        _, _, n, sum_c = self._invariants
-        return -1 if (n - sum_c) // 2 % 2 else 1
 
     def with_signs(self, signs: Iterable[int]) -> "KappaDatum":
         """Replace the definite-plane signs, preserving everything else."""
@@ -400,7 +387,7 @@ def _odd_side_exponent(X: QuadSpace, kappa: KappaDatum) -> int:
 
 def _in_C(kc: KappaDatum, pair) -> bool:
     """:func:`is_in_C_VW` on ``pair`` = (W, V) without the admissibility
-    check, which the sweeps make once per pair, before its sign sweep."""
+    check, which each verifier makes once, before its sign sweep."""
     W, V = pair
     if not is_in_Xi_dVdW(kc, V.dim, W.dim):
         return False
@@ -523,29 +510,22 @@ def verify_fiber_union(
         raise ValueError("e0 must be +1 or -1")
     pair = _fiber_pair(kappa, W, V)
     if W.dim % 2:
+        # each W_α ⟂ W^⟂ has the complement of (W, V): admissible by construction
         forms = [
             (Wa, Wa.orthogonal_sum(pair.w_perp)) for Wa in _forms_with_sign(W, e0)
         ]
-        for form in forms:
-            admissible_pair(*form)
-        lhs = _sweep(kappa, forms, _in_C)
         N = _odd_side_exponent(W, kappa)
         selected = [((Wa.p, Wa.q), (Va.p, Va.q)) for Wa, Va in forms]
     else:
-        forms = _forms_with_sign(V, e0)
-        lhs = _sweep(
-            kappa,
-            forms,
-            lambda kc, Va: is_in_Xi_dVdW(kc, V.dim, W.dim)
-            and _embeds_with_qs_complement(kc, Va),
-        )
+        forms = [(W, Va) for Va in _forms_with_sign(V, e0)]
         N = (
             kappa.n_elliptic
             - (V.delta - iota(V, kappa)) // 2
             + (W.dim + 1 + W.delta + pair.d_sign) // 2
             - quasi_split_form(W.orthogonal_sum(pair.line)).p
         )
-        selected = [(Va.p, Va.q) for Va in forms]
+        selected = [(Va.p, Va.q) for _, Va in forms]
+    lhs = _sweep(kappa, forms, _in_C)
     return _coset_report("fiber-union", lhs, kappa, e0, N, selected=selected)
 
 
@@ -564,6 +544,8 @@ def make_regular_kappa(
     definite-plane signs start at +1.  Built once per argument tuple, so the
     sweeps share each datum and its :attr:`~KappaDatum.signed` data.
     """
+    if any(type(n) is not int or n < 0 for n in (n_cfield, n_rsplit, n_csplit)):
+        raise ValueError("block counts must be non-negative integers")
     facs: list[FactorDatum] = []
     denom = 2 * n_cfield + 1
     for j in range(n_cfield):

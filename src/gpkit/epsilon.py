@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 
+from .quadspace import _as_fraction
 from .weilrep import CharRep, DiscRep, IrredRep, WeilRep
 
 __all__ = [
@@ -95,9 +96,6 @@ class FourthRoot:
     def __post_init__(self) -> None:
         object.__setattr__(self, "e", self.e % 4)
 
-    def __mul__(self, other: "FourthRoot") -> "FourthRoot":
-        return FourthRoot(self.e + other.e)
-
     @property
     def is_real(self) -> bool:
         return self.e % 2 == 0
@@ -135,16 +133,6 @@ def _pole_check(real_part: Fraction, t: Fraction) -> None:
         raise PoleAt(f"Gamma pole at argument {real_part}")
 
 
-def _exact(s) -> Fraction:
-    if isinstance(s, (Fraction, int)):
-        return Fraction(s)
-    if isinstance(s, str):
-        return Fraction(s)
-    if isinstance(s, float):
-        return Fraction(s)  # floats are exact binary rationals
-    raise TypeError(f"cannot treat {type(s).__name__} as an exact rational")
-
-
 def _log_l_factor(rho: IrredRep, s) -> complex:
     """log L(s, ρ) of the local L-factor
 
@@ -153,7 +141,7 @@ def _log_l_factor(rho: IrredRep, s) -> complex:
 
     through log Γ: it stays in the float range where Γ itself overflows
     (from Γ(172) on)."""
-    s = _exact(s)
+    s = _as_fraction(s)
     loggamma = _scipy("special").loggamma
     if isinstance(rho, CharRep):
         re, tw = (s + rho.a) / 2, rho.t / 2

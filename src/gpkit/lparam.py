@@ -138,8 +138,12 @@ def constituent_type(rho: IrredRep, ambient: Ambient) -> ConstituentType:
 @dataclass(frozen=True)
 class LParameter:
     rep: WeilRep
-    ambient: Ambient
     target: QuadSpace
+
+    @cached_property
+    def ambient(self) -> Ambient:
+        """:func:`ambient_of` the target space, computed once."""
+        return ambient_of(self.target)
 
     @cached_property
     def group(self) -> "ComponentGroup":
@@ -184,7 +188,7 @@ def validate(rep: WeilRep, V: QuadSpace) -> LParameter:
         raise UnpairedGLType(everything)
     if dim_violations:
         raise DimMismatch(everything)
-    return LParameter(rep, ambient, V)
+    return LParameter(rep, V)
 
 
 @dataclass(frozen=True)
@@ -193,13 +197,22 @@ class ComponentGroup:
 
     An element is its minus-set bitmask over ``basis`` (bit i set ⟺ sign
     −1 on slot i); :meth:`mask_of` and :meth:`signs_of` convert from and to
-    ±1 signs.  The mask data every Gross–Prasad pair of the parameter reads
-    — the element masks, the dimension subset sums and their parity bits, and
-    a generating set — are computed on first use and kept.
+    ±1 signs.  The constraint says that an element's −1-eigenspace has even
+    dimension, so the elements are the even-dimensional subsets of the basis.
+    The mask data every Gross–Prasad pair of the parameter reads are
+    computed on first use and kept.
     """
 
     basis: tuple[IrredRep, ...]
-    constraint: bool
+
+    @cached_property
+    def _odd_mask(self) -> int:
+        return sum(1 << i for i, rho in enumerate(self.basis) if irred_dim(rho) % 2)
+
+    @property
+    def constraint(self) -> bool:
+        """True iff some basis slot is odd-dimensional, so Π ε_i = 1 binds."""
+        return self._odd_mask != 0
 
     @property
     def rank(self) -> int:
@@ -211,41 +224,25 @@ class ComponentGroup:
         return 2 ** self.rank
 
     @cached_property
-    def _odd_mask(self) -> int:
-        return sum(
-            1 << i for i, rho in enumerate(self.basis) if irred_dim(rho) % 2
-        )
-
-    def _admits(self, mask: int) -> bool:
-        """True iff the minus-set ``mask`` has an even number of odd slots."""
-        return (mask & self._odd_mask).bit_count() % 2 == 0
-
     def masks(self) -> tuple[int, ...]:
         """Minus-set bitmasks of every element of 𝒮_φ, in ascending order."""
-        return self._masks
-
-    @cached_property
-    def _masks(self) -> tuple[int, ...]:
-        return tuple(m for m in range(1 << len(self.basis)) if self._admits(m))
-
-    @cached_property
-    def dim_sums(self) -> tuple[int, ...]:
-        """``dim_sums[m]`` = dim of the sum of the basis slots set in ``m``,
-        for every subset m of the basis (not only the elements of 𝒮_φ)."""
-        return tuple(_subset_sums([irred_dim(rho) for rho in self.basis]))
+        odd = self._odd_mask
+        return tuple(
+            m for m in range(1 << len(self.basis)) if (m & odd).bit_count() % 2 == 0
+        )
 
     @cached_property
     def even_dims(self) -> int:
-        """The subsets of the basis with even dimension, as one bitmask: bit m
-        set ⟺ ``dim_sums[m]`` is even."""
-        return sum(1 << m for m, d in enumerate(self.dim_sums) if d % 2 == 0)
+        """:attr:`masks` as one bitmask: bit m set ⟺ the subset m of the
+        basis has even dimension ⟺ m is an element."""
+        return sum(1 << m for m in self.masks)
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
-        """A generating set of :meth:`masks` under XOR, each mask taken in
+        """A generating set of :attr:`masks` under XOR, each mask taken in
         ascending order unless the earlier ones already span it."""
         span, gens = {0}, []
-        for m in self.masks():
+        for m in self.masks:
             if m not in span:
                 gens.append(m)
                 span |= {s ^ m for s in span}
@@ -256,9 +253,11 @@ class ComponentGroup:
         bit i set ⟺ sign −1 on basis slot i."""
         signs = tuple(signs)
         if len(signs) != len(self.basis) or any(s not in (1, -1) for s in signs):
-            raise ValueError("signs must be ±1, one per basis constituent")
+            raise ValueError(
+                f"signs must be +1 or -1, one per basis constituent ({len(self.basis)})"
+            )
         mask = sum(1 << i for i, s in enumerate(signs) if s == -1)
-        if not self._admits(mask):
+        if not self.even_dims >> mask & 1:
             raise ValueError("signs violate the odd-dimension product constraint")
         return mask
 
@@ -273,8 +272,7 @@ def component_group(phi: LParameter) -> ComponentGroup:
         for rho, _ in phi.rep
         if constituent_type(rho, phi.ambient) is ConstituentType.O
     )
-    constraint = any(irred_dim(rho) % 2 for rho in basis)
-    return ComponentGroup(basis, constraint)
+    return ComponentGroup(basis)
 
 
 def is_reduced(phi: LParameter) -> bool:
@@ -319,7 +317,7 @@ def classify(phi: LParameter) -> Classification:
     center = sum(
         1 << i for i, rho in enumerate(grp.basis) if phi.rep.mult(rho) % 2
     )
-    condition = any(m not in (0, center) for m in grp.masks())
+    condition = any(m not in (0, center) for m in grp.masks)
 
     if phi.reduced and phi.rep.dim > 2:
         if condition != ("E" in flags):
@@ -345,15 +343,6 @@ def make_gp_pair(phiW: LParameter, phiV: LParameter) -> GPPair:
             ["a Gross–Prasad pair needs one even and one odd target space"]
         )
     return GPPair(phiW, phiV, admissible_pair(phiW.target, phiV.target))
-
-
-def _subset_sums(values) -> list[int]:
-    """``out[m]`` = Σ values[i] over the set bits i of m, built by lowest set bit."""
-    out = [0]
-    for m in range(1, 1 << len(values)):
-        low = m & -m
-        out.append(out[m ^ low] + values[low.bit_length() - 1])
-    return out
 
 
 class GPCharacterTable:
@@ -404,8 +393,7 @@ class GPCharacterTable:
     depends on one side only is built once per parameter and shared by every
     table of a sweep that pairs it: the reducedness test and the component
     group (:attr:`LParameter.reduced`, :attr:`LParameter.group`), and the
-    group's element masks, dimension subset sums and their parity bits, and
-    generating set.
+    group's element masks, their bitmask and its generating set.
     """
 
     def __init__(self, gp: GPPair):
@@ -416,20 +404,20 @@ class GPCharacterTable:
         self.groupV = gp.phiV.group
         basisV = self.groupV.basis
         planes = [_slot_planes(sig, basisV) for sig in self.groupW.basis]
-        dimW = self.groupW.dim_sums
+        sizeW = 1 << len(self.groupW.basis)
         lo, hi = [0], [0]
-        for x in range(1, len(dimW)):
+        for x in range(1, sizeW):
             low = x & -x
             a0, a1 = lo[x ^ low], hi[x ^ low]
             b0, b1 = planes[low.bit_length() - 1]
             lo.append(a0 ^ b0)
             hi.append(a1 ^ b1 ^ (a0 & b0))
-        evenV = self.groupV.even_dims
+        evenW, evenV = self.groupW.even_dims, self.groupV.even_dims
         self._defined = tuple(
-            0 if d % 2 else evenV & ~odd for d, odd in zip(dimW, lo)
+            evenV & ~odd if evenW >> x & 1 else 0 for x, odd in enumerate(lo)
         )
         self._minus = tuple(ok & two for ok, two in zip(self._defined, hi))
-        self._fullW = len(dimW) - 1
+        self._fullW = sizeW - 1
         self._fullV = (1 << len(basisV)) - 1
 
     def mask_tables(self):
@@ -438,7 +426,7 @@ class GPCharacterTable:
         Masks run over the constraint-respecting elements of each component
         group; the two value maps are the one-sided χ factors.
         """
-        masksW, masksV = self.groupW.masks(), self.groupV.masks()
+        masksW, masksV = self.groupW.masks, self.groupV.masks
         defined, minus, fullV = self._defined, self._minus, self._fullV
         valW = {x: _sign(defined[x], minus[x], fullV) for x in masksW}
         rowD, rowM = defined[self._fullW], minus[self._fullW]
@@ -459,8 +447,8 @@ class GPCharacterTable:
         """χ_φ on every element, keyed by the mask pair (x, y)."""
         return {
             (x, y): self.chi(x, y)
-            for x in self.groupW.masks()
-            for y in self.groupV.masks()
+            for x in self.groupW.masks
+            for y in self.groupV.masks
         }
 
     def dichotomy(self, x: int, y: int) -> "DichotomyReport":

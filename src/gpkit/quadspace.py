@@ -139,10 +139,10 @@ class AdmissiblePair:
     d_sign: int
 
     def __post_init__(self) -> None:
-        if self.d_sign not in (1, -1):
+        if type(self.d_sign) is not int or self.d_sign not in (1, -1):
             raise ValueError("d_sign must be ±1")
-        if self.r < 0:
-            raise ValueError("r must be non-negative")
+        if type(self.r) is not int or self.r < 0:
+            raise ValueError("r must be a non-negative integer")
         gap = self.V.dim - self.W.dim
         if gap != 2 * self.r + 1:
             raise ValueError("dim V − dim W must equal 2r + 1")
@@ -171,7 +171,7 @@ def is_admissible_pair(W: QuadSpace, V: QuadSpace) -> AdmissiblePair | None:
     later call.
     """
     a, b = V.p - W.p, V.q - W.q
-    if a < 0 or b < 0 or (a + b) % 2 == 0 or abs(a - b) != 1:
+    if a < 0 or b < 0 or abs(a - b) != 1:
         return None
     return AdmissiblePair(W, V, min(a, b), 1 if a > b else -1)
 

@@ -131,8 +131,8 @@ class WeilRep:
     __slots__ = ("_summands",)
 
     def __init__(self, items: Iterable = ()) -> None:
-        if isinstance(items, Mapping):
-            items = items.items()
+        if isinstance(items, Mapping):  # iterating it would read only its keys
+            raise TypeError("a WeilRep takes (irreducible, mult) pairs, not a mapping")
         acc: dict[IrredRep, int] = {}
         for item in items:
             if isinstance(item, (CharRep, DiscRep)):
@@ -152,9 +152,6 @@ class WeilRep:
             tuple(sorted(acc.items(), key=lambda kv: _sort_key(kv[0]))),
         )
 
-    def constituents(self) -> list[IrredRep]:
-        return [rho for rho, _ in self._summands]
-
     def mult(self, rho: IrredRep) -> int:
         for sigma, m in self._summands:
             if sigma == rho:
@@ -164,14 +161,6 @@ class WeilRep:
     @property
     def dim(self) -> int:
         return sum(m * irred_dim(rho) for rho, m in self._summands)
-
-    def dual(self) -> "WeilRep":
-        return WeilRep((dual(rho), m) for rho, m in self._summands)
-
-    def __add__(self, other: "WeilRep") -> "WeilRep":
-        if not isinstance(other, WeilRep):
-            return NotImplemented
-        return WeilRep(list(self._summands) + list(other._summands))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, WeilRep) and self._summands == other._summands

@@ -92,13 +92,15 @@ def eigenspace_split(phi: LParameter, mask: int) -> tuple[WeilRep, WeilRep]:
     grp = component_group(phi)
     if not 0 <= mask < 1 << len(grp.basis):
         raise ValueError("mask has bits outside the component-group basis")
-    if not grp._admits(mask):
-        raise ValueError("component element violates the group constraint")
     signed = list(zip(grp.basis, grp.signs_of(mask)))
     plus = WeilRep(rho for rho, sign in signed if sign == 1)
     minus = WeilRep(rho for rho, sign in signed if sign == -1)
-    if grp.constraint and minus.dim % 2:
-        raise InvariantViolation("constrained eigenspaces must have even dimension")
+    # the constraint Π ε_i = 1 over odd-dimensional i: det s = 1
+    if minus.dim % 2:
+        raise ValueError("component element violates the group constraint")
+    if mask not in grp.masks:
+        raise InvariantViolation("an element of even eigenspace dimension is "
+                                 "missing from the group's masks")
     return plus, minus
 
 

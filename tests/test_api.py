@@ -1,6 +1,7 @@
 """The public surface of each gpkit module: ``__all__`` and ``import *``."""
 
 import importlib
+from dataclasses import fields
 
 import pytest
 
@@ -29,3 +30,35 @@ def test_test_oracles_are_not_exported(name, attr):
     module = importlib.import_module(f"gpkit.{name}")
     assert not hasattr(module, attr)
     assert attr not in getattr(module, "__all__", ())
+
+
+def test_stored_fields_are_only_the_defining_data():
+    # everything else of a parameter or a component group is derived from
+    # these on first use, so it cannot disagree with them
+    from gpkit.lparam import ComponentGroup, LParameter
+
+    assert [f.name for f in fields(LParameter)] == ["rep", "target"]
+    assert [f.name for f in fields(ComponentGroup)] == ["basis"]
+
+
+@pytest.mark.parametrize(
+    "module,owner,attr",
+    [
+        ("lparam", "ComponentGroup", "dim_sums"),
+        ("lparam", "ComponentGroup", "_masks"),
+        ("lparam", "ComponentGroup", "_admits"),
+        ("lparam", None, "_subset_sums"),
+        ("epsilon", None, "_exact"),
+        ("epsilon", "FourthRoot", "__mul__"),
+        ("conjclass", "KappaDatum", "cfield_factors"),
+        ("conjclass", "KappaDatum", "prod_c"),
+        ("weilrep", "WeilRep", "__add__"),
+        ("weilrep", "WeilRep", "dual"),
+        ("weilrep", "WeilRep", "constituents"),
+    ],
+)
+def test_conveniences_over_the_kept_api_stay_deleted(module, owner, attr):
+    # each was a second copy of a fact that the kept API gives in one
+    # expression
+    mod = importlib.import_module(f"gpkit.{module}")
+    assert not hasattr(getattr(mod, owner) if owner else mod, attr)

@@ -48,6 +48,18 @@ PARAM_SO21 = {
 
 PAIR_SO23 = {"phiW": PARAM_B, "phiV": PARAM_SO21}
 
+# 1 + sgn on (2, 0) and 1 + sgn + D_2 on (2, 2): both bases hold odd-dimensional
+# slots, so each group has rank one less than its basis length
+_ONE_SGN = [
+    {"rep": {"kind": "char", "a": 0, "t": "0"}, "mult": 1},
+    {"rep": {"kind": "char", "a": 1, "t": "0"}, "mult": 1},
+]
+PARAM_SO20_CONSTRAINED = {"V": {"p": 2, "q": 0}, "rep": _ONE_SGN}
+PARAM_SO22_CONSTRAINED = {
+    "V": {"p": 2, "q": 2},
+    "rep": _ONE_SGN + [{"rep": {"kind": "disc", "k": 2, "t": "0"}, "mult": 1}],
+}
+
 PAIR_SO45 = {
     "phiW": {
         "V": {"p": 2, "q": 2},
@@ -285,8 +297,8 @@ def _broken_dichotomy_records(max_dim, max_k):
                             },
                             "breakdown": BROKEN_REPORT.breakdown(),
                         }
-                        for y in gV.masks() if y not in central
-                        for x in gW.masks()
+                        for y in gV.masks if y not in central
+                        for x in gW.masks
                     ]
     return sorted(records, key=lambda ce: json.dumps(ce, sort_keys=True))
 
@@ -498,7 +510,9 @@ print("ok")
     ):
         # hide every non-central element: the explicit condition then
         # disagrees with the trichotomy on a reduced (E) parameter
-        monkeypatch.setattr(lparam.ComponentGroup, "masks", lambda self: [0])
+        monkeypatch.setattr(
+            lparam.ComponentGroup, "masks", property(lambda self: (0,))
+        )
         param = {"V": {"p": 3, "q": 2}, "rep": PAIR_SO45["phiV"]["rep"]}
         rc, out = run_json(capsys, ["classify", jfile(param)])
         assert rc == 3
@@ -526,7 +540,45 @@ class TestErrorsAndFormat:
         rc, out = run_json(
             capsys, ["chi", jfile(PAIR_SO23), "--sW", "00", "--sV", "0"]
         )
-        assert rc == 2 and "rank-1" in out["error"]
+        assert rc == 2
+        assert out == {
+            "error": "--sW: signs must be +1 or -1, one per basis constituent (1)"
+        }
+
+    @pytest.mark.parametrize(
+        "command,sW,sV,error",
+        [
+            # 1 + sgn on (2, 0): two basis slots, a group of rank 1
+            ("chi", "0", "0",
+             "--sW: signs must be +1 or -1, one per basis constituent (2)"),
+            ("chi", "01", "0",
+             "--sW: signs violate the odd-dimension product constraint"),
+            ("dichotomy", "10", "1",
+             "--sW: signs violate the odd-dimension product constraint"),
+            ("chi", "11", "00",
+             "--sV: signs must be +1 or -1, one per basis constituent (1)"),
+        ],
+        ids=["W count", "W constraint", "W constraint, dichotomy", "V count"],
+    )
+    def test_sign_errors_on_a_constrained_basis(
+        self, jfile, capsys, command, sW, sV, error
+    ):
+        # the count names the basis length, not the rank, and a constraint
+        # violation names its flag like every other sign-string error
+        pair = {"phiW": PARAM_SO20_CONSTRAINED, "phiV": PARAM_SO21}
+        rc, out = run_json(capsys, [command, jfile(pair), "--sW", sW, "--sV", sV])
+        assert rc == 2
+        assert out == {"error": error}
+
+    def test_constraint_violation_on_the_v_side(self, jfile, capsys):
+        pair = {"phiW": PARAM_SO21, "phiV": PARAM_SO22_CONSTRAINED}
+        rc, out = run_json(
+            capsys, ["chi", jfile(pair), "--sW", "0", "--sV", "100"]
+        )
+        assert rc == 2
+        assert out == {
+            "error": "--sV: signs violate the odd-dimension product constraint"
+        }
 
     @pytest.mark.parametrize("argv", [["-1,0"], ["--", "-1,0"]], ids=repr)
     def test_negative_space_entry_is_a_space_error(self, capsys, argv):
@@ -852,13 +904,16 @@ def test_sweep_pins_the_benchmark_call_counts(workload, monkeypatch):
 
 # The exact-count identities of the benchmark's conjclass workload, `verify
 # union --max-dim 13` then `verify fibers --max-dv 12`: calls of each traced
-# conjclass name, and cases_checked per sweep.
+# conjclass and quadspace name, and cases_checked per sweep.
 CONJCLASS_CALLS = {
     "verify_union_prop": 3_036,
     "verify_fiber_lemma": 1_456,
     "verify_fiber_union": 2_912,
     "is_regular": 50_524,
     "is_in_Xi_reg_V": 67_234,
+    "kottwitz_sign": 30_404,
+    "pure_inner_forms": 11_896,
+    "is_admissible_pair": 8_099,
 }
 CONJCLASS_CASES = {"union": 3_036, "fibers": 4_368}
 
@@ -869,13 +924,13 @@ def test_conjclass_sweeps_pin_the_benchmark_call_counts(monkeypatch):
     # a change that memoises a verdict or skips a call fails here first
     calls = dict.fromkeys(CONJCLASS_CALLS, 0)
     for name in calls:
-        target = getattr(conjclass, name)
+        target = getattr(conjclass, name, None) or getattr(quadspace, name)
 
         def counted(*args, _name=name, _fn=target, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
-        for mod in (cli, conjclass):
+        for mod in (cli, conjclass, quadspace):
             if getattr(mod, name, None) is target:
                 monkeypatch.setattr(mod, name, counted)
     cases = {}

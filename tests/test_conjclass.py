@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -38,6 +39,11 @@ from gpkit.quadspace import (
     pure_inner_forms,
 )
 from trace_reference import eigenvalue_tokens, token_to_complex
+
+
+def _signs(kappa):
+    """The definite-plane signs c of ``kappa``, in factor order."""
+    return tuple(f.c for f in kappa if isinstance(f, CFieldFactor))
 
 
 def F(n, d=1):
@@ -154,13 +160,13 @@ class TestKappaDatum:
         assert kappa.dim == 10
         assert kappa.n_elliptic == 2
         assert kappa.sum_c == 0
-        assert kappa.prod_c == -1
+        assert math.prod(_signs(kappa)) == -1
 
     def test_with_signs(self):
         kappa = make_regular_kappa(2, 1)
         flipped = kappa.with_signs([-1, 1])
         assert flipped.sum_c == 0
-        assert flipped.cfield_factors()[0].c == -1
+        assert _signs(flipped) == (-1, 1)
         with pytest.raises(MismatchedSignVector):
             kappa.with_signs([1])
 
@@ -170,7 +176,7 @@ class TestKappaDatum:
         from itertools import product as iproduct
         for signs in iproduct((1, -1), repeat=3):
             kc = kappa.with_signs(signs)
-            assert kc.prod_c == (-1) ** ((kc.n_elliptic - kc.sum_c) // 2)
+            assert math.prod(_signs(kc)) == (-1) ** ((kc.n_elliptic - kc.sum_c) // 2)
 
 
 class TestIota:
@@ -309,7 +315,7 @@ def test_shape_counts_round_trip(nc, nr, ns):
     )
     assert kappa.n_elliptic == nc and counts == (nc, nr, ns)
     assert kappa.dim == 2 * (nc + nr) + 4 * ns
-    assert (kappa.sum_c, kappa.prod_c) == (nc, 1)
+    assert (kappa.sum_c, _signs(kappa)) == (nc, (1,) * nc)
 
 
 def _fresh(kappa, signs):
@@ -328,7 +334,7 @@ def _fresh(kappa, signs):
 
 
 def _reference_invariants(kappa):
-    """(dim, signature, n_elliptic, sum_c, prod_c) from factor_signature."""
+    """(dim, signature, n_elliptic, sum_c, Πc) from factor_signature."""
     sigs = [factor_signature(f) for f in kappa]
     p, q = sum(s[0] for s in sigs), sum(s[1] for s in sigs)
     plus, minus = sigs.count((2, 0)), sigs.count((0, 2))
@@ -376,7 +382,7 @@ def test_with_signs_matches_fresh_construction_on_families():
             for f, g in zip(kc, fresh):
                 assert f == g and hash(f) == hash(g)
             assert (
-                kc.dim, kc.signature, kc.n_elliptic, kc.sum_c, kc.prod_c
+                kc.dim, kc.signature, kc.n_elliptic, kc.sum_c, math.prod(_signs(kc))
             ) == _reference_invariants(kc) == _reference_invariants(fresh)
             assert is_regular(kc) is _reference_is_regular(kc)
             assert is_regular(fresh) is is_regular(kc)
@@ -385,20 +391,49 @@ def test_with_signs_matches_fresh_construction_on_families():
     assert (cases, regular) == (1_829, 443)
 
 
-def test_with_signs_reuses_one_twin_per_factor():
+def test_with_sign_shares_the_regularity_data():
     kappa = make_regular_kappa(3, 1, 1)
     down = kappa.with_signs((-1, -1, -1))
-    again = kappa.with_signs((-1, 1, -1))
-    assert down.factors[0] is again.factors[0]
-    assert down.factors[2] is again.factors[2]
+    for f, g in zip(kappa.factors[:3], down.factors):
+        # a flipped factor is a new object that shares what c does not touch
+        assert g == CFieldFactor(f.angle, -1) and g is not f
+        assert g.angle is f.angle and g._regularity is f._regularity
+        assert "_twin" not in vars(g)  # no memo links the two
+        # flipping back gives a factor equal to the original
+        assert g.with_sign(1) == f and g.with_sign(-1) is g
     assert kappa.with_signs((1, 1, 1)).factors[0] is kappa.factors[0]
-    # the twin of the twin is the original
-    assert down.with_signs((1, 1, 1)).factors[0] is kappa.factors[0]
     assert down.factors[3] is kappa.factors[3]  # split factors are shared
     with pytest.raises(ValueError):
         kappa.with_signs((2, 1, 1))
     with pytest.raises(ValueError):
         kappa.factors[0].with_sign(0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CFieldFactor(Fraction(1, 3), True),
+        lambda: CFieldFactor(Fraction(1, 3), 1.0),
+        lambda: CFieldFactor(Fraction(1, 3), -1).with_sign(True),
+        lambda: CFieldFactor(Fraction(1, 3), -1).with_sign(1.0),
+        lambda: make_regular_kappa(True),
+        lambda: make_regular_kappa(1, False),
+        lambda: make_regular_kappa(2.0),
+        lambda: make_regular_kappa(-1),
+        lambda: make_regular_kappa(1, 0, -2),
+    ],
+    ids=["c True", "c 1.0", "with_sign(True)", "with_sign(1.0)",
+         "n_cfield True", "n_rsplit False", "n_cfield 2.0", "n_cfield -1",
+         "n_csplit -2"],
+)
+def test_bools_and_negative_counts_are_refused(build):
+    # True == 1 passed as a plane sign or a block count, and a negative count
+    # gave an empty datum; a refusal leaves no datum in the shape cache
+    make_regular_kappa(1)
+    cached = make_regular_kappa.cache_info().currsize
+    with pytest.raises(ValueError):
+        build()
+    assert make_regular_kappa.cache_info().currsize == cached
 
 
 def _shape_family():
@@ -429,9 +464,9 @@ def test_signed_data_matches_with_signs_on_families():
             assert hash(kc) == hash(fresh) == hash(ref)
             assert repr(kc) == repr(fresh) == repr(ref)
             assert (
-                kc.dim, kc.signature, kc.n_elliptic, kc.sum_c, kc.prod_c
+                kc.dim, kc.signature, kc.n_elliptic, kc.sum_c, math.prod(_signs(kc))
             ) == _reference_invariants(ref)
-            assert tuple(f.c for f in kc.cfield_factors()) == c
+            assert _signs(kc) == c
             cases += 1
         assert kappa == bare and (hash(kappa), repr(kappa)) == key
     assert cases == 443

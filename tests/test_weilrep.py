@@ -67,6 +67,12 @@ def test_constructors_refuse_non_int_values(build):
         build()
 
 
+def test_a_mapping_is_refused():
+    # iterating a mapping reads its keys, which would drop the multiplicities
+    with pytest.raises(TypeError, match="not a mapping"):
+        WeilRep({C(0): 2})
+
+
 def test_irred_dim():
     assert irred_dim(C(0)) == 1
     assert irred_dim(D(4)) == 2
@@ -104,7 +110,8 @@ def test_weilrep_canonicalization():
 def test_weilrep_add_and_zero():
     z = WeilRep()
     assert not z and z.dim == 0
-    r = WeilRep([D(1)]) + WeilRep([D(1), C(1)])
+    # a direct sum is the multiset of both summands' pairs
+    r = WeilRep([*WeilRep([D(1)]), *WeilRep([D(1), C(1)])])
     assert r.mult(D(1)) == 2
     assert r.mult(C(1)) == 1
 
@@ -198,7 +205,7 @@ def test_random_tensor_character_identity():
 @given(st.lists(irreds, max_size=4))
 def test_dual_distributes(xs):
     r = WeilRep(xs)
-    assert r.dual() == WeilRep(dual(x) for x in xs)
+    assert WeilRep((dual(rho), m) for rho, m in r) == WeilRep(dual(x) for x in xs)
 
 
 def test_json_round_trips():
@@ -211,5 +218,5 @@ def test_json_round_trips():
 
 def test_weilrep_iter_and_constituents():
     r = WeilRep([(D(1), 2), C(0)])
-    assert set(r.constituents()) == {D(1), C(0)}
+    assert {rho for rho, _ in r} == {D(1), C(0)}
     assert dict(iter(r)) == {D(1): 2, C(0): 1}
