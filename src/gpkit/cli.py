@@ -300,97 +300,26 @@ def _fiber_unit(case) -> dict:
     return {"key": [dv, pv], "checked": checked, "counterexamples": bad}
 
 
-def _is_homomorphism(group, val) -> bool:
-    """Whether x ↦ val[0]·val[x] is a homomorphism from ``group.masks``
-    (XOR) to ±1.
-
-    Checked as f(x ⊕ g) = f(x)·f(g) for every x and every g in the group's
-    generating set, at O(|masks|·rank) cost.
-    """
-    base, masks = val[0], group.masks
-    for g in group.generators:
-        vg = base * val[g]  # base² = 1: the check is val[x ^ g] = val[x]·vg
-        for x in masks:
-            if val[x ^ g] != val[x] * vg:
-                return False
-    return True
-
-
-def _is_multiplicative(groupW, groupV, valW, valV) -> bool:
-    """Whether χ(x, y) = valW[x]·valV[y] is a character of 𝒮_W × 𝒮_V.
-
-    The groups' masks are groups under XOR and the values are ±1.  Criterion:
-    χ is multiplicative iff χ(0, 0) = 1 and the normalised factors
-    w(x) = valW[0]·valW[x] and u(y) = valV[0]·valV[y] are homomorphisms;
-    and a map f with f(0) = 1 is a homomorphism iff f(x ⊕ g) = f(x)·f(g)
-    for every x and every g in a generating set.
-
-    Proof.  Put a = valW[0], b = valV[0], so a² = b² = 1.  If χ is
-    multiplicative, χ(0, 0) = χ(0, 0)² = 1, i.e. ab = 1, hence
-    χ(x, y) = ab·w(x)·u(y) = w(x)·u(y); w(x) = χ(x, 0) and u(y) = χ(0, y)
-    are restrictions of χ to the subgroups 𝒮_W × 0 and 0 × 𝒮_V, so they are
-    homomorphisms.  Conversely, if ab = 1 and w, u are homomorphisms, then
-    χ = w·u is one on the product.  For the generating set: write
-    h = g_1 ⊕ … ⊕ g_k; induction on k gives f(x ⊕ h) = f(x)·f(g_1)⋯f(g_k)
-    for every x, and x = 0 gives f(h) = f(g_1)⋯f(g_k), so
-    f(x ⊕ h) = f(x)·f(h).  ∎
-
-    This certifies the |𝒮_W × 𝒮_V|² product identities of the all-pairs
-    check at O((|𝒮_W| + |𝒮_V|)·rank) cost.
-    """
-    return (
-        valW[0] * valV[0] == 1
-        and _is_homomorphism(groupW, valW)
-        and _is_homomorphism(groupV, valV)
-    )
-
-
 def _dichotomy_unit(case) -> dict:
-    from .lparam import GPCharacterTable, enumerate_reduced, make_gp_pair
+    from .lparam import GPCharacterTable, reduced_gp_pairs
 
     dw, dv, max_k = case
-    a = (dv - dw + 1) // 2
-    W = QuadSpace(dw, 0)
-    V = QuadSpace(dw + a, dv - dw - a)
     checked = 0
     bad = []
-    paramsV = enumerate_reduced(V, max_k)
-    for phiW in enumerate_reduced(W, max_k):
-        for phiV in paramsV:
-            tab = GPCharacterTable(make_gp_pair(phiW, phiV))
-            masksW, masksV, valW, valV = tab.mask_tables()
-            # the product identities certified, as the all-pairs check counts
-            checked += (len(masksW) * len(masksV)) ** 2
-            if not _is_multiplicative(tab.groupW, tab.groupV, valW, valV):
-                bad.append(
-                    {
-                        "case": {
-                            "kind": "chi-multiplicativity",
-                            "phiW": repr(phiW.rep),
-                            "phiV": repr(phiV.rep),
-                        }
-                    }
-                )
-            full = (1 << len(tab.groupV.basis)) - 1
-            for y in masksV:
-                if y == 0 or y == full:
-                    continue
-                for x in masksW:
-                    rep = tab.dichotomy(x, y)
-                    checked += 1
-                    if not rep.ok:
-                        bad.append(
-                            {
-                                "case": {
-                                    "kind": "dichotomy",
-                                    "phiW": repr(phiW.rep),
-                                    "phiV": repr(phiV.rep),
-                                    "sW": list(tab.groupW.signs_of(x)),
-                                    "sV": list(tab.groupV.signs_of(y)),
-                                },
-                                "breakdown": rep.breakdown(),
-                            }
-                        )
+    for gp in reduced_gp_pairs(dw, dv, max_k):
+        tab = GPCharacterTable(gp)
+        n, is_character, failures = tab.verify()
+        checked += n
+        if is_character and not failures:
+            continue
+        pair = {"phiW": repr(gp.phiW.rep), "phiV": repr(gp.phiV.rep)}
+        if not is_character:
+            bad.append({"case": {"kind": "chi-multiplicativity", **pair}})
+        for x, y, report in failures:
+            signs = {"sW": list(tab.groupW.signs_of(x)),
+                     "sV": list(tab.groupV.signs_of(y))}
+            bad.append({"case": {"kind": "dichotomy", **pair, **signs},
+                        "breakdown": report.breakdown()})
     return {"key": [dw, dv], "checked": checked, "counterexamples": bad}
 
 
@@ -513,19 +442,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_enumerate_pureinner)
 
     p = sub.add_parser("verify", help="exhaustive verification sweeps")
-    p.add_argument("what", choices=("union", "fibers", "dichotomy"))
-    p.add_argument("--max-dim", type=_parse_int, default=8,
-                   help="largest space dimension (union/dichotomy sweeps)")
-    p.add_argument("--max-dv", type=_parse_int, default=8,
-                   help="largest dim V (fiber sweeps)")
-    p.add_argument("--max-k", type=_parse_int, default=9,
-                   help="largest discrete piece D_k (dichotomy sweep)")
-    p.add_argument("--e0", type=_parse_int, choices=(1, -1), default=None,
-                   help="restrict the union sweep to one Kottwitz sign")
-    p.add_argument("--jobs", type=_parse_int, default=1,
-                   help="worker processes, at most the usable CPUs "
-                   "(default: 1)")
-    p.set_defaults(fn=_cmd_verify)
+    # each sweep takes only the bounds it reads, so a foreign flag is a
+    # usage error rather than a silently ignored bound
+    sweeps = p.add_subparsers(dest="what", required=True)
+    union = sweeps.add_parser("union", help="union over pure inner forms")
+    fibers = sweeps.add_parser("fibers", help="fiber lemma and fiber union")
+    dichotomy = sweeps.add_parser(
+        "dichotomy", help="chi is a character; the epsilon dichotomy identity")
+    for q in (union, dichotomy):
+        q.add_argument("--max-dim", type=_parse_int, default=8,
+                       help="largest space dimension")
+    fibers.add_argument("--max-dv", type=_parse_int, default=8,
+                        help="largest dim V")
+    dichotomy.add_argument("--max-k", type=_parse_int, default=9,
+                           help="largest discrete piece D_k")
+    union.add_argument("--e0", type=_parse_int, choices=(1, -1), default=None,
+                       help="restrict the sweep to one Kottwitz sign")
+    for q in (union, fibers, dichotomy):
+        q.add_argument("--jobs", type=_parse_int, default=1,
+                       help="worker processes, at most the usable CPUs "
+                       "(default: 1)")
+        q.set_defaults(fn=_cmd_verify)
     return top
 
 
@@ -537,7 +474,8 @@ def run(argv=None) -> int:
         _emit({"error": str(exc)}, getattr(args, "json", True))
         return 2
     except InvariantViolation as exc:
-        _emit({"error": f"InvariantViolation: {exc}"},
+        # named by its class, which may be a subclass (OddHalfExponent)
+        _emit({"error": f"{type(exc).__name__}: {exc}"},
               getattr(args, "json", True))
         return 3
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,

@@ -533,7 +533,6 @@ def verify_fiber_union(
 # Shape sweeps
 # ---------------------------------------------------------------------------
 
-@cache
 def make_regular_kappa(
     n_cfield: int, n_rsplit: int = 0, n_csplit: int = 0
 ) -> KappaDatum:
@@ -541,11 +540,18 @@ def make_regular_kappa(
 
     Angles are distinct points of (0, 1), split eigenvalues distinct integers
     ≥ 2, complex ones distinct non-real points off the unit circle; all
-    definite-plane signs start at +1.  Built once per argument tuple, so the
-    sweeps share each datum and its :attr:`~KappaDatum.signed` data.
+    definite-plane signs start at +1.  Built once per block-count triple,
+    however the counts are spelled, so the sweeps share each datum and its
+    :attr:`~KappaDatum.signed` data.
     """
     if any(type(n) is not int or n < 0 for n in (n_cfield, n_rsplit, n_csplit)):
         raise ValueError("block counts must be non-negative integers")
+    return _regular_kappa(n_cfield, n_rsplit, n_csplit)
+
+
+@cache
+def _regular_kappa(n_cfield: int, n_rsplit: int, n_csplit: int) -> KappaDatum:
+    """:func:`make_regular_kappa` on checked counts, cached per triple."""
     facs: list[FactorDatum] = []
     denom = 2 * n_cfield + 1
     for j in range(n_cfield):

@@ -70,6 +70,7 @@ __all__ = [
     "is_reduced",
     "DichotomyReport",
     "make_gp_pair",
+    "reduced_gp_pairs",
     "param_to_json",
     "param_from_json",
     "gp_pair_from_json",
@@ -114,7 +115,7 @@ class NotReduced(ValueError):
     """Operation defined only for multiplicity-free all-O-type parameters."""
 
 
-class OddHalfExponent(ArithmeticError):
+class OddHalfExponent(InvariantViolation):
     """A det(−Id)^{dim/2} exponent came out non-integral (invariant breach)."""
 
 
@@ -420,18 +421,36 @@ class GPCharacterTable:
         self._fullW = sizeW - 1
         self._fullV = (1 << len(basisV)) - 1
 
-    def mask_tables(self):
-        """(masksW, masksV, valueW, valueV): χ(s) = valueW[mW] · valueV[mV].
+    def verify(self) -> tuple[int, bool, list]:
+        """``(checked, is_character, failures)``: both χ-sweep checks.
 
-        Masks run over the constraint-respecting elements of each component
-        group; the two value maps are the one-sided χ factors.
+        ``is_character`` is :func:`_is_multiplicative` on the bit rows of
+        valW[x] = F[x][fullV] and valV[y] = F[fullW][y]; ``failures`` holds
+        ``(x, y, report)`` for each failed :meth:`dichotomy` over every x and
+        non-central y.  ``checked`` counts the |𝒮_W × 𝒮_V|² product
+        identities certified plus the dichotomy identities evaluated.
         """
         masksW, masksV = self.groupW.masks, self.groupV.masks
-        defined, minus, fullV = self._defined, self._minus, self._fullV
-        valW = {x: _sign(defined[x], minus[x], fullV) for x in masksW}
-        rowD, rowM = defined[self._fullW], minus[self._fullW]
-        valV = {y: _sign(rowD, rowM, y) for y in masksV}
-        return masksW, masksV, valW, valV
+        d, m, fullW, fullV = self._defined, self._minus, self._fullW, self._fullV
+        colD = colM = 0  # column fullV, bit x standing for F[x][fullV]
+        for x in masksW:
+            colD |= (d[x] >> fullV & 1) << x
+            colM |= (m[x] >> fullV & 1) << x
+        if colD != self.groupW.even_dims or self.groupV.even_dims & ~d[fullW]:
+            raise OddHalfExponent("non-symplectic tensor block in χ")
+        is_character = _is_multiplicative(self.groupW, self.groupV, colM, m[fullW])
+        checked = (len(masksW) * len(masksV)) ** 2
+        failures = []
+        dichotomy = self.dichotomy
+        for y in masksV:
+            if y == 0 or y == fullV:
+                continue
+            checked += len(masksW)
+            for x in masksW:
+                report = dichotomy(x, y)
+                if not report.ok:
+                    failures.append((x, y, report))
+        return checked, is_character, failures
 
     def _check_masks(self, x: int, y: int) -> None:
         if not (0 <= x <= self._fullW and 0 <= y <= self._fullV):
@@ -500,6 +519,46 @@ def _sign(defined: int, minus: int, y: int) -> int:
     return -1 if minus >> y & 1 else 1
 
 
+def _is_homomorphism(group, row: int) -> bool:
+    """Whether f(x) = bit 0 ⊕ bit x of ``row`` is a homomorphism from
+    ``group.masks`` (XOR) to ℤ/2: f(x ⊕ g) = f(x) ⊕ f(g) for every x and
+    every g in the group's generating set, at O(|masks|·rank) cost."""
+    for g in group.generators:
+        # bit 0 cancels on the left: the check is bit x⊕g ⊕ bit x = f(g)
+        fg = (row >> g ^ row) & 1
+        for x in group.masks:
+            if (row >> (x ^ g) ^ row >> x) & 1 != fg:
+                return False
+    return True
+
+
+def _is_multiplicative(groupW, groupV, rowW: int, rowV: int) -> bool:
+    """Whether χ(x, y) = valW[x]·valV[y] is a character of 𝒮_W × 𝒮_V, where
+    valW[x] = (−1)^{bit x of rowW} and valV[y] = (−1)^{bit y of rowV}.
+
+    The groups' masks are groups under XOR.  Criterion: χ is multiplicative
+    iff χ(0, 0) = 1 and the normalised factors w(x) = valW[0]·valW[x] and
+    u(y) = valV[0]·valV[y] are homomorphisms; and a map f with f(0) = 1 is a
+    homomorphism iff f(x ⊕ g) = f(x)·f(g) for every x and every g in a
+    generating set.
+
+    Proof.  Put a = valW[0], b = valV[0], so a² = b² = 1.  If χ is
+    multiplicative, χ(0, 0) = χ(0, 0)² = 1, i.e. ab = 1, hence
+    χ(x, y) = ab·w(x)·u(y) = w(x)·u(y); w(x) = χ(x, 0) and u(y) = χ(0, y)
+    are restrictions of χ to the subgroups 𝒮_W × 0 and 0 × 𝒮_V, so they are
+    homomorphisms.  Conversely, if ab = 1 and w, u are homomorphisms, then
+    χ = w·u is one on the product.  For the generating set: write
+    h = g_1 ⊕ … ⊕ g_k; induction on k gives f(x ⊕ h) = f(x)·f(g_1)⋯f(g_k)
+    for every x, and x = 0 gives f(h) = f(g_1)⋯f(g_k), so
+    f(x ⊕ h) = f(x)·f(h).  ∎
+
+    This certifies the |𝒮_W × 𝒮_V|² product identities of the all-pairs
+    check at O((|𝒮_W| + |𝒮_V|)·rank) cost.
+    """
+    unit = not (rowW ^ rowV) & 1  # χ(0, 0) = 1
+    return unit and _is_homomorphism(groupW, rowW) and _is_homomorphism(groupV, rowV)
+
+
 @dataclass(frozen=True)
 class DichotomyReport:
     ok: bool
@@ -560,6 +619,18 @@ def enumerate_reduced(V: QuadSpace, max_k: int) -> list[LParameter]:
             if sum(irred_dim(x) for x in sub) == want:
                 out.append(validate(WeilRep(sub), V))
     return out
+
+
+def reduced_gp_pairs(dw: int, dv: int, max_k: int):
+    """The reduced pairs (pieces D_k, k ≤ max_k) that the χ sweep checks for
+    dim W = dw, dim V = dv, dv − dw odd, on one representative admissible
+    pair of spaces W = (dw, 0), V = (dw + a, dv − dw − a), a = ⌈(dv − dw)/2⌉:
+    phiW outer, phiV inner, V's parameters enumerated once and shared."""
+    a = (dv - dw + 1) // 2
+    paramsV = enumerate_reduced(QuadSpace(dw + a, dv - dw - a), max_k)
+    for phiW in enumerate_reduced(QuadSpace(dw, 0), max_k):
+        for phiV in paramsV:
+            yield make_gp_pair(phiW, phiV)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ library's :class:`gpkit.lparam.GPCharacterTable` evaluates the same values
 from one mask-indexed factor table; the tests compare the two paths over
 whole families of pairs.  :func:`reference_factor_table` is that table's
 earlier integer form, one ±1/0 entry per mask pair, kept to check the
-library's bit rows entry by entry.
+library's bit rows entry by entry, and :func:`all_pairs_multiplicative` is
+the quadratic check that :meth:`GPCharacterTable.verify` certifies at
+generator cost.
 
 The module name does not start with ``test_``, so pytest does not collect it.
 """
@@ -28,6 +30,7 @@ from gpkit.lparam import (
     OddHalfExponent,
     component_group,
     is_reduced,
+    reduced_gp_pairs,
 )
 from gpkit.quadspace import InvariantViolation
 from gpkit.weilrep import IrredRep, WeilRep, irred_dim, tensor
@@ -74,6 +77,27 @@ def reference_factor_table(gp: GPPair, exponent=direct_exponent):
             for b, e in zip(dimV, block[x])
         )
         for x in range(len(dimW))
+    )
+
+
+def sweep_pairs(max_dim: int, max_k: int):
+    """The pairs of ``verify dichotomy --max-dim max_dim --max-k max_k``:
+    :func:`gpkit.lparam.reduced_gp_pairs` of every dimension pair
+    dw < dv ≤ max_dim with dv − dw odd."""
+    for dv in range(1, max_dim + 1):
+        for dw in range(dv - 1, -1, -2):
+            yield from reduced_gp_pairs(dw, dv, max_k)
+
+
+def all_pairs_multiplicative(table: dict) -> bool:
+    """Whether a χ table keyed by mask pairs (x, y), as
+    :meth:`GPCharacterTable.chi_table` gives it, is ±1-valued with
+    χ(s·t) = χ(s)·χ(t) for every pair of elements s, t: all
+    |𝒮_W × 𝒮_V|² product identities, one by one."""
+    return all(v in (1, -1) for v in table.values()) and all(
+        table[(x1 ^ x2, y1 ^ y2)] == v1 * v2
+        for (x1, y1), v1 in table.items()
+        for (x2, y2), v2 in table.items()
     )
 
 

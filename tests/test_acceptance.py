@@ -19,6 +19,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from gp_reference import all_pairs_multiplicative, sweep_pairs
 from gpkit import cli, conjclass
 from gpkit.conjclass import (
     CFieldFactor,
@@ -32,7 +33,6 @@ from gpkit.lparam import (
     GPCharacterTable,
     InvalidParameter,
     classify,
-    enumerate_reduced,
     make_gp_pair,
     validate,
 )
@@ -219,37 +219,21 @@ def character_sweep():
     mult_checked = dich_checked = 0
     mult_bad = []
     dich_bad = []
-    for dv in range(1, 11):
-        for dw in range(dv):
-            if (dv - dw) % 2 == 0:
+    for gp in sweep_pairs(10, 9):
+        tab = GPCharacterTable(gp)
+        table = tab.chi_table()
+        rep_pairs += 1
+        mult_checked += len(table) ** 2
+        if not all_pairs_multiplicative(table):
+            mult_bad.append((gp.phiW.rep, gp.phiV.rep))
+        full = (1 << len(tab.groupV.basis)) - 1
+        for y in tab.groupV.masks:
+            if y in (0, full):
                 continue
-            a = (dv - dw + 1) // 2
-            W = QuadSpace(dw, 0)
-            V = QuadSpace(dw + a, dv - dw - a)
-            for phiW in enumerate_reduced(W, 9):
-                for phiV in enumerate_reduced(V, 9):
-                    tab = GPCharacterTable(make_gp_pair(phiW, phiV))
-                    masksW, masksV, valW, valV = tab.mask_tables()
-                    rep_pairs += 1
-                    table = {
-                        (x, y): valW[x] * valV[y] for x in masksW for y in masksV
-                    }
-                    ok = all(v in (1, -1) for v in table.values()) and all(
-                        table[(x1 ^ x2, y1 ^ y2)] == v1 * v2
-                        for (x1, y1), v1 in table.items()
-                        for (x2, y2), v2 in table.items()
-                    )
-                    mult_checked += len(table) ** 2
-                    if not ok:
-                        mult_bad.append((phiW.rep, phiV.rep))
-                    full = (1 << len(tab.groupV.basis)) - 1
-                    for y in masksV:
-                        if y in (0, full):
-                            continue
-                        for x in masksW:
-                            dich_checked += 1
-                            if not tab.dichotomy(x, y).ok:
-                                dich_bad.append((phiW.rep, phiV.rep, x, y))
+            for x in tab.groupW.masks:
+                dich_checked += 1
+                if not tab.dichotomy(x, y).ok:
+                    dich_bad.append((gp.phiW.rep, gp.phiV.rep, x, y))
 
     # Form-independence spot check justifying the representative spaces:
     # the same reps on two different admissible pairs of the same dimensions.

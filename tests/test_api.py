@@ -48,6 +48,9 @@ def test_stored_fields_are_only_the_defining_data():
         ("lparam", "ComponentGroup", "_masks"),
         ("lparam", "ComponentGroup", "_admits"),
         ("lparam", None, "_subset_sums"),
+        ("lparam", "GPCharacterTable", "mask_tables"),
+        ("cli", None, "_is_multiplicative"),
+        ("cli", None, "_is_homomorphism"),
         ("epsilon", None, "_exact"),
         ("epsilon", "FourthRoot", "__mul__"),
         ("conjclass", "KappaDatum", "cfield_factors"),

@@ -5,20 +5,18 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gp_reference import all_pairs_multiplicative, sweep_pairs
 import gpkit
 from gpkit import cli, conjclass, epsilon, lparam, quadspace
 from gpkit.cli import run
 from gpkit.lparam import (
     GPCharacterTable,
-    enumerate_reduced,
     gp_pair_from_json,
-    make_gp_pair,
     param_from_json,
     param_to_json,
     validate,
@@ -262,6 +260,15 @@ print(json.dumps([m for m in {sorted(WATCHED_MODULES)!r} if m in sys.modules]))
         ]
 
 
+# the sweep that reads each integer flag of `verify`
+SWEEP_OF_FLAG = {
+    "--max-dim": "union",
+    "--max-dv": "fibers",
+    "--max-k": "dichotomy",
+    "--jobs": "fibers",
+    "--e0": "union",
+}
+
 # the report every dichotomy call gives in the broken-identity test
 BROKEN_REPORT = lparam.DichotomyReport(False, 1, 1, -1)
 
@@ -275,31 +282,24 @@ def _broken_dichotomy_records(max_dim, max_k):
         return [-1 if mask >> i & 1 else 1 for i in range(len(group.basis))]
 
     records = []
-    for dv in range(1, max_dim + 1):
-        for dw in range(dv - 1, -1, -2):
-            a = (dv - dw + 1) // 2
-            W, V = QuadSpace(dw, 0), QuadSpace(dw + a, dv - dw - a)
-            for phiW in enumerate_reduced(W, max_k):
-                for phiV in enumerate_reduced(V, max_k):
-                    pair = {"phiW": repr(phiW.rep), "phiV": repr(phiV.rep)}
-                    records.append(
-                        {"case": {"kind": "chi-multiplicativity", **pair}}
-                    )
-                    gW, gV = phiW.group, phiV.group
-                    central = (0, (1 << len(gV.basis)) - 1)
-                    records += [
-                        {
-                            "case": {
-                                "kind": "dichotomy",
-                                **pair,
-                                "sW": signs(x, gW),
-                                "sV": signs(y, gV),
-                            },
-                            "breakdown": BROKEN_REPORT.breakdown(),
-                        }
-                        for y in gV.masks if y not in central
-                        for x in gW.masks
-                    ]
+    for gp in sweep_pairs(max_dim, max_k):
+        pair = {"phiW": repr(gp.phiW.rep), "phiV": repr(gp.phiV.rep)}
+        records.append({"case": {"kind": "chi-multiplicativity", **pair}})
+        gW, gV = gp.phiW.group, gp.phiV.group
+        central = (0, (1 << len(gV.basis)) - 1)
+        records += [
+            {
+                "case": {
+                    "kind": "dichotomy",
+                    **pair,
+                    "sW": signs(x, gW),
+                    "sV": signs(y, gV),
+                },
+                "breakdown": BROKEN_REPORT.breakdown(),
+            }
+            for y in gV.masks if y not in central
+            for x in gW.masks
+        ]
     return sorted(records, key=lambda ce: json.dumps(ce, sort_keys=True))
 
 
@@ -451,7 +451,7 @@ print("ok")
     ):
         if argv[1] == "dichotomy":
             # every multiplicativity check and every identity fails
-            monkeypatch.setattr(cli, "_is_multiplicative", lambda *a: False)
+            monkeypatch.setattr(lparam, "_is_multiplicative", lambda *a: False)
             monkeypatch.setattr(
                 GPCharacterTable, "dichotomy", lambda self, *s: BROKEN_REPORT
             )
@@ -504,6 +504,22 @@ print("ok")
         rc, out = run_json(capsys, ["verify", "union", "--max-dim", "3"])
         assert rc == 3
         assert out["error"].startswith("InvariantViolation:")
+
+    def test_odd_half_exponent_in_sweep_exits_three(self, capsys, monkeypatch):
+        # odd exponents make non-symplectic blocks, which no CLI input can
+        # reach: the table's invariant breach, not an input error
+        monkeypatch.setattr(lparam, "_pair_exponent", lambda sig, rho: 1)
+        lparam._slot_planes.cache_clear()
+        try:
+            rc, out = run_json(
+                capsys, ["verify", "dichotomy", "--max-dim", "4", "--max-k", "3"]
+            )
+        finally:
+            lparam._slot_planes.cache_clear()  # drop the odd planes
+        assert rc == 3
+        assert out == {
+            "error": "OddHalfExponent: non-symplectic tensor block in χ"
+        }
 
     def test_invariant_violation_in_classify_exits_three(
         self, jfile, capsys, monkeypatch
@@ -609,17 +625,46 @@ class TestErrorsAndFormat:
         "value", ["0_1", "\u0661", "+1", " 1", "1 ", "1.0"], ids=repr
     )
     def test_integer_flags_are_strict(self, capsys, flag, value):
-        # each of these once read as 1 through int()
+        # each of these once read as 1 through int(); each flag goes to a
+        # sweep that reads it
         with pytest.raises(SystemExit) as exc:
-            run(["--json", "verify", "union", "--max-dim", "2", flag, value])
+            run(["--json", "verify", SWEEP_OF_FLAG[flag], flag, value])
         assert exc.value.code == 2
         assert f"argument {flag}: expected an integer" in capsys.readouterr().err
 
     def test_integer_flags_take_plain_integers(self, capsys):
-        rc, out = run_json(capsys, ["verify", "union", "--max-dim", "3",
-                                    "--max-dv", "-0", "--max-k", "007",
-                                    "--e0", "-1", "--jobs", "1"])
-        assert rc == 0 and out["status"] == "PASS"
+        for argv in (
+            ["union", "--max-dim", "3", "--e0", "-1", "--jobs", "1"],
+            ["fibers", "--max-dv", "03", "--jobs", "01"],
+            ["dichotomy", "--max-dim", "3", "--max-k", "007"],
+        ):
+            rc, out = run_json(capsys, ["verify", *argv])
+            assert rc == 0 and out["status"] == "PASS", argv
+        # -0 reads as the integer 0, whose sweep is empty
+        rc, out = run_json(capsys, ["verify", "fibers", "--max-dv", "-0"])
+        assert rc == 2 and "no case" in out["error"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fibers", "--max-dim", "20"],
+            ["fibers", "--max-k", "3"],
+            ["fibers", "--e0", "-1"],
+            ["union", "--max-dv", "3"],
+            ["union", "--max-k", "3"],
+            ["dichotomy", "--max-dv", "3"],
+            ["dichotomy", "--e0", "1"],
+        ],
+        ids=" ".join,
+    )
+    def test_a_sweep_refuses_another_sweeps_bounds(self, capsys, argv):
+        # a bound the sweep does not read once passed silently, so
+        # `verify fibers --max-dim 20` printed PASS on the default bounds
+        with pytest.raises(SystemExit) as exc:
+            run(["--json", "verify", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
 
     @pytest.mark.parametrize(
         "path,value",
@@ -822,18 +867,26 @@ def test_json_round_trips_are_the_identity(V, items, phi):
     assert (phi2.rep, phi2.target) == (phi.rep, phi.target)
 
 
-def _all_pairs_multiplicative(masksW, masksV, valW, valV):
-    """The quadratic oracle of acceptance criterion 5: every product identity."""
-    table = {(x, y): valW[x] * valV[y] for x in masksW for y in masksV}
-    return all(v in (1, -1) for v in table.values()) and all(
-        table[(x1 ^ x2, y1 ^ y2)] == v1 * v2
-        for ((x1, y1), v1), ((x2, y2), v2) in product(table.items(), repeat=2)
-    )
+def _value_rows(tab):
+    # the one-sided chi factors as bit rows (bit set for -1): valW[x] =
+    # F[x][fullV] at bit x and valV[y] = F[fullW][y] at bit y
+    rowW = sum((tab._minus[x] >> tab._fullV & 1) << x for x in tab.groupW.masks)
+    return rowW, tab._minus[tab._fullW]
+
+
+def _table_of_rows(tab, rowW, rowV):
+    # chi(x, y) = valW[x] * valV[y], keyed as chi_table() keys it
+    return {
+        (x, y): -1 if (rowW >> x ^ rowV >> y) & 1 else 1
+        for x in tab.groupW.masks
+        for y in tab.groupV.masks
+    }
 
 
 def test_generator_criterion_matches_all_pairs_check_under_mutation():
     """Every table of the criterion-5 family (targets <= 10, k <= 9) with
-    |S_W x S_V| <= 64 entries, and every single flip of one valW or valV value.
+    |S_W x S_V| <= 64 entries, and every single flip of one bit of the valW
+    or the valV row.
 
     Both checks accept the true tables.  A flip at the identity breaks
     chi(1, 1) = 1, and a flip at x != 0 leaves a homomorphism only when the
@@ -841,32 +894,26 @@ def test_generator_criterion_matches_all_pairs_check_under_mutation():
     both checks must reject exactly the other flips.
     """
     tables = rejected = 0
-    for dv in range(1, 11):
-        for dw in range(dv - 1, -1, -2):
-            a = (dv - dw + 1) // 2
-            W, V = QuadSpace(dw, 0), QuadSpace(dw + a, dv - dw - a)
-            for phiW in enumerate_reduced(W, 9):
-                for phiV in enumerate_reduced(V, 9):
-                    tab = GPCharacterTable(make_gp_pair(phiW, phiV))
-                    masksW, masksV, valW, valV = tab.mask_tables()
-                    if len(masksW) * len(masksV) > 64:
-                        continue
-                    tables += 1
-                    groups = tab.groupW, tab.groupV
-                    assert cli._is_multiplicative(*groups, valW, valV)
-                    assert _all_pairs_multiplicative(masksW, masksV, valW, valV)
-                    for side, (masks, val) in enumerate(
-                        ((masksW, valW), (masksV, valV))
-                    ):
-                        for m in masks:
-                            flipped = dict(val)
-                            flipped[m] = -val[m]
-                            vals = (flipped, valV) if side == 0 else (valW, flipped)
-                            fast = cli._is_multiplicative(*groups, *vals)
-                            slow = _all_pairs_multiplicative(masksW, masksV, *vals)
-                            still_character = m != 0 and len(masks) == 2
-                            assert fast == slow == still_character, (tab.gp, side, m)
-                            rejected += not fast
+    for gp in sweep_pairs(10, 9):
+        tab = GPCharacterTable(gp)
+        masksW, masksV = tab.groupW.masks, tab.groupV.masks
+        if len(masksW) * len(masksV) > 64:
+            continue
+        tables += 1
+        groups = tab.groupW, tab.groupV
+        rows = _value_rows(tab)
+        assert _table_of_rows(tab, *rows) == tab.chi_table()
+        assert lparam._is_multiplicative(*groups, *rows)
+        assert all_pairs_multiplicative(tab.chi_table())
+        for side, masks in enumerate((masksW, masksV)):
+            for m in masks:
+                flipped = list(rows)
+                flipped[side] ^= 1 << m
+                fast = lparam._is_multiplicative(*groups, *flipped)
+                slow = all_pairs_multiplicative(_table_of_rows(tab, *flipped))
+                still_character = m != 0 and len(masks) == 2
+                assert fast == slow == still_character, (gp, side, m)
+                rejected += not fast
     assert (tables, rejected) == (842, 9_770)
 
 

@@ -17,6 +17,7 @@ from gpkit.conjclass import (
     RSplitFactor,
     XiRegResult,
     _embeds_with_qs_complement,
+    _regular_kappa,
     factor_eigenvalues,
     factor_signature,
     iota,
@@ -430,10 +431,26 @@ def test_bools_and_negative_counts_are_refused(build):
     # True == 1 passed as a plane sign or a block count, and a negative count
     # gave an empty datum; a refusal leaves no datum in the shape cache
     make_regular_kappa(1)
-    cached = make_regular_kappa.cache_info().currsize
+    cached = _regular_kappa.cache_info().currsize
     with pytest.raises(ValueError):
         build()
-    assert make_regular_kappa.cache_info().currsize == cached
+    assert _regular_kappa.cache_info().currsize == cached
+
+
+def test_make_regular_kappa_spellings_share_one_datum():
+    # one datum, and one copy of its signed data, per block-count triple:
+    # the fiber sweep's make_regular_kappa(n) is kappa_shapes' (n, 0, 0)
+    for nc, nr, ns in ((2, 0, 0), (1, 1, 0), (0, 0, 1)):
+        spellings = [
+            make_regular_kappa(nc, nr, ns),
+            make_regular_kappa(n_cfield=nc, n_rsplit=nr, n_csplit=ns),
+            make_regular_kappa(nc, n_csplit=ns, n_rsplit=nr),
+        ]
+        if not nr and not ns:
+            spellings += [make_regular_kappa(nc), make_regular_kappa(n_cfield=nc)]
+        assert all(kappa is spellings[0] for kappa in spellings)
+        shapes = kappa_shapes(2 * nc + 2 * nr + 4 * ns)
+        assert any(kappa is spellings[0] for kappa in shapes)
 
 
 def _shape_family():

@@ -1,5 +1,7 @@
+import copy
 import json
 import pickle
+import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import product
@@ -9,11 +11,13 @@ from hypothesis import given, strategies as st
 
 from gp_reference import (
     _subset_sums,
+    all_pairs_multiplicative,
     dichotomy_identity_check,
     eigenspace_split,
     endoscopic_split,
     gp_character,
     reference_factor_table,
+    sweep_pairs,
 )
 from gpkit import lparam
 from gpkit.epsilon import eps_half
@@ -256,26 +260,18 @@ class TestGPCharacter:
         # path of gp_reference (eigenspace splits, tensor products,
         # symplectic root numbers).
         n_chi = n_dichotomy = 0
-        for dv in range(1, 9):
-            for dw in range(dv - 1, -1, -2):
-                a = (dv - dw + 1) // 2
-                W, V = QuadSpace(dw, 0), QuadSpace(dw + a, dv - dw - a)
-                for phiW in enumerate_reduced(W, 9):
-                    for phiV in enumerate_reduced(V, 9):
-                        gp = make_gp_pair(phiW, phiV)
-                        tab = GPCharacterTable(gp)
-                        full = (1 << len(tab.groupV.basis)) - 1
-                        for x, y in product(
-                            tab.groupW.masks, tab.groupV.masks
-                        ):
-                            n_chi += 1
-                            if y in (0, full):
-                                assert tab.chi(x, y) == gp_character(gp, x, y)
-                                continue
-                            direct = dichotomy_identity_check(gp, x, y)
-                            n_dichotomy += 1
-                            assert tab.dichotomy(x, y) == direct, (gp, x, y)
-                            assert tab.chi(x, y) == direct.chi
+        for gp in sweep_pairs(8, 9):
+            tab = GPCharacterTable(gp)
+            full = (1 << len(tab.groupV.basis)) - 1
+            for x, y in product(tab.groupW.masks, tab.groupV.masks):
+                n_chi += 1
+                if y in (0, full):
+                    assert tab.chi(x, y) == gp_character(gp, x, y)
+                    continue
+                direct = dichotomy_identity_check(gp, x, y)
+                n_dichotomy += 1
+                assert tab.dichotomy(x, y) == direct, (gp, x, y)
+                assert tab.chi(x, y) == direct.chi
         assert (n_chi, n_dichotomy) == (27_641, 21_330)
 
     def test_non_symplectic_block_raises(self):
@@ -305,13 +301,12 @@ class TestGPCharacter:
         for ((x1, y1), v1), ((x2, y2), v2) in product(table.items(), repeat=2):
             assert table[(x1 ^ x2, y1 ^ y2)] == v1 * v2
 
-    def test_mask_tables_consistent(self):
-        gp = so45_pair()
-        tab = GPCharacterTable(gp)
-        masksW, masksV, valW, valV = tab.mask_tables()
-        for mw in masksW:
-            for mv in masksV:
-                assert tab.chi(mw, mv) == valW[mw] * valV[mv]
+    def test_chi_factors_into_one_sided_values(self):
+        # chi(x, y) = chi(x, 0) * chi(0, y): the W side and the V side are
+        # the two rows verify() checks
+        tab = GPCharacterTable(so45_pair())
+        for x, y in product(tab.groupW.masks, tab.groupV.masks):
+            assert tab.chi(x, y) == tab.chi(x, 0) * tab.chi(0, y)
 
     def test_character_only_depends_on_parameters(self):
         phiW = validate(WeilRep([D(2)]), QuadSpace(0, 2))
@@ -366,23 +361,9 @@ class TestEndoscopy:
         assert dichotomy_identity_check(gp, 0b11, 0b10).ok
 
 
-def _sweep_pairs(max_dim, max_k):
-    # the pairs of `verify dichotomy --max-dim max_dim --max-k max_k`, built
-    # as the sweep builds them: each parameter is enumerated once per
-    # dimension pair and shared by every pair it enters
-    for dv in range(1, max_dim + 1):
-        for dw in range(dv - 1, -1, -2):
-            a = (dv - dw + 1) // 2
-            W, V = QuadSpace(dw, 0), QuadSpace(dw + a, dv - dw - a)
-            paramsV = enumerate_reduced(V, max_k)
-            for phiW in enumerate_reduced(W, max_k):
-                for phiV in paramsV:
-                    yield make_gp_pair(phiW, phiV)
-
-
 def _criterion5_pairs():
     # acceptance criterion 5's family: target dims <= 10, k <= 9
-    return _sweep_pairs(10, 9)
+    return sweep_pairs(10, 9)
 
 
 # the families of acceptance criterion 5 and of the chi-narrow benchmark
@@ -421,7 +402,7 @@ def test_bit_rows_match_the_integer_table(family):
     # every entry, the 0 (non-symplectic) ones included
     max_dim, max_k, n_pairs = SWEEP_FAMILIES[family]
     n = 0
-    for gp in _sweep_pairs(max_dim, max_k):
+    for gp in sweep_pairs(max_dim, max_k):
         _assert_rows_match_reference(
             GPCharacterTable(gp), reference_factor_table(gp)
         )
@@ -501,6 +482,107 @@ def test_reads_follow_the_integer_table_on_synthetic_exponents(
     assert read and raised
 
 
+def _verify_by_reference(tab):
+    # verify() recomputed: the all-pairs oracle over chi_table() and a
+    # per-element dichotomy loop over every x and non-central y
+    table = tab.chi_table()
+    full = (1 << len(tab.groupV.basis)) - 1
+    loop = [
+        (x, y, tab.dichotomy(x, y))
+        for y in tab.groupV.masks if y not in (0, full)
+        for x in tab.groupW.masks
+    ]
+    failures = [case for case in loop if not case[2].ok]
+    return len(table) ** 2 + len(loop), all_pairs_multiplicative(table), failures
+
+
+def _compare_verify_with_reference(tables):
+    # how many tables raised, were not characters, had failing identities
+    seen = {"tables": 0, "raised": 0, "not a character": 0, "failures": 0}
+    for tab in tables:
+        seen["tables"] += 1
+        try:
+            want = _verify_by_reference(tab)
+        except OddHalfExponent:
+            with pytest.raises(OddHalfExponent):
+                tab.verify()
+            seen["raised"] += 1
+            continue
+        assert tab.verify() == want, tab.gp
+        seen["not a character"] += not want[1]
+        seen["failures"] += bool(want[2])
+    return seen
+
+
+def _flipped(tab, rng):
+    # a copy of the table with one defined entry F[x][y] negated: in column
+    # fullV or row fullW (the rows of the character check) or anywhere
+    d, fullW, fullV = tab._defined, tab._fullW, tab._fullV
+    where = rng.randrange(3)
+    if where == 0:
+        x, y = rng.choice(tab.groupW.masks), fullV
+    else:
+        rows = [x for x in range(fullW + 1) if d[x]]
+        x = fullW if where == 1 else rng.choice(rows)
+        y = rng.choice([y for y in range(fullV + 1) if d[x] >> y & 1])
+    flipped = copy.copy(tab)
+    minus = list(tab._minus)
+    minus[x] ^= 1 << y
+    flipped._minus = tuple(minus)
+    return flipped
+
+
+@pytest.mark.parametrize("family", SWEEP_FAMILIES)
+def test_verify_matches_the_all_pairs_oracle_and_a_dichotomy_loop(family):
+    max_dim, max_k, n_pairs = SWEEP_FAMILIES[family]
+    tables = map(GPCharacterTable, sweep_pairs(max_dim, max_k))
+    seen = _compare_verify_with_reference(tables)
+    assert seen == {"tables": n_pairs, "raised": 0, "not a character": 0,
+                    "failures": 0}
+
+
+@pytest.mark.parametrize("family", SWEEP_FAMILIES)
+def test_verify_matches_the_reference_on_flipped_entries(family):
+    # one entry of each table negated, so that the three checks are compared
+    # where they can disagree: on non-characters and failing identities
+    max_dim, max_k, n_pairs = SWEEP_FAMILIES[family]
+    rng = random.Random(max_dim * 100 + max_k)
+    tables = (_flipped(GPCharacterTable(gp), rng)
+              for gp in sweep_pairs(max_dim, max_k))
+    seen = _compare_verify_with_reference(tables)
+    assert seen["tables"] == n_pairs and not seen["raised"]
+    assert seen["not a character"] and seen["failures"]
+
+
+@pytest.mark.parametrize("family", SWEEP_FAMILIES)
+def test_verify_matches_the_reference_on_synthetic_exponents(
+    family, synthetic_exponents
+):
+    # odd block sums leave entries undefined: verify() raises exactly where
+    # chi_table() or the dichotomy loop does
+    max_dim, max_k, n_pairs = SWEEP_FAMILIES[family]
+    tables = map(GPCharacterTable, sweep_pairs(max_dim, max_k))
+    seen = _compare_verify_with_reference(tables)
+    assert seen["tables"] == n_pairs and seen["raised"]
+
+
+def test_reduced_gp_pairs_share_the_v_parameters():
+    # W = (2, 0), V = (4, 1): phiW outer, phiV inner, each V parameter one
+    # object in every pair it enters
+    paramsW = enumerate_reduced(QuadSpace(2, 0), 9)
+    paramsV = enumerate_reduced(QuadSpace(4, 1), 9)
+    pairs = list(lparam.reduced_gp_pairs(2, 5, 9))
+    assert [(gp.phiW.rep, gp.phiV.rep) for gp in pairs] == [
+        (w.rep, v.rep) for w in paramsW for v in paramsV
+    ]
+    assert all(gp.pair.W == QuadSpace(2, 0) and gp.pair.V == QuadSpace(4, 1)
+               for gp in pairs)
+    byV = {}
+    for gp in pairs:
+        assert byV.setdefault(gp.phiV.rep, gp.phiV) is gp.phiV
+    assert len(paramsW) > 1 and len(byV) == len(paramsV) > 1
+
+
 class TestPairExponentMemo:
     def test_entries_match_direct_tensor_on_family(self):
         lparam._pair_exponent.cache_clear()
@@ -532,7 +614,7 @@ class TestPairExponentMemo:
             planes = lparam._slot_planes.cache_info()
             assert planes.hits == planes.misses
             assert _rows(warm) == _rows(cold)
-            assert warm.mask_tables() == cold.mask_tables()
+            assert warm.verify() == cold.verify()
 
 
 def _cold_copy(phi):
@@ -552,20 +634,20 @@ class TestPerParameterCaches:
     def test_warm_and_cold_parameters_give_the_same_table(self, family):
         max_dim, max_k, n_pairs = SWEEP_FAMILIES[family]
         n = 0
-        for gp in _sweep_pairs(max_dim, max_k):
+        for gp in sweep_pairs(max_dim, max_k):
             warm = GPCharacterTable(gp)
             cold_gp = make_gp_pair(_cold_copy(gp.phiW), _cold_copy(gp.phiV))
             assert "group" not in vars(cold_gp.phiW)  # nothing cached yet
             cold = GPCharacterTable(cold_gp)
             assert _rows(warm) == _rows(cold), gp
-            assert warm.mask_tables() == cold.mask_tables(), gp
+            assert warm.verify() == cold.verify(), gp
             n += 1
         assert n == n_pairs
 
     def test_cached_group_data_match_a_fresh_computation(self, family):
         max_dim, max_k, _ = SWEEP_FAMILIES[family]
         seen = set()
-        for gp in _sweep_pairs(max_dim, max_k):
+        for gp in sweep_pairs(max_dim, max_k):
             for phi in (gp.phiW, gp.phiV):
                 if id(phi) in seen:
                     continue
@@ -591,11 +673,9 @@ class TestPerParameterCaches:
 
     def test_cached_masks_are_immutable_and_shared(self, family):
         max_dim, max_k, _ = SWEEP_FAMILIES[family]
-        for gp in _sweep_pairs(max_dim, max_k):
+        for gp in sweep_pairs(max_dim, max_k):
             tab = GPCharacterTable(gp)
             assert tab.groupW is gp.phiW.group and tab.groupV is gp.phiV.group
-            masksW, masksV, _, _ = tab.mask_tables()
-            assert masksW is tab.groupW.masks and masksV is tab.groupV.masks
             for grp in (tab.groupW, tab.groupV):
                 for data in (grp.masks, grp.generators):
                     assert type(data) is tuple
