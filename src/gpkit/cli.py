@@ -395,6 +395,18 @@ def _cmd_verify(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+class _SweepParser(argparse.ArgumentParser):
+    """The parser of one ``verify`` sweep.  It refuses an argument it does
+    not take itself, so the usage line printed is the sweep's own, listing
+    the flags it does take, and not the top-level one."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="gpkit",
@@ -444,7 +456,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustive verification sweeps")
     # each sweep takes only the bounds it reads, so a foreign flag is a
     # usage error rather than a silently ignored bound
-    sweeps = p.add_subparsers(dest="what", required=True)
+    sweeps = p.add_subparsers(
+        dest="what", required=True, parser_class=_SweepParser
+    )
     union = sweeps.add_parser("union", help="union over pure inner forms")
     fibers = sweeps.add_parser("fibers", help="fiber lemma and fiber union")
     dichotomy = sweeps.add_parser(

@@ -185,9 +185,14 @@ def factor_eigenvalues(f: FactorDatum) -> tuple:
 
 @dataclass(frozen=True)
 class KappaDatum:
-    """A class datum: its factors, with the signature, the number of definite
-    planes and their sign sum computed once at construction, and the datum
-    under every sign vector (:attr:`signed`) built once, on first request."""
+    """A class datum: its factors, and the datum under every sign vector
+    (:attr:`signed`), built once, on first request.
+
+    ``dim``, ``signature``, ``n_elliptic`` (the number of definite planes),
+    ``sum_c`` (their sign sum) and whether every factor is elliptic are stored
+    invariants: computed once at construction, never part of equality,
+    hashing or the repr, which see ``factors`` only.
+    """
 
     factors: tuple[FactorDatum, ...]
 
@@ -201,32 +206,19 @@ class KappaDatum:
             if isinstance(f, CFieldFactor):
                 n += 1
                 sum_c += f.c
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "_invariants", (p, q, n, sum_c))
+        stored = object.__setattr__
+        stored(self, "factors", factors)
+        stored(self, "dim", p + q)
+        stored(self, "signature", (p, q))
+        stored(self, "n_elliptic", n)
+        stored(self, "sum_c", sum_c)
+        stored(self, "_all_elliptic", n == len(factors))
 
     def __iter__(self):
         return iter(self.factors)
 
     def __len__(self):
         return len(self.factors)
-
-    @property
-    def dim(self) -> int:
-        p, q, _, _ = self._invariants
-        return p + q
-
-    @property
-    def signature(self) -> tuple[int, int]:
-        return self._invariants[:2]
-
-    @property
-    def n_elliptic(self) -> int:
-        """|I*|: the number of definite (elliptic) planes."""
-        return self._invariants[2]
-
-    @property
-    def sum_c(self) -> int:
-        return self._invariants[3]
 
     def with_signs(self, signs: Iterable[int]) -> "KappaDatum":
         """Replace the definite-plane signs, preserving everything else."""
@@ -300,20 +292,22 @@ def is_in_Xi_reg_V(kappa: KappaDatum, V: QuadSpace) -> XiRegResult:
     Equivalently: the signature of κ fills V exactly — in odd dimension up to
     one leftover line whose sign is forced to 𝔦_{V,κ}; that line is returned.
     """
-    if V.dim % 2 == 0:
-        member = kappa.dim == V.dim and 2 * kappa.sum_c == V.delta
+    d, delta = V.dim, V.delta
+    if d % 2 == 0:
+        member = kappa.dim == d and 2 * kappa.sum_c == delta
         return _MEMBER if member else _NOT_MEMBER
-    i = iota(V, kappa)
-    if kappa.dim == V.dim - 1 and 2 * kappa.sum_c == V.delta - i:
+    # the fixed-line sign 𝔦_{V,κ} of :func:`iota`, on an odd V
+    i = -1 if ((1 - delta) // 2 + kappa.n_elliptic) % 2 else 1
+    if kappa.dim == d - 1 and 2 * kappa.sum_c == delta - i:
         return _MEMBER_WITH_LINE[i]
     return _NOT_MEMBER
 
 
 def is_in_Xi_dVdW(kappa: KappaDatum, d_V: int, d_W: int) -> bool:
     """Elliptic regular classes small enough to occur on both sides."""
-    if kappa.n_elliptic != len(kappa):
+    if not kappa._all_elliptic:
         return False
-    return is_regular(kappa) and 2 * len(kappa) <= min(d_V, d_W)
+    return is_regular(kappa) and 2 * kappa.n_elliptic <= min(d_V, d_W)
 
 
 def _embeds_with_qs_complement(kappa: KappaDatum, space: QuadSpace) -> bool:
@@ -331,7 +325,7 @@ def is_in_C_VW(kappa: KappaDatum, W: QuadSpace, V: QuadSpace) -> bool:
     W; for even W the pair has odd V and the condition lives inside V.
     """
     admissible_pair(W, V)
-    return _in_C(kappa, (W, V))
+    return _in_C(kappa, V.dim, W.dim, W if W.dim % 2 else V)
 
 
 # ---------------------------------------------------------------------------
@@ -351,19 +345,28 @@ class CheckReport:
 
 
 def _sign_vectors(n: int):
+    """The sign vectors of length n, in descending tuple order."""
     return product((1, -1), repeat=n)
 
 
-def _sweep(kappa: KappaDatum, forms, member) -> set:
-    """The sign vectors c for which ``member(κ_c, form)`` holds for some form.
+# The sweeps below test every (form, c), forms in the outer loop and sign
+# vectors in the inner one, so the predicates see the same calls in the same
+# order whatever they return.  Each κ_c comes from ``kappa.signed``, built
+# once per datum.
 
-    Forms run in the outer loop and sign vectors in the inner one, and every
-    (form, c) is tested: the predicates see the same calls in the same order
-    whatever they return.  Each κ_c comes from ``kappa.signed``, built once
-    per datum.
-    """
+
+def _in_C(kc: KappaDatum, d_V: int, d_W: int, X: QuadSpace) -> bool:
+    """:func:`is_in_C_VW` on a pair of dimensions (d_V, d_W) with
+    odd-dimensional member ``X``, without the admissibility check, which
+    each verifier makes once, before its sign sweep."""
+    return is_in_Xi_dVdW(kc, d_V, d_W) and _embeds_with_qs_complement(kc, X)
+
+
+def _C_sweep(kappa: KappaDatum, d_V: int, d_W: int, odd_members) -> set:
+    """The sign vectors c with κ_c in C_{V_α,W_α} for some pair of a family
+    of pairs of dimensions (d_V, d_W), each given by its odd member."""
     signed = kappa.signed
-    return {c for form in forms for c, kc in signed if member(kc, form)}
+    return {c for X in odd_members for c, kc in signed if _in_C(kc, d_V, d_W, X)}
 
 
 def _forms_with_sign(X: QuadSpace, e0: int, D: Optional[QuadSpace] = None):
@@ -385,42 +388,52 @@ def _odd_side_exponent(X: QuadSpace, kappa: KappaDatum) -> int:
     )
 
 
-def _in_C(kc: KappaDatum, pair) -> bool:
-    """:func:`is_in_C_VW` on ``pair`` = (W, V) without the admissibility
-    check, which each verifier makes once, before its sign sweep."""
-    W, V = pair
-    if not is_in_Xi_dVdW(kc, V.dim, W.dim):
-        return False
-    return _embeds_with_qs_complement(kc, W if W.dim % 2 else V)
+@cache
+def _predicted(n: int, kind: str, v: int) -> tuple[frozenset, tuple]:
+    """The predicted side of a check on n definite planes: the coset
+    {c : Πc = v} (``kind`` "coset") or the slice {c : Σc = v} ("slice"), as
+    a frozenset and as a tuple sorted descending; built once per (n, kind, v)
+    and shared by every report."""
+    rule = math.prod if kind == "coset" else sum
+    signs = tuple(c for c in _sign_vectors(n) if rule(c) == v)
+    return frozenset(signs), signs
 
 
-def _report(kind: str, lhs: set, rhs: set, n: int, details: dict) -> CheckReport:
+# The predicted side when ε is imaginary, and the real values of ε = i^N.
+_NO_SIGNS = (frozenset(), ())
+_REAL_EPSILON = {0: 1, 2: -1}
+
+
+def _report(kind: str, lhs: set, predicted, n: int, details: dict) -> CheckReport:
+    """Compare the swept set ``lhs`` with the ``predicted`` (set, tuple).  A
+    passing report shares the predicted tuple for both sides; only a failing
+    one sorts ``lhs``."""
+    rhs_set, rhs = predicted
+    passed = lhs == rhs_set
     details["n_elliptic"] = n
     if n == 0:
         details["degenerate"] = "no definite planes"
     return CheckReport(
         kind,
-        lhs == rhs,
-        tuple(sorted(lhs, reverse=True)),
-        tuple(sorted(rhs, reverse=True)),
+        passed,
+        rhs if passed else tuple(sorted(lhs, reverse=True)),
+        rhs,
         details,
     )
 
 
-def _coset_report(kind, lhs, kappa, e0, N, **selected) -> CheckReport:
-    """Compare ``lhs`` with the coset {c : Πc = e0·ε}, ε = i^N; the coset is
-    empty when ε is imaginary.  ``selected`` names the forms swept."""
-    n = kappa.n_elliptic
-    eps = {0: 1, 2: -1}.get(N % 4)
-    rhs = set()
-    if eps is not None:
-        rhs = {c for c in _sign_vectors(n) if math.prod(c) == e0 * eps}
+def _coset_report(kind, lhs, n, e0, N, **selected) -> CheckReport:
+    """Compare ``lhs`` with the coset {c : Πc = e0·ε} of n signs, ε = i^N;
+    the coset is empty when ε is imaginary.  ``selected`` names the forms
+    swept."""
+    eps = _REAL_EPSILON.get(N % 4)
+    predicted = _NO_SIGNS if eps is None else _predicted(n, "coset", e0 * eps)
     details = {
         "exponent": N % 4,
         "epsilon": eps if eps is not None else "imaginary",
         **selected,
     }
-    return _report(kind, lhs, rhs, n, details)
+    return _report(kind, lhs, predicted, n, details)
 
 
 def _fiber_pair(kappa: KappaDatum, W: QuadSpace, V: QuadSpace) -> AdmissiblePair:
@@ -465,7 +478,8 @@ def verify_union_prop(
         )
 
     forms = _forms_with_sign(V, e0, D)
-    lhs = _sweep(kappa, forms, lambda kc, Va: is_in_Xi_reg_V(kc, Va).member)
+    signed = kappa.signed
+    lhs = {c for Va in forms for c, kc in signed if is_in_Xi_reg_V(kc, Va).member}
     if odd:
         N = _odd_side_exponent(V, kappa)
     else:
@@ -476,7 +490,12 @@ def verify_union_prop(
             - quasi_split_form(V.orthogonal_sum(D)).p
         )
     return _coset_report(
-        "union", lhs, kappa, e0, N, selected_forms=[(Va.p, Va.q) for Va in forms]
+        "union",
+        lhs,
+        kappa.n_elliptic,
+        e0,
+        N,
+        selected_forms=[(Va.p, Va.q) for Va in forms],
     )
 
 
@@ -487,12 +506,13 @@ def verify_fiber_lemma(
     fixed-sum slice {c : Σc = (Δ − 𝔦)/2} of the sign hypercube, the invariants
     taken on the odd-dimensional member of the pair."""
     _fiber_pair(kappa, W, V)
-    fiber = _sweep(kappa, [(W, V)], _in_C)
     X = W if W.dim % 2 else V
+    fiber = _C_sweep(kappa, V.dim, W.dim, (X,))
     target = (X.delta - iota(X, kappa)) // 2
     n = kappa.n_elliptic
-    predicted = {c for c in _sign_vectors(n) if sum(c) == target}
-    return _report("fiber", fiber, predicted, n, {"target_sum": target})
+    return _report(
+        "fiber", fiber, _predicted(n, "slice", target), n, {"target_sum": target}
+    )
 
 
 def verify_fiber_union(
@@ -504,29 +524,33 @@ def verify_fiber_union(
     Odd dim W: the family is (W_α, W_α ⊥ W^⊥) over pure inner forms W_α with
     Kottwitz sign e0.  Even dim W: the family varies the odd member instead —
     pure inner forms V_α of V with Kottwitz sign e0, the membership condition
-    living entirely on the V_α side.
+    living entirely on the V_α side.  Either way the pairs keep the
+    dimensions of (W, V) and differ only in their odd member.
     """
     if e0 not in (1, -1):
         raise ValueError("e0 must be +1 or -1")
     pair = _fiber_pair(kappa, W, V)
     if W.dim % 2:
         # each W_α ⟂ W^⟂ has the complement of (W, V): admissible by construction
-        forms = [
-            (Wa, Wa.orthogonal_sum(pair.w_perp)) for Wa in _forms_with_sign(W, e0)
-        ]
+        forms = _forms_with_sign(W, e0)
+        perp = pair.w_perp
         N = _odd_side_exponent(W, kappa)
-        selected = [((Wa.p, Wa.q), (Va.p, Va.q)) for Wa, Va in forms]
+        selected = [
+            ((Wa.p, Wa.q), (Wa.p + perp.p, Wa.q + perp.q)) for Wa in forms
+        ]
     else:
-        forms = [(W, Va) for Va in _forms_with_sign(V, e0)]
+        forms = _forms_with_sign(V, e0)
         N = (
             kappa.n_elliptic
             - (V.delta - iota(V, kappa)) // 2
             + (W.dim + 1 + W.delta + pair.d_sign) // 2
             - quasi_split_form(W.orthogonal_sum(pair.line)).p
         )
-        selected = [(Va.p, Va.q) for _, Va in forms]
-    lhs = _sweep(kappa, forms, _in_C)
-    return _coset_report("fiber-union", lhs, kappa, e0, N, selected=selected)
+        selected = [(Va.p, Va.q) for Va in forms]
+    lhs = _C_sweep(kappa, V.dim, W.dim, forms)
+    return _coset_report(
+        "fiber-union", lhs, kappa.n_elliptic, e0, N, selected=selected
+    )
 
 
 # ---------------------------------------------------------------------------

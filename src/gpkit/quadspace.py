@@ -44,26 +44,26 @@ class NotAdmissible(ValueError):
 
 @dataclass(frozen=True, order=True)
 class QuadSpace:
-    """A real quadratic space with positive index ``p`` and negative index ``q``."""
+    """A real quadratic space with positive index ``p`` and negative index ``q``.
+
+    ``dim`` = p + q and the signature defect ``delta`` = p − q are stored
+    invariants: computed once at construction (also by
+    :func:`dataclasses.replace`), never part of equality, hashing, order or
+    the repr, which see ``p`` and ``q`` only.
+    """
 
     p: int
     q: int
 
     def __post_init__(self) -> None:
         # exact ints: bools and floats are refused, not truncated
-        if type(self.p) is not int or type(self.q) is not int:
+        p, q = self.p, self.q
+        if type(p) is not int or type(q) is not int:
             raise TypeError("signature entries must be integers")
-        if self.p < 0 or self.q < 0:
-            raise ValueError(f"negative signature entry in ({self.p}, {self.q})")
-
-    @property
-    def dim(self) -> int:
-        return self.p + self.q
-
-    @property
-    def delta(self) -> int:
-        """Signature defect p − q."""
-        return self.p - self.q
+        if p < 0 or q < 0:
+            raise ValueError(f"negative signature entry in ({p}, {q})")
+        object.__setattr__(self, "dim", p + q)
+        object.__setattr__(self, "delta", p - q)
 
     def orthogonal_sum(self, other: "QuadSpace") -> "QuadSpace":
         return QuadSpace(self.p + other.p, self.q + other.q)
@@ -109,6 +109,7 @@ def quasi_split_forms(V: QuadSpace) -> list[QuadSpace]:
     class contains both (m+1, m−1) and (m−1, m+1).
     """
     return [W for W in pure_inner_forms(V) if is_quasi_split(W)]
+
 
 def quasi_split_form(V: QuadSpace) -> QuadSpace:
     """The quasi-split pure inner form of ``V``; ties broken toward p ≥ q."""

@@ -65,3 +65,22 @@ def test_conveniences_over_the_kept_api_stay_deleted(module, owner, attr):
     # expression
     mod = importlib.import_module(f"gpkit.{module}")
     assert not hasattr(getattr(mod, owner) if owner else mod, attr)
+
+
+def test_stored_invariants_replace_the_old_properties():
+    # QuadSpace.dim/.delta and the KappaDatum invariants are attributes set
+    # at construction: the properties and the packed `_invariants` tuple they
+    # replace stay deleted, so each invariant has one copy
+    from gpkit.conjclass import KappaDatum, make_regular_kappa
+    from gpkit.quadspace import QuadSpace
+
+    for owner, names in (
+        (QuadSpace, ("dim", "delta")),
+        (KappaDatum, ("dim", "signature", "n_elliptic", "sum_c")),
+    ):
+        for name in names:
+            assert name not in vars(owner)
+    assert [f.name for f in fields(KappaDatum)] == ["factors"]
+    kappa = make_regular_kappa(2, 1)
+    assert not hasattr(kappa, "_invariants")
+    assert not hasattr(KappaDatum, "_invariants")

@@ -667,6 +667,33 @@ class TestErrorsAndFormat:
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
 
     @pytest.mark.parametrize(
+        "argv,usage",
+        [
+            pytest.param(
+                ["fibers", "--max-dim", "20"],
+                "usage: gpkit verify fibers [-h] [--max-dv MAX_DV] [--jobs JOBS]",
+                id="fibers --max-dim 20",
+            ),
+            pytest.param(
+                ["dichotomy", "--max-dv", "3"],
+                "usage: gpkit verify dichotomy [-h] [--max-dim MAX_DIM] "
+                "[--max-k MAX_K] [--jobs JOBS]",
+                id="dichotomy --max-dv 3",
+            ),
+        ],
+    )
+    def test_a_foreign_flag_shows_the_sweeps_own_usage(self, capsys, argv, usage):
+        # the top-level usage line (`gpkit [-h] [--json] {classify,...}`)
+        # named none of the flags the sweep does take
+        with pytest.raises(SystemExit) as exc:
+            run(["--json", "verify", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert " ".join(err.split()).startswith(usage)
+        assert f"gpkit verify {argv[0]}: error: unrecognized arguments: " in err
+        assert "{classify," not in err
+
+    @pytest.mark.parametrize(
         "path,value",
         [
             (("V", "p"), 2.7),

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -8,6 +9,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+from gpkit import conjclass
 from gpkit.conjclass import (
     BadParity,
     CFieldFactor,
@@ -16,7 +18,9 @@ from gpkit.conjclass import (
     MismatchedSignVector,
     RSplitFactor,
     XiRegResult,
+    _coset_report,
     _embeds_with_qs_complement,
+    _predicted,
     _regular_kappa,
     factor_eigenvalues,
     factor_signature,
@@ -647,3 +651,128 @@ def test_report_digest_is_pinned():
     assert all(r.passed for r in reports)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == REPORT_DIGEST
+
+
+def test_predicted_sets_match_the_direct_comprehension():
+    """For every n ≤ 8 and every v: the cached coset {c : Πc = v} and slice
+    {c : Σc = v} equal the comprehension over the sign hypercube, as a
+    frozenset and as the tuple sorted descending, and a repeat call returns
+    the same objects.  Values off the hypercube give empty sets."""
+    for n in range(9):
+        cube = list(product((1, -1), repeat=n))
+        for kind, rule, values in (
+            ("coset", math.prod, (1, -1)),
+            ("slice", sum, range(-n - 2, n + 3)),
+        ):
+            for v in values:
+                direct = {c for c in cube if rule(c) == v}
+                got_set, got_tuple = _predicted(n, kind, v)
+                assert isinstance(got_set, frozenset) and got_set == direct
+                assert got_tuple == tuple(sorted(direct, reverse=True))
+                again = _predicted(n, kind, v)
+                assert again[0] is got_set and again[1] is got_tuple
+
+
+def test_coset_report_matches_the_direct_coset_for_every_exponent():
+    """The predicted side of a coset check on n ≤ 8 signs, for each e0 and
+    each exponent N mod 4: {c : Πc = e0·i^N} when i^N is real, empty when it
+    is imaginary."""
+    for n in range(9):
+        cube = list(product((1, -1), repeat=n))
+        for e0 in (1, -1):
+            for N in range(-4, 8):
+                eps = {0: 1, 1: None, 2: -1, 3: None}[N % 4]
+                direct = (
+                    set() if eps is None
+                    else {c for c in cube if math.prod(c) == e0 * eps}
+                )
+                rhs = tuple(sorted(direct, reverse=True))
+                report = _coset_report("union", set(direct), n, e0, N)
+                assert report.passed and report.rhs == rhs
+                assert report.lhs is report.rhs  # a pass shares the tuple
+                assert report.details["epsilon"] == (
+                    "imaginary" if eps is None else eps
+                )
+                if eps is None:
+                    assert report.rhs == ()
+                wrong = set(cube) - direct
+                report = _coset_report("union", wrong, n, e0, N)
+                assert report.passed is (wrong == direct)
+                assert report.lhs == tuple(sorted(wrong, reverse=True))
+
+
+@pytest.mark.parametrize("verdict", [False, True])
+def test_a_broken_union_predicate_fails_with_the_swept_set(monkeypatch, verdict):
+    # Ξ-membership forced to one verdict: the report fails, and its lhs is
+    # the set the sweep found, not the predicted tuple a pass would share
+    kappa = make_regular_kappa(2, 1)
+    V = QuadSpace(4, 3)
+    good = verify_union_prop(kappa, V, 1)
+    assert good.passed and good.lhs is good.rhs and good.rhs
+    forced = conjclass._MEMBER if verdict else conjclass._NOT_MEMBER
+    monkeypatch.setattr(conjclass, "is_in_Xi_reg_V", lambda kc, Va: forced)
+    bad = verify_union_prop(kappa, V, 1)
+    swept = tuple(product((1, -1), repeat=2)) if verdict else ()
+    assert not bad.passed and not bad
+    assert bad.lhs == swept and bad.lhs is not bad.rhs
+    assert bad.rhs == good.rhs
+
+
+@pytest.mark.parametrize("verdict", [False, True])
+def test_a_broken_fiber_predicate_fails_with_the_swept_set(monkeypatch, verdict):
+    kappa = make_regular_kappa(2)
+    W, V = QuadSpace(3, 2), QuadSpace(5, 3)
+    good = [verify_fiber_lemma(kappa, W, V)] + [
+        verify_fiber_union(kappa, W, V, e0) for e0 in (1, -1)
+    ]
+    assert all(r.passed and r.lhs is r.rhs for r in good)
+    monkeypatch.setattr(
+        conjclass, "_embeds_with_qs_complement", lambda kc, X: verdict
+    )
+    bad = [verify_fiber_lemma(kappa, W, V)] + [
+        verify_fiber_union(kappa, W, V, e0) for e0 in (1, -1)
+    ]
+    swept = tuple(product((1, -1), repeat=2)) if verdict else ()
+    for g, b in zip(good, bad):
+        assert b.lhs == swept and b.rhs == g.rhs
+        assert b.passed is (g.rhs == swept)
+        if not b.passed:
+            assert b.lhs is not b.rhs
+    assert not all(bad)
+
+
+def _kappa_family():
+    """Shapes, sign flips, a non-elliptic and a non-regular datum."""
+    family = list(_shape_family())
+    family += [k.with_signs((-1,) * k.n_elliptic) for k in family]
+    family += [KappaDatum([RSplitFactor(F(2))]), KappaDatum([cf(1, 1), cf(1, 1)])]
+    return family
+
+
+def test_kappa_stored_invariants_leave_eq_hash_repr_and_pickle_alone():
+    """The stored invariants are not fields: equality, hash and repr see the
+    factors only, and a pickle round trip (as for ``--jobs`` workers) gives
+    an equal datum with the same invariants, with or without its signed
+    data built."""
+    for kappa in _kappa_family():
+        fresh = KappaDatum(kappa.factors)
+        assert kappa == fresh and hash(kappa) == hash((kappa.factors,))
+        assert repr(kappa) == f"KappaDatum(factors={kappa.factors!r})"
+        sig = _reference_invariants(kappa)[:4]
+        assert (kappa.dim, kappa.signature, kappa.n_elliptic, kappa.sum_c) == sig
+        assert kappa._all_elliptic is (kappa.n_elliptic == len(kappa))
+        kappa.signed  # one side with its signed data built, one without
+        for obj in (fresh, kappa):
+            for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+                back = pickle.loads(pickle.dumps(obj, protocol))
+                assert back == obj and hash(back) == hash(obj)
+                assert repr(back) == repr(obj)
+                assert (
+                    back.dim, back.signature, back.n_elliptic, back.sum_c,
+                    back._all_elliptic,
+                ) == (
+                    obj.dim, obj.signature, obj.n_elliptic, obj.sum_c,
+                    obj._all_elliptic,
+                )
+    assert KappaDatum([RSplitFactor(F(2))])._all_elliptic is False
+    assert KappaDatum([])._all_elliptic is True

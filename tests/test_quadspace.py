@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -31,6 +33,31 @@ def test_basic_invariants():
     assert V.dim == 5
     assert V.delta == 1
     assert V.orthogonal_sum(QuadSpace(1, 0)) == QuadSpace(4, 2)
+
+
+def test_stored_invariants_leave_eq_hash_order_repr_and_pickle_alone():
+    # dim and delta are set at construction and are not fields: equality,
+    # hashing, order and the repr see (p, q) only, and a pickle round trip
+    # (as for --jobs workers) keeps them
+    spaces = [QuadSpace(p, d - p) for d in range(9) for p in range(d + 1)]
+    assert [f.name for f in dataclasses.fields(QuadSpace)] == ["p", "q"]
+    assert sorted(spaces, reverse=True) == sorted(
+        spaces, key=lambda V: (V.p, V.q), reverse=True
+    )
+    for V in spaces:
+        assert (V.dim, V.delta) == (V.p + V.q, V.p - V.q)
+        assert V == QuadSpace(V.p, V.q) and hash(V) == hash((V.p, V.q))
+        assert repr(V) == f"QuadSpace({V.p}, {V.q})"
+        assert vars(V) == {"p": V.p, "q": V.q, "dim": V.dim, "delta": V.delta}
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(V, protocol))
+            assert back == V and hash(back) == hash(V) and repr(back) == repr(V)
+            assert (back.dim, back.delta) == (V.dim, V.delta)
+    # dataclasses.replace constructs anew, so the invariants follow the fields
+    W = dataclasses.replace(QuadSpace(2, 1), q=3)
+    assert (W.dim, W.delta) == (5, -1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        QuadSpace(2, 1).dim = 4
 
 
 def test_negative_signature_rejected():
