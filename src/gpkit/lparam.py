@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
+from itertools import combinations, product
 
 from .epsilon import eps_half
 from .quadspace import (
@@ -339,11 +340,18 @@ class GPPair:
 
 
 def make_gp_pair(phiW: LParameter, phiV: LParameter) -> GPPair:
-    if phiW.ambient is phiV.ambient:
+    return GPPair(phiW, phiV, _gp_spaces(phiW.target, phiV.target))
+
+
+def _gp_spaces(W: QuadSpace, V: QuadSpace) -> AdmissiblePair:
+    """The admissible pair of the target spaces of a Gross–Prasad pair:
+    :class:`InvalidParameter` unless one is even and one odd, then
+    :func:`admissible_pair`."""
+    if ambient_of(W) is ambient_of(V):
         raise InvalidParameter(
             ["a Gross–Prasad pair needs one even and one odd target space"]
         )
-    return GPPair(phiW, phiV, admissible_pair(phiW.target, phiV.target))
+    return admissible_pair(W, V)
 
 
 class GPCharacterTable:
@@ -401,11 +409,11 @@ class GPCharacterTable:
         if not (gp.phiW.reduced and gp.phiV.reduced):
             raise NotReduced("character tables need reduced parameters")
         self.gp = gp
-        self.groupW = gp.phiW.group
-        self.groupV = gp.phiV.group
-        basisV = self.groupV.basis
-        planes = [_slot_planes(sig, basisV) for sig in self.groupW.basis]
-        sizeW = 1 << len(self.groupW.basis)
+        groupW = self.groupW = gp.phiW.group
+        groupV = self.groupV = gp.phiV.group
+        basisV = groupV.basis
+        planes = [_slot_planes(sig, basisV) for sig in groupW.basis]
+        sizeW = 1 << len(planes)
         lo, hi = [0], [0]
         for x in range(1, sizeW):
             low = x & -x
@@ -413,11 +421,10 @@ class GPCharacterTable:
             b0, b1 = planes[low.bit_length() - 1]
             lo.append(a0 ^ b0)
             hi.append(a1 ^ b1 ^ (a0 & b0))
-        evenW, evenV = self.groupW.even_dims, self.groupV.even_dims
-        self._defined = tuple(
-            evenV & ~odd if evenW >> x & 1 else 0 for x, odd in enumerate(lo)
-        )
-        self._minus = tuple(ok & two for ok, two in zip(self._defined, hi))
+        evenW, evenV = groupW.even_dims, groupV.even_dims
+        defined = [evenV & ~odd if evenW >> x & 1 else 0 for x, odd in enumerate(lo)]
+        self._defined = tuple(defined)
+        self._minus = tuple([ok & two for ok, two in zip(defined, hi)])
         self._fullW = sizeW - 1
         self._fullV = (1 << len(basisV)) - 1
 
@@ -472,9 +479,10 @@ class GPCharacterTable:
 
     def dichotomy(self, x: int, y: int) -> "DichotomyReport":
         """The dichotomy identity at the element with masks (x, y)."""
-        self._check_masks(x, y)
         fullW, fullV = self._fullW, self._fullV
-        if y in (0, fullV):
+        if not (0 <= x <= fullW and 0 < y < fullV):
+            # the range error comes before the central one
+            self._check_masks(x, y)
             raise CentralElement("s_V lies in {identity, all-(-1)}")
         d, m, xc, yc = self._defined, self._minus, fullW ^ x, fullV ^ y
         # the four entries F[xc][y], F[x][yc], F[x][fullV], F[fullW][y]
@@ -606,31 +614,52 @@ def enumerate_reduced(V: QuadSpace, max_k: int) -> list[LParameter]:
 
     Reduced means multiplicity-free and all O-type: distinct D_odd in the
     symplectic ambient, and 1/sgn/distinct D_even in the orthogonal ambient,
-    filling the required dimension exactly.
-    """
-    from itertools import combinations
+    filling the required dimension ``want`` exactly.
 
+    The parameters are the subsets of :func:`_reduced_pool` of dimension
+    ``want``, listed by size r and, within one size, in the order of
+    ``combinations(pool, r)``; each is built directly, with no scan.
+
+    Proof.  A subset of r pieces holding c characters (dimension 1) and
+    r − c discs (dimension 2) has dimension c + 2(r − c), so it has dimension
+    ``want`` iff c = 2r − want; hence want/2 ≤ r ≤ want.  The characters lead
+    the pool, so the index tuple of such a subset is its c character indices
+    followed by its r − c disc indices.  For fixed r all these tuples have the
+    same c, and they compare lexicographically by the character part first,
+    so ``combinations(pool, r)`` meets them in the order of
+    ``product(combinations(chars, c), combinations(discs, r − c))``, which is
+    empty exactly when the pool holds fewer than c characters or r − c
+    discs.  ∎
+    """
     pool = _reduced_pool(bool(V.dim % 2), max_k)
     want = V.dim - 1 if V.dim % 2 else V.dim
-    out = []
-    # every constituent has dimension ≥ 1, so no subset larger than ``want``
-    for r in range(min(len(pool), want) + 1):
-        for sub in combinations(pool, r):
-            if sum(irred_dim(x) for x in sub) == want:
-                out.append(validate(WeilRep(sub), V))
-    return out
+    nchars = 0 if V.dim % 2 else 2
+    chars, discs = pool[:nchars], pool[nchars:]
+    return [
+        validate(WeilRep(cs + ds), V)
+        for r in range((want + 1) // 2, want + 1)
+        for cs, ds in product(
+            combinations(chars, 2 * r - want), combinations(discs, want - r)
+        )
+    ]
 
 
 def reduced_gp_pairs(dw: int, dv: int, max_k: int):
     """The reduced pairs (pieces D_k, k ≤ max_k) that the χ sweep checks for
     dim W = dw, dim V = dv, dv − dw odd, on one representative admissible
     pair of spaces W = (dw, 0), V = (dw + a, dv − dw − a), a = ⌈(dv − dw)/2⌉:
-    phiW outer, phiV inner, V's parameters enumerated once and shared."""
+    phiW outer, phiV inner, V's parameters enumerated once and shared.
+
+    The two spaces are checked once, by the check :func:`make_gp_pair`
+    makes per pair, and every pair shares that one :class:`AdmissiblePair`.
+    """
     a = (dv - dw + 1) // 2
-    paramsV = enumerate_reduced(QuadSpace(dw + a, dv - dw - a), max_k)
-    for phiW in enumerate_reduced(QuadSpace(dw, 0), max_k):
+    W, V = QuadSpace(dw, 0), QuadSpace(dw + a, dv - dw - a)
+    pair = _gp_spaces(W, V)
+    paramsV = enumerate_reduced(V, max_k)
+    for phiW in enumerate_reduced(W, max_k):
         for phiV in paramsV:
-            yield make_gp_pair(phiW, phiV)
+            yield GPPair(phiW, phiV, pair)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ whole families of pairs.  :func:`reference_factor_table` is that table's
 earlier integer form, one ±1/0 entry per mask pair, kept to check the
 library's bit rows entry by entry, and :func:`all_pairs_multiplicative` is
 the quadratic check that :meth:`GPCharacterTable.verify` certifies at
-generator cost.
+generator cost.  :func:`enumerate_reduced_by_scan` is the parameter
+enumeration by a scan of every subset of the pool, which
+:func:`gpkit.lparam.enumerate_reduced` replaces with a direct listing.
 
 The module name does not start with ``test_``, so pytest does not collect it.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import combinations
 
 from gpkit.epsilon import eps_half
 from gpkit.lparam import (
@@ -28,11 +31,13 @@ from gpkit.lparam import (
     LParameter,
     NotReduced,
     OddHalfExponent,
+    _reduced_pool,
     component_group,
     is_reduced,
     reduced_gp_pairs,
+    validate,
 )
-from gpkit.quadspace import InvariantViolation
+from gpkit.quadspace import InvariantViolation, QuadSpace
 from gpkit.weilrep import IrredRep, WeilRep, irred_dim, tensor
 
 
@@ -78,6 +83,21 @@ def reference_factor_table(gp: GPPair, exponent=direct_exponent):
         )
         for x in range(len(dimW))
     )
+
+
+def enumerate_reduced_by_scan(V: QuadSpace, max_k: int) -> list[LParameter]:
+    """The reduced parameters of :func:`gpkit.lparam.enumerate_reduced`, by
+    a scan: every subset of the pool with at most ``want`` pieces, in the
+    order of ``combinations``, kept when its dimension is ``want``."""
+    pool = _reduced_pool(bool(V.dim % 2), max_k)
+    want = V.dim - 1 if V.dim % 2 else V.dim
+    out = []
+    # every constituent has dimension ≥ 1, so no subset larger than ``want``
+    for r in range(min(len(pool), want) + 1):
+        for sub in combinations(pool, r):
+            if sum(irred_dim(x) for x in sub) == want:
+                out.append(validate(WeilRep(sub), V))
+    return out
 
 
 def sweep_pairs(max_dim: int, max_k: int):

@@ -15,11 +15,12 @@ from gp_reference import (
     dichotomy_identity_check,
     eigenspace_split,
     endoscopic_split,
+    enumerate_reduced_by_scan,
     gp_character,
     reference_factor_table,
     sweep_pairs,
 )
-from gpkit import lparam
+from gpkit import cli, lparam, quadspace
 from gpkit.epsilon import eps_half
 from gpkit.lparam import (
     Ambient,
@@ -329,6 +330,56 @@ class TestGPPairConstruction:
             make_gp_pair(phiW, phiV)
 
 
+def _dichotomy_error(tab, x, y):
+    # the rule dichotomy() keeps for its errors: the range check of
+    # _check_masks first, then the central elements y = 0 and y = fullV
+    fullW, fullV = tab._fullW, tab._fullV
+    if not (0 <= x <= fullW and 0 <= y <= fullV):
+        return ValueError, "masks have bits outside the component-group bases"
+    if y in (0, fullV):
+        return CentralElement, "s_V lies in {identity, all-(-1)}"
+    return None
+
+
+def _precedence_tables():
+    # the first pair of each basis-size shape up to dims 6, k <= 7: empty,
+    # one-slot and larger bases on either side
+    shapes = {}
+    for gp in sweep_pairs(6, 7):
+        shape = (len(gp.phiW.group.basis), len(gp.phiV.group.basis))
+        shapes.setdefault(shape, gp)
+    return [GPCharacterTable(gp) for gp in shapes.values()]
+
+
+def test_dichotomy_errors_keep_their_precedence():
+    tables = _precedence_tables()
+    assert len(tables) >= 8
+    seen = dict.fromkeys(
+        (ValueError, CentralElement, OddHalfExponent, DichotomyReport), 0
+    )
+    for tab in tables:
+        elements = set(product(tab.groupW.masks, tab.groupV.masks))
+        for x in range(-1, tab._fullW + 2):
+            for y in range(-1, tab._fullV + 2):
+                want = _dichotomy_error(tab, x, y)
+                try:
+                    got = tab.dichotomy(x, y)
+                except ValueError as exc:
+                    assert (type(exc), str(exc)) == want, (tab.gp, x, y)
+                    seen[type(exc)] += 1
+                    continue
+                except OddHalfExponent:
+                    # in range and not central, but not an element either
+                    assert want is None and (x, y) not in elements
+                    seen[OddHalfExponent] += 1
+                    continue
+                assert want is None, (tab.gp, x, y)
+                if (x, y) in elements:
+                    assert got == dichotomy_identity_check(tab.gp, x, y)
+                seen[DichotomyReport] += 1
+    assert all(seen.values()), seen
+
+
 class TestEndoscopy:
     def test_central_elements_rejected(self):
         gp = so45_pair()
@@ -581,6 +632,79 @@ def test_reduced_gp_pairs_share_the_v_parameters():
     for gp in pairs:
         assert byV.setdefault(gp.phiV.rep, gp.phiV) is gp.phiV
     assert len(paramsW) > 1 and len(byV) == len(paramsV) > 1
+
+
+@pytest.mark.parametrize("family", SWEEP_FAMILIES)
+def test_reduced_gp_pairs_equal_the_checked_constructor(family):
+    # the pairs share one admissibility check per (dw, dv), and each equals
+    # the pair make_gp_pair checks on its own: same W, V, r and d_sign
+    max_dim, max_k, n_pairs = SWEEP_FAMILIES[family]
+    n = 0
+    for gp in sweep_pairs(max_dim, max_k):
+        assert gp == make_gp_pair(gp.phiW, gp.phiV), gp
+        n += 1
+    assert n == n_pairs
+
+
+# one admissibility check per (dw, dv) unit of the χ sweep
+ADMISSIBILITY_CHECKS = {"criterion-5": 30, "chi-narrow": 9}
+
+
+@pytest.mark.parametrize("family", SWEEP_FAMILIES)
+def test_sweep_checks_admissibility_once_per_unit(family, monkeypatch):
+    # is_admissible_pair wrapped in every module that holds it, and
+    # make_gp_pair where the sweep would look it up, as the traced benchmark
+    # wraps them
+    max_dim, max_k, _ = SWEEP_FAMILIES[family]
+    calls = {"is_admissible_pair": 0, "make_gp_pair": 0}
+    for name, home in (("is_admissible_pair", quadspace),
+                       ("make_gp_pair", lparam)):
+        target = getattr(home, name)
+
+        def counted(*args, _name=name, _fn=target, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in (cli, lparam, quadspace):
+            if getattr(mod, name, None) is target:
+                monkeypatch.setattr(mod, name, counted)
+    args = cli._build_parser().parse_args(
+        ["verify", "dichotomy", "--max-dim", str(max_dim), "--max-k", str(max_k)]
+    )
+    cases = cli._sweep_cases(args)
+    results = [cli._dichotomy_unit(case) for case in cases]
+    assert not any(r["counterexamples"] for r in results)
+    assert len(cases) == ADMISSIBILITY_CHECKS[family]
+    assert calls == {"is_admissible_pair": len(cases), "make_gp_pair": 0}
+
+
+@pytest.mark.parametrize("dw, dv", [(2, 4), (3, 3), (1, 5), (0, 2)])
+def test_reduced_gp_pairs_refuse_an_even_dimension_gap(dw, dv):
+    with pytest.raises(InvalidParameter, match="one even and one odd"):
+        next(lparam.reduced_gp_pairs(dw, dv, 9))
+
+
+def _scanned_spaces():
+    # every space of dimension <= 14 with max_k <= 13, and one space per
+    # dimension (p = q or q + 1) with the large pools of max_k 25 and 31:
+    # the enumeration reads V only through its dimension, so the signature
+    # is covered by the small pools and the order by the large ones
+    for d in range(15):
+        for p in range(d + 1):
+            for max_k in range(1, 14):
+                yield QuadSpace(p, d - p), max_k
+        for max_k in (25, 31):
+            yield QuadSpace((d + 1) // 2, d // 2), max_k
+
+
+def test_enumerate_reduced_lists_the_scan_in_order():
+    n = 0
+    for V, max_k in _scanned_spaces():
+        listed = enumerate_reduced(V, max_k)
+        assert listed == enumerate_reduced_by_scan(V, max_k), (V, max_k)
+        assert all(phi.target is V for phi in listed)
+        n += len(listed)
+    assert n == 57_638
 
 
 class TestPairExponentMemo:
