@@ -31,6 +31,7 @@ import time
 from .quadspace import (
     InvariantViolation,
     QuadSpace,
+    _space,
     is_admissible_pair,
     is_quasi_split,
     json_object,
@@ -241,11 +242,11 @@ def _union_unit(case) -> dict:
     from .conjclass import kappa_shapes, verify_union_prop
 
     d, p, e0s = case
-    V = QuadSpace(p, d - p)
+    V = _space(p, d - p)
     checked = 0
     bad = []
     target = d - 1 if d % 2 else d
-    lines = [None] if d % 2 else [QuadSpace(1, 0), QuadSpace(0, 1)]
+    lines = [None] if d % 2 else [_space(1, 0), _space(0, 1)]
     for kappa in kappa_shapes(target):
         for e0 in e0s:
             for D in lines:
@@ -270,14 +271,14 @@ def _fiber_unit(case) -> dict:
     )
 
     dv, pv = case
-    V = QuadSpace(pv, dv - pv)
+    V = _space(pv, dv - pv)
     checked = 0
     bad = []
     # one class datum per n ≤ dim W / 2 ≤ (dv − 1) / 2, shared by every W
     kappas = [make_regular_kappa(n) for n in range((dv + 1) // 2)]
     for dw in range(dv):
         for pw in range(dw + 1):
-            W = QuadSpace(pw, dw - pw)
+            W = _space(pw, dw - pw)
             if is_admissible_pair(W, V) is None:
                 continue
             for n, kappa in enumerate(kappas[: dw // 2 + 1]):

@@ -189,9 +189,20 @@ class KappaDatum:
     (:attr:`signed`), built once, on first request.
 
     ``dim``, ``signature``, ``n_elliptic`` (the number of definite planes),
-    ``sum_c`` (their sign sum) and whether every factor is elliptic are stored
-    invariants: computed once at construction, never part of equality,
-    hashing or the repr, which see ``factors`` only.
+    ``sum_c`` (their sign sum), whether every factor is elliptic and whether
+    the class is regular (:func:`is_regular`) are stored invariants: computed
+    once at construction, never part of equality, hashing or the repr, which
+    see ``factors`` only.
+
+    Regularity is a function of ``factors`` alone: it reads each factor's
+    regularity data (degenerate flag, eigenvalue set), which the factor's
+    constructor derives from its own frozen fields, and ``factors`` is a
+    tuple of frozen factors that no method rebinds.  So the flag computed
+    here stays right for the datum's whole life, and it stays right on every
+    copy: :meth:`with_signs` builds through ``__init__``, from factors whose
+    ``with_sign`` shares the regularity data (it does not depend on the
+    sign), and a pickle round trip restores the stored attributes with
+    ``__dict__``.
     """
 
     factors: tuple[FactorDatum, ...]
@@ -199,13 +210,19 @@ class KappaDatum:
     def __init__(self, factors: Iterable[FactorDatum] = ()):
         factors = tuple(factors)
         p = q = n = sum_c = 0
-        for f in factors:
+        regular = True
+        classes = set()
+        for f in factors:  # no early exit: every invariant needs every factor
             fp, fq = factor_signature(f)
             p += fp
             q += fq
             if isinstance(f, CFieldFactor):
                 n += 1
                 sum_c += f.c
+            degenerate, cls = f._regularity
+            if degenerate or cls in classes:
+                regular = False
+            classes.add(cls)
         stored = object.__setattr__
         stored(self, "factors", factors)
         stored(self, "dim", p + q)
@@ -213,6 +230,7 @@ class KappaDatum:
         stored(self, "n_elliptic", n)
         stored(self, "sum_c", sum_c)
         stored(self, "_all_elliptic", n == len(factors))
+        stored(self, "_regular", regular)
 
     def __iter__(self):
         return iter(self.factors)
@@ -251,16 +269,11 @@ def is_regular(kappa: KappaDatum) -> bool:
     """Regular semisimple: distinct eigenvalues within and across factors,
     and no eigenvalue ±1 (which would enlarge the centralizer).
 
-    Reads each factor's regularity data (degenerate flag, eigenvalue set),
-    computed once when the factor was built.
+    The flag is stored on the datum when it is built (see
+    :class:`KappaDatum`): no degenerate factor, and pairwise distinct
+    eigenvalue sets across the factors.
     """
-    classes = set()
-    for f in kappa.factors:
-        degenerate, cls = f._regularity
-        if degenerate or cls in classes:
-            return False
-        classes.add(cls)
-    return True
+    return kappa._regular
 
 
 def iota(V: QuadSpace, kappa: KappaDatum) -> int:

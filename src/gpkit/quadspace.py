@@ -66,10 +66,19 @@ class QuadSpace:
         object.__setattr__(self, "delta", p - q)
 
     def orthogonal_sum(self, other: "QuadSpace") -> "QuadSpace":
-        return QuadSpace(self.p + other.p, self.q + other.q)
+        return _space(self.p + other.p, self.q + other.q)
 
     def __repr__(self) -> str:
         return f"QuadSpace({self.p}, {self.q})"
+
+
+@cache
+def _space(p: int, q: int) -> QuadSpace:
+    """``QuadSpace(p, q)``, built once per signature and shared by every
+    later call.  Keyed on the two ints, so a sum or a complement costs one
+    dict lookup, and a later cache keyed on the space (``pure_inner_forms``,
+    ``is_admissible_pair``) finds it by identity."""
+    return QuadSpace(p, q)
 
 
 def discriminant(V: QuadSpace) -> int:
@@ -108,7 +117,9 @@ def quasi_split_forms(V: QuadSpace) -> list[QuadSpace]:
     There is exactly one except in even dimension with Δ ≡ 2 (mod 4), where the
     class contains both (m+1, m−1) and (m−1, m+1).
     """
-    return [W for W in pure_inner_forms(V) if is_quasi_split(W)]
+    return [
+        W for W in pure_inner_forms(V) if _signature_is_quasi_split(W.p, W.q)
+    ]
 
 
 def quasi_split_form(V: QuadSpace) -> QuadSpace:
@@ -156,12 +167,12 @@ class AdmissiblePair:
     @property
     def line(self) -> QuadSpace:
         """The anisotropic line D."""
-        return QuadSpace(1, 0) if self.d_sign > 0 else QuadSpace(0, 1)
+        return _space(1, 0) if self.d_sign > 0 else _space(0, 1)
 
     @property
     def w_perp(self) -> QuadSpace:
         """Orthogonal complement of W in V, namely D ⟂ Z."""
-        return QuadSpace(self.V.p - self.W.p, self.V.q - self.W.q)
+        return _space(self.V.p - self.W.p, self.V.q - self.W.q)
 
 
 @cache

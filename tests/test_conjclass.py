@@ -753,14 +753,25 @@ def test_kappa_stored_invariants_leave_eq_hash_repr_and_pickle_alone():
     """The stored invariants are not fields: equality, hash and repr see the
     factors only, and a pickle round trip (as for ``--jobs`` workers) gives
     an equal datum with the same invariants, with or without its signed
-    data built."""
-    for kappa in _kappa_family():
+    data built.  The stored regularity flag matches the uncached reference,
+    also on a datum that is irregular from its second factor on, whose
+    later factors still count toward the other invariants."""
+    # the first two factors collide and the last one is elliptic: a loop
+    # that stopped at the first irregularity would miss the last plane
+    clash = KappaDatum([RSplitFactor(F(2)), RSplitFactor(F(2)), cf(1, 3, -1)])
+    assert (clash.dim, clash.signature, clash.n_elliptic, clash.sum_c) == (
+        6, (2, 4), 1, -1
+    )
+    assert clash._regular is False and clash._all_elliptic is False
+    for kappa in _kappa_family() + [clash]:
         fresh = KappaDatum(kappa.factors)
         assert kappa == fresh and hash(kappa) == hash((kappa.factors,))
         assert repr(kappa) == f"KappaDatum(factors={kappa.factors!r})"
         sig = _reference_invariants(kappa)[:4]
         assert (kappa.dim, kappa.signature, kappa.n_elliptic, kappa.sum_c) == sig
         assert kappa._all_elliptic is (kappa.n_elliptic == len(kappa))
+        assert kappa._regular is _reference_is_regular(kappa)
+        assert is_regular(kappa) is kappa._regular
         kappa.signed  # one side with its signed data built, one without
         for obj in (fresh, kappa):
             for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
@@ -769,10 +780,10 @@ def test_kappa_stored_invariants_leave_eq_hash_repr_and_pickle_alone():
                 assert repr(back) == repr(obj)
                 assert (
                     back.dim, back.signature, back.n_elliptic, back.sum_c,
-                    back._all_elliptic,
+                    back._all_elliptic, back._regular,
                 ) == (
                     obj.dim, obj.signature, obj.n_elliptic, obj.sum_c,
-                    obj._all_elliptic,
+                    obj._all_elliptic, obj._regular,
                 )
     assert KappaDatum([RSplitFactor(F(2))])._all_elliptic is False
     assert KappaDatum([])._all_elliptic is True

@@ -298,6 +298,65 @@ def test_admissible_pair_checks_once(monkeypatch):
     assert len(calls) == 2
 
 
+def _same_space(got, p, q):
+    """``got`` equals a fresh QuadSpace(p, q) in eq, hash, repr and stored
+    invariants."""
+    fresh = QuadSpace(p, q)
+    assert type(got) is QuadSpace
+    assert got == fresh and hash(got) == hash(fresh)
+    assert repr(got) == repr(fresh)
+    assert (got.dim, got.delta) == (fresh.dim, fresh.delta)
+
+
+def test_orthogonal_sum_shares_one_space_per_signature():
+    # every pair of spaces whose sum has dimension <= 24: the sum is the
+    # space of the summed signature, and a repeat call, also on equal but
+    # distinct operands, returns the same object
+    for d in range(25):
+        for d1 in range(d + 1):
+            for p1 in range(d1 + 1):
+                for p2 in range(d - d1 + 1):
+                    A, B = QuadSpace(p1, d1 - p1), QuadSpace(p2, d - d1 - p2)
+                    got = A.orthogonal_sum(B)
+                    _same_space(got, A.p + B.p, A.q + B.q)
+                    assert A.orthogonal_sum(B) is got
+                    assert QuadSpace(A.p, A.q).orthogonal_sum(
+                        QuadSpace(B.p, B.q)
+                    ) is got
+
+
+def test_admissible_pair_line_and_complement_are_shared():
+    # every admissible pair with dim V <= 12, from the cache and built
+    # afresh: the line and the complement W^perp are the spaces of their
+    # signatures, and repeat calls return the same objects
+    spaces = [QuadSpace(p, d - p) for d in range(13) for p in range(d + 1)]
+    pairs = 0
+    for W in spaces:
+        for V in spaces:
+            pair = is_admissible_pair(W, V)
+            if pair is None:
+                continue
+            pairs += 1
+            fresh = AdmissiblePair(W, V, pair.r, pair.d_sign)
+            line, perp = pair.line, pair.w_perp
+            _same_space(line, *((1, 0) if pair.d_sign > 0 else (0, 1)))
+            _same_space(perp, V.p - W.p, V.q - W.q)
+            assert pair.line is line and fresh.line is line
+            assert pair.w_perp is perp and fresh.w_perp is perp
+    assert pairs == 406
+
+
+def test_quasi_split_forms_match_the_definition():
+    # every space with p + q <= 24 against the definition: the members of
+    # the pure inner class that pass is_quasi_split, in class order
+    for d in range(25):
+        for p in range(d + 1):
+            V = QuadSpace(p, d - p)
+            oracle = [W for W in pure_inner_forms(V) if is_quasi_split(W)]
+            got = quasi_split_forms(V)
+            assert type(got) is list and got == oracle, V
+
+
 @given(spaces.filter(lambda V: V.dim >= 1))
 def test_relevant_pairs_all_admissible(V):
     W = QuadSpace(max(V.p - 1, 0), max(V.q - (0 if V.p >= 1 else 1), 0))
