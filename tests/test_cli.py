@@ -348,6 +348,8 @@ class TestVerify:
             ["verify", "union", "--max-dim", "4"],
             ["verify", "fibers", "--max-dv", "5"],
             ["verify", "dichotomy", "--max-dim", "6", "--max-k", "7"],
+            # the pool workers build their row and verdict memos from nothing
+            ["verify", "dichotomy", "--max-dim", "5", "--max-k", "25"],
         ):
             proc = _fresh_python("-m", "gpkit.cli", "--json", *argv,
                                  "--jobs", "2")

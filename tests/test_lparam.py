@@ -617,6 +617,88 @@ def test_verify_matches_the_reference_on_synthetic_exponents(
     assert seen["tables"] == n_pairs and seen["raised"]
 
 
+def _rows_by_loop(gp):
+    # a table's (_defined, _minus) built on its own by the mod-4 adder loop,
+    # as each table once built them: the reference for the row memo
+    groupW, groupV = gp.phiW.group, gp.phiV.group
+    planes = [lparam._slot_planes(sig, groupV.basis) for sig in groupW.basis]
+    lo, hi = [0], [0]
+    for x in range(1, 1 << len(planes)):
+        low = x & -x
+        a0, a1 = lo[x ^ low], hi[x ^ low]
+        b0, b1 = planes[low.bit_length() - 1]
+        lo.append(a0 ^ b0)
+        hi.append(a1 ^ b1 ^ (a0 & b0))
+    evenW, evenV = groupW.even_dims, groupV.even_dims
+    defined = [evenV & ~odd if evenW >> x & 1 else 0 for x, odd in enumerate(lo)]
+    return tuple(defined), tuple(ok & two for ok, two in zip(defined, hi))
+
+
+def _content(gp):
+    # what a table's rows are built from: the W-slot planes and both groups'
+    # even_dims
+    groupW, groupV = gp.phiW.group, gp.phiV.group
+    planes = tuple(lparam._slot_planes(sig, groupV.basis) for sig in groupW.basis)
+    return planes, groupW.even_dims, groupV.even_dims
+
+
+def _sweep_units(max_dim, max_k):
+    # the pairs of sweep_pairs(max_dim, max_k), one list per (dw, dv) unit
+    for dv in range(1, max_dim + 1):
+        for dw in range(dv - 1, -1, -2):
+            yield list(lparam.reduced_gp_pairs(dw, dv, max_k))
+
+
+# distinct table contents over the whole family, and in its largest unit
+DISTINCT_CONTENTS = {"criterion-5": (383, 50), "chi-narrow": (39, 18)}
+
+
+@pytest.mark.parametrize("family", SWEEP_FAMILIES)
+def test_tables_share_rows_by_content(family):
+    # each unit's tables built twice: with the memo cold (as the family left
+    # it) and warm (every content already built). Every table's rows equal
+    # its own loop-built rows, every verify() the reference, and the tables
+    # of one content share one pair of row tuples
+    max_dim, max_k, n_pairs = SWEEP_FAMILIES[family]
+    distinct, largest = DISTINCT_CONTENTS[family]
+    contents, n, biggest = set(), 0, 0
+    for pairs in _sweep_units(max_dim, max_k):
+        assert lparam._factor_rows.cache_info().currsize == 0
+        shared = {}
+        for warm in (False, True):
+            before = lparam._factor_rows.cache_info()
+            tables = [GPCharacterTable(gp) for gp in pairs]
+            after = lparam._factor_rows.cache_info()
+            for gp, tab in zip(pairs, tables):
+                rows = _rows(tab)
+                assert rows == _rows_by_loop(gp), gp
+                first = shared.setdefault(_content(gp), rows)
+                assert first[0] is rows[0] and first[1] is rows[1]
+            assert _compare_verify_with_reference(tables) == {
+                "tables": len(pairs), "raised": 0, "not a character": 0,
+                "failures": 0,
+            }
+            # one build per content on the cold pass, none on the warm one
+            assert after.misses - before.misses == (0 if warm else len(shared))
+        contents.update(shared)
+        biggest = max(biggest, len(shared))
+        n += len(pairs)
+    assert n == n_pairs
+    assert (len(contents), biggest) == (distinct, largest)
+
+
+def test_memos_hold_one_unit_after_a_sweep(capsys):
+    # the row and verdict memos are emptied when a unit starts, so after
+    # `verify dichotomy --max-dim 10 --max-k 9` (run in this process) they
+    # hold at most the contents of its largest unit
+    assert cli.run(["--json", "verify", "dichotomy",
+                    "--max-dim", "10", "--max-k", "9", "--jobs", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "PASS"
+    largest = DISTINCT_CONTENTS["criterion-5"][1]
+    assert 0 < lparam._factor_rows.cache_info().currsize <= largest
+    assert 0 < len(lparam._MULTIPLICATIVE) <= largest
+
+
 def test_reduced_gp_pairs_share_the_v_parameters():
     # W = (2, 0), V = (4, 1): phiW outer, phiV inner, each V parameter one
     # object in every pair it enters
