@@ -6,8 +6,9 @@ result.  ``verify`` runs an exhaustive sweep and prints a report object
 ``{command, status, cases_checked, counterexamples, timing_ms}``.
 
 Exit codes: 0 success/PASS, 1 a sweep found a counterexample, 2 input or
-usage error (including a sweep whose bounds leave no case to check), 3 an
-internal invariant failed (a bug, not a counterexample).  All output is exact
+usage error (including a sweep whose bounds leave no case to check, and an
+``epsilon --oracle`` run with no constituent to check), 3 an internal
+invariant failed (a bug, not a counterexample).  All output is exact
 integers and sign strings; only the ε oracle produces floats, labelled with
 its tolerance.
 
@@ -182,6 +183,10 @@ def _cmd_epsilon(args) -> int:
         "is_real": root.is_real,
     }
     if args.oracle:
+        if not rho:
+            # no constituent: a PASS would certify nothing, as an empty sweep
+            raise SystemExit2("epsilon --oracle: the representation has no "
+                              "constituent to check")
         tol = 1e-6
         checks = []
         for rep, _m in rho:

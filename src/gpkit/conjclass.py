@@ -309,8 +309,7 @@ def is_in_Xi_reg_V(kappa: KappaDatum, V: QuadSpace) -> XiRegResult:
     if d % 2 == 0:
         member = kappa.dim == d and 2 * kappa.sum_c == delta
         return _MEMBER if member else _NOT_MEMBER
-    # the fixed-line sign 𝔦_{V,κ} of :func:`iota`, on an odd V
-    i = -1 if ((1 - delta) // 2 + kappa.n_elliptic) % 2 else 1
+    i = iota(V, kappa)
     if kappa.dim == d - 1 and 2 * kappa.sum_c == delta - i:
         return _MEMBER_WITH_LINE[i]
     return _NOT_MEMBER
@@ -496,10 +495,9 @@ def verify_union_prop(
     if odd:
         N = _odd_side_exponent(V, kappa)
     else:
-        sig_d = 1 if D.p == 1 else -1
         N = (
             kappa.n_elliptic
-            + (V.dim + 1 + sig_d) // 2
+            + (V.dim + 1 + D.delta) // 2
             - quasi_split_form(V.orthogonal_sum(D)).p
         )
     return _coset_report(

@@ -672,13 +672,24 @@ def enumerate_reduced(V: QuadSpace, max_k: int) -> list[LParameter]:
     ``product(combinations(chars, c), combinations(discs, r − c))``, which is
     empty exactly when the pool holds fewer than c characters or r − c
     discs.  ∎
+
+    Each parameter is built directly, not through :func:`validate`, which
+    could raise none of its three errors here: every piece of the pool is
+    O-type for the ambient of ``V`` (D_odd is symplectic, 1, sgn and D_even
+    are orthogonal; :func:`~gpkit.weilrep.self_dual_type`), so there is no
+    Sp-type piece (:class:`OddSpMultiplicity`) and no GL-type piece
+    (:class:`UnpairedGLType`); the pieces of a subset are distinct, so the
+    parameter is multiplicity-free; and its dimension is ``want`` by the
+    proof above (:class:`DimMismatch`).  ``validate`` stays the check of
+    parameters read from JSON, and the scan oracle
+    ``tests/gp_reference.enumerate_reduced_by_scan`` validates every subset.
     """
     pool = _reduced_pool(bool(V.dim % 2), max_k)
     want = V.dim - 1 if V.dim % 2 else V.dim
     nchars = 0 if V.dim % 2 else 2
     chars, discs = pool[:nchars], pool[nchars:]
     return [
-        validate(WeilRep(cs + ds), V)
+        LParameter(WeilRep(cs + ds), V)
         for r in range((want + 1) // 2, want + 1)
         for cs, ds in product(
             combinations(chars, 2 * r - want), combinations(discs, want - r)

@@ -115,18 +115,30 @@ def quasi_split_forms(V: QuadSpace) -> list[QuadSpace]:
     """Quasi-split members of the pure inner class of ``V``, p descending.
 
     There is exactly one except in even dimension with Δ ≡ 2 (mod 4), where the
-    class contains both (m+1, m−1) and (m−1, m+1).
+    class contains both (m+1, m−1) and (m−1, m+1).  Each member is the shared
+    :func:`_space` of its signature.
+
+    Proof of the closed form.  Write d = dim V and m = ⌊d/2⌋.  The class of
+    ``V`` holds exactly the (p', d − p') with p' ≡ V.p (mod 2), 0 ≤ p' ≤ d
+    (:func:`pure_inner_forms`), and Δ' = 2p' − d.  For odd d, |Δ'| ≤ 1 allows
+    p' ∈ {m, m + 1}, and exactly one of these two has the parity of V.p.  For
+    even d, Δ' ∈ {0, ±2} allows p' ∈ {m, m ± 1}: that is p' = m alone when
+    V.p ≡ m, and otherwise both m + 1 and m − 1, which is the case
+    Δ ≡ 2 (mod 4); there m ≥ 1, since d = 0 forces V.p = 0 = m.  So the first
+    member has p = m + (V.p − m) mod 2, and its mirror (d − p, p) follows
+    exactly when 2p − d = 2.  ∎
     """
-    return [
-        W for W in pure_inner_forms(V) if _signature_is_quasi_split(W.p, W.q)
-    ]
+    d = V.dim
+    m = d // 2
+    p = m + (V.p - m) % 2
+    if 2 * p - d == 2:
+        return [_space(p, d - p), _space(d - p, p)]
+    return [_space(p, d - p)]
 
 
 def quasi_split_form(V: QuadSpace) -> QuadSpace:
     """The quasi-split pure inner form of ``V``; ties broken toward p ≥ q."""
     forms = quasi_split_forms(V)
-    if not forms:  # cannot happen: every class contains a quasi-split form
-        raise InvariantViolation(f"no quasi-split form in the class of {V}")
     if (V.dim % 2 or V.delta % 4 == 0) and len(forms) != 1:
         raise InvariantViolation(
             f"{len(forms)} quasi-split forms in the class of {V}, expected one"

@@ -187,6 +187,24 @@ class TestOneShots:
         assert rc == 2
         assert out["error"].startswith("QuadratureFailure: ")
 
+    @pytest.mark.parametrize(
+        "obj", [[], {"V": {"p": 1, "q": 0}, "rep": []}], ids=["rep", "param"]
+    )
+    def test_epsilon_oracle_with_no_constituent_is_an_input_error(
+        self, jfile, capsys, obj
+    ):
+        # an oracle run that checks nothing is no PASS, as an empty sweep is
+        # none; without --oracle the empty representation has ε = 1
+        rc, out = run_json(capsys, ["epsilon", jfile(obj)])
+        assert rc == 0
+        assert out == {"epsilon": "1", "exponent": 0, "is_real": True}
+        rc, out = run_json(capsys, ["epsilon", jfile(obj), "--oracle"])
+        assert rc == 2
+        assert out == {
+            "error": "epsilon --oracle: the representation has no "
+            "constituent to check"
+        }
+
     def test_scipy_is_loaded_only_by_the_oracle(self, jfile):
         # A fresh interpreter per command: `import gpkit.cli` loads no layer
         # (not even gpkit.weilrep, which the package re-exports lazily) and
@@ -988,7 +1006,7 @@ CONJCLASS_CALLS = {
     "is_regular": 50_524,
     "is_in_Xi_reg_V": 67_234,
     "kottwitz_sign": 30_404,
-    "pure_inner_forms": 11_896,
+    "pure_inner_forms": 5_948,
     "is_admissible_pair": 8_099,
 }
 CONJCLASS_CASES = {"union": 3_036, "fibers": 4_368}

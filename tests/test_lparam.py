@@ -716,6 +716,23 @@ def test_reduced_gp_pairs_share_the_v_parameters():
     assert len(paramsW) > 1 and len(byV) == len(paramsV) > 1
 
 
+def test_reduced_gp_pairs_validate_no_parameter(monkeypatch):
+    # the enumerated parameters are valid by construction (the proof in
+    # enumerate_reduced's docstring), so one sweep unit validates none;
+    # the scan of test_enumerate_reduced_lists_the_scan_in_order validates
+    # every subset, which is the differential check of that proof
+    calls = []
+    checked = lparam.validate
+
+    def counted(rep, V):
+        calls.append(V)
+        return checked(rep, V)
+
+    monkeypatch.setattr(lparam, "validate", counted)
+    pairs = list(lparam.reduced_gp_pairs(2, 5, 9))
+    assert len(pairs) > 1 and calls == []
+
+
 @pytest.mark.parametrize("family", SWEEP_FAMILIES)
 def test_reduced_gp_pairs_equal_the_checked_constructor(family):
     # the pairs share one admissibility check per (dw, dv), and each equals

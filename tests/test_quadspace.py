@@ -347,14 +347,18 @@ def test_admissible_pair_line_and_complement_are_shared():
 
 
 def test_quasi_split_forms_match_the_definition():
-    # every space with p + q <= 24 against the definition: the members of
-    # the pure inner class that pass is_quasi_split, in class order
-    for d in range(25):
+    # every space with p + q <= 64 against the definition: the members of
+    # the pure inner class that pass is_quasi_split, in class order, each
+    # the shared space of its signature
+    for d in range(65):
         for p in range(d + 1):
             V = QuadSpace(p, d - p)
             oracle = [W for W in pure_inner_forms(V) if is_quasi_split(W)]
             got = quasi_split_forms(V)
             assert type(got) is list and got == oracle, V
+            for W in got:
+                assert W is quadspace._space(W.p, W.q), (V, W)
+            assert quasi_split_form(V) is got[0], V
 
 
 @given(spaces.filter(lambda V: V.dim >= 1))
