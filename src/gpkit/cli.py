@@ -32,8 +32,6 @@ import time
 from .quadspace import (
     InvariantViolation,
     QuadSpace,
-    _space,
-    is_admissible_pair,
     is_quasi_split,
     json_object,
     kottwitz_sign,
@@ -244,65 +242,48 @@ def _failure(report, **case) -> dict:
 
 
 def _union_unit(case) -> dict:
-    from .conjclass import kappa_shapes, verify_union_prop
+    from .conjclass import union_cases, verify_union_prop
 
     d, p, e0s = case
-    V = _space(p, d - p)
     checked = 0
     bad = []
-    target = d - 1 if d % 2 else d
-    lines = [None] if d % 2 else [_space(1, 0), _space(0, 1)]
-    for kappa in kappa_shapes(target):
-        for e0 in e0s:
-            for D in lines:
-                r = verify_union_prop(kappa, V, e0, D=D)
-                checked += 1
-                if not r.passed:
-                    bad.append(_failure(
-                        r,
-                        V=[p, d - p],
-                        e0=e0,
-                        D=None if D is None else [D.p, D.q],
-                        shape=repr(kappa.factors),
-                    ))
+    for kappa, V, e0, D in union_cases(d, p, e0s):
+        r = verify_union_prop(kappa, V, e0, D=D)
+        checked += 1
+        if not r.passed:
+            bad.append(_failure(
+                r,
+                V=[V.p, V.q],
+                e0=e0,
+                D=None if D is None else [D.p, D.q],
+                shape=repr(kappa.factors),
+            ))
     return {"key": [d, p], "checked": checked, "counterexamples": bad}
 
 
 def _fiber_unit(case) -> dict:
-    from .conjclass import (
-        make_regular_kappa,
-        verify_fiber_lemma,
-        verify_fiber_union,
-    )
+    from .conjclass import fiber_cases, verify_fiber_lemma, verify_fiber_union
 
     dv, pv = case
-    V = _space(pv, dv - pv)
     checked = 0
     bad = []
-    # one class datum per n ≤ dim W / 2 ≤ (dv − 1) / 2, shared by every W
-    kappas = [make_regular_kappa(n) for n in range((dv + 1) // 2)]
-    for dw in range(dv):
-        for pw in range(dw + 1):
-            W = _space(pw, dw - pw)
-            if is_admissible_pair(W, V) is None:
-                continue
-            for n, kappa in enumerate(kappas[: dw // 2 + 1]):
-                reports = [("fiber", None, verify_fiber_lemma(kappa, W, V))]
-                for e0 in (1, -1):
-                    reports.append(
-                        ("fiber-union", e0, verify_fiber_union(kappa, W, V, e0))
-                    )
-                for kind, e0, r in reports:
-                    checked += 1
-                    if not r.passed:
-                        bad.append(_failure(
-                            r,
-                            kind=kind,
-                            W=[pw, dw - pw],
-                            V=[pv, dv - pv],
-                            n_elliptic=n,
-                            e0=e0,
-                        ))
+    for kappa, W, V in fiber_cases(dv, pv):
+        reports = [("fiber", None, verify_fiber_lemma(kappa, W, V))]
+        for e0 in (1, -1):
+            reports.append(
+                ("fiber-union", e0, verify_fiber_union(kappa, W, V, e0))
+            )
+        for kind, e0, r in reports:
+            checked += 1
+            if not r.passed:
+                bad.append(_failure(
+                    r,
+                    kind=kind,
+                    W=[W.p, W.q],
+                    V=[V.p, V.q],
+                    n_elliptic=kappa.n_elliptic,
+                    e0=e0,
+                ))
     return {"key": [dv, pv], "checked": checked, "counterexamples": bad}
 
 

@@ -19,7 +19,8 @@ Niven's theorem the two kinds never collide, so token comparison is sound.
 On top of the raw data sit the membership predicates for the incidence sets
 used in the multiplicity and theta correspondences (Ξ-sets, the correspondence
 set C_{V,W}) and exhaustive verifiers for the union and fiber statements that
-drive the sign dichotomy.
+drive the sign dichotomy; :func:`union_cases` and :func:`fiber_cases` list
+the checks of each sweep unit.
 """
 
 from __future__ import annotations
@@ -35,8 +36,11 @@ from .quadspace import (
     AdmissiblePair,
     QuadSpace,
     _as_fraction,
+    _is_sign,
     _signature_is_quasi_split,
+    _space,
     admissible_pair,
+    is_admissible_pair,
     kottwitz_sign,
     pure_inner_forms,
     quasi_split_form,
@@ -64,6 +68,8 @@ __all__ = [
     "CheckReport",
     "make_regular_kappa",
     "kappa_shapes",
+    "union_cases",
+    "fiber_cases",
 ]
 
 
@@ -90,16 +96,16 @@ class CFieldFactor:
     def __post_init__(self):
         a = _as_fraction(self.angle) % 2
         object.__setattr__(self, "angle", a)
-        if type(self.c) is not int or self.c not in (1, -1):  # no bools
+        if not _is_sign(self.c):
             raise ValueError("plane sign c must be +1 or -1")
         object.__setattr__(self, "_regularity", (a in (0, 1), _iso_class(self)))
 
     def with_sign(self, c: int) -> "CFieldFactor":
         """This rotation on a plane of sign ``c``."""
+        if not _is_sign(c):
+            raise ValueError("plane sign c must be +1 or -1")
         if c == self.c:
             return self
-        if type(c) is not int or c != -self.c:
-            raise ValueError("plane sign c must be +1 or -1")
         flipped = object.__new__(CFieldFactor)
         flipped.__dict__.update(self.__dict__, c=c)
         return flipped
@@ -475,7 +481,7 @@ def verify_union_prop(
     The class datum must have the matching total dimension (its definite-plane
     signs are swept, everything else is fixed).
     """
-    if e0 not in (1, -1):
+    if not _is_sign(e0):
         raise ValueError("e0 must be +1 or -1")
     odd = V.dim % 2 == 1
     if odd and D is not None:
@@ -538,7 +544,7 @@ def verify_fiber_union(
     living entirely on the V_α side.  Either way the pairs keep the
     dimensions of (W, V) and differ only in their odd member.
     """
-    if e0 not in (1, -1):
+    if not _is_sign(e0):
         raise ValueError("e0 must be +1 or -1")
     pair = _fiber_pair(kappa, W, V)
     if W.dim % 2:
@@ -612,3 +618,52 @@ def kappa_shapes(total_dim: int) -> tuple[KappaDatum, ...]:
                 continue
             out.append(make_regular_kappa(nc, nr, ns))
     return tuple(out)
+
+
+def union_cases(
+    d: int, p: int, e0s: tuple[int, ...]
+) -> list[tuple[KappaDatum, QuadSpace, int, Optional[QuadSpace]]]:
+    """The checks of one ``verify union`` unit: every (κ, V, e0, D), each
+    run as ``verify_union_prop(κ, V, e0, D=D)``, with κ over
+    :func:`kappa_shapes`, then e0 over ``e0s``, then D.
+
+    V is the space (p, d − p).  Every κ has dimension d − d mod 2, so it
+    fills V up to the fixed line of odd dimension.  D is ``None`` in odd
+    dimension, and in even dimension the line (1, 0), then (0, 1).
+    :func:`verify_union_prop` still checks these facts, being a public
+    entry point.
+    """
+    V = _space(p, d - p)
+    lines = [None] if d % 2 else [_space(1, 0), _space(0, 1)]
+    return [
+        (kappa, V, e0, D)
+        for kappa in kappa_shapes(d - d % 2)
+        for e0 in e0s
+        for D in lines
+    ]
+
+
+def fiber_cases(
+    dv: int, pv: int
+) -> list[tuple[KappaDatum, QuadSpace, QuadSpace]]:
+    """The checks of one ``verify fibers`` unit: every (κ, W, V), each run
+    as :func:`verify_fiber_lemma` and as :func:`verify_fiber_union` at
+    e0 = +1 then −1, with W by dim W ascending, then p_W ascending, and
+    κ = ``make_regular_kappa(n)`` by n ascending.
+
+    V is the space (pv, dv − pv).  W runs over every space of dimension
+    below dv and is kept when (W, V) is admissible
+    (:func:`~gpkit.quadspace.is_admissible_pair`).  κ is elliptic regular
+    with 2n ≤ dim W < dim V, so it fits on both sides.  Both verifiers
+    still check these facts, being public entry points.
+    """
+    V = _space(pv, dv - pv)
+    # one class datum per n ≤ dim W / 2 ≤ (dv − 1) / 2, shared by every W
+    kappas = [make_regular_kappa(n) for n in range((dv + 1) // 2)]
+    cases = []
+    for dw in range(dv):
+        for pw in range(dw + 1):
+            W = _space(pw, dw - pw)
+            if is_admissible_pair(W, V) is not None:
+                cases += [(kappa, W, V) for kappa in kappas[: dw // 2 + 1]]
+    return cases

@@ -28,6 +28,7 @@ from .quadspace import (
     AdmissiblePair,
     InvariantViolation,
     QuadSpace,
+    _is_sign,
     admissible_pair,
     json_object,
     space_from_json,
@@ -254,7 +255,7 @@ class ComponentGroup:
         """The minus-set mask of the element with ±1 ``signs`` on the basis:
         bit i set ⟺ sign −1 on basis slot i."""
         signs = tuple(signs)
-        if len(signs) != len(self.basis) or any(s not in (1, -1) for s in signs):
+        if len(signs) != len(self.basis) or not all(map(_is_sign, signs)):
             raise ValueError(
                 f"signs must be +1 or -1, one per basis constituent ({len(self.basis)})"
             )

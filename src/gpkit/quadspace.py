@@ -81,6 +81,12 @@ def _space(p: int, q: int) -> QuadSpace:
     return QuadSpace(p, q)
 
 
+def _is_sign(v) -> bool:
+    """True only for the int +1 or −1: bools, floats and other numbers equal
+    to ±1 are not signs."""
+    return type(v) is int and v in (1, -1)
+
+
 def discriminant(V: QuadSpace) -> int:
     """Sign of the discriminant, (−1)^⌊dim/2⌋ · (−1)^q."""
     return -1 if (V.dim // 2 + V.q) % 2 else 1
@@ -163,7 +169,7 @@ class AdmissiblePair:
     d_sign: int
 
     def __post_init__(self) -> None:
-        if type(self.d_sign) is not int or self.d_sign not in (1, -1):
+        if not _is_sign(self.d_sign):
             raise ValueError("d_sign must be ±1")
         if type(self.r) is not int or self.r < 0:
             raise ValueError("r must be a non-negative integer")
@@ -263,9 +269,10 @@ def rational_field(obj: dict, key: str) -> Fraction:
 
 
 def _as_fraction(x) -> Fraction:
-    """``x`` as an exact rational: a Fraction, an int or a rational string."""
+    """``x`` as an exact rational: a Fraction, an int or a rational string.
+    A bool is refused like a float, not read as the int it equals."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")

@@ -67,6 +67,14 @@ def test_conveniences_over_the_kept_api_stay_deleted(module, owner, attr):
     assert not hasattr(getattr(mod, owner) if owner else mod, attr)
 
 
+def test_cli_builds_no_union_or_fiber_check():
+    # conjclass.union_cases/fiber_cases list the checks of each sweep unit;
+    # cli only loops over them, so it holds no space builder or pair test
+    cli = importlib.import_module("gpkit.cli")
+    for attr in ("_space", "is_admissible_pair"):
+        assert not hasattr(cli, attr)
+
+
 def test_stored_invariants_replace_the_old_properties():
     # QuadSpace.dim/.delta and the KappaDatum invariants are attributes set
     # at construction: the properties and the packed `_invariants` tuple they

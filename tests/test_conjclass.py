@@ -24,6 +24,7 @@ from gpkit.conjclass import (
     _regular_kappa,
     factor_eigenvalues,
     factor_signature,
+    fiber_cases,
     iota,
     is_in_C_VW,
     is_in_Xi_dVdW,
@@ -31,6 +32,7 @@ from gpkit.conjclass import (
     is_regular,
     kappa_shapes,
     make_regular_kappa,
+    union_cases,
     verify_fiber_lemma,
     verify_fiber_union,
     verify_union_prop,
@@ -39,7 +41,6 @@ from gpkit.quadspace import (
     NotAdmissible,
     QuadSpace,
     _signature_is_quasi_split,
-    is_admissible_pair,
     is_quasi_split,
     pure_inner_forms,
 )
@@ -97,6 +98,16 @@ class TestFactors:
         )
         assert (2.0, 1.0) in vals and (0.4, -0.2) in vals
         assert len(set(vals)) == 4
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: RSplitFactor(True), lambda: CFieldFactor(True)],
+        ids=["RSplitFactor(True)", "CFieldFactor(True)"],
+    )
+    def test_bool_values_are_not_rationals(self, build):
+        # a bool is refused like a float, not read as the int it equals
+        with pytest.raises(TypeError):
+            build()
 
     def test_token_to_complex_cis(self):
         z = token_to_complex(("cis", F(1, 3)))
@@ -287,6 +298,15 @@ class TestVerifiers:
             assert verify_fiber_union(kappa, QuadSpace(2, 1), QuadSpace(3, 3), e0).passed
             assert verify_fiber_union(kappa, QuadSpace(1, 1), QuadSpace(2, 1), e0).passed
 
+    @pytest.mark.parametrize("e0", [True, 1.0, -1.0, 0])
+    def test_e0_must_be_an_int_sign(self, e0):
+        # True, 1.0 and -1.0 equal ±1 but are not signs
+        kappa = KappaDatum([cf(1, 3)])
+        with pytest.raises(ValueError, match="e0"):
+            verify_union_prop(kappa, QuadSpace(2, 1), e0)
+        with pytest.raises(ValueError, match="e0"):
+            verify_fiber_union(kappa, QuadSpace(2, 1), QuadSpace(3, 3), e0)
+
     def test_fiber_requires_elliptic(self):
         with pytest.raises(ValueError):
             verify_fiber_lemma(
@@ -421,6 +441,10 @@ def test_with_sign_shares_the_regularity_data():
         lambda: CFieldFactor(Fraction(1, 3), 1.0),
         lambda: CFieldFactor(Fraction(1, 3), -1).with_sign(True),
         lambda: CFieldFactor(Fraction(1, 3), -1).with_sign(1.0),
+        lambda: CFieldFactor(Fraction(1, 3), 1).with_sign(True),
+        lambda: CFieldFactor(Fraction(1, 3), 1).with_sign(1.0),
+        lambda: CFieldFactor(Fraction(1, 3), -1).with_sign(-1.0),
+        lambda: make_regular_kappa(2).with_signs([True, 1]),
         lambda: make_regular_kappa(True),
         lambda: make_regular_kappa(1, False),
         lambda: make_regular_kappa(2.0),
@@ -428,6 +452,8 @@ def test_with_sign_shares_the_regularity_data():
         lambda: make_regular_kappa(1, 0, -2),
     ],
     ids=["c True", "c 1.0", "with_sign(True)", "with_sign(1.0)",
+         "same sign with_sign(True)", "same sign with_sign(1.0)",
+         "same sign with_sign(-1.0)", "with_signs([True, 1])",
          "n_cfield True", "n_rsplit False", "n_cfield 2.0", "n_cfield -1",
          "n_csplit -2"],
 )
@@ -435,6 +461,7 @@ def test_bools_and_negative_counts_are_refused(build):
     # True == 1 passed as a plane sign or a block count, and a negative count
     # gave an empty datum; a refusal leaves no datum in the shape cache
     make_regular_kappa(1)
+    make_regular_kappa(2)
     cached = _regular_kappa.cache_info().currsize
     with pytest.raises(ValueError):
         build()
@@ -607,30 +634,19 @@ def test_embedding_with_quasi_split_complement_matches_the_space_rule():
 def _union_reports(max_dim):
     """Every ``verify union`` check with dim V ≤ ``max_dim``, in sweep order."""
     for d in range(1, max_dim + 1):
-        lines = [None] if d % 2 else [QuadSpace(1, 0), QuadSpace(0, 1)]
         for p in range(d + 1):
-            V = QuadSpace(p, d - p)
-            for kappa in kappa_shapes(d - 1 if d % 2 else d):
-                for e0 in (1, -1):
-                    for D in lines:
-                        yield verify_union_prop(kappa, V, e0, D=D)
+            for kappa, V, e0, D in union_cases(d, p, (1, -1)):
+                yield verify_union_prop(kappa, V, e0, D=D)
 
 
 def _fiber_reports(max_dv):
     """Every ``verify fibers`` check with dim V ≤ ``max_dv``, in sweep order."""
     for dv in range(1, max_dv + 1):
         for pv in range(dv + 1):
-            V = QuadSpace(pv, dv - pv)
-            for dw in range(dv):
-                for pw in range(dw + 1):
-                    W = QuadSpace(pw, dw - pw)
-                    if is_admissible_pair(W, V) is None:
-                        continue
-                    for n in range(dw // 2 + 1):
-                        kappa = make_regular_kappa(n)
-                        yield verify_fiber_lemma(kappa, W, V)
-                        for e0 in (1, -1):
-                            yield verify_fiber_union(kappa, W, V, e0)
+            for kappa, W, V in fiber_cases(dv, pv):
+                yield verify_fiber_lemma(kappa, W, V)
+                for e0 in (1, -1):
+                    yield verify_fiber_union(kappa, W, V, e0)
 
 
 # sha256 of the reports below, pinned from the earlier verifiers that each

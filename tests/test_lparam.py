@@ -143,7 +143,9 @@ class TestComponentGroup:
             grp.mask_of((1, -1, 1))
 
     @pytest.mark.parametrize(
-        "signs", [(1,), (1, 1, 1), (1, 0), (1, 2), (-1, "-1")]
+        "signs",
+        [(1,), (1, 1, 1), (1, 0), (1, 2), (-1, "-1"),
+         (True, 1), (1.0, -1), (-1.0, -1.0)],
     )
     def test_mask_of_rejects_malformed_signs(self, signs):
         grp = component_group(validate(WeilRep([D(1), D(3)]), QuadSpace(3, 2)))

@@ -53,12 +53,15 @@ def test_constructor_validation():
         lambda: CharRep(1.0),
         lambda: DiscRep(True),
         lambda: DiscRep(3.0),
+        lambda: CharRep(0, True),
+        lambda: DiscRep(2, False),
         lambda: WeilRep([(D(1), 1.5)]),
         lambda: WeilRep([(D(1), True)]),
         lambda: WeilRep([(D(1), "2")]),
         lambda: WeilRep({C(0): 2.0}),
     ],
     ids=["CharRep(True)", "CharRep(1.0)", "DiscRep(True)", "DiscRep(3.0)",
+         "CharRep twist True", "DiscRep twist False",
          "mult 1.5", "mult True", "mult '2'", "mapping mult 2.0"],
 )
 def test_constructors_refuse_non_int_values(build):
