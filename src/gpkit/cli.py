@@ -162,7 +162,6 @@ def _cmd_dichotomy(args) -> int:
 
 def _cmd_epsilon(args) -> int:
     from .epsilon import eps_half, eps_numeric_oracle
-    from .lparam import param_from_json
     from .weilrep import weilrep_from_json
 
     obj = _load_json(args.file)
@@ -170,6 +169,8 @@ def _cmd_epsilon(args) -> int:
         rho = weilrep_from_json(obj)
     elif "V" in obj:
         # a parameter object: its rep is validated against the space
+        from .lparam import param_from_json
+
         rho = param_from_json(obj).rep
     else:
         json_object(obj, "parameter", ("rep",), ("V",))

@@ -241,6 +241,12 @@ class ComponentGroup:
         return sum(1 << m for m in self.masks)
 
     @cached_property
+    def _planes_by_slot(self) -> dict[IrredRep, tuple[int, int]]:
+        """The :func:`_slot_planes` of each W-slot irreducible over this
+        group's basis, filled by the tables that read them."""
+        return {}
+
+    @cached_property
     def generators(self) -> tuple[int, ...]:
         """A generating set of :attr:`masks` under XOR, each mask taken in
         ascending order unless the earlier ones already span it."""
@@ -379,17 +385,17 @@ class GPCharacterTable:
     (−1)^{a·b/2} = 1 for even a, so F is the root number i^E = (−1)^{E/2}.
     Reading any other entry raises :class:`OddHalfExponent`.
 
-    The table is stored as two bit rows per W-mask x, bit y of each row
-    standing for the entry F[x][y]:
+    F is stored as two bit rows per W-mask x, bit y of each row standing for
+    the entry F[x][y]:
 
-        ``_defined[x]``: the y where F[x][y] is ±1, i.e. dim σ_x even,
-                         dim ρ_y even and E(x, y) even;
-        ``_minus[x]``:   the y where F[x][y] = −1, i.e. E(x, y) ≡ 2 (mod 4).
+        ``defined[x]``: the y where F[x][y] is ±1, i.e. dim σ_x even,
+                        dim ρ_y even and E(x, y) even;
+        ``minus[x]``:   the y where F[x][y] = −1, i.e. E(x, y) ≡ 2 (mod 4).
 
     Both come from E(x, ·) mod 4, held as two bit planes (bit 0 and bit 1 of
     E(x, y) at bit y).  Row x is row x ⊕ low plus the plane of slot
-    low = lowest set bit of x (:func:`_slot_planes`, memoised per W-slot
-    irreducible and V-basis), added with the bitwise mod-4 adder
+    low = lowest set bit of x (:func:`_slot_planes`, kept per W-slot
+    irreducible in the V group), added with the bitwise mod-4 adder
 
         lo = a₀ ⊕ b₀,   hi = a₁ ⊕ b₁ ⊕ (a₀ ∧ b₀).
 
@@ -400,15 +406,21 @@ class GPCharacterTable:
     integer XOR and AND add all 2^|basis_V| entries of a row at once.  ∎
 
     A row build is thus O(2^|basis_W|) big-integer operations, and it reads
-    nothing but the W-slot planes and the two groups' ``even_dims``: the
-    rows are built once per distinct content by :func:`_factor_rows`, and
-    every table with that content shares them (chi-narrow's 8,464 pairs
-    have 39 distinct contents).  Each pair still gets its own table, with
-    its own groups and full masks.  What depends on one side only is built
-    once per parameter and shared by every table of a sweep that pairs it:
-    the reducedness test and the component group
-    (:attr:`LParameter.reduced`, :attr:`LParameter.group`), and the group's
-    element masks, their bitmask and its generating set.
+    nothing but the W-slot planes, the two groups' ``even_dims`` and
+    |basis_V|.  The methods of the table read the groups only through their
+    element masks, which ``even_dims`` fixes, so everything they read lives
+    in one content record
+    (:class:`_TableContent`), built by :func:`_content` once per distinct
+    key and shared by every table with that key (chi-narrow's 8,464 pairs
+    have 39 distinct contents): the bit rows, the verdicts of
+    :meth:`verify`'s preamble and the report rows that :meth:`dichotomy`
+    reads, one byte per element.  Each pair still gets its own table, with
+    its own groups.  What depends on one side only is built once per
+    parameter and shared by every table of a sweep that pairs it: the
+    reducedness test and the component group (:attr:`LParameter.reduced`,
+    :attr:`LParameter.group`), the group's element masks, their bitmask and
+    its generating set, and the V group's slot planes of each W-slot
+    irreducible (:attr:`ComponentGroup._planes_by_slot`).
     """
 
     def __init__(self, gp: GPPair):
@@ -417,13 +429,14 @@ class GPCharacterTable:
         self.gp = gp
         groupW = self.groupW = gp.phiW.group
         groupV = self.groupV = gp.phiV.group
-        basisV = groupV.basis
-        planes = tuple([_slot_planes(sig, basisV) for sig in groupW.basis])
-        self._defined, self._minus = _factor_rows(
-            planes, groupW.even_dims, groupV.even_dims
+        basisV, memo = groupV.basis, groupV._planes_by_slot
+        planes = tuple([
+            memo.get(sig) or memo.setdefault(sig, _slot_planes(sig, basisV))
+            for sig in groupW.basis
+        ])
+        self._content = _content(
+            planes, groupW.even_dims, groupV.even_dims, len(basisV)
         )
-        self._fullW = (1 << len(planes)) - 1
-        self._fullV = (1 << len(basisV)) - 1
 
     def verify(self) -> tuple[int, bool, list]:
         """``(checked, is_character, failures)``: both χ-sweep checks.
@@ -432,24 +445,21 @@ class GPCharacterTable:
         valW[x] = F[x][fullV] and valV[y] = F[fullW][y]; ``failures`` holds
         ``(x, y, report)`` for each failed :meth:`dichotomy` over every x and
         non-central y.  ``checked`` counts the |𝒮_W × 𝒮_V|² product
-        identities certified plus the dichotomy identities evaluated.
+        identities certified plus the dichotomy identities evaluated.  The
+        first three are read off the content record
+        (:meth:`_TableContent.check`); every identity is still one
+        :meth:`dichotomy` call.
         """
-        masksW, masksV = self.groupW.masks, self.groupV.masks
-        d, m, fullW, fullV = self._defined, self._minus, self._fullW, self._fullV
-        colD = colM = 0  # column fullV, bit x standing for F[x][fullV]
-        for x in masksW:
-            colD |= (d[x] >> fullV & 1) << x
-            colM |= (m[x] >> fullV & 1) << x
-        if colD != self.groupW.even_dims or self.groupV.even_dims & ~d[fullW]:
+        content = self._content
+        defined, is_character, ys, checked = (
+            content.verdict or content.check(self.groupW, self.groupV)
+        )
+        if not defined:
             raise OddHalfExponent("non-symplectic tensor block in χ")
-        is_character = _is_multiplicative(self.groupW, self.groupV, colM, m[fullW])
-        checked = (len(masksW) * len(masksV)) ** 2
+        masksW = self.groupW.masks
         failures = []
         dichotomy = self.dichotomy
-        for y in masksV:
-            if y == 0 or y == fullV:
-                continue
-            checked += len(masksW)
+        for y in ys:
             for x in masksW:
                 report = dichotomy(x, y)
                 if not report.ok:
@@ -457,14 +467,16 @@ class GPCharacterTable:
         return checked, is_character, failures
 
     def _check_masks(self, x: int, y: int) -> None:
-        if not (0 <= x <= self._fullW and 0 <= y <= self._fullV):
+        content = self._content
+        if not (0 <= x <= content.fullW and 0 <= y <= content.fullV):
             raise ValueError("masks have bits outside the component-group bases")
 
     def chi(self, x: int, y: int) -> int:
         """χ_φ at the element with minus-set masks x (of 𝒮_W) and y (of 𝒮_V)."""
         self._check_masks(x, y)
-        d, m, fullW = self._defined, self._minus, self._fullW
-        return _sign(d[x], m[x], self._fullV) * _sign(d[fullW], m[fullW], y)
+        content = self._content
+        d, m, fullW = content.defined, content.minus, content.fullW
+        return _sign(d[x], m[x], content.fullV) * _sign(d[fullW], m[fullW], y)
 
     def chi_table(self) -> dict:
         """χ_φ on every element, keyed by the mask pair (x, y)."""
@@ -475,21 +487,138 @@ class GPCharacterTable:
         }
 
     def dichotomy(self, x: int, y: int) -> "DichotomyReport":
-        """The dichotomy identity at the element with masks (x, y)."""
-        fullW, fullV = self._fullW, self._fullV
-        if not (0 <= x <= fullW and 0 < y < fullV):
+        """The dichotomy identity at the element with masks (x, y): byte y
+        of the content's report row x (:meth:`_TableContent.report_row`)."""
+        content = self._content
+        if not (0 <= x <= content.fullW and 0 < y < content.fullV):
             # the range error comes before the central one
             self._check_masks(x, y)
             raise CentralElement("s_V lies in {identity, all-(-1)}")
-        d, m, xc, yc = self._defined, self._minus, fullW ^ x, fullV ^ y
-        # the four entries F[xc][y], F[x][yc], F[x][fullV], F[fullW][y]
-        if not d[xc] >> y & d[x] >> yc & d[x] >> fullV & d[fullW] >> y & 1:
+        index = (content.reports[x] or content.report_row(x))[y]
+        if index == _UNDEFINED:
             raise OddHalfExponent("non-symplectic tensor block in χ")
-        return _REPORTS[
-            (m[xc] >> y & 1) << 2
-            | (m[x] >> yc & 1) << 1
-            | (m[x] >> fullV ^ m[fullW] >> y) & 1
-        ]
+        return _REPORTS[index]
+
+
+# The byte of a report row whose identity reads a non-±1 entry; the other
+# bytes index _REPORTS.
+_UNDEFINED = 8
+
+
+class _TableContent:
+    """What every :class:`GPCharacterTable` of one content reads: the bit
+    rows ``defined``/``minus`` of F with ``fullW`` and ``fullV``, the
+    verdicts of :meth:`GPCharacterTable.verify`'s preamble (:meth:`check`)
+    and the report rows of :meth:`GPCharacterTable.dichotomy`
+    (:meth:`report_row`), each built on first use.
+
+    Report row x has one byte per V-mask y: the index into ``_REPORTS`` of
+    the report at (x, y), or ``_UNDEFINED``.  With xc = fullW ⊕ x the
+    identity at (x, y) reads four entries,
+
+        F[xc][y],  F[x][fullV ⊕ y],  F[x][fullV],  F[fullW][y],
+
+    and its report has index bit 2 set when F[xc][y] = −1, bit 1 when
+    F[x][fullV ⊕ y] = −1 and bit 0 when χ(x, y) = F[x][fullV]·F[fullW][y]
+    = −1; it is undefined when one of the four is not ±1.
+
+    Proof that row x is the same for every table of the content, and what
+    the per-element formula gives.  The four entries are bits of the rows
+    xc, x and fullW of ``defined`` and ``minus``, at y, fullV ⊕ y and fullV.
+    These rows and fullW, fullV are fixed by the content's key, so every
+    table of the content reads the same four entries at (x, y), and the
+    byte holds the index the formula computes from them.  Row x is built in
+    one pass of big-integer operations over every y at once: bits y of rows
+    xc and fullW, the constant bit fullV of row x, and bit fullV ⊕ y =
+    fullV − y of row x, which is digit y of row x's binary string of
+    2^|basis_V| digits read from the most significant end.  ∎
+    """
+
+    __slots__ = ("defined", "minus", "fullW", "fullV", "verdict", "reports")
+
+    def __init__(self, defined: tuple[int, ...], minus: tuple[int, ...],
+                 fullV: int):
+        self.defined, self.minus = defined, minus
+        self.fullW, self.fullV = len(defined) - 1, fullV
+        self.verdict = None
+        self.reports: list[bytes | None] = [None] * len(defined)
+
+    def check(self, groupW: ComponentGroup, groupV: ComponentGroup) -> tuple:
+        """``verdict`` = (defined, is_character, ys, checked): whether column
+        fullV and row fullW are ±1 on the elements, the
+        :func:`_is_multiplicative` verdict (False when not defined), the
+        non-central V-masks and the count of :meth:`GPCharacterTable.verify`.
+
+        Each is a function of the content: the groups are read only through
+        their ``masks`` and ``generators``, which are fixed by their
+        ``even_dims`` (see :func:`_is_multiplicative`).
+        """
+        d, m, fullW, fullV = self.defined, self.minus, self.fullW, self.fullV
+        masksW, masksV = groupW.masks, groupV.masks
+        colD = colM = 0  # column fullV, bit x standing for F[x][fullV]
+        for x in masksW:
+            colD |= (d[x] >> fullV & 1) << x
+            colM |= (m[x] >> fullV & 1) << x
+        defined = colD == groupW.even_dims and not groupV.even_dims & ~d[fullW]
+        is_character = defined and _is_multiplicative(
+            groupW, groupV, colM, m[fullW]
+        )
+        ys = tuple([y for y in masksV if y != 0 and y != fullV])
+        checked = (len(masksW) * len(masksV)) ** 2 + len(ys) * len(masksW)
+        self.verdict = (defined, is_character, ys, checked)
+        return self.verdict
+
+    def report_row(self, x: int) -> bytes:
+        """Report row x, built and kept."""
+        d, m, fullV = self.defined, self.minus, self.fullV
+        width = fullV + 1
+        if not d[x] >> fullV & 1:  # F[x][fullV] is not ±1
+            row = self.reports[x] = bytes([_UNDEFINED]) * width
+            return row
+        xc = self.fullW ^ x
+        ones = int.from_bytes(b"\1" * width, "little")
+        digits = f"0{width}b"
+
+        def spread(row: int, order: str = "big") -> int:
+            # byte y is bit y of row ("big") or bit fullV − y ("little"):
+            # the digits '0'/'1' are the bytes 0x30/0x31
+            return int.from_bytes(format(row, digits).encode(), order) & ones
+
+        defined = spread(d[xc] & d[self.fullW]) & spread(d[x], "little")
+        flip = (1 << width) - 1 if m[x] >> fullV & 1 else 0  # F[x][fullV] = −1
+        chi = spread(m[self.fullW] ^ flip)
+        index = spread(m[xc]) << 2 | spread(m[x], "little") << 1 | chi
+        # each byte is at most 7 and the masks 0 or 7, so nothing carries
+        index = (index & defined * 7) | (ones ^ defined) * _UNDEFINED
+        row = self.reports[x] = index.to_bytes(width, "little")
+        return row
+
+
+# The content records of one sweep unit, keyed on what the bit rows are
+# built from; reduced_gp_pairs empties it when a family starts.
+_CONTENTS: dict[tuple, _TableContent] = {}
+
+
+def _content(
+    planes: tuple[tuple[int, int], ...], evenW: int, evenV: int, nV: int
+) -> _TableContent:
+    """The record of the tables whose W-slots have the :func:`_slot_planes`
+    ``planes`` (in basis order), whose groups have the
+    :attr:`~ComponentGroup.even_dims` ``evenW`` and ``evenV``, and whose
+    V-basis has ``nV`` slots, built on first use.  The key fixes fullW
+    (one slot per plane) and fullV, and the bit rows are built from it
+    alone, so two tables with one key share one record.  The memo holds
+    one sweep unit's contents: these almost never repeat across units (at
+    ``--max-dim 10 --max-k 9``, 395 distinct contents summed over the
+    units, 383 over the whole sweep).
+    """
+    key = (planes, evenW, evenV, nV)
+    content = _CONTENTS.get(key)
+    if content is None:
+        content = _CONTENTS[key] = _TableContent(
+            *_factor_rows(planes, evenW, evenV), (1 << nV) - 1
+        )
+    return content
 
 
 @cache
@@ -506,7 +635,10 @@ def _slot_planes(sig: IrredRep, basisV: tuple[IrredRep, ...]) -> tuple[int, int]
     Built by doubling: the subsets holding slot j are those without it, shifted
     up by 2^j, plus the constant e(σ, ρ_j), added with the bitwise mod-4 adder
     of :class:`GPCharacterTable` (a constant's planes are all ones or all
-    zeros).  Memoised, like :func:`_pair_exponent`, once per process.
+    zeros).  Memoised, like :func:`_pair_exponent`, once per process; a
+    table looks its planes up first in the V group's
+    :attr:`~ComponentGroup._planes_by_slot`, which hashes one irreducible
+    instead of the whole V-basis.
     """
     lo = hi = 0
     for j, rho in enumerate(basisV):
@@ -517,20 +649,15 @@ def _slot_planes(sig: IrredRep, basisV: tuple[IrredRep, ...]) -> tuple[int, int]
     return lo, hi
 
 
-@cache
 def _factor_rows(
     planes: tuple[tuple[int, int], ...], evenW: int, evenV: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(``_defined``, ``_minus``) of every :class:`GPCharacterTable` whose
-    W-slots have the :func:`_slot_planes` ``planes`` (in basis order) and
-    whose groups have the :attr:`~ComponentGroup.even_dims` ``evenW`` and
-    ``evenV``: the rows of E(x, ·) mod 4, built by the mod-4 adder of the
-    class, then cut to the symplectic entries.
-
-    The build reads nothing but its key, so two pairs with the same key
-    share one pair of row tuples (tuples, so no table can change another's).
-    The memo holds one sweep unit's contents: :func:`reduced_gp_pairs`
-    empties it when a family starts.
+    """(``defined``, ``minus``) of the tables whose W-slots have the
+    :func:`_slot_planes` ``planes`` (in basis order) and whose groups have
+    the :attr:`~ComponentGroup.even_dims` ``evenW`` and ``evenV``: the rows
+    of E(x, ·) mod 4, built by the mod-4 adder of
+    :class:`GPCharacterTable`, then cut to the symplectic entries.  Tuples,
+    so no table can change another's.
     """
     lo, hi = [0], [0]
     for x in range(1, 1 << len(planes)):
@@ -563,11 +690,6 @@ def _is_homomorphism(group, row: int) -> bool:
     return True
 
 
-# The verdicts of _is_multiplicative in one sweep unit, keyed on the ints it
-# reads; emptied with the row memo when a family starts.
-_MULTIPLICATIVE: dict[tuple[int, int, int, int], bool] = {}
-
-
 def _is_multiplicative(groupW, groupV, rowW: int, rowV: int) -> bool:
     """Whether χ(x, y) = valW[x]·valV[y] is a character of 𝒮_W × 𝒮_V, where
     valW[x] = (−1)^{bit x of rowW} and valV[y] = (−1)^{bit y of rowV}.
@@ -591,23 +713,17 @@ def _is_multiplicative(groupW, groupV, rowW: int, rowV: int) -> bool:
     This certifies the |𝒮_W × 𝒮_V|² product identities of the all-pairs
     check at O((|𝒮_W| + |𝒮_V|)·rank) cost.
 
-    The verdict is memoised on (groupW.even_dims, groupV.even_dims, rowW,
-    rowV), in ``_MULTIPLICATIVE`` for one sweep unit.  Proof that it is a
-    function of these ints: :func:`_is_homomorphism` reads a group only
-    through ``masks`` and ``generators``; ``masks`` are the set bits of
-    ``even_dims``, in ascending order, and ``generators`` is computed from
-    ``masks`` alone.  ∎
+    The verdict is a function of (groupW.even_dims, groupV.even_dims, rowW,
+    rowV), so :meth:`_TableContent.check` keeps it once per content.
+    Proof: :func:`_is_homomorphism` reads a group only through ``masks``
+    and ``generators``; ``masks`` are the set bits of ``even_dims``, in
+    ascending order, and ``generators`` is computed from ``masks`` alone.  ∎
     """
-    key = (groupW.even_dims, groupV.even_dims, rowW, rowV)
-    verdict = _MULTIPLICATIVE.get(key)
-    if verdict is None:
-        unit = not (rowW ^ rowV) & 1  # χ(0, 0) = 1
-        verdict = _MULTIPLICATIVE[key] = (
-            unit
-            and _is_homomorphism(groupW, rowW)
-            and _is_homomorphism(groupV, rowV)
-        )
-    return verdict
+    return (
+        not (rowW ^ rowV) & 1  # χ(0, 0) = 1
+        and _is_homomorphism(groupW, rowW)
+        and _is_homomorphism(groupV, rowV)
+    )
 
 
 @dataclass(frozen=True)
@@ -706,16 +822,13 @@ def reduced_gp_pairs(dw: int, dv: int, max_k: int):
 
     The two spaces are checked once, by the check :func:`make_gp_pair`
     makes per pair, and every pair shares that one :class:`AdmissiblePair`.
-    Starting the family empties the memos of the tables' rows and
-    multiplicativity verdicts, so that they hold one unit's contents: these
-    almost never repeat across units (at ``--max-dim 10 --max-k 9``, 395
-    distinct contents summed over the units, 383 over the whole sweep).
+    Starting the family empties the memo of the tables' content records
+    (:func:`_content`), so that it holds one unit's contents.
     """
     a = (dv - dw + 1) // 2
     W, V = QuadSpace(dw, 0), QuadSpace(dw + a, dv - dw - a)
     pair = _gp_spaces(W, V)
-    _factor_rows.cache_clear()
-    _MULTIPLICATIVE.clear()
+    _CONTENTS.clear()
     paramsV = enumerate_reduced(V, max_k)
     for phiW in enumerate_reduced(W, max_k):
         for phiV in paramsV:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 __all__ = [
     "InvariantViolation",
@@ -72,12 +72,14 @@ class QuadSpace:
         return f"QuadSpace({self.p}, {self.q})"
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def _space(p: int, q: int) -> QuadSpace:
     """``QuadSpace(p, q)``, built once per signature and shared by every
     later call.  Keyed on the two ints, so a sum or a complement costs one
     dict lookup, and a later cache keyed on the space (``pure_inner_forms``,
-    ``is_admissible_pair``) finds it by identity."""
+    ``is_admissible_pair``) finds it by identity.  The key holds the types
+    too, so a bool or a float equal to a cached int misses the cache and
+    meets the constructor's exact-int check, warm or cold."""
     return QuadSpace(p, q)
 
 

@@ -8,7 +8,10 @@ library's :class:`gpkit.lparam.GPCharacterTable` evaluates the same values
 from one mask-indexed factor table; the tests compare the two paths over
 whole families of pairs.  :func:`reference_factor_table` is that table's
 earlier integer form, one ±1/0 entry per mask pair, kept to check the
-library's bit rows entry by entry, and :func:`all_pairs_multiplicative` is
+library's bit rows entry by entry, :func:`dichotomy_by_bits` reads one
+identity off those bit rows, as :meth:`GPCharacterTable.dichotomy` did per
+call before it read the report rows of the table's content, and
+:func:`all_pairs_multiplicative` is
 the quadratic check that :meth:`GPCharacterTable.verify` certifies at
 generator cost.  :func:`enumerate_reduced_by_scan` is the parameter
 enumeration by a scan of every subset of the pool, which
@@ -83,6 +86,28 @@ def reference_factor_table(gp: GPPair, exponent=direct_exponent):
         )
         for x in range(len(dimW))
     )
+
+
+def dichotomy_by_bits(tab, x: int, y: int) -> DichotomyReport:
+    """The report of ``tab.dichotomy(x, y)``, read bit by bit off the bit
+    rows of the table's content: the four entries F[xc][y], F[x][fullV ⊕ y],
+    F[x][fullV] and F[fullW][y], xc = fullW ⊕ x, with the same errors in the
+    same order (range, then central element, then an entry that is not
+    ±1)."""
+    content = tab._content
+    d, m = content.defined, content.minus
+    fullW, fullV = content.fullW, content.fullV
+    if not (0 <= x <= fullW and 0 <= y <= fullV):
+        raise ValueError("masks have bits outside the component-group bases")
+    if y in (0, fullV):
+        raise CentralElement("s_V lies in {identity, all-(-1)}")
+    xc, yc = fullW ^ x, fullV ^ y
+    if not d[xc] >> y & d[x] >> yc & d[x] >> fullV & d[fullW] >> y & 1:
+        raise OddHalfExponent("non-symplectic tensor block in χ")
+    f1 = -1 if m[xc] >> y & 1 else 1
+    f2 = -1 if m[x] >> yc & 1 else 1
+    chi = -1 if (m[x] >> fullV ^ m[fullW] >> y) & 1 else 1
+    return DichotomyReport(f1 * f2 == chi, chi, f1, f2)
 
 
 def enumerate_reduced_by_scan(V: QuadSpace, max_k: int) -> list[LParameter]:

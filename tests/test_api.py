@@ -67,6 +67,16 @@ def test_conveniences_over_the_kept_api_stay_deleted(module, owner, attr):
     assert not hasattr(getattr(mod, owner) if owner else mod, attr)
 
 
+def test_table_memos_are_the_one_content_memo():
+    # a table's rows, verdicts and report rows live in one per-unit memo of
+    # content records, lparam._CONTENTS: the separate verdict memo is gone,
+    # and the row build keeps no memo of its own
+    lparam = importlib.import_module("gpkit.lparam")
+    assert not hasattr(lparam, "_MULTIPLICATIVE")
+    assert not hasattr(lparam._factor_rows, "cache_info")
+    assert isinstance(lparam._CONTENTS, dict)
+
+
 def test_cli_builds_no_union_or_fiber_check():
     # conjclass.union_cases/fiber_cases list the checks of each sweep unit;
     # cli only loops over them, so it holds no space builder or pair test

@@ -223,6 +223,8 @@ class TestOneShots:
              {lp, eps, wr}),
             (["classify", jfile(PARAM_SO21)], {lp, eps, wr}),
             (["epsilon", jfile(PARAM_SO21)], {lp, eps, wr}),
+            # a bare representation is not validated against a space
+            (["epsilon", jfile(PARAM_SO21["rep"], "rep.json")], {eps, wr}),
             (["epsilon", jfile(PARAM_SO21), "--oracle"],
              {lp, eps, wr, "scipy"}),
         ):
@@ -470,7 +472,10 @@ print("ok")
         self, capsys, monkeypatch, argv, case_keys
     ):
         if argv[1] == "dichotomy":
-            # every multiplicativity check and every identity fails
+            # every multiplicativity check and every identity fails; the
+            # content records keep the broken verdicts, so they go into a
+            # memo of this test's own
+            monkeypatch.setattr(lparam, "_CONTENTS", {})
             monkeypatch.setattr(lparam, "_is_multiplicative", lambda *a: False)
             monkeypatch.setattr(
                 GPCharacterTable, "dichotomy", lambda self, *s: BROKEN_REPORT
@@ -538,6 +543,26 @@ print("ok")
             lparam._slot_planes.cache_clear()  # drop the odd planes
         assert rc == 3
         assert out == {
+            "error": "OddHalfExponent: non-symplectic tensor block in χ"
+        }
+
+    def test_odd_half_exponent_in_sweep_exits_three_under_optimized_interpreter(
+        self,
+    ):
+        # the same breach under `python -O`: the table's checks are explicit
+        # raises, so the sweep still exits 3 with the same error
+        script = """
+from gpkit import cli, lparam
+lparam._pair_exponent = lambda sig, rho: 1
+rc = cli.run(["--json", "verify", "dichotomy", "--max-dim", "4",
+              "--max-k", "3", "--jobs", "1"])
+print(rc)
+"""
+        proc = _fresh_python("-O", "-c", script)
+        assert proc.returncode == 0, proc.stderr
+        out, rc = proc.stdout.splitlines()
+        assert rc == "3"
+        assert json.loads(out) == {
             "error": "OddHalfExponent: non-symplectic tensor block in χ"
         }
 
@@ -917,8 +942,10 @@ def test_json_round_trips_are_the_identity(V, items, phi):
 def _value_rows(tab):
     # the one-sided chi factors as bit rows (bit set for -1): valW[x] =
     # F[x][fullV] at bit x and valV[y] = F[fullW][y] at bit y
-    rowW = sum((tab._minus[x] >> tab._fullV & 1) << x for x in tab.groupW.masks)
-    return rowW, tab._minus[tab._fullW]
+    content = tab._content
+    minus, fullV = content.minus, content.fullV
+    rowW = sum((minus[x] >> fullV & 1) << x for x in tab.groupW.masks)
+    return rowW, minus[content.fullW]
 
 
 def _table_of_rows(tab, rowW, rowV):

@@ -1,10 +1,14 @@
 import hashlib
 import json
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -329,6 +333,55 @@ def test_kappa_shapes_cover_dimension():
     assert len(shapes) == 6
     # exactly one of them is purely elliptic: (3,0,0)
     assert sum(2 * k.n_elliptic == k.dim for k in shapes) == 1
+
+
+# entry points that read a per-process cache keyed on ints, each with an
+# argument that equals a cached int without being one, and that int
+EXACT_INT_CALLS = [
+    ("quadspace._space", (1.0, 2), (1, 2)),
+    ("quadspace._space", (True, 2), (1, 2)),
+    ("conjclass.union_cases", (3, 1.0, (1,)), (3, 1, (1,))),
+    ("conjclass.union_cases", (3.0, 1, (1,)), (3, 1, (1,))),
+    ("conjclass.fiber_cases", (3, 1.0), (3, 1)),
+    ("conjclass.fiber_cases", (3, True), (3, 1)),
+    ("conjclass.kappa_shapes", (True,), (1,)),
+    ("conjclass.kappa_shapes", (4.0,), (4,)),
+]
+
+
+def test_caches_keyed_on_ints_refuse_other_numbers_warm_and_cold():
+    # a fresh interpreter calls each entry point with the wrong number first
+    # (cold), then with the int it equals, then with the wrong number again
+    # (warm): it raises TypeError both times, and the int call returns
+    script = f"""
+import json
+from gpkit import conjclass, quadspace
+calls = {EXACT_INT_CALLS!r}
+modules = {{"quadspace": quadspace, "conjclass": conjclass}}
+
+def outcome(name, args):
+    module, attr = name.split(".")
+    try:
+        getattr(modules[module], attr)(*args)
+    except TypeError:
+        return "TypeError"
+    return "returned"
+
+cold = [outcome(name, bad) for name, bad, good in calls]
+ints = [outcome(name, good) for name, bad, good in calls]
+warm = [outcome(name, bad) for name, bad, good in calls]
+print(json.dumps([cold, ints, warm]))
+"""
+    src = str(Path(conjclass.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    cold, ints, warm = json.loads(proc.stdout)
+    n = len(EXACT_INT_CALLS)
+    assert cold == warm == ["TypeError"] * n
+    assert ints == ["returned"] * n
 
 
 @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2))

@@ -2,6 +2,7 @@ import copy
 import json
 import pickle
 import random
+from collections import Counter
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import product
@@ -12,6 +13,7 @@ from hypothesis import given, strategies as st
 from gp_reference import (
     _subset_sums,
     all_pairs_multiplicative,
+    dichotomy_by_bits,
     dichotomy_identity_check,
     eigenspace_split,
     endoscopic_split,
@@ -335,7 +337,7 @@ class TestGPPairConstruction:
 def _dichotomy_error(tab, x, y):
     # the rule dichotomy() keeps for its errors: the range check of
     # _check_masks first, then the central elements y = 0 and y = fullV
-    fullW, fullV = tab._fullW, tab._fullV
+    fullW, fullV = tab._content.fullW, tab._content.fullV
     if not (0 <= x <= fullW and 0 <= y <= fullV):
         return ValueError, "masks have bits outside the component-group bases"
     if y in (0, fullV):
@@ -361,8 +363,8 @@ def test_dichotomy_errors_keep_their_precedence():
     )
     for tab in tables:
         elements = set(product(tab.groupW.masks, tab.groupV.masks))
-        for x in range(-1, tab._fullW + 2):
-            for y in range(-1, tab._fullV + 2):
+        for x in range(-1, tab._content.fullW + 2):
+            for y in range(-1, tab._content.fullV + 2):
                 want = _dichotomy_error(tab, x, y)
                 try:
                     got = tab.dichotomy(x, y)
@@ -423,10 +425,66 @@ def _criterion5_pairs():
 # workload (`verify dichotomy --max-dim 5 --max-k 25`), with their pair counts
 SWEEP_FAMILIES = {"criterion-5": (10, 9, 992), "chi-narrow": (5, 25, 8_464)}
 
+# the families over which the report rows are compared with the bit
+# formula: the two sweep families and `--max-dim 8 --max-k 11`
+ROW_FAMILIES = dict(SWEEP_FAMILIES, **{"8/11": (8, 11, 2_394)})
+
+
+def _outcome(read, *args):
+    # a read's report, or the type and message of the error it raises
+    try:
+        return read(*args)
+    except (ValueError, OddHalfExponent) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("family", ROW_FAMILIES)
+def test_report_rows_match_the_bit_formula(family):
+    # dichotomy() reads byte y of its content's report row x; the oracle
+    # reads the four entries off the bit rows on each call.  Every x of the
+    # W-masks, elements or not, and y from -1 to fullV + 1: the reports, the
+    # entries that are not +-1 and the range and central errors
+    max_dim, max_k, n_pairs = ROW_FAMILIES[family]
+    seen, n = Counter(), 0
+    for gp in sweep_pairs(max_dim, max_k):
+        tab = GPCharacterTable(gp)
+        fullW, fullV = tab._content.fullW, tab._content.fullV
+        for x in range(fullW + 1):
+            for y in range(-1, fullV + 2):
+                want = _outcome(dichotomy_by_bits, tab, x, y)
+                assert _outcome(tab.dichotomy, x, y) == want, (gp, x, y)
+                seen[want[0] if isinstance(want, tuple) else DichotomyReport] += 1
+        n += 1
+    assert n == n_pairs
+    assert set(seen) == {DichotomyReport, ValueError, CentralElement,
+                         OddHalfExponent}, seen
+
+
+def test_report_rows_match_the_bit_formula_on_random_rows():
+    # contents that no pair has: random bit rows, so that each of the four
+    # entries an identity reads is -1, +1 or not +-1 in every combination.
+    # dichotomy() reads the table only through its content record
+    rng = random.Random(23)
+    tab = copy.copy(GPCharacterTable(so45_pair()))
+    seen = Counter()
+    for _ in range(400):
+        nW, nV = rng.randrange(4), rng.randrange(1, 4)
+        width = 1 << nV
+        defined = tuple(rng.getrandbits(width) for _ in range(1 << nW))
+        minus = tuple(d & rng.getrandbits(width) for d in defined)
+        tab._content = lparam._TableContent(defined, minus, width - 1)
+        for x in range(1 << nW):
+            for y in range(-1, width + 1):
+                want = _outcome(dichotomy_by_bits, tab, x, y)
+                assert _outcome(tab.dichotomy, x, y) == want, (defined, x, y)
+                seen[want[0] if isinstance(want, tuple) else want] += 1
+    # the eight reports and the three errors
+    assert len(seen) == 8 + 3, seen
+
 
 def _rows(tab):
-    # the factor table's two bit rows per W-mask
-    return tab._defined, tab._minus
+    # the factor table's two bit rows per W-mask, kept in its content record
+    return tab._content.defined, tab._content.minus
 
 
 def _entries(tab):
@@ -537,11 +595,11 @@ def test_reads_follow_the_integer_table_on_synthetic_exponents(
 
 def _verify_by_reference(tab):
     # verify() recomputed: the all-pairs oracle over chi_table() and a
-    # per-element dichotomy loop over every x and non-central y
+    # per-element loop of the bit formula over every x and non-central y
     table = tab.chi_table()
     full = (1 << len(tab.groupV.basis)) - 1
     loop = [
-        (x, y, tab.dichotomy(x, y))
+        (x, y, dichotomy_by_bits(tab, x, y))
         for y in tab.groupV.masks if y not in (0, full)
         for x in tab.groupW.masks
     ]
@@ -569,8 +627,11 @@ def _compare_verify_with_reference(tables):
 
 def _flipped(tab, rng):
     # a copy of the table with one defined entry F[x][y] negated: in column
-    # fullV or row fullW (the rows of the character check) or anywhere
-    d, fullW, fullV = tab._defined, tab._fullW, tab._fullV
+    # fullV or row fullW (the rows of the character check) or anywhere.  The
+    # copy gets a content record of its own, built from the flipped rows, so
+    # its verdicts and report rows are built from them too
+    content = tab._content
+    d, fullW, fullV = content.defined, content.fullW, content.fullV
     where = rng.randrange(3)
     if where == 0:
         x, y = rng.choice(tab.groupW.masks), fullV
@@ -579,9 +640,9 @@ def _flipped(tab, rng):
         x = fullW if where == 1 else rng.choice(rows)
         y = rng.choice([y for y in range(fullV + 1) if d[x] >> y & 1])
     flipped = copy.copy(tab)
-    minus = list(tab._minus)
+    minus = list(content.minus)
     minus[x] ^= 1 << y
-    flipped._minus = tuple(minus)
+    flipped._content = lparam._TableContent(d, tuple(minus), fullV)
     return flipped
 
 
@@ -637,11 +698,11 @@ def _rows_by_loop(gp):
 
 
 def _content(gp):
-    # what a table's rows are built from: the W-slot planes and both groups'
-    # even_dims
+    # what a table's content record is keyed on: the W-slot planes, both
+    # groups' even_dims and the size of the V-basis
     groupW, groupV = gp.phiW.group, gp.phiV.group
     planes = tuple(lparam._slot_planes(sig, groupV.basis) for sig in groupW.basis)
-    return planes, groupW.even_dims, groupV.even_dims
+    return planes, groupW.even_dims, groupV.even_dims, len(groupV.basis)
 
 
 def _sweep_units(max_dim, max_k):
@@ -660,28 +721,27 @@ def test_tables_share_rows_by_content(family):
     # each unit's tables built twice: with the memo cold (as the family left
     # it) and warm (every content already built). Every table's rows equal
     # its own loop-built rows, every verify() the reference, and the tables
-    # of one content share one pair of row tuples
+    # of one content share one content record
     max_dim, max_k, n_pairs = SWEEP_FAMILIES[family]
     distinct, largest = DISTINCT_CONTENTS[family]
     contents, n, biggest = set(), 0, 0
     for pairs in _sweep_units(max_dim, max_k):
-        assert lparam._factor_rows.cache_info().currsize == 0
+        assert not lparam._CONTENTS  # emptied when the unit started
         shared = {}
         for warm in (False, True):
-            before = lparam._factor_rows.cache_info()
+            before = len(lparam._CONTENTS)
             tables = [GPCharacterTable(gp) for gp in pairs]
-            after = lparam._factor_rows.cache_info()
+            after = len(lparam._CONTENTS)
             for gp, tab in zip(pairs, tables):
-                rows = _rows(tab)
-                assert rows == _rows_by_loop(gp), gp
-                first = shared.setdefault(_content(gp), rows)
-                assert first[0] is rows[0] and first[1] is rows[1]
+                assert _rows(tab) == _rows_by_loop(gp), gp
+                first = shared.setdefault(_content(gp), tab._content)
+                assert first is tab._content
             assert _compare_verify_with_reference(tables) == {
                 "tables": len(pairs), "raised": 0, "not a character": 0,
                 "failures": 0,
             }
-            # one build per content on the cold pass, none on the warm one
-            assert after.misses - before.misses == (0 if warm else len(shared))
+            # one record per content on the cold pass, none on the warm one
+            assert after - before == (0 if warm else len(shared))
         contents.update(shared)
         biggest = max(biggest, len(shared))
         n += len(pairs)
@@ -689,16 +749,32 @@ def test_tables_share_rows_by_content(family):
     assert (len(contents), biggest) == (distinct, largest)
 
 
-def test_memos_hold_one_unit_after_a_sweep(capsys):
-    # the row and verdict memos are emptied when a unit starts, so after
-    # `verify dichotomy --max-dim 10 --max-k 9` (run in this process) they
-    # hold at most the contents of its largest unit
+def test_memos_hold_one_unit_after_a_sweep(
+    capsys, monkeypatch
+):
+    # the one content memo is emptied when a unit starts, so after
+    # `verify dichotomy --max-dim 10 --max-k 9` (run in this process) it
+    # holds at most the contents of its largest unit; and each report row
+    # of a content is built at most once, however many tables read it
+    built = Counter()
+    report_row = lparam._TableContent.report_row
+
+    def counted(content, x):
+        built[content, x] += 1
+        return report_row(content, x)
+
+    monkeypatch.setattr(lparam._TableContent, "report_row", counted)
     assert cli.run(["--json", "verify", "dichotomy",
                     "--max-dim", "10", "--max-k", "9", "--jobs", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "PASS"
     largest = DISTINCT_CONTENTS["criterion-5"][1]
-    assert 0 < lparam._factor_rows.cache_info().currsize <= largest
-    assert 0 < len(lparam._MULTIPLICATIVE) <= largest
+    assert 0 < len(lparam._CONTENTS) <= largest
+    assert built and set(built.values()) == {1}
+    # every kept record holds its verdict and the rows built for it
+    for content in lparam._CONTENTS.values():
+        assert content.verdict is not None
+        rows = {x for (c, x) in built if c is content}
+        assert rows == {x for x, row in enumerate(content.reports) if row}
 
 
 def test_reduced_gp_pairs_share_the_v_parameters():
@@ -830,14 +906,22 @@ class TestPairExponentMemo:
         for gp in _criterion5_pairs():
             lparam._pair_exponent.cache_clear()
             lparam._slot_planes.cache_clear()
+            memo = gp.phiV.group._planes_by_slot
+            memo.clear()
             cold = GPCharacterTable(gp)
+            # the cold build leaves each W-slot's planes in the V group
+            assert list(memo) == list(gp.phiW.group.basis)
+            left = dict(memo)
             exponents = lparam._pair_exponent.cache_info()
-            warm = GPCharacterTable(gp)
-            # the warm build computes no new exponent: it reads every slot
-            # plane the cold build made
-            assert lparam._pair_exponent.cache_info() == exponents
             planes = lparam._slot_planes.cache_info()
-            assert planes.hits == planes.misses
+            warm = GPCharacterTable(gp)
+            # the warm build computes no new exponent and builds or looks up
+            # no plane in the process memo: it reads the cold build's planes
+            # through the V group
+            assert lparam._pair_exponent.cache_info() == exponents
+            assert lparam._slot_planes.cache_info() == planes
+            assert memo.keys() == left.keys()
+            assert all(memo[sig] is left[sig] for sig in left)
             assert _rows(warm) == _rows(cold)
             assert warm.verify() == cold.verify()
 
