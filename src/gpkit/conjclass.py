@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Optional, Union
@@ -604,19 +604,15 @@ def _regular_kappa(n_cfield: int, n_rsplit: int, n_csplit: int) -> KappaDatum:
     return KappaDatum(facs)
 
 
+@lru_cache(maxsize=None, typed=True)
 def kappa_shapes(total_dim: int) -> tuple[KappaDatum, ...]:
     """All block-count triples (n_cfield, n_rsplit, n_csplit) of a given total
     dimension, as concrete representative class data; built once per
-    dimension.  ``total_dim`` must be an exact int: a bool or a float is
-    refused, also when the int it equals is cached."""
+    dimension.  ``total_dim`` must be an exact int: the key holds the type
+    too, so a bool or a float is refused, also when the int it equals is
+    cached."""
     if type(total_dim) is not int:
         raise TypeError("the total dimension must be an integer")
-    return _kappa_shapes(total_dim)
-
-
-@cache
-def _kappa_shapes(total_dim: int) -> tuple[KappaDatum, ...]:
-    """:func:`kappa_shapes` of a checked dimension, cached per dimension."""
     out = []
     for ns in range(total_dim // 4 + 1):
         rest = total_dim - 4 * ns

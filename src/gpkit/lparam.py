@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import combinations, product
 
 from .epsilon import eps_half
@@ -409,18 +409,22 @@ class GPCharacterTable:
     nothing but the W-slot planes, the two groups' ``even_dims`` and
     |basis_V|.  The methods of the table read the groups only through their
     element masks, which ``even_dims`` fixes, so everything they read lives
-    in one content record
-    (:class:`_TableContent`), built by :func:`_content` once per distinct
-    key and shared by every table with that key (chi-narrow's 8,464 pairs
-    have 39 distinct contents): the bit rows, the verdicts of
-    :meth:`verify`'s preamble and the report rows that :meth:`dichotomy`
-    reads, one byte per element.  Each pair still gets its own table, with
-    its own groups.  What depends on one side only is built once per
-    parameter and shared by every table of a sweep that pairs it: the
-    reducedness test and the component group (:attr:`LParameter.reduced`,
-    :attr:`LParameter.group`), the group's element masks, their bitmask and
-    its generating set, and the V group's slot planes of each W-slot
-    irreducible (:attr:`ComponentGroup._planes_by_slot`).
+    in one content record (:class:`_TableContent`): the bit rows, χ's two
+    factors, the verdicts of :meth:`verify`'s preamble and the report rows
+    that :meth:`dichotomy` reads, one byte per element.  The first table
+    with a key (the W-slot planes, both ``even_dims`` and |basis_V|) builds
+    the record whole, and every later table with that key shares it
+    (chi-narrow's 8,464 pairs have 39 distinct contents).  The memo
+    ``_CONTENTS`` holds one sweep unit's contents: these almost never repeat
+    across units (at ``--max-dim 10 --max-k 9``, 395 distinct contents
+    summed over the units, 383 over the whole sweep).  Each pair still gets
+    its own table, with its own groups.  What depends on one side only is
+    built once per parameter and shared by every table of a sweep that
+    pairs it: the reducedness test and the component group
+    (:attr:`LParameter.reduced`, :attr:`LParameter.group`), the group's
+    element masks, their bitmask and its generating set, and the V group's
+    slot planes of each W-slot irreducible
+    (:attr:`ComponentGroup._planes_by_slot`).
     """
 
     def __init__(self, gp: GPPair):
@@ -434,9 +438,14 @@ class GPCharacterTable:
             memo.get(sig) or memo.setdefault(sig, _slot_planes(sig, basisV))
             for sig in groupW.basis
         ])
-        self._content = _content(
-            planes, groupW.even_dims, groupV.even_dims, len(basisV)
-        )
+        evenW, evenV = groupW.even_dims, groupV.even_dims
+        key = (planes, evenW, evenV, len(basisV))
+        content = _CONTENTS.get(key)
+        if content is None:
+            content = _CONTENTS[key] = _TableContent(
+                *_factor_rows(planes, evenW, evenV), groupW, groupV
+            )
+        self._content = content
 
     def verify(self) -> tuple[int, bool, list]:
         """``(checked, is_character, failures)``: both χ-sweep checks.
@@ -447,13 +456,10 @@ class GPCharacterTable:
         non-central y.  ``checked`` counts the |𝒮_W × 𝒮_V|² product
         identities certified plus the dichotomy identities evaluated.  The
         first three are read off the content record
-        (:meth:`_TableContent.check`); every identity is still one
+        (:attr:`_TableContent.verdict`); every identity is still one
         :meth:`dichotomy` call.
         """
-        content = self._content
-        defined, is_character, ys, checked = (
-            content.verdict or content.check(self.groupW, self.groupV)
-        )
+        defined, is_character, ys, checked = self._content.verdict
         if not defined:
             raise OddHalfExponent("non-symplectic tensor block in χ")
         masksW = self.groupW.masks
@@ -474,9 +480,10 @@ class GPCharacterTable:
     def chi(self, x: int, y: int) -> int:
         """χ_φ at the element with minus-set masks x (of 𝒮_W) and y (of 𝒮_V)."""
         self._check_masks(x, y)
-        content = self._content
-        d, m, fullW = content.defined, content.minus, content.fullW
-        return _sign(d[x], m[x], content.fullV) * _sign(d[fullW], m[fullW], y)
+        c = self._content
+        if not c.colD >> x & c.rowD >> y & 1:
+            raise OddHalfExponent("non-symplectic tensor block in χ")
+        return -1 if (c.colM >> x ^ c.rowM >> y) & 1 else 1
 
     def chi_table(self) -> dict:
         """χ_φ on every element, keyed by the mask pair (x, y)."""
@@ -488,13 +495,13 @@ class GPCharacterTable:
 
     def dichotomy(self, x: int, y: int) -> "DichotomyReport":
         """The dichotomy identity at the element with masks (x, y): byte y
-        of the content's report row x (:meth:`_TableContent.report_row`)."""
+        of the content's report row x (:attr:`_TableContent.reports`)."""
         content = self._content
         if not (0 <= x <= content.fullW and 0 < y < content.fullV):
             # the range error comes before the central one
             self._check_masks(x, y)
             raise CentralElement("s_V lies in {identity, all-(-1)}")
-        index = (content.reports[x] or content.report_row(x))[y]
+        index = content.reports[x][y]
         if index == _UNDEFINED:
             raise OddHalfExponent("non-symplectic tensor block in χ")
         return _REPORTS[index]
@@ -506,11 +513,26 @@ _UNDEFINED = 8
 
 
 class _TableContent:
-    """What every :class:`GPCharacterTable` of one content reads: the bit
-    rows ``defined``/``minus`` of F with ``fullW`` and ``fullV``, the
-    verdicts of :meth:`GPCharacterTable.verify`'s preamble (:meth:`check`)
-    and the report rows of :meth:`GPCharacterTable.dichotomy`
-    (:meth:`report_row`), each built on first use.
+    """What every :class:`GPCharacterTable` of one content reads, built
+    whole from the bit rows ``defined``/``minus`` of F and the groups of
+    the first table of the content; no field changes afterwards.
+
+    * ``fullW``, ``fullV``: the masks of the whole W- and V-bases.
+    * χ's two factors as bit rows: bit x of ``colD``/``colM`` is set when
+      F[x][fullV] is ±1, resp. −1 (column fullV, over every W-mask x), and
+      ``rowD``/``rowM`` are row fullW.  So χ(x, y) = F[x][fullV]·F[fullW][y]
+      is ±1 iff bit x of ``colD`` and bit y of ``rowD`` are set, and −1 iff
+      bit x of ``colM`` and bit y of ``rowM`` differ.
+    * ``verdict`` = (defined, is_character, ys, checked): whether both
+      factors are ±1 on the elements, the :func:`_is_multiplicative` verdict
+      on ``colM`` and ``rowM`` (False when not defined), the non-central
+      V-masks (:func:`_noncentral`) and the count of
+      :meth:`GPCharacterTable.verify`.  Each is a function of the content:
+      the groups are read only through their ``masks`` and ``generators``,
+      which are fixed by their ``even_dims`` (see
+      :func:`_is_multiplicative`).
+    * ``reports``: one report row per W-mask x, read by
+      :meth:`GPCharacterTable.dichotomy`.
 
     Report row x has one byte per V-mask y: the index into ``_REPORTS`` of
     the report at (x, y), or ``_UNDEFINED``.  With xc = fullW ⊕ x the
@@ -520,62 +542,54 @@ class _TableContent:
 
     and its report has index bit 2 set when F[xc][y] = −1, bit 1 when
     F[x][fullV ⊕ y] = −1 and bit 0 when χ(x, y) = F[x][fullV]·F[fullW][y]
-    = −1; it is undefined when one of the four is not ±1.
+    = −1; it is undefined when one of the four is not ±1.  A row whose
+    F[x][fullV] is not ±1 is thus all ``_UNDEFINED``, and every such row of
+    the record is one shared ``bytes`` object.
 
     Proof that row x is the same for every table of the content, and what
     the per-element formula gives.  The four entries are bits of the rows
-    xc, x and fullW of ``defined`` and ``minus``, at y, fullV ⊕ y and fullV.
-    These rows and fullW, fullV are fixed by the content's key, so every
-    table of the content reads the same four entries at (x, y), and the
-    byte holds the index the formula computes from them.  Row x is built in
-    one pass of big-integer operations over every y at once: bits y of rows
-    xc and fullW, the constant bit fullV of row x, and bit fullV ⊕ y =
+    xc and x of ``defined`` and ``minus`` at y and fullV ⊕ y, and of the
+    two factors at x and y.  These rows, the factors and fullW, fullV are
+    fixed by the content's key, so every table of the content reads the
+    same four entries at (x, y), and the byte holds the index the formula
+    computes from them.  Row x is built in one pass of big-integer
+    operations over every y at once: bits y of row xc and of the row
+    factor, the constant bit x of the column factor, and bit fullV ⊕ y =
     fullV − y of row x, which is digit y of row x's binary string of
     2^|basis_V| digits read from the most significant end.  ∎
+
+    Building every row up front costs next to nothing over building only
+    the rows read.  A sweep reads every report row of an element x whenever
+    the V group has a non-central element, and a row with F[x][fullV] not
+    ±1 is the shared one, so the rows built and never read are those of the
+    few records with no non-central y: the rows read number 103 / 2,256 /
+    10,955 at ``--max-dim 5 --max-k 25`` / ``10 9`` / ``12 11``, the rows
+    with F[x][fullV] = ±1 115 / 2,268 / 10,967.
     """
 
-    __slots__ = ("defined", "minus", "fullW", "fullV", "verdict", "reports")
+    __slots__ = ("defined", "minus", "fullW", "fullV", "colD", "colM",
+                 "rowD", "rowM", "verdict", "reports")
 
     def __init__(self, defined: tuple[int, ...], minus: tuple[int, ...],
-                 fullV: int):
-        self.defined, self.minus = defined, minus
-        self.fullW, self.fullV = len(defined) - 1, fullV
-        self.verdict = None
-        self.reports: list[bytes | None] = [None] * len(defined)
+                 groupW: ComponentGroup, groupV: ComponentGroup):
+        fullW, fullV = len(defined) - 1, (1 << len(groupV.basis)) - 1
+        colD = sum((d >> fullV & 1) << x for x, d in enumerate(defined))
+        colM = sum((m >> fullV & 1) << x for x, m in enumerate(minus))
+        rowD, rowM = defined[fullW], minus[fullW]
+        self.defined, self.minus, self.fullW, self.fullV = defined, minus, fullW, fullV
+        self.colD, self.colM, self.rowD, self.rowM = colD, colM, rowD, rowM
 
-    def check(self, groupW: ComponentGroup, groupV: ComponentGroup) -> tuple:
-        """``verdict`` = (defined, is_character, ys, checked): whether column
-        fullV and row fullW are ±1 on the elements, the
-        :func:`_is_multiplicative` verdict (False when not defined), the
-        non-central V-masks and the count of :meth:`GPCharacterTable.verify`.
-
-        Each is a function of the content: the groups are read only through
-        their ``masks`` and ``generators``, which are fixed by their
-        ``even_dims`` (see :func:`_is_multiplicative`).
-        """
-        d, m, fullW, fullV = self.defined, self.minus, self.fullW, self.fullV
-        masksW, masksV = groupW.masks, groupV.masks
-        colD = colM = 0  # column fullV, bit x standing for F[x][fullV]
-        for x in masksW:
-            colD |= (d[x] >> fullV & 1) << x
-            colM |= (m[x] >> fullV & 1) << x
-        defined = colD == groupW.even_dims and not groupV.even_dims & ~d[fullW]
-        is_character = defined and _is_multiplicative(
-            groupW, groupV, colM, m[fullW]
+        evenV, nW = groupV.even_dims, len(groupW.masks)
+        chi_defined = not (groupW.even_dims & ~colD or evenV & ~rowD)
+        ys = _noncentral(evenV, fullV)
+        self.verdict = (
+            chi_defined,
+            chi_defined and _is_multiplicative(groupW, groupV, colM, rowM),
+            ys,
+            (nW * len(groupV.masks)) ** 2 + len(ys) * nW,
         )
-        ys = tuple([y for y in masksV if y != 0 and y != fullV])
-        checked = (len(masksW) * len(masksV)) ** 2 + len(ys) * len(masksW)
-        self.verdict = (defined, is_character, ys, checked)
-        return self.verdict
 
-    def report_row(self, x: int) -> bytes:
-        """Report row x, built and kept."""
-        d, m, fullV = self.defined, self.minus, self.fullV
         width = fullV + 1
-        if not d[x] >> fullV & 1:  # F[x][fullV] is not ±1
-            row = self.reports[x] = bytes([_UNDEFINED]) * width
-            return row
-        xc = self.fullW ^ x
         ones = int.from_bytes(b"\1" * width, "little")
         digits = f"0{width}b"
 
@@ -584,41 +598,34 @@ class _TableContent:
             # the digits '0'/'1' are the bytes 0x30/0x31
             return int.from_bytes(format(row, digits).encode(), order) & ones
 
-        defined = spread(d[xc] & d[self.fullW]) & spread(d[x], "little")
-        flip = (1 << width) - 1 if m[x] >> fullV & 1 else 0  # F[x][fullV] = −1
-        chi = spread(m[self.fullW] ^ flip)
-        index = spread(m[xc]) << 2 | spread(m[x], "little") << 1 | chi
-        # each byte is at most 7 and the masks 0 or 7, so nothing carries
-        index = (index & defined * 7) | (ones ^ defined) * _UNDEFINED
-        row = self.reports[x] = index.to_bytes(width, "little")
-        return row
+        undefined = bytes([_UNDEFINED]) * width
+        factorD, factorM = spread(rowD), spread(rowM)
+        reports = []
+        for x in range(fullW + 1):
+            if not colD >> x & 1:  # F[x][fullV] is not ±1
+                reports.append(undefined)
+                continue
+            xc = fullW ^ x
+            ok = spread(defined[xc]) & factorD & spread(defined[x], "little")
+            index = spread(minus[xc]) << 2 | spread(minus[x], "little") << 1
+            index |= factorM ^ ones if colM >> x & 1 else factorM  # χ
+            # each byte is at most 7 and the masks 0 or 7, so nothing carries
+            index = (index & ok * 7) | (ones ^ ok) * _UNDEFINED
+            reports.append(index.to_bytes(width, "little"))
+        self.reports = tuple(reports)
+
+
+@cache
+def _noncentral(evenV: int, fullV: int) -> tuple[int, ...]:
+    """The V-masks of the non-central elements, ascending: the set bits of
+    ``evenV`` other than 0 and ``fullV``.  One tuple per pair, shared by the
+    verdicts of every content record with that V group shape."""
+    return tuple([y for y in range(1, fullV) if evenV >> y & 1])
 
 
 # The content records of one sweep unit, keyed on what the bit rows are
 # built from; reduced_gp_pairs empties it when a family starts.
 _CONTENTS: dict[tuple, _TableContent] = {}
-
-
-def _content(
-    planes: tuple[tuple[int, int], ...], evenW: int, evenV: int, nV: int
-) -> _TableContent:
-    """The record of the tables whose W-slots have the :func:`_slot_planes`
-    ``planes`` (in basis order), whose groups have the
-    :attr:`~ComponentGroup.even_dims` ``evenW`` and ``evenV``, and whose
-    V-basis has ``nV`` slots, built on first use.  The key fixes fullW
-    (one slot per plane) and fullV, and the bit rows are built from it
-    alone, so two tables with one key share one record.  The memo holds
-    one sweep unit's contents: these almost never repeat across units (at
-    ``--max-dim 10 --max-k 9``, 395 distinct contents summed over the
-    units, 383 over the whole sweep).
-    """
-    key = (planes, evenW, evenV, nV)
-    content = _CONTENTS.get(key)
-    if content is None:
-        content = _CONTENTS[key] = _TableContent(
-            *_factor_rows(planes, evenW, evenV), (1 << nV) - 1
-        )
-    return content
 
 
 @cache
@@ -670,13 +677,6 @@ def _factor_rows(
     return tuple(defined), tuple([ok & two for ok, two in zip(defined, hi)])
 
 
-def _sign(defined: int, minus: int, y: int) -> int:
-    """The ±1 entry at bit y of a factor-table row given by its two bit rows."""
-    if not defined >> y & 1:
-        raise OddHalfExponent("non-symplectic tensor block in χ")
-    return -1 if minus >> y & 1 else 1
-
-
 def _is_homomorphism(group, row: int) -> bool:
     """Whether f(x) = bit 0 ⊕ bit x of ``row`` is a homomorphism from
     ``group.masks`` (XOR) to ℤ/2: f(x ⊕ g) = f(x) ⊕ f(g) for every x and
@@ -714,7 +714,7 @@ def _is_multiplicative(groupW, groupV, rowW: int, rowV: int) -> bool:
     check at O((|𝒮_W| + |𝒮_V|)·rank) cost.
 
     The verdict is a function of (groupW.even_dims, groupV.even_dims, rowW,
-    rowV), so :meth:`_TableContent.check` keeps it once per content.
+    rowV), so :class:`_TableContent` keeps it once per content.
     Proof: :func:`_is_homomorphism` reads a group only through ``masks``
     and ``generators``; ``masks`` are the set bits of ``even_dims``, in
     ascending order, and ``generators`` is computed from ``masks`` alone.  ∎
@@ -753,14 +753,18 @@ _REPORTS = tuple(
 )
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def _reduced_pool(symplectic: bool, max_k: int) -> tuple[IrredRep, ...]:
     """The O-type irreducibles with k ≤ max_k of one ambient, one object each.
 
     Every enumeration with the same bounds builds its parameters from these
     same objects, so the memo lookups of :func:`_pair_exponent` find their
-    keys by identity instead of comparing twists.
+    keys by identity instead of comparing twists.  ``max_k`` must be an
+    exact int; the key holds the types too, so a bool or a float equal to a
+    cached int misses the cache and is refused, warm or cold.
     """
+    if type(max_k) is not int:
+        raise TypeError("max_k must be an integer")
     if symplectic:
         return tuple(DiscRep(k) for k in range(1, max_k + 1, 2))
     return (CharRep(0), CharRep(1)) + tuple(
@@ -823,7 +827,7 @@ def reduced_gp_pairs(dw: int, dv: int, max_k: int):
     The two spaces are checked once, by the check :func:`make_gp_pair`
     makes per pair, and every pair shares that one :class:`AdmissiblePair`.
     Starting the family empties the memo of the tables' content records
-    (:func:`_content`), so that it holds one unit's contents.
+    (``_CONTENTS``), so that it holds one unit's contents.
     """
     a = (dv - dw + 1) // 2
     W, V = QuadSpace(dw, 0), QuadSpace(dw + a, dv - dw - a)

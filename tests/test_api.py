@@ -49,6 +49,11 @@ def test_stored_fields_are_only_the_defining_data():
         ("lparam", "ComponentGroup", "_admits"),
         ("lparam", None, "_subset_sums"),
         ("lparam", "GPCharacterTable", "mask_tables"),
+        ("lparam", None, "_content"),
+        ("lparam", None, "_sign"),
+        ("lparam", "_TableContent", "check"),
+        ("lparam", "_TableContent", "report_row"),
+        ("conjclass", None, "_kappa_shapes"),
         ("cli", None, "_is_multiplicative"),
         ("cli", None, "_is_homomorphism"),
         ("epsilon", None, "_exact"),

@@ -346,23 +346,30 @@ EXACT_INT_CALLS = [
     ("conjclass.fiber_cases", (3, True), (3, 1)),
     ("conjclass.kappa_shapes", (True,), (1,)),
     ("conjclass.kappa_shapes", (4.0,), (4,)),
+    ("lparam.enumerate_reduced", (QuadSpace(2, 0), 3.0), (QuadSpace(2, 0), 3)),
+    ("lparam.enumerate_reduced", (QuadSpace(2, 0), True), (QuadSpace(2, 0), 1)),
+    ("lparam.reduced_gp_pairs", (2, 5, True), (2, 5, 1)),
 ]
 
 
 def test_caches_keyed_on_ints_refuse_other_numbers_warm_and_cold():
     # a fresh interpreter calls each entry point with the wrong number first
     # (cold), then with the int it equals, then with the wrong number again
-    # (warm): it raises TypeError both times, and the int call returns
+    # (warm): it raises TypeError both times, and the int call returns.  A
+    # generator (reduced_gp_pairs) is run to its end
     script = f"""
 import json
-from gpkit import conjclass, quadspace
+from gpkit import conjclass, lparam, quadspace
+from gpkit.quadspace import QuadSpace
 calls = {EXACT_INT_CALLS!r}
-modules = {{"quadspace": quadspace, "conjclass": conjclass}}
+modules = {{"quadspace": quadspace, "conjclass": conjclass, "lparam": lparam}}
 
 def outcome(name, args):
     module, attr = name.split(".")
     try:
-        getattr(modules[module], attr)(*args)
+        out = getattr(modules[module], attr)(*args)
+        if hasattr(out, "__next__"):
+            list(out)
     except TypeError:
         return "TypeError"
     return "returned"

@@ -463,16 +463,21 @@ def test_report_rows_match_the_bit_formula(family):
 def test_report_rows_match_the_bit_formula_on_random_rows():
     # contents that no pair has: random bit rows, so that each of the four
     # entries an identity reads is -1, +1 or not +-1 in every combination.
-    # dichotomy() reads the table only through its content record
+    # dichotomy() reads the table only through its content record, built
+    # here with groups of nW and nV even-dimensional slots
     rng = random.Random(23)
     tab = copy.copy(GPCharacterTable(so45_pair()))
     seen = Counter()
     for _ in range(400):
         nW, nV = rng.randrange(4), rng.randrange(1, 4)
+        groupW, groupV = (
+            lparam.ComponentGroup(tuple(DiscRep(k) for k in range(1, n + 1)))
+            for n in (nW, nV)
+        )
         width = 1 << nV
         defined = tuple(rng.getrandbits(width) for _ in range(1 << nW))
         minus = tuple(d & rng.getrandbits(width) for d in defined)
-        tab._content = lparam._TableContent(defined, minus, width - 1)
+        tab._content = lparam._TableContent(defined, minus, groupW, groupV)
         for x in range(1 << nW):
             for y in range(-1, width + 1):
                 want = _outcome(dichotomy_by_bits, tab, x, y)
@@ -629,7 +634,7 @@ def _flipped(tab, rng):
     # a copy of the table with one defined entry F[x][y] negated: in column
     # fullV or row fullW (the rows of the character check) or anywhere.  The
     # copy gets a content record of its own, built from the flipped rows, so
-    # its verdicts and report rows are built from them too
+    # its factors, verdicts and report rows are built from them too
     content = tab._content
     d, fullW, fullV = content.defined, content.fullW, content.fullV
     where = rng.randrange(3)
@@ -642,7 +647,9 @@ def _flipped(tab, rng):
     flipped = copy.copy(tab)
     minus = list(content.minus)
     minus[x] ^= 1 << y
-    flipped._content = lparam._TableContent(d, tuple(minus), fullV)
+    flipped._content = lparam._TableContent(
+        d, tuple(minus), tab.groupW, tab.groupV
+    )
     return flipped
 
 
@@ -749,32 +756,50 @@ def test_tables_share_rows_by_content(family):
     assert (len(contents), biggest) == (distinct, largest)
 
 
-def test_memos_hold_one_unit_after_a_sweep(
-    capsys, monkeypatch
-):
-    # the one content memo is emptied when a unit starts, so after
-    # `verify dichotomy --max-dim 10 --max-k 9` (run in this process) it
-    # holds at most the contents of its largest unit; and each report row
-    # of a content is built at most once, however many tables read it
-    built = Counter()
-    report_row = lparam._TableContent.report_row
+# the content records built by a sweep, summed over its units: one per
+# distinct content of each unit
+UNIT_CONTENTS = {"criterion-5": 395, "chi-narrow": 43}
 
-    def counted(content, x):
-        built[content, x] += 1
-        return report_row(content, x)
 
-    monkeypatch.setattr(lparam._TableContent, "report_row", counted)
-    assert cli.run(["--json", "verify", "dichotomy",
-                    "--max-dim", "10", "--max-k", "9", "--jobs", "1"]) == 0
-    assert json.loads(capsys.readouterr().out)["status"] == "PASS"
-    largest = DISTINCT_CONTENTS["criterion-5"][1]
-    assert 0 < len(lparam._CONTENTS) <= largest
-    assert built and set(built.values()) == {1}
-    # every kept record holds its verdict and the rows built for it
-    for content in lparam._CONTENTS.values():
-        assert content.verdict is not None
-        rows = {x for (c, x) in built if c is content}
-        assert rows == {x for x, row in enumerate(content.reports) if row}
+def test_memos_hold_one_unit_after_a_sweep(capsys, monkeypatch):
+    # `verify dichotomy` (run in this process) builds each content record
+    # once per distinct content of each unit, and the one content memo,
+    # emptied when a unit starts, then holds at most the contents of the
+    # largest unit.  Every record is built whole: its verdict and a report
+    # row for every x, the rows whose F[x][fullV] is not +-1 one object
+    built = []
+    init = lparam._TableContent.__init__
+
+    def counted(content, *args):
+        init(content, *args)
+        built.append(content)
+
+    monkeypatch.setattr(lparam._TableContent, "__init__", counted)
+    for family, (max_dim, max_k, _) in SWEEP_FAMILIES.items():
+        per_unit = sum(len({_content(gp) for gp in pairs})
+                       for pairs in _sweep_units(max_dim, max_k))
+        assert per_unit == UNIT_CONTENTS[family]
+        built.clear()
+        assert cli.run(["--json", "verify", "dichotomy",
+                        "--max-dim", str(max_dim), "--max-k", str(max_k),
+                        "--jobs", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "PASS"
+        assert len(built) == per_unit, family
+        largest = DISTINCT_CONTENTS[family][1]
+        assert 0 < len(lparam._CONTENTS) <= largest
+        assert {id(c) for c in lparam._CONTENTS.values()} <= set(map(id, built))
+        shared = 0
+        for content in built:
+            defined, is_character, ys, checked = content.verdict
+            assert defined and is_character and checked > 0
+            assert len(content.reports) == content.fullW + 1
+            undefined = [row for x, row in enumerate(content.reports)
+                         if not content.defined[x] >> content.fullV & 1]
+            assert all(row is undefined[0] for row in undefined)
+            assert set(undefined[:1]) <= {bytes([lparam._UNDEFINED])
+                                           * (content.fullV + 1)}
+            shared += len(undefined) > 1
+        assert shared, family
 
 
 def test_reduced_gp_pairs_share_the_v_parameters():
