@@ -26,7 +26,6 @@ the checks of each sweep unit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
 from fractions import Fraction
 from itertools import product
@@ -35,6 +34,8 @@ from typing import Iterable, Optional, Union
 from .quadspace import (
     AdmissiblePair,
     QuadSpace,
+    _Ordered,
+    _Value,
     _as_fraction,
     _is_sign,
     _signature_is_quasi_split,
@@ -81,8 +82,7 @@ class BadParity(ValueError):
     """A line datum was supplied/omitted against the parity of the space."""
 
 
-@dataclass(frozen=True, order=True)
-class CFieldFactor:
+class CFieldFactor(_Ordered, _Value):
     """Rotation by ``angle``·π on a definite plane of sign ``c``.
 
     :meth:`with_sign` builds the factor of opposite sign without running the
@@ -90,15 +90,14 @@ class CFieldFactor:
     do not depend on ``c``.
     """
 
-    angle: Fraction
-    c: int = 1
+    _fields = ("angle", "c")
 
-    def __post_init__(self):
-        a = _as_fraction(self.angle) % 2
-        object.__setattr__(self, "angle", a)
-        if not _is_sign(self.c):
+    def __init__(self, angle: Fraction | int | str, c: int = 1) -> None:
+        a = _as_fraction(angle) % 2
+        if not _is_sign(c):
             raise ValueError("plane sign c must be +1 or -1")
-        object.__setattr__(self, "_regularity", (a in (0, 1), _iso_class(self)))
+        self.__dict__.update(angle=a, c=c)
+        self.__dict__["_regularity"] = (a in (0, 1), _iso_class(self))
 
     def with_sign(self, c: int) -> "CFieldFactor":
         """This rotation on a plane of sign ``c``."""
@@ -111,34 +110,32 @@ class CFieldFactor:
         return flipped
 
 
-@dataclass(frozen=True, order=True)
-class RSplitFactor:
+class RSplitFactor(_Ordered, _Value):
     """Real split eigenvalue pair (t, 1/t) on a hyperbolic plane."""
 
-    t: Fraction
+    _fields = ("t",)
 
-    def __post_init__(self):
-        t = _as_fraction(self.t)
+    def __init__(self, t: Fraction | int | str) -> None:
+        t = _as_fraction(t)
         if t == 0:
             raise ValueError("split eigenvalue t must be nonzero")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "_regularity", (t in (1, -1), _iso_class(self)))
+        self.__dict__["t"] = t
+        self.__dict__["_regularity"] = (t in (1, -1), _iso_class(self))
 
 
-@dataclass(frozen=True, order=True)
-class CSplitFactor:
+class CSplitFactor(_Ordered, _Value):
     """Complex split eigenvalue quadruple (w, w̄, 1/w, 1/w̄) on a (2,2)-block."""
 
-    w: tuple[Fraction, Fraction]
+    _fields = ("w",)
 
-    def __post_init__(self):
-        re, im = self.w
+    def __init__(self, w: tuple[Fraction, Fraction]) -> None:
+        re, im = w
         re, im = _as_fraction(re), _as_fraction(im)
         if re == 0 and im == 0:
             raise ValueError("complex split eigenvalue w must be nonzero")
-        object.__setattr__(self, "w", (re, im))
+        self.__dict__["w"] = (re, im)
         degenerate = im == 0 or re * re + im * im == 1
-        object.__setattr__(self, "_regularity", (degenerate, _iso_class(self)))
+        self.__dict__["_regularity"] = (degenerate, _iso_class(self))
 
 
 FactorDatum = Union[CFieldFactor, RSplitFactor, CSplitFactor]
@@ -189,8 +186,7 @@ def factor_eigenvalues(f: FactorDatum) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class KappaDatum:
+class KappaDatum(_Value):
     """A class datum: its factors, and the datum under every sign vector
     (:attr:`signed`), built once, on first request.
 
@@ -207,11 +203,11 @@ class KappaDatum:
     here stays right for the datum's whole life, and it stays right on every
     copy: :meth:`with_signs` builds through ``__init__``, from factors whose
     ``with_sign`` shares the regularity data (it does not depend on the
-    sign), and a pickle round trip restores the stored attributes with
-    ``__dict__``.
+    sign), and a pickle round trip or a copy restores the stored attributes
+    with ``__dict__``, without running the constructor.
     """
 
-    factors: tuple[FactorDatum, ...]
+    _fields = ("factors",)
 
     def __init__(self, factors: Iterable[FactorDatum] = ()):
         factors = tuple(factors)
@@ -229,14 +225,15 @@ class KappaDatum:
             if degenerate or cls in classes:
                 regular = False
             classes.add(cls)
-        stored = object.__setattr__
-        stored(self, "factors", factors)
-        stored(self, "dim", p + q)
-        stored(self, "signature", (p, q))
-        stored(self, "n_elliptic", n)
-        stored(self, "sum_c", sum_c)
-        stored(self, "_all_elliptic", n == len(factors))
-        stored(self, "_regular", regular)
+        self.__dict__.update(
+            factors=factors,
+            dim=p + q,
+            signature=(p, q),
+            n_elliptic=n,
+            sum_c=sum_c,
+            _all_elliptic=n == len(factors),
+            _regular=regular,
+        )
 
     def __iter__(self):
         return iter(self.factors)
@@ -290,10 +287,11 @@ def iota(V: QuadSpace, kappa: KappaDatum) -> int:
     return -1 if ((1 - V.delta) // 2 + kappa.n_elliptic) % 2 else 1
 
 
-@dataclass(frozen=True)
-class XiRegResult:
-    member: bool
-    line: Optional[QuadSpace] = None
+class XiRegResult(_Value):
+    _fields = ("member", "line")
+
+    def __init__(self, member: bool, line: Optional[QuadSpace] = None) -> None:
+        self.__dict__.update(member=member, line=line)
 
 
 # The four possible results, shared by every call.
@@ -350,13 +348,13 @@ def is_in_C_VW(kappa: KappaDatum, W: QuadSpace, V: QuadSpace) -> bool:
 # Exhaustive verifiers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckReport:
-    kind: str
-    passed: bool
-    lhs: tuple
-    rhs: tuple
-    details: dict = field(default_factory=dict)
+class CheckReport(_Value):
+    _fields = ("kind", "passed", "lhs", "rhs", "details")
+
+    def __init__(self, kind: str, passed: bool, lhs: tuple, rhs: tuple,
+                 details: Optional[dict] = None) -> None:
+        self.__dict__.update(kind=kind, passed=passed, lhs=lhs, rhs=rhs,
+                             details={} if details is None else details)
 
     def __bool__(self):
         return self.passed

@@ -38,11 +38,10 @@ import cmath
 import importlib
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 
-from .quadspace import _as_fraction
+from .quadspace import _Value, _as_fraction
 from .weilrep import CharRep, DiscRep, IrredRep, WeilRep
 
 __all__ = [
@@ -87,14 +86,13 @@ class QuadratureFailure(ArithmeticError):
     """Adaptive integration did not reach the requested accuracy."""
 
 
-@dataclass(frozen=True)
-class FourthRoot:
+class FourthRoot(_Value):
     """An exact fourth root of unity i^e, stored as the exponent e mod 4."""
 
-    e: int
+    _fields = ("e",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "e", self.e % 4)
+    def __init__(self, e: int) -> None:
+        self.__dict__["e"] = e % 4
 
     @property
     def is_real(self) -> bool:

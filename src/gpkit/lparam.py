@@ -18,7 +18,6 @@ mask-indexed factor table (:class:`GPCharacterTable`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property, lru_cache
 from itertools import combinations, product
@@ -28,6 +27,7 @@ from .quadspace import (
     AdmissiblePair,
     InvariantViolation,
     QuadSpace,
+    _Value,
     _is_sign,
     admissible_pair,
     json_object,
@@ -138,10 +138,11 @@ def constituent_type(rho: IrredRep, ambient: Ambient) -> ConstituentType:
     return ConstituentType.O if matches else ConstituentType.SP
 
 
-@dataclass(frozen=True)
-class LParameter:
-    rep: WeilRep
-    target: QuadSpace
+class LParameter(_Value):
+    _fields = ("rep", "target")
+
+    def __init__(self, rep: WeilRep, target: QuadSpace) -> None:
+        self.__dict__.update(rep=rep, target=target)
 
     @cached_property
     def ambient(self) -> Ambient:
@@ -194,8 +195,7 @@ def validate(rep: WeilRep, V: QuadSpace) -> LParameter:
     return LParameter(rep, V)
 
 
-@dataclass(frozen=True)
-class ComponentGroup:
+class ComponentGroup(_Value):
     """𝒮_φ ≤ {±1}^{I_O}, cut out by Π ε_i = 1 over odd-dimensional i if any.
 
     An element is its minus-set bitmask over ``basis`` (bit i set ⟺ sign
@@ -206,7 +206,10 @@ class ComponentGroup:
     computed on first use and kept.
     """
 
-    basis: tuple[IrredRep, ...]
+    _fields = ("basis",)
+
+    def __init__(self, basis: tuple[IrredRep, ...]) -> None:
+        self.__dict__["basis"] = basis
 
     @cached_property
     def _odd_mask(self) -> int:
@@ -292,11 +295,13 @@ def is_reduced(phi: LParameter) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class Classification:
-    flags: frozenset[str]
-    canonical: str
-    explicit_condition: bool
+class Classification(_Value):
+    _fields = ("flags", "canonical", "explicit_condition")
+
+    def __init__(self, flags: frozenset[str], canonical: str,
+                 explicit_condition: bool) -> None:
+        self.__dict__.update(flags=flags, canonical=canonical,
+                             explicit_condition=explicit_condition)
 
 
 def classify(phi: LParameter) -> Classification:
@@ -339,11 +344,12 @@ def classify(phi: LParameter) -> Classification:
     return Classification(frozenset(flags), canonical, condition)
 
 
-@dataclass(frozen=True)
-class GPPair:
-    phiW: LParameter
-    phiV: LParameter
-    pair: AdmissiblePair
+class GPPair(_Value):
+    _fields = ("phiW", "phiV", "pair")
+
+    def __init__(self, phiW: LParameter, phiV: LParameter,
+                 pair: AdmissiblePair) -> None:
+        self.__dict__.update(phiW=phiW, phiV=phiV, pair=pair)
 
 
 def make_gp_pair(phiW: LParameter, phiV: LParameter) -> GPPair:
@@ -409,12 +415,12 @@ class GPCharacterTable:
     nothing but the W-slot planes, the two groups' ``even_dims`` and
     |basis_V|.  The methods of the table read the groups only through their
     element masks, which ``even_dims`` fixes, so everything they read lives
-    in one content record (:class:`_TableContent`): the bit rows, χ's two
-    factors, the verdicts of :meth:`verify`'s preamble and the report rows
-    that :meth:`dichotomy` reads, one byte per element.  The first table
-    with a key (the W-slot planes, both ``even_dims`` and |basis_V|) builds
-    the record whole, and every later table with that key shares it
-    (chi-narrow's 8,464 pairs have 39 distinct contents).  The memo
+    in one content record (:class:`_TableContent`), built from the bit
+    rows: χ's two factors, the verdicts of :meth:`verify`'s preamble and
+    the report rows that :meth:`dichotomy` reads, one byte per element.
+    The first table with a key (the W-slot planes, both ``even_dims`` and
+    |basis_V|) builds the record whole, and every later table with that key
+    shares it (chi-narrow's 8,464 pairs have 39 distinct contents).  The memo
     ``_CONTENTS`` holds one sweep unit's contents: these almost never repeat
     across units (at ``--max-dim 10 --max-k 9``, 395 distinct contents
     summed over the units, 383 over the whole sweep).  Each pair still gets
@@ -515,7 +521,9 @@ _UNDEFINED = 8
 class _TableContent:
     """What every :class:`GPCharacterTable` of one content reads, built
     whole from the bit rows ``defined``/``minus`` of F and the groups of
-    the first table of the content; no field changes afterwards.
+    the first table of the content; no field changes afterwards.  The bit
+    rows themselves are not kept: nothing reads them once the fields below
+    are built.
 
     * ``fullW``, ``fullV``: the masks of the whole W- and V-bases.
     * χ's two factors as bit rows: bit x of ``colD``/``colM`` is set when
@@ -567,8 +575,8 @@ class _TableContent:
     with F[x][fullV] = ±1 115 / 2,268 / 10,967.
     """
 
-    __slots__ = ("defined", "minus", "fullW", "fullV", "colD", "colM",
-                 "rowD", "rowM", "verdict", "reports")
+    __slots__ = ("fullW", "fullV", "colD", "colM", "rowD", "rowM", "verdict",
+                 "reports")
 
     def __init__(self, defined: tuple[int, ...], minus: tuple[int, ...],
                  groupW: ComponentGroup, groupV: ComponentGroup):
@@ -576,7 +584,7 @@ class _TableContent:
         colD = sum((d >> fullV & 1) << x for x, d in enumerate(defined))
         colM = sum((m >> fullV & 1) << x for x, m in enumerate(minus))
         rowD, rowM = defined[fullW], minus[fullW]
-        self.defined, self.minus, self.fullW, self.fullV = defined, minus, fullW, fullV
+        self.fullW, self.fullV = fullW, fullV
         self.colD, self.colM, self.rowD, self.rowM = colD, colM, rowD, rowM
 
         evenV, nW = groupV.even_dims, len(groupW.masks)
@@ -726,12 +734,14 @@ def _is_multiplicative(groupW, groupV, rowW: int, rowV: int) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class DichotomyReport:
-    ok: bool
-    chi: int
-    factor_wplus_vminus: int
-    factor_wminus_vplus: int
+class DichotomyReport(_Value):
+    _fields = ("ok", "chi", "factor_wplus_vminus", "factor_wminus_vplus")
+
+    def __init__(self, ok: bool, chi: int, factor_wplus_vminus: int,
+                 factor_wminus_vplus: int) -> None:
+        self.__dict__.update(ok=ok, chi=chi,
+                             factor_wplus_vminus=factor_wplus_vminus,
+                             factor_wminus_vplus=factor_wminus_vplus)
 
     def breakdown(self) -> dict:
         return {

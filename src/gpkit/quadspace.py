@@ -8,9 +8,12 @@ indices (p, q), so no Gram matrices are ever materialized.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, lru_cache
+from operator import attrgetter
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "InvariantViolation",
@@ -42,28 +45,98 @@ class NotAdmissible(ValueError):
     """The pair (W, V) does not decompose as V = W ⟂ D ⟂ Z."""
 
 
-@dataclass(frozen=True, order=True)
-class QuadSpace:
+class _Value:
+    """Base of gpkit's frozen value classes.
+
+    A subclass names its fields once, in order, as ``_fields``, and sets
+    them, with any stored invariant, in its own ``__init__`` through the
+    instance ``__dict__``.  The base gives the rest of a frozen value:
+    equality within one class and a hash, both on the tuple of the fields;
+    the repr ``Name(field=value, ...)``; and an ``AttributeError`` on every
+    assignment or deletion.  Instances keep a ``__dict__``, so
+    ``functools.cached_property`` works on them, and they pickle and copy
+    with it at every protocol their field values allow.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls._fields)
+        # the tuple of the fields; attrgetter of one name gives the bare value
+        cls._values = staticmethod(
+            get if len(cls._fields) > 1 else lambda obj: (get(obj),)
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(self._fields, self._values(self))
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Ordered:
+    """Order on the field tuple, for a :class:`_Value` subclass that lists it
+    first among its bases.  Two instances of different classes do not
+    compare: the operators return ``NotImplemented``, so ``<`` raises
+    ``TypeError``."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) < other._values(other)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) <= other._values(other)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) > other._values(other)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) >= other._values(other)
+        return NotImplemented
+
+
+class QuadSpace(_Ordered, _Value):
     """A real quadratic space with positive index ``p`` and negative index ``q``.
 
     ``dim`` = p + q and the signature defect ``delta`` = p − q are stored
-    invariants: computed once at construction (also by
-    :func:`dataclasses.replace`), never part of equality, hashing, order or
-    the repr, which see ``p`` and ``q`` only.
+    invariants: computed once at construction, never part of equality,
+    hashing, order or the repr, which see ``p`` and ``q`` only.
     """
 
-    p: int
-    q: int
+    _fields = ("p", "q")
 
-    def __post_init__(self) -> None:
+    def __init__(self, p: int, q: int) -> None:
         # exact ints: bools and floats are refused, not truncated
-        p, q = self.p, self.q
         if type(p) is not int or type(q) is not int:
             raise TypeError("signature entries must be integers")
         if p < 0 or q < 0:
             raise ValueError(f"negative signature entry in ({p}, {q})")
-        object.__setattr__(self, "dim", p + q)
-        object.__setattr__(self, "delta", p - q)
+        self.__dict__.update(p=p, q=q, dim=p + q, delta=p - q)
 
     def orthogonal_sum(self, other: "QuadSpace") -> "QuadSpace":
         return _space(self.p + other.p, self.q + other.q)
@@ -161,28 +234,25 @@ def kottwitz_sign(V: QuadSpace) -> int:
     return -1 if ((V.delta ** 2 - 1) // 8) % 2 else 1
 
 
-@dataclass(frozen=True)
-class AdmissiblePair:
+class AdmissiblePair(_Value):
     """W ⟂ D ⟂ Z = V with D an anisotropic line and Z split of dimension 2r."""
 
-    W: QuadSpace
-    V: QuadSpace
-    r: int
-    d_sign: int
+    _fields = ("W", "V", "r", "d_sign")
 
-    def __post_init__(self) -> None:
-        if not _is_sign(self.d_sign):
+    def __init__(self, W: QuadSpace, V: QuadSpace, r: int, d_sign: int) -> None:
+        if not _is_sign(d_sign):
             raise ValueError("d_sign must be ±1")
-        if type(self.r) is not int or self.r < 0:
+        if type(r) is not int or r < 0:
             raise ValueError("r must be a non-negative integer")
-        gap = self.V.dim - self.W.dim
-        if gap != 2 * self.r + 1:
+        gap = V.dim - W.dim
+        if gap != 2 * r + 1:
             raise ValueError("dim V − dim W must equal 2r + 1")
         if (
-            self.V.p != self.W.p + self.r + (1 if self.d_sign > 0 else 0)
-            or self.V.q != self.W.q + self.r + (1 if self.d_sign < 0 else 0)
+            V.p != W.p + r + (1 if d_sign > 0 else 0)
+            or V.q != W.q + r + (1 if d_sign < 0 else 0)
         ):
-            raise ValueError(f"({self.W}, {self.V}) is not W ⟂ D ⟂ Z shaped")
+            raise ValueError(f"({W}, {V}) is not W ⟂ D ⟂ Z shaped")
+        self.__dict__.update(W=W, V=V, r=r, d_sign=d_sign)
 
     @property
     def line(self) -> QuadSpace:
@@ -260,6 +330,8 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
 def rational_field(obj: dict, key: str) -> Fraction:
     """``obj[key]`` as an exact rational: a JSON integer or an ``"n"`` /
     ``"p/q"`` string.  Bools, floats and decimal strings are refused."""
+    from fractions import Fraction  # at first use: not every command needs it
+
     value = obj[key]
     if isinstance(value, str) and _RATIONAL.fullmatch(value):
         return Fraction(value)
@@ -273,6 +345,8 @@ def rational_field(obj: dict, key: str) -> Fraction:
 def _as_fraction(x) -> Fraction:
     """``x`` as an exact rational: a Fraction, an int or a rational string.
     A bool is refused like a float, not read as the int it equals."""
+    from fractions import Fraction  # at first use, as in rational_field
+
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)) and not isinstance(x, bool):

@@ -22,13 +22,21 @@ oracle ``tests/trace_reference.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from collections.abc import Mapping
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable, Union
 
-from .quadspace import _as_fraction, int_field, json_object, rational_field
+from .quadspace import (
+    _Ordered,
+    _Value,
+    _as_fraction,
+    int_field,
+    json_object,
+    rational_field,
+)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "CharRep",
@@ -47,39 +55,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class CharRep:
+class CharRep(_Ordered, _Value):
     """The character sgn^a · |·|^{it} of W_ℝ (one-dimensional)."""
 
-    a: int
-    t: Fraction = Fraction(0)
+    _fields = ("a", "t")
 
-    def __post_init__(self) -> None:
-        if type(self.a) is not int or self.a not in (0, 1):
+    def __init__(self, a: int, t: Fraction | int | str = 0) -> None:
+        if type(a) is not int or a not in (0, 1):
             raise ValueError("sign exponent a must be 0 or 1")
-        object.__setattr__(self, "t", _as_fraction(self.t))
-        object.__setattr__(self, "_hash", hash((self.a, self.t)))
+        t = _as_fraction(t)
+        self.__dict__.update(a=a, t=t, _hash=hash((a, t)))
 
     def __hash__(self) -> int:
         return self._hash
 
 
-@dataclass(frozen=True, order=True)
-class DiscRep:
+class DiscRep(_Ordered, _Value):
     """The discrete-series parameter D_k ⊗ |·|^{it} (two-dimensional), k ≥ 1.
 
     D_0 is reducible (it is Char(0) ⊕ Char(1)) and is rejected here.
     """
 
-    k: int
-    t: Fraction = Fraction(0)
+    _fields = ("k", "t")
 
-    def __post_init__(self) -> None:
-        if type(self.k) is not int or self.k < 1:
+    def __init__(self, k: int, t: Fraction | int | str = 0) -> None:
+        if type(k) is not int or k < 1:
             raise ValueError("D_k requires an integer k >= 1; D_0 is reducible "
                              "and must be entered as Char(0,t) + Char(1,t)")
-        object.__setattr__(self, "t", _as_fraction(self.t))
-        object.__setattr__(self, "_hash", hash((self.k, self.t)))
+        t = _as_fraction(t)
+        self.__dict__.update(k=k, t=t, _hash=hash((k, t)))
 
     def __hash__(self) -> int:
         return self._hash

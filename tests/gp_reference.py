@@ -8,9 +8,11 @@ library's :class:`gpkit.lparam.GPCharacterTable` evaluates the same values
 from one mask-indexed factor table; the tests compare the two paths over
 whole families of pairs.  :func:`reference_factor_table` is that table's
 earlier integer form, one ±1/0 entry per mask pair, kept to check the
-library's bit rows entry by entry, :func:`dichotomy_by_bits` reads one
-identity off those bit rows, as :meth:`GPCharacterTable.dichotomy` did per
-call before it read the report rows of the table's content, and
+library's bit rows entry by entry; :func:`factor_rows` rebuilds those bit
+rows, which a table's content record does not keep;
+:func:`dichotomy_by_bits` reads one identity off them, as
+:meth:`GPCharacterTable.dichotomy` did per call before it read the report
+rows of the table's content; and
 :func:`all_pairs_multiplicative` is
 the quadratic check that :meth:`GPCharacterTable.verify` certifies at
 generator cost.  :func:`enumerate_reduced_by_scan` is the parameter
@@ -34,7 +36,9 @@ from gpkit.lparam import (
     LParameter,
     NotReduced,
     OddHalfExponent,
+    _factor_rows,
     _reduced_pool,
+    _slot_planes,
     component_group,
     is_reduced,
     reduced_gp_pairs,
@@ -88,15 +92,24 @@ def reference_factor_table(gp: GPPair, exponent=direct_exponent):
     )
 
 
-def dichotomy_by_bits(tab, x: int, y: int) -> DichotomyReport:
-    """The report of ``tab.dichotomy(x, y)``, read bit by bit off the bit
-    rows of the table's content: the four entries F[xc][y], F[x][fullV ⊕ y],
+def factor_rows(groupW, groupV) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(``defined``, ``minus``): the bit rows of the factor table of the
+    tables with component groups ``groupW`` and ``groupV``, rebuilt by
+    :func:`gpkit.lparam._factor_rows` from the W-slot planes, as the first
+    table of a content builds them for its content record."""
+    planes = tuple(_slot_planes(sig, groupV.basis) for sig in groupW.basis)
+    return _factor_rows(planes, groupW.even_dims, groupV.even_dims)
+
+
+def dichotomy_by_bits(tab, rows, x: int, y: int) -> DichotomyReport:
+    """The report of ``tab.dichotomy(x, y)``, read bit by bit off ``rows``,
+    the bit rows (``defined``, ``minus``) that the table's content was built
+    from (:func:`factor_rows`): the four entries F[xc][y], F[x][fullV ⊕ y],
     F[x][fullV] and F[fullW][y], xc = fullW ⊕ x, with the same errors in the
     same order (range, then central element, then an entry that is not
     ±1)."""
-    content = tab._content
-    d, m = content.defined, content.minus
-    fullW, fullV = content.fullW, content.fullV
+    d, m = rows
+    fullW, fullV = tab._content.fullW, tab._content.fullV
     if not (0 <= x <= fullW and 0 <= y <= fullV):
         raise ValueError("masks have bits outside the component-group bases")
     if y in (0, fullV):

@@ -1,7 +1,6 @@
 """The public surface of each gpkit module: ``__all__`` and ``import *``."""
 
 import importlib
-from dataclasses import fields
 
 import pytest
 
@@ -37,8 +36,8 @@ def test_stored_fields_are_only_the_defining_data():
     # these on first use, so it cannot disagree with them
     from gpkit.lparam import ComponentGroup, LParameter
 
-    assert [f.name for f in fields(LParameter)] == ["rep", "target"]
-    assert [f.name for f in fields(ComponentGroup)] == ["basis"]
+    assert LParameter._fields == ("rep", "target")
+    assert ComponentGroup._fields == ("basis",)
 
 
 @pytest.mark.parametrize(
@@ -53,6 +52,8 @@ def test_stored_fields_are_only_the_defining_data():
         ("lparam", None, "_sign"),
         ("lparam", "_TableContent", "check"),
         ("lparam", "_TableContent", "report_row"),
+        ("lparam", "_TableContent", "defined"),
+        ("lparam", "_TableContent", "minus"),
         ("conjclass", None, "_kappa_shapes"),
         ("cli", None, "_is_multiplicative"),
         ("cli", None, "_is_homomorphism"),
@@ -103,7 +104,7 @@ def test_stored_invariants_replace_the_old_properties():
     ):
         for name in names:
             assert name not in vars(owner)
-    assert [f.name for f in fields(KappaDatum)] == ["factors"]
+    assert KappaDatum._fields == ("factors",)
     kappa = make_regular_kappa(2, 1)
     assert not hasattr(kappa, "_invariants")
     assert not hasattr(KappaDatum, "_invariants")

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gp_reference import all_pairs_multiplicative, sweep_pairs
+from gp_reference import all_pairs_multiplicative, factor_rows, sweep_pairs
 import gpkit
 from gpkit import cli, conjclass, epsilon, lparam, quadspace
 from gpkit.cli import run
@@ -103,9 +103,12 @@ def _fresh_python(*args):
 
 
 # the modules whose loading the start-up test tracks: the process pool, the
-# layers that `cli` imports on demand, and scipy
+# layers that `cli` imports on demand, scipy, and the standard modules that
+# cost start-up time (`dataclasses` with `inspect`) or that only commands
+# reading rationals need (`fractions`)
 POOL_MODULES = {"concurrent.futures", "multiprocessing"}
-WATCHED_MODULES = POOL_MODULES | {
+STDLIB_MODULES = {"dataclasses", "fractions", "inspect"}
+WATCHED_MODULES = POOL_MODULES | STDLIB_MODULES | {
     "gpkit.conjclass",
     "gpkit.epsilon",
     "gpkit.lparam",
@@ -207,24 +210,25 @@ class TestOneShots:
 
     def test_scipy_is_loaded_only_by_the_oracle(self, jfile):
         # A fresh interpreter per command: `import gpkit.cli` loads no layer
-        # (not even gpkit.weilrep, which the package re-exports lazily) and
-        # no process pool, each command loads only the layers it runs, and
+        # (not even gpkit.weilrep, which the package re-exports lazily), no
+        # process pool and no `fractions`, each command loads only the
+        # layers it runs, no command loads `dataclasses` or `inspect`, and
         # only the oracle loads scipy.  Unknown attributes of gpkit.epsilon
         # still raise without loading scipy.
         lp, eps, wr = "gpkit.lparam", "gpkit.epsilon", "gpkit.weilrep"
+        cc, fr = "gpkit.conjclass", "fractions"
         for argv, loaded in (
             (None, set()),
             (["enumerate-pureinner", "1,0"], set()),
-            (["verify", "union", "--max-dim", "4", "--jobs", "1"],
-             {"gpkit.conjclass"}),
-            (["verify", "fibers", "--max-dv", "5", "--jobs", "1"],
-             {"gpkit.conjclass"}),
+            (["verify", "union", "--max-dim", "4", "--jobs", "1"], {cc, fr}),
+            (["verify", "fibers", "--max-dv", "5", "--jobs", "1"], {cc, fr}),
             (["verify", "dichotomy", "--max-dim", "5", "--max-k", "5"],
-             {lp, eps, wr}),
-            (["classify", jfile(PARAM_SO21)], {lp, eps, wr}),
-            (["epsilon", jfile(PARAM_SO21)], {lp, eps, wr}),
+             {lp, eps, wr, fr}),
+            (["classify", jfile(PARAM_SO21)], {lp, eps, wr, fr}),
+            (["epsilon", jfile(PARAM_SO21)], {lp, eps, wr, fr}),
             # a bare representation is not validated against a space
-            (["epsilon", jfile(PARAM_SO21["rep"], "rep.json")], {eps, wr}),
+            (["epsilon", jfile(PARAM_SO21["rep"], "rep.json")],
+             {eps, wr, fr}),
             (["epsilon", jfile(PARAM_SO21), "--oracle"],
              {lp, eps, wr, "scipy"}),
         ):
@@ -247,8 +251,23 @@ print(json.dumps([m for m in {sorted(WATCHED_MODULES)!r} if m in sys.modules]))
             assert proc.returncode == 0, (argv, proc.stderr)
             found = set(json.loads(proc.stdout.splitlines()[-1]))
             if "scipy" in loaded:
-                found -= POOL_MODULES  # scipy may load them itself
+                # scipy may load them itself
+                found -= POOL_MODULES | STDLIB_MODULES
             assert found == loaded, argv
+
+    def test_no_gpkit_module_loads_dataclasses(self):
+        # every module of the package, scipy aside, imported in a fresh
+        # interpreter: the value classes need neither module
+        script = """
+import json, sys
+import gpkit.cli, gpkit.conjclass, gpkit.epsilon, gpkit.lparam
+import gpkit.quadspace, gpkit.weilrep
+print(json.dumps([m for m in ("dataclasses", "inspect", "scipy")
+                  if m in sys.modules]))
+"""
+        proc = _fresh_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
 
     def test_dichotomy(self, jfile, capsys):
         rc, out = run_json(
@@ -942,10 +961,10 @@ def test_json_round_trips_are_the_identity(V, items, phi):
 def _value_rows(tab):
     # the one-sided chi factors as bit rows (bit set for -1): valW[x] =
     # F[x][fullV] at bit x and valV[y] = F[fullW][y] at bit y
-    content = tab._content
-    minus, fullV = content.minus, content.fullV
+    _, minus = factor_rows(tab.groupW, tab.groupV)
+    fullV = (1 << len(tab.groupV.basis)) - 1
     rowW = sum((minus[x] >> fullV & 1) << x for x in tab.groupW.masks)
-    return rowW, minus[content.fullW]
+    return rowW, minus[-1]
 
 
 def _table_of_rows(tab, rowW, rowV):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import pickle
 
@@ -40,7 +39,7 @@ def test_stored_invariants_leave_eq_hash_order_repr_and_pickle_alone():
     # hashing, order and the repr see (p, q) only, and a pickle round trip
     # (as for --jobs workers) keeps them
     spaces = [QuadSpace(p, d - p) for d in range(9) for p in range(d + 1)]
-    assert [f.name for f in dataclasses.fields(QuadSpace)] == ["p", "q"]
+    assert QuadSpace._fields == ("p", "q")
     assert sorted(spaces, reverse=True) == sorted(
         spaces, key=lambda V: (V.p, V.q), reverse=True
     )
@@ -53,10 +52,7 @@ def test_stored_invariants_leave_eq_hash_order_repr_and_pickle_alone():
             back = pickle.loads(pickle.dumps(V, protocol))
             assert back == V and hash(back) == hash(V) and repr(back) == repr(V)
             assert (back.dim, back.delta) == (V.dim, V.delta)
-    # dataclasses.replace constructs anew, so the invariants follow the fields
-    W = dataclasses.replace(QuadSpace(2, 1), q=3)
-    assert (W.dim, W.delta) == (5, -1)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="cannot assign to field"):
         QuadSpace(2, 1).dim = 4
 
 
