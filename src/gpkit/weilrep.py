@@ -129,10 +129,10 @@ def self_dual_type(rho: IrredRep) -> SelfDualType:
     return SelfDualType.ORTHOGONAL if rho.k % 2 == 0 else SelfDualType.SYMPLECTIC
 
 
-class WeilRep:
+class WeilRep(_Value):
     """A finite multiset of irreducible W_ℝ-representations, kept canonical."""
 
-    __slots__ = ("_summands",)
+    _fields = ("_summands",)
 
     def __init__(self, items: Iterable = ()) -> None:
         if isinstance(items, Mapping):  # iterating it would read only its keys
@@ -150,10 +150,8 @@ class WeilRep:
             if mult < 1:
                 raise ValueError("multiplicities must be >= 1")
             acc[rho] = acc.get(rho, 0) + mult
-        object.__setattr__(
-            self,
-            "_summands",
-            tuple(sorted(acc.items(), key=lambda kv: _sort_key(kv[0]))),
+        self.__dict__["_summands"] = tuple(
+            sorted(acc.items(), key=lambda kv: _sort_key(kv[0]))
         )
 
     def mult(self, rho: IrredRep) -> int:
@@ -165,12 +163,6 @@ class WeilRep:
     @property
     def dim(self) -> int:
         return sum(m * irred_dim(rho) for rho, m in self._summands)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, WeilRep) and self._summands == other._summands
-
-    def __hash__(self) -> int:
-        return hash(self._summands)
 
     def __iter__(self):
         return iter(self._summands)

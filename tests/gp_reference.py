@@ -1,29 +1,32 @@
-"""Direct evaluation of χ_φ and the dichotomy identity: the test oracle.
+"""Test oracles of gpkit's χ sweep, independent of the code they check.
 
-This follows the Gross–Prasad definition step by step (Gross–Prasad, Canad.
-J. Math. 44 (1992)): split each parameter into the ±1 eigenspaces of the
-component element, form the tensor products of the pieces with the partner
-parameter, and read the symplectic root numbers off the exact ε table.  The
-library's :class:`gpkit.lparam.GPCharacterTable` evaluates the same values
-from one mask-indexed factor table; the tests compare the two paths over
-whole families of pairs.  :func:`reference_factor_table` is that table's
-earlier integer form, one ±1/0 entry per mask pair, kept to check the
-library's bit rows entry by entry; :func:`factor_rows` rebuilds those bit
-rows, which a table's content record does not keep;
-:func:`dichotomy_by_bits` reads one identity off them, as
-:meth:`GPCharacterTable.dichotomy` did per call before it read the report
-rows of the table's content; and
-:func:`all_pairs_multiplicative` is
-the quadratic check that :meth:`GPCharacterTable.verify` certifies at
-generator cost.  :func:`enumerate_reduced_by_scan` is the parameter
-enumeration by a scan of every subset of the pool, which
-:func:`gpkit.lparam.enumerate_reduced` replaces with a direct listing.
+* The Gross–Prasad definition, step by step (Gross–Prasad, Canad. J. Math.
+  44 (1992)): :func:`gp_character` and :func:`dichotomy_identity_check`
+  split each parameter into the ±1 eigenspaces of the component element,
+  form the tensor products of the pieces with the partner parameter, and
+  read the symplectic root numbers off the exact ε table.
+* The bilinear model: :func:`reference_factor_table` is the factor table
+  F[x][y] of :class:`gpkit.lparam.GPCharacterTable` as integers, one ±1/0
+  entry per mask pair, summed from the exponents of the irreducible pairs
+  (:func:`direct_exponent`, or any exponent function given).
+  :func:`factor_rows` turns it into two bit rows per W-mask, and
+  :class:`ReferenceTable` reads ``chi``, ``dichotomy`` and ``verify`` off
+  such rows, with the same errors in the same order; :func:`sweep_records`
+  formats its verdicts as the failure records of ``verify dichotomy``.  The
+  rows it reads may carry a deliberate breach, so that it is also the
+  oracle of a library given the same breach.
+* :func:`all_pairs_multiplicative` is the quadratic check, one product
+  identity at a time, that ``verify`` certifies at generator cost.
+* :func:`enumerate_reduced_by_scan` lists the reduced parameters by a scan
+  of every subset of the pool, which :func:`gpkit.lparam.enumerate_reduced`
+  replaces with a direct listing.
 
 The module name does not start with ``test_``, so pytest does not collect it.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
@@ -36,9 +39,7 @@ from gpkit.lparam import (
     LParameter,
     NotReduced,
     OddHalfExponent,
-    _factor_rows,
     _reduced_pool,
-    _slot_planes,
     component_group,
     is_reduced,
     reduced_gp_pairs,
@@ -92,35 +93,100 @@ def reference_factor_table(gp: GPPair, exponent=direct_exponent):
     )
 
 
-def factor_rows(groupW, groupV) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(``defined``, ``minus``): the bit rows of the factor table of the
-    tables with component groups ``groupW`` and ``groupV``, rebuilt by
-    :func:`gpkit.lparam._factor_rows` from the W-slot planes, as the first
-    table of a content builds them for its content record."""
-    planes = tuple(_slot_planes(sig, groupV.basis) for sig in groupW.basis)
-    return _factor_rows(planes, groupW.even_dims, groupV.even_dims)
+@cache
+def factor_rows(gp: GPPair, exponent=direct_exponent):
+    """(``defined``, ``minus``): :func:`reference_factor_table` as two bit
+    rows per W-mask x, bit y of ``defined[x]`` set when F[x][y] is ±1 and
+    bit y of ``minus[x]`` when F[x][y] = −1.  Memoised: the oracle contract
+    reads the rows of each pair of a family once per seam."""
+    table = reference_factor_table(gp, exponent)
+    return (
+        tuple(sum(1 << y for y, f in enumerate(row) if f) for row in table),
+        tuple(sum(1 << y for y, f in enumerate(row) if f < 0) for row in table),
+    )
 
 
-def dichotomy_by_bits(tab, rows, x: int, y: int) -> DichotomyReport:
-    """The report of ``tab.dichotomy(x, y)``, read bit by bit off ``rows``,
-    the bit rows (``defined``, ``minus``) that the table's content was built
-    from (:func:`factor_rows`): the four entries F[xc][y], F[x][fullV ⊕ y],
-    F[x][fullV] and F[fullW][y], xc = fullW ⊕ x, with the same errors in the
-    same order (range, then central element, then an entry that is not
-    ±1)."""
-    d, m = rows
-    fullW, fullV = tab._content.fullW, tab._content.fullV
-    if not (0 <= x <= fullW and 0 <= y <= fullV):
-        raise ValueError("masks have bits outside the component-group bases")
-    if y in (0, fullV):
-        raise CentralElement("s_V lies in {identity, all-(-1)}")
-    xc, yc = fullW ^ x, fullV ^ y
-    if not d[xc] >> y & d[x] >> yc & d[x] >> fullV & d[fullW] >> y & 1:
-        raise OddHalfExponent("non-symplectic tensor block in χ")
-    f1 = -1 if m[xc] >> y & 1 else 1
-    f2 = -1 if m[x] >> yc & 1 else 1
-    chi = -1 if (m[x] >> fullV ^ m[fullW] >> y) & 1 else 1
-    return DichotomyReport(f1 * f2 == chi, chi, f1, f2)
+class ReferenceTable:
+    """``chi``, ``dichotomy`` and ``verify`` of one pair, read off the bit
+    rows ``rows`` = (``defined``, ``minus``) of :func:`factor_rows`, with
+    the errors of :class:`gpkit.lparam.GPCharacterTable` in the same order.
+    fullW and fullV, the masks of the whole W- and V-bases, come from the
+    lengths of the pair's component-group bases."""
+
+    def __init__(self, gp: GPPair, rows) -> None:
+        self.defined, self.minus = rows
+        self.groupW, self.groupV = gp.phiW.group, gp.phiV.group
+        self.fullW = (1 << len(self.groupW.basis)) - 1
+        self.fullV = (1 << len(self.groupV.basis)) - 1
+
+    def _check_range(self, x: int, y: int) -> None:
+        if not (0 <= x <= self.fullW and 0 <= y <= self.fullV):
+            raise ValueError("masks have bits outside the component-group bases")
+
+    def chi(self, x: int, y: int) -> int:
+        """χ(x, y) = F[x][fullV]·F[fullW][y]; :class:`OddHalfExponent` when
+        a factor is not ±1."""
+        self._check_range(x, y)
+        d, m, fullW, fullV = self.defined, self.minus, self.fullW, self.fullV
+        if not d[x] >> fullV & d[fullW] >> y & 1:
+            raise OddHalfExponent("non-symplectic tensor block in χ")
+        return -1 if (m[x] >> fullV ^ m[fullW] >> y) & 1 else 1
+
+    def dichotomy(self, x: int, y: int) -> DichotomyReport:
+        """The identity at (x, y): the factors F[xc][y] and F[x][fullV ⊕ y],
+        xc = fullW ⊕ x, against χ(x, y).  The errors come in this order: a
+        mask out of range, a central y (0 or fullV), then an entry of the
+        four that is not ±1."""
+        self._check_range(x, y)
+        d, m, fullW, fullV = self.defined, self.minus, self.fullW, self.fullV
+        if y in (0, fullV):
+            raise CentralElement("s_V lies in {identity, all-(-1)}")
+        xc, yc = fullW ^ x, fullV ^ y
+        if not d[xc] >> y & d[x] >> yc & 1:
+            raise OddHalfExponent("non-symplectic tensor block in χ")
+        chi = self.chi(x, y)
+        f1 = -1 if m[xc] >> y & 1 else 1
+        f2 = -1 if m[x] >> yc & 1 else 1
+        return DichotomyReport(f1 * f2 == chi, chi, f1, f2)
+
+    def verify(self) -> tuple[int, bool, list]:
+        """``(checked, is_character, failures)``:
+        :func:`all_pairs_multiplicative` on χ over the elements, and
+        ``(x, y, report)`` for each failed identity over every x and
+        non-central y, y outer; ``checked`` counts both."""
+        masksW, masksV = self.groupW.masks, self.groupV.masks
+        table = {(x, y): self.chi(x, y) for x in masksW for y in masksV}
+        loop = [
+            (x, y, self.dichotomy(x, y))
+            for y in masksV if y not in (0, self.fullV)
+            for x in masksW
+        ]
+        failures = [case for case in loop if not case[2].ok]
+        return len(table) ** 2 + len(loop), all_pairs_multiplicative(table), failures
+
+
+def sweep_records(verdicts) -> list[dict]:
+    """The failure records of ``verify dichotomy`` from ``(pair, verdict)``
+    items, a verdict as ``verify`` gives it: one record for a pair whose χ
+    is not a character and one per failed identity, with s_W and s_V as ±1
+    lists, one entry per basis slot, sorted as the report sorts them."""
+    def signs(mask, phi):
+        return [-1 if mask >> i & 1 else 1 for i in range(len(phi.group.basis))]
+
+    records = []
+    for gp, (_, is_character, failures) in verdicts:
+        pair = {"phiW": repr(gp.phiW.rep), "phiV": repr(gp.phiV.rep)}
+        if not is_character:
+            records.append({"case": {"kind": "chi-multiplicativity", **pair}})
+        records += [
+            {
+                "case": {"kind": "dichotomy", **pair,
+                         "sW": signs(x, gp.phiW), "sV": signs(y, gp.phiV)},
+                "breakdown": report.breakdown(),
+            }
+            for x, y, report in failures
+        ]
+    return sorted(records, key=lambda ce: json.dumps(ce, sort_keys=True))
 
 
 def enumerate_reduced_by_scan(V: QuadSpace, max_k: int) -> list[LParameter]:
@@ -152,11 +218,14 @@ def all_pairs_multiplicative(table: dict) -> bool:
     :meth:`GPCharacterTable.chi_table` gives it, is ±1-valued with
     χ(s·t) = χ(s)·χ(t) for every pair of elements s, t: all
     |𝒮_W × 𝒮_V|² product identities, one by one."""
-    return all(v in (1, -1) for v in table.values()) and all(
-        table[(x1 ^ x2, y1 ^ y2)] == v1 * v2
-        for (x1, y1), v1 in table.items()
-        for (x2, y2), v2 in table.items()
-    )
+    if not all(v in (1, -1) for v in table.values()):
+        return False
+    items = list(table.items())
+    for (x1, y1), v1 in items:
+        for (x2, y2), v2 in items:
+            if table[x1 ^ x2, y1 ^ y2] != v1 * v2:
+                return False
+    return True
 
 
 def eps_symplectic(A: WeilRep | IrredRep) -> int:

@@ -68,19 +68,9 @@ def test_stored_fields_are_only_the_defining_data():
 )
 def test_conveniences_over_the_kept_api_stay_deleted(module, owner, attr):
     # each was a second copy of a fact that the kept API gives in one
-    # expression
+    # expression; an owner that is gone takes its attributes with it
     mod = importlib.import_module(f"gpkit.{module}")
-    assert not hasattr(getattr(mod, owner) if owner else mod, attr)
-
-
-def test_table_memos_are_the_one_content_memo():
-    # a table's rows, verdicts and report rows live in one per-unit memo of
-    # content records, lparam._CONTENTS: the separate verdict memo is gone,
-    # and the row build keeps no memo of its own
-    lparam = importlib.import_module("gpkit.lparam")
-    assert not hasattr(lparam, "_MULTIPLICATIVE")
-    assert not hasattr(lparam._factor_rows, "cache_info")
-    assert isinstance(lparam._CONTENTS, dict)
+    assert not hasattr(getattr(mod, owner, None) if owner else mod, attr)
 
 
 def test_cli_builds_no_union_or_fiber_check():

@@ -10,7 +10,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gp_reference import all_pairs_multiplicative, factor_rows, sweep_pairs
+from gp_reference import (
+    ReferenceTable,
+    all_pairs_multiplicative,
+    factor_rows,
+    sweep_pairs,
+    sweep_records,
+)
 import gpkit
 from gpkit import cli, conjclass, epsilon, lparam, quadspace
 from gpkit.cli import run
@@ -308,40 +314,6 @@ SWEEP_OF_FLAG = {
     "--e0": "union",
 }
 
-# the report every dichotomy call gives in the broken-identity test
-BROKEN_REPORT = lparam.DichotomyReport(False, 1, 1, -1)
-
-
-def _broken_dichotomy_records(max_dim, max_k):
-    """The counterexamples of `verify dichotomy` when every multiplicativity
-    check and every dichotomy identity fails, in report order: one record
-    per pair, and one per (s_W, non-central s_V) with s_W and s_V as ±1
-    lists, one entry per basis slot."""
-    def signs(mask, group):
-        return [-1 if mask >> i & 1 else 1 for i in range(len(group.basis))]
-
-    records = []
-    for gp in sweep_pairs(max_dim, max_k):
-        pair = {"phiW": repr(gp.phiW.rep), "phiV": repr(gp.phiV.rep)}
-        records.append({"case": {"kind": "chi-multiplicativity", **pair}})
-        gW, gV = gp.phiW.group, gp.phiV.group
-        central = (0, (1 << len(gV.basis)) - 1)
-        records += [
-            {
-                "case": {
-                    "kind": "dichotomy",
-                    **pair,
-                    "sW": signs(x, gW),
-                    "sV": signs(y, gV),
-                },
-                "breakdown": BROKEN_REPORT.breakdown(),
-            }
-            for y in gV.masks if y not in central
-            for x in gW.masks
-        ]
-    return sorted(records, key=lambda ce: json.dumps(ce, sort_keys=True))
-
-
 class TestVerify:
     @pytest.mark.parametrize(
         "argv",
@@ -488,16 +460,16 @@ print("ok")
         ids=["union", "fibers", "dichotomy"],
     )
     def test_broken_identity_gives_failure_records(
-        self, capsys, monkeypatch, argv, case_keys
+        self, capsys, monkeypatch, request, argv, case_keys
     ):
         if argv[1] == "dichotomy":
-            # every multiplicativity check and every identity fails; the
-            # content records keep the broken verdicts, so they go into a
-            # memo of this test's own
-            monkeypatch.setattr(lparam, "_CONTENTS", {})
-            monkeypatch.setattr(lparam, "_is_multiplicative", lambda *a: False)
-            monkeypatch.setattr(
-                GPCharacterTable, "dichotomy", lambda self, *s: BROKEN_REPORT
+            # entries of the factor table negated (the row seam of
+            # conftest.py): some tables are no characters and some
+            # identities fail, as the reference finds under the same breach
+            rows_of = request.getfixturevalue("row_seam")
+            want = sweep_records(
+                (gp, ReferenceTable(gp, rows_of(gp)).verify())
+                for gp in sweep_pairs(5, 5)
             )
         else:
             # every form gets Kottwitz sign +1, so the e0 = -1 side selects
@@ -514,7 +486,9 @@ print("ok")
                 else:
                     assert set(ce) == {"case"}
                     assert ce["case"]["kind"] == "chi-multiplicativity"
-            assert out["counterexamples"] == _broken_dichotomy_records(5, 5)
+            kinds = {ce["case"]["kind"] for ce in out["counterexamples"]}
+            assert kinds == {"chi-multiplicativity", "dichotomy"}
+            assert out["counterexamples"] == want
             return
         for ce in out["counterexamples"]:
             assert set(ce) == {"case", "lhs", "rhs"}
@@ -549,17 +523,13 @@ print("ok")
         assert rc == 3
         assert out["error"].startswith("InvariantViolation:")
 
-    def test_odd_half_exponent_in_sweep_exits_three(self, capsys, monkeypatch):
-        # odd exponents make non-symplectic blocks, which no CLI input can
-        # reach: the table's invariant breach, not an input error
-        monkeypatch.setattr(lparam, "_pair_exponent", lambda sig, rho: 1)
-        lparam._slot_planes.cache_clear()
-        try:
-            rc, out = run_json(
-                capsys, ["verify", "dichotomy", "--max-dim", "4", "--max-k", "3"]
-            )
-        finally:
-            lparam._slot_planes.cache_clear()  # drop the odd planes
+    def test_odd_half_exponent_in_sweep_exits_three(self, capsys, exponent_seam):
+        # odd exponents (the exponent seam of conftest.py) make
+        # non-symplectic blocks, which no CLI input can reach: the table's
+        # invariant breach, not an input error
+        rc, out = run_json(
+            capsys, ["verify", "dichotomy", "--max-dim", "4", "--max-k", "3"]
+        )
         assert rc == 3
         assert out == {
             "error": "OddHalfExponent: non-symplectic tensor block in χ"
@@ -961,7 +931,7 @@ def test_json_round_trips_are_the_identity(V, items, phi):
 def _value_rows(tab):
     # the one-sided chi factors as bit rows (bit set for -1): valW[x] =
     # F[x][fullV] at bit x and valV[y] = F[fullW][y] at bit y
-    _, minus = factor_rows(tab.groupW, tab.groupV)
+    _, minus = factor_rows(tab.gp)
     fullV = (1 << len(tab.groupV.basis)) - 1
     rowW = sum((minus[x] >> fullV & 1) << x for x in tab.groupW.masks)
     return rowW, minus[-1]
@@ -978,13 +948,16 @@ def _table_of_rows(tab, rowW, rowV):
 
 def test_generator_criterion_matches_all_pairs_check_under_mutation():
     """Every table of the criterion-5 family (targets <= 10, k <= 9) with
-    |S_W x S_V| <= 64 entries, and every single flip of one bit of the valW
-    or the valV row.
+    |S_W x S_V| <= 64 entries, and every flip of the valW or the valV row
+    at one element, or at both elements of a coset {m, m ^ g} of the
+    group's first generator g.
 
     Both checks accept the true tables.  A flip at the identity breaks
-    chi(1, 1) = 1, and a flip at x != 0 leaves a homomorphism only when the
-    factor's group has order 2 (it swaps that group's two characters), so
-    both checks must reject exactly the other flips.
+    chi(1, 1) = 1.  Any other flip multiplies the factor by -1 on the
+    flipped set, which leaves a homomorphism only when that set is the
+    complement of a subgroup of index 2; for these sets, exactly when the
+    set is half the group.  Both checks must reject exactly the other
+    flips; a check of g alone accepts every coset flip.
     """
     tables = rejected = 0
     for gp in sweep_pairs(10, 9):
@@ -998,16 +971,19 @@ def test_generator_criterion_matches_all_pairs_check_under_mutation():
         assert _table_of_rows(tab, *rows) == tab.chi_table()
         assert lparam._is_multiplicative(*groups, *rows)
         assert all_pairs_multiplicative(tab.chi_table())
-        for side, masks in enumerate((masksW, masksV)):
-            for m in masks:
+        for side, grp in enumerate(groups):
+            flips = [{m} for m in grp.masks]
+            flips += [{m, m ^ g} for g in grp.generators[:1]
+                      for m in grp.masks if m < m ^ g]
+            for flip in flips:
                 flipped = list(rows)
-                flipped[side] ^= 1 << m
+                flipped[side] ^= sum(1 << m for m in flip)
                 fast = lparam._is_multiplicative(*groups, *flipped)
                 slow = all_pairs_multiplicative(_table_of_rows(tab, *flipped))
-                still_character = m != 0 and len(masks) == 2
-                assert fast == slow == still_character, (gp, side, m)
+                still_character = 0 not in flip and 2 * len(flip) == len(grp.masks)
+                assert fast == slow == still_character, (gp, side, flip)
                 rejected += not fast
-    assert (tables, rejected) == (842, 9_770)
+    assert (tables, rejected) == (842, 14_161)
 
 
 # The exact-count identities of the benchmark's χ workloads, per sweep:

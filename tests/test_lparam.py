@@ -1,8 +1,5 @@
-import copy
 import json
 import pickle
-import random
-from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -10,20 +7,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gp_reference import (
-    _subset_sums,
-    all_pairs_multiplicative,
-    dichotomy_by_bits,
+    ReferenceTable,
     dichotomy_identity_check,
     eigenspace_split,
     endoscopic_split,
     enumerate_reduced_by_scan,
-    factor_rows,
     gp_character,
-    reference_factor_table,
     sweep_pairs,
+    sweep_records,
 )
 from gpkit import cli, lparam, quadspace
-from gpkit.epsilon import eps_half
 from gpkit.lparam import (
     Ambient,
     CentralElement,
@@ -49,7 +42,7 @@ from gpkit.lparam import (
     validate,
 )
 from gpkit.quadspace import NotAdmissible, QuadSpace
-from gpkit.weilrep import CharRep, DiscRep, WeilRep, irred_dim, tensor
+from gpkit.weilrep import CharRep, DiscRep, WeilRep
 
 
 def D(k, t=0):
@@ -334,56 +327,6 @@ class TestGPPairConstruction:
             make_gp_pair(phiW, phiV)
 
 
-def _dichotomy_error(tab, x, y):
-    # the rule dichotomy() keeps for its errors: the range check of
-    # _check_masks first, then the central elements y = 0 and y = fullV
-    fullW, fullV = tab._content.fullW, tab._content.fullV
-    if not (0 <= x <= fullW and 0 <= y <= fullV):
-        return ValueError, "masks have bits outside the component-group bases"
-    if y in (0, fullV):
-        return CentralElement, "s_V lies in {identity, all-(-1)}"
-    return None
-
-
-def _precedence_tables():
-    # the first pair of each basis-size shape up to dims 6, k <= 7: empty,
-    # one-slot and larger bases on either side
-    shapes = {}
-    for gp in sweep_pairs(6, 7):
-        shape = (len(gp.phiW.group.basis), len(gp.phiV.group.basis))
-        shapes.setdefault(shape, gp)
-    return [GPCharacterTable(gp) for gp in shapes.values()]
-
-
-def test_dichotomy_errors_keep_their_precedence():
-    tables = _precedence_tables()
-    assert len(tables) >= 8
-    seen = dict.fromkeys(
-        (ValueError, CentralElement, OddHalfExponent, DichotomyReport), 0
-    )
-    for tab in tables:
-        elements = set(product(tab.groupW.masks, tab.groupV.masks))
-        for x in range(-1, tab._content.fullW + 2):
-            for y in range(-1, tab._content.fullV + 2):
-                want = _dichotomy_error(tab, x, y)
-                try:
-                    got = tab.dichotomy(x, y)
-                except ValueError as exc:
-                    assert (type(exc), str(exc)) == want, (tab.gp, x, y)
-                    seen[type(exc)] += 1
-                    continue
-                except OddHalfExponent:
-                    # in range and not central, but not an element either
-                    assert want is None and (x, y) not in elements
-                    seen[OddHalfExponent] += 1
-                    continue
-                assert want is None, (tab.gp, x, y)
-                if (x, y) in elements:
-                    assert got == dichotomy_identity_check(tab.gp, x, y)
-                seen[DichotomyReport] += 1
-    assert all(seen.values()), seen
-
-
 class TestEndoscopy:
     def test_central_elements_rejected(self):
         gp = so45_pair()
@@ -425,397 +368,134 @@ def _criterion5_pairs():
 # workload (`verify dichotomy --max-dim 5 --max-k 25`), with their pair counts
 SWEEP_FAMILIES = {"criterion-5": (10, 9, 992), "chi-narrow": (5, 25, 8_464)}
 
-# the families over which the report rows are compared with the bit
-# formula: the two sweep families and `--max-dim 8 --max-k 11`
-ROW_FAMILIES = dict(SWEEP_FAMILIES, **{"8/11": (8, 11, 2_394)})
+# the families of the χ oracle contract: the two above and `--max-dim 8
+# --max-k 11`
+FAMILIES = dict(SWEEP_FAMILIES, **{"8/11": (8, 11, 2_394)})
+
+# the outcomes every walk of the contract meets, and those that each seam
+# adds: the errors of the reads, the values of chi, the dichotomy reports
+# (ok ones unmutated, all eight under the row seam), and the verdicts of
+# verify
+REPORTS = {DichotomyReport(f1 * f2 == chi, chi, f1, f2)
+           for f1, f2, chi in product((1, -1), repeat=3)}
+OK_REPORTS = {r for r in REPORTS if r.ok}
+OUTCOMES = {ValueError, CentralElement, OddHalfExponent, 1, -1}
+SEAM_OUTCOMES = {
+    "unmutated": OK_REPORTS | {"passed"},
+    "exponent_seam": OK_REPORTS | {"passed", "raised"},
+    "row_seam": REPORTS | {"passed", "not a character", "failures"},
+}
 
 
 def _outcome(read, *args):
-    # a read's report, or the type and message of the error it raises
+    # ("ok", what the read returns), or the type and message of its error
     try:
-        return read(*args)
+        return "ok", read(*args)
     except (ValueError, OddHalfExponent) as exc:
         return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("family", ROW_FAMILIES)
-def test_report_rows_match_the_bit_formula(family):
-    # dichotomy() reads byte y of its content's report row x; the oracle
-    # reads the four entries off the bit rows on each call.  Every x of the
-    # W-masks, elements or not, and y from -1 to fullV + 1: the reports, the
-    # entries that are not +-1 and the range and central errors
-    max_dim, max_k, n_pairs = ROW_FAMILIES[family]
-    seen, n = Counter(), 0
-    for gp in sweep_pairs(max_dim, max_k):
-        tab = GPCharacterTable(gp)
-        rows = _rows(tab)
-        fullW, fullV = tab._content.fullW, tab._content.fullV
-        for x in range(fullW + 1):
-            for y in range(-1, fullV + 2):
-                want = _outcome(dichotomy_by_bits, tab, rows, x, y)
-                assert _outcome(tab.dichotomy, x, y) == want, (gp, x, y)
-                seen[want[0] if isinstance(want, tuple) else DichotomyReport] += 1
-        n += 1
-    assert n == n_pairs
-    assert set(seen) == {DichotomyReport, ValueError, CentralElement,
-                         OddHalfExponent}, seen
+def _reads(table, fullW, fullV):
+    # the outcomes of chi on every mask pair, of dichotomy on every x and y
+    # from -1 to full + 1, and of verify, for a table or its reference; the
+    # reads catch their errors inline, as the contract makes about a million
+    out = []
+    for read, xs, ys in (
+        (table.chi, range(fullW + 1), range(fullV + 1)),
+        (table.dichotomy, range(-1, fullW + 2), range(-1, fullV + 2)),
+    ):
+        for x in xs:
+            for y in ys:
+                try:
+                    out.append(("ok", read(x, y)))
+                except (ValueError, OddHalfExponent) as exc:
+                    out.append((type(exc), str(exc)))
+    return out + [_outcome(table.verify)]
 
 
-def test_report_rows_match_the_bit_formula_on_random_rows():
-    # contents that no pair has: random bit rows, so that each of the four
-    # entries an identity reads is -1, +1 or not +-1 in every combination.
-    # dichotomy() reads the table only through its content record, built
-    # here with groups of nW and nV even-dimensional slots
-    rng = random.Random(23)
-    tab = copy.copy(GPCharacterTable(so45_pair()))
-    seen = Counter()
-    for _ in range(400):
-        nW, nV = rng.randrange(4), rng.randrange(1, 4)
-        groupW, groupV = (
-            lparam.ComponentGroup(tuple(DiscRep(k) for k in range(1, n + 1)))
-            for n in (nW, nV)
-        )
-        width = 1 << nV
-        defined = tuple(rng.getrandbits(width) for _ in range(1 << nW))
-        minus = tuple(d & rng.getrandbits(width) for d in defined)
-        tab._content = lparam._TableContent(defined, minus, groupW, groupV)
-        for x in range(1 << nW):
-            for y in range(-1, width + 1):
-                want = _outcome(dichotomy_by_bits, tab, (defined, minus), x, y)
-                assert _outcome(tab.dichotomy, x, y) == want, (defined, x, y)
-                seen[want[0] if isinstance(want, tuple) else want] += 1
-    # the eight reports and the three errors
-    assert len(seen) == 8 + 3, seen
+def _kinds(outcomes):
+    # the outcomes as SEAM_OUTCOMES counts them: each error type, each value
+    # of chi, each report, and the verdict of verify
+    *reads, (tag, verdict) = outcomes
+    kinds = {value if tag == "ok" else tag for tag, value in reads}
+    if tag != "ok":
+        return kinds | {"raised"}
+    _, is_character, failures = verdict
+    broken = set() if is_character else {"not a character"}
+    broken |= {"failures"} if failures else set()
+    return kinds | (broken or {"passed"})
 
 
-def _rows(tab):
-    # the factor table's two bit rows per W-mask, rebuilt from its groups:
-    # the content record keeps only what is read off them
-    return factor_rows(tab.groupW, tab.groupV)
+@pytest.mark.parametrize("seam", ["unmutated", "exponent_seam", "row_seam"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_chi_oracle_contract(family, seam, request, capsys):
+    """On every pair of the family, the public reads of the χ table equal
+    those of ``gp_reference.ReferenceTable`` on the bit rows that the seam
+    gives (``conftest.py``; unmutated, the reference's own): ``chi`` on
+    every mask pair, ``dichotomy`` on every x and y from −1 to full + 1
+    (reports, errors and their order) and ``verify``.  ``verify
+    dichotomy`` over the family reports the reference's verdicts as
+    failure records, or exits 3 where one raised.  The walk builds its
+    tables with one content memo for the whole family, so contents are
+    shared across sweep units too; the sweep empties it per unit.
+
+    The reference is a function of what it reads (the rows, fullV and the
+    groups' elements), so its outcomes are computed once per distinct
+    input; the table's are computed on every pair."""
+    rows_of = request.getfixturevalue(seam)
+    max_dim, max_k, n_pairs = FAMILIES[family]
+    reference, seen, verdicts = {}, set(), []
+    # enumerated whole before any table is built, so that every table of the
+    # family is built with one content memo, not one memo per sweep unit
+    pairs = list(sweep_pairs(max_dim, max_k))
+    for gp in pairs:
+        tab, rows = GPCharacterTable(gp), rows_of(gp)
+        fullW, fullV = len(rows[0]) - 1, (1 << len(tab.groupV.basis)) - 1
+        key = rows, fullV, tab.groupW.masks, tab.groupV.masks
+        want = reference.get(key)
+        if want is None:
+            want = reference[key] = _reads(ReferenceTable(gp, rows), fullW, fullV)
+            seen |= _kinds(want)
+        assert _reads(tab, fullW, fullV) == want, gp
+        if want[-1][0] == "ok":
+            verdicts.append((gp, want[-1][1]))
+    assert len(pairs) == n_pairs
+    assert seen == OUTCOMES | SEAM_OUTCOMES[seam], seen
+
+    rc = cli.run(["--json", "verify", "dichotomy", "--max-dim", str(max_dim),
+                  "--max-k", str(max_k), "--jobs", "1"])
+    report = json.loads(capsys.readouterr().out)
+    if len(verdicts) < n_pairs:
+        assert (rc, report) == (3, {
+            "error": "OddHalfExponent: non-symplectic tensor block in χ"
+        })
+        return
+    records = sweep_records(verdicts)
+    assert (rc, report["status"]) == ((1, "FAIL") if records else (0, "PASS"))
+    assert report["cases_checked"] == sum(v[0] for _, v in verdicts)
+    assert report["counterexamples"] == records
 
 
-def _with_rows(tables):
-    # each table with its bit rows, as _compare_verify_with_reference takes it
-    return ((tab, _rows(tab)) for tab in tables)
+# the contents of the last unit of `verify dichotomy --max-dim 5 --max-k 25`
+# (dim W = 4, dim V = 5), which the content memo holds after that sweep
+LAST_UNIT_RECORDS = 18
 
 
-def _built(tab):
-    # everything the table's content record holds
-    c = tab._content
-    return c.fullW, c.fullV, c.colD, c.colM, c.rowD, c.rowM, c.verdict, c.reports
-
-
-def _entries(tab):
-    # the bit rows read back as integer entries F[x][y] in {1, -1, 0}
-    width = 1 << len(tab.groupV.basis)
-    return tuple(
-        tuple(
-            (-1 if minus >> y & 1 else 1) if defined >> y & 1 else 0
-            for y in range(width)
-        )
-        for defined, minus in zip(*_rows(tab))
-    )
-
-
-def _assert_rows_match_reference(tab, ref):
-    defined, minus = _rows(tab)
-    assert len(defined) == len(ref) == 1 << len(tab.groupW.basis)
-    for d, m in zip(defined, minus):
-        assert d >> len(ref[0]) == 0  # no bit beyond the last V-mask
-        assert m & ~d == 0  # a -1 entry is a defined entry
-    assert _entries(tab) == ref
-
-
-@pytest.mark.parametrize("family", SWEEP_FAMILIES)
-def test_bit_rows_match_the_integer_table(family):
-    # every entry, the 0 (non-symplectic) ones included
-    max_dim, max_k, n_pairs = SWEEP_FAMILIES[family]
-    n = 0
-    for gp in sweep_pairs(max_dim, max_k):
-        _assert_rows_match_reference(
-            GPCharacterTable(gp), reference_factor_table(gp)
-        )
-        n += 1
-    assert n == n_pairs
-
-
-def _synthetic_exponent(sig, rho):
-    # odd and negative exponents, -5..5, which no reduced pair has (every
-    # reduced e_ij is even): they reach the mod-4 carry and the zeros of
-    # odd block sums
-    i = sig.k if isinstance(sig, DiscRep) else sig.a
-    j = rho.k if isinstance(rho, DiscRep) else rho.a
-    return (7 * i - 3 * j) % 11 - 5
-
-
-@pytest.fixture
-def synthetic_exponents(monkeypatch):
-    monkeypatch.setattr(lparam, "_pair_exponent", _synthetic_exponent)
-    lparam._slot_planes.cache_clear()
-    yield _synthetic_exponent
-    lparam._slot_planes.cache_clear()  # drop the synthetic planes
-
-
-def test_bit_rows_match_the_integer_table_on_synthetic_exponents(
-    synthetic_exponents,
-):
-    seen, zeros = set(), 0
-    for gp in _criterion5_pairs():
-        tab = GPCharacterTable(gp)
-        ref = reference_factor_table(gp, synthetic_exponents)
-        _assert_rows_match_reference(tab, ref)
-        seen.update(
-            synthetic_exponents(sig, rho)
-            for sig, rho in product(tab.groupW.basis, tab.groupV.basis)
-        )
-        # entries of symplectic dimensions that are 0 by an odd block sum
-        dimW, dimV = (
-            _subset_sums([irred_dim(rho) for rho in grp.basis])
-            for grp in (tab.groupW, tab.groupV)
-        )
-        zeros += sum(
-            ref[x][y] == 0
-            for x in range(len(dimW)) if dimW[x] % 2 == 0
-            for y in range(len(dimV)) if dimV[y] % 2 == 0
-        )
-    assert seen == set(range(-5, 6)) and zeros
-
-
-def test_reads_follow_the_integer_table_on_synthetic_exponents(
-    synthetic_exponents,
-):
-    # chi and dichotomy on every mask pair: the value read off the
-    # reference table, or OddHalfExponent when an entry they read is 0
-    raised = read = 0
-    for gp in _criterion5_pairs():
-        tab = GPCharacterTable(gp)
-        F = reference_factor_table(gp, synthetic_exponents)
-        fullW, fullV = len(F) - 1, len(F[0]) - 1
-        for x, y in product(range(fullW + 1), range(fullV + 1)):
-            chi = F[x][fullV] * F[fullW][y]
-            factors = (F[fullW ^ x][y], F[x][fullV ^ y])
-            reads = [(tab.chi, chi, chi)]
-            if y not in (0, fullV):
-                want = DichotomyReport(
-                    factors[0] * factors[1] == chi, chi, *factors
-                )
-                reads.append((tab.dichotomy, want, chi * factors[0] * factors[1]))
-            for method, want, defined in reads:
-                if defined:
-                    assert method(x, y) == want, (gp, x, y)
-                    read += 1
-                else:
-                    with pytest.raises(OddHalfExponent):
-                        method(x, y)
-                    raised += 1
-    assert read and raised
-
-
-def _verify_by_reference(tab, rows):
-    # verify() recomputed: the all-pairs oracle over chi_table() and a
-    # per-element loop of the bit formula on the rows over every x and
-    # non-central y
-    table = tab.chi_table()
-    full = (1 << len(tab.groupV.basis)) - 1
-    loop = [
-        (x, y, dichotomy_by_bits(tab, rows, x, y))
-        for y in tab.groupV.masks if y not in (0, full)
-        for x in tab.groupW.masks
-    ]
-    failures = [case for case in loop if not case[2].ok]
-    return len(table) ** 2 + len(loop), all_pairs_multiplicative(table), failures
-
-
-def _compare_verify_with_reference(tables):
-    # over (table, its bit rows): how many tables raised, were not
-    # characters, had failing identities
-    seen = {"tables": 0, "raised": 0, "not a character": 0, "failures": 0}
-    for tab, rows in tables:
-        seen["tables"] += 1
-        try:
-            want = _verify_by_reference(tab, rows)
-        except OddHalfExponent:
-            with pytest.raises(OddHalfExponent):
-                tab.verify()
-            seen["raised"] += 1
-            continue
-        assert tab.verify() == want, tab.gp
-        seen["not a character"] += not want[1]
-        seen["failures"] += bool(want[2])
-    return seen
-
-
-def _flipped(tab, rng):
-    # a copy of the table with one defined entry F[x][y] negated: in column
-    # fullV or row fullW (the rows of the character check) or anywhere, and
-    # the flipped rows.  The copy gets a content record of its own, built
-    # from the flipped rows, so its factors, verdicts and report rows are
-    # built from them too
-    d, minus = _rows(tab)
-    fullW, fullV = tab._content.fullW, tab._content.fullV
-    where = rng.randrange(3)
-    if where == 0:
-        x, y = rng.choice(tab.groupW.masks), fullV
-    else:
-        rows = [x for x in range(fullW + 1) if d[x]]
-        x = fullW if where == 1 else rng.choice(rows)
-        y = rng.choice([y for y in range(fullV + 1) if d[x] >> y & 1])
-    flipped = copy.copy(tab)
-    minus = list(minus)
-    minus[x] ^= 1 << y
-    rows = d, tuple(minus)
-    flipped._content = lparam._TableContent(*rows, tab.groupW, tab.groupV)
-    return flipped, rows
-
-
-@pytest.mark.parametrize("family", SWEEP_FAMILIES)
-def test_verify_matches_the_all_pairs_oracle_and_a_dichotomy_loop(family):
-    max_dim, max_k, n_pairs = SWEEP_FAMILIES[family]
-    tables = map(GPCharacterTable, sweep_pairs(max_dim, max_k))
-    seen = _compare_verify_with_reference(_with_rows(tables))
-    assert seen == {"tables": n_pairs, "raised": 0, "not a character": 0,
-                    "failures": 0}
-
-
-@pytest.mark.parametrize("family", SWEEP_FAMILIES)
-def test_verify_matches_the_reference_on_flipped_entries(family):
-    # one entry of each table negated, so that the three checks are compared
-    # where they can disagree: on non-characters and failing identities
-    max_dim, max_k, n_pairs = SWEEP_FAMILIES[family]
-    rng = random.Random(max_dim * 100 + max_k)
-    tables = (_flipped(GPCharacterTable(gp), rng)
-              for gp in sweep_pairs(max_dim, max_k))
-    seen = _compare_verify_with_reference(tables)
-    assert seen["tables"] == n_pairs and not seen["raised"]
-    assert seen["not a character"] and seen["failures"]
-
-
-@pytest.mark.parametrize("family", SWEEP_FAMILIES)
-def test_verify_matches_the_reference_on_synthetic_exponents(
-    family, synthetic_exponents
-):
-    # odd block sums leave entries undefined: verify() raises exactly where
-    # chi_table() or the dichotomy loop does
-    max_dim, max_k, n_pairs = SWEEP_FAMILIES[family]
-    tables = map(GPCharacterTable, sweep_pairs(max_dim, max_k))
-    seen = _compare_verify_with_reference(_with_rows(tables))
-    assert seen["tables"] == n_pairs and seen["raised"]
-
-
-def _rows_by_loop(gp):
-    # a table's (_defined, _minus) built on its own by the mod-4 adder loop,
-    # as each table once built them: the reference for the row memo
-    groupW, groupV = gp.phiW.group, gp.phiV.group
-    planes = [lparam._slot_planes(sig, groupV.basis) for sig in groupW.basis]
-    lo, hi = [0], [0]
-    for x in range(1, 1 << len(planes)):
-        low = x & -x
-        a0, a1 = lo[x ^ low], hi[x ^ low]
-        b0, b1 = planes[low.bit_length() - 1]
-        lo.append(a0 ^ b0)
-        hi.append(a1 ^ b1 ^ (a0 & b0))
-    evenW, evenV = groupW.even_dims, groupV.even_dims
-    defined = [evenV & ~odd if evenW >> x & 1 else 0 for x, odd in enumerate(lo)]
-    return tuple(defined), tuple(ok & two for ok, two in zip(defined, hi))
-
-
-def _content(gp):
-    # what a table's content record is keyed on: the W-slot planes, both
-    # groups' even_dims and the size of the V-basis
-    groupW, groupV = gp.phiW.group, gp.phiV.group
-    planes = tuple(lparam._slot_planes(sig, groupV.basis) for sig in groupW.basis)
-    return planes, groupW.even_dims, groupV.even_dims, len(groupV.basis)
-
-
-def _sweep_units(max_dim, max_k):
-    # the pairs of sweep_pairs(max_dim, max_k), one list per (dw, dv) unit
-    for dv in range(1, max_dim + 1):
-        for dw in range(dv - 1, -1, -2):
-            yield list(lparam.reduced_gp_pairs(dw, dv, max_k))
-
-
-# distinct table contents over the whole family, and in its largest unit
-DISTINCT_CONTENTS = {"criterion-5": (383, 50), "chi-narrow": (39, 18)}
-
-
-@pytest.mark.parametrize("family", SWEEP_FAMILIES)
-def test_tables_share_rows_by_content(family):
-    # each unit's tables built twice: with the memo cold (as the family left
-    # it) and warm (every content already built). Every table's rows equal
-    # its own loop-built rows, every verify() the reference, and the tables
-    # of one content share one content record
-    max_dim, max_k, n_pairs = SWEEP_FAMILIES[family]
-    distinct, largest = DISTINCT_CONTENTS[family]
-    contents, n, biggest = set(), 0, 0
-    for pairs in _sweep_units(max_dim, max_k):
-        assert not lparam._CONTENTS  # emptied when the unit started
-        shared = {}
-        for warm in (False, True):
-            before = len(lparam._CONTENTS)
-            tables = [GPCharacterTable(gp) for gp in pairs]
-            after = len(lparam._CONTENTS)
-            for gp, tab in zip(pairs, tables):
-                assert _rows(tab) == _rows_by_loop(gp), gp
-                first = shared.setdefault(_content(gp), tab._content)
-                assert first is tab._content
-            assert _compare_verify_with_reference(_with_rows(tables)) == {
-                "tables": len(pairs), "raised": 0, "not a character": 0,
-                "failures": 0,
-            }
-            # one record per content on the cold pass, none on the warm one
-            assert after - before == (0 if warm else len(shared))
-        contents.update(shared)
-        biggest = max(biggest, len(shared))
-        n += len(pairs)
-    assert n == n_pairs
-    assert (len(contents), biggest) == (distinct, largest)
-
-
-# the content records built by a sweep, summed over its units: one per
-# distinct content of each unit
-UNIT_CONTENTS = {"criterion-5": 395, "chi-narrow": 43}
-
-
-def test_memos_hold_one_unit_after_a_sweep(capsys, monkeypatch):
-    # `verify dichotomy` (run in this process) builds each content record
-    # once per distinct content of each unit, and the one content memo,
-    # emptied when a unit starts, then holds at most the contents of the
-    # largest unit.  Every record is built whole: its verdict and a report
-    # row for every x, the rows whose F[x][fullV] is not +-1 one object
-    built = []
-    init = lparam._TableContent.__init__
-
-    def counted(content, *args):
-        init(content, *args)
-        built.append((content, factor_rows(*args[2:])))
-
-    monkeypatch.setattr(lparam._TableContent, "__init__", counted)
-    for family, (max_dim, max_k, _) in SWEEP_FAMILIES.items():
-        per_unit = sum(len({_content(gp) for gp in pairs})
-                       for pairs in _sweep_units(max_dim, max_k))
-        assert per_unit == UNIT_CONTENTS[family]
-        built.clear()
-        assert cli.run(["--json", "verify", "dichotomy",
-                        "--max-dim", str(max_dim), "--max-k", str(max_k),
-                        "--jobs", "1"]) == 0
-        assert json.loads(capsys.readouterr().out)["status"] == "PASS"
-        assert len(built) == per_unit, family
-        largest = DISTINCT_CONTENTS[family][1]
-        assert 0 < len(lparam._CONTENTS) <= largest
-        assert ({id(c) for c in lparam._CONTENTS.values()}
-                <= {id(c) for c, _ in built})
-        shared = 0
-        for content, (rows, _) in built:
-            defined, is_character, ys, checked = content.verdict
-            assert defined and is_character and checked > 0
-            assert len(content.reports) == content.fullW + 1
-            undefined = [row for x, row in enumerate(content.reports)
-                         if not rows[x] >> content.fullV & 1]
-            assert all(row is undefined[0] for row in undefined)
-            assert set(undefined[:1]) <= {bytes([lparam._UNDEFINED])
-                                           * (content.fullV + 1)}
-            shared += len(undefined) > 1
-        assert shared, family
+def test_memos_hold_one_unit_after_a_sweep(capsys):
+    # the tables' one memo is the memo of their content records (the row
+    # build keeps no memo, the verdict memo is gone).  Starting a sweep unit
+    # empties it, so after a sweep it holds the last unit's contents, and
+    # in a record the rows of every x with F[x][fullV] not +-1 are one object
+    assert not hasattr(lparam, "_MULTIPLICATIVE")
+    assert not hasattr(lparam._factor_rows, "cache_info")
+    memo = lparam._CONTENTS
+    assert cli.run(["--json", "verify", "dichotomy", "--max-dim", "5",
+                    "--max-k", "25", "--jobs", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "PASS"
+    assert len(memo) == LAST_UNIT_RECORDS
+    assert any(len(set(map(id, c.reports))) < len(c.reports) for c in memo.values())
+    next(lparam.reduced_gp_pairs(0, 1, 25))
+    assert not memo
 
 
 def test_reduced_gp_pairs_share_the_v_parameters():
@@ -925,53 +605,6 @@ def test_enumerate_reduced_lists_the_scan_in_order():
     assert n == 57_638
 
 
-class TestPairExponentMemo:
-    def test_entries_match_direct_tensor_on_family(self):
-        lparam._pair_exponent.cache_clear()
-        lparam._slot_planes.cache_clear()
-        pairs = set()
-        for gp in _criterion5_pairs():
-            GPCharacterTable(gp)
-            pairs.update(
-                product(
-                    component_group(gp.phiW).basis,
-                    component_group(gp.phiV).basis,
-                )
-            )
-        assert lparam._pair_exponent.cache_info().currsize == len(pairs)
-        for sig, rho in pairs:
-            direct = eps_half(tensor(WeilRep([sig]), WeilRep([rho]))).e
-            assert lparam._pair_exponent(sig, rho) == direct, (sig, rho)
-
-    def test_cold_and_warm_tables_agree_on_family(self):
-        for gp in _criterion5_pairs():
-            lparam._pair_exponent.cache_clear()
-            lparam._slot_planes.cache_clear()
-            memo = gp.phiV.group._planes_by_slot
-            memo.clear()
-            cold = GPCharacterTable(gp)
-            # the cold build leaves each W-slot's planes in the V group
-            assert list(memo) == list(gp.phiW.group.basis)
-            left = dict(memo)
-            exponents = lparam._pair_exponent.cache_info()
-            planes = lparam._slot_planes.cache_info()
-            warm = GPCharacterTable(gp)
-            # the warm build computes no new exponent and builds or looks up
-            # no plane in the process memo: it reads the cold build's planes
-            # through the V group
-            assert lparam._pair_exponent.cache_info() == exponents
-            assert lparam._slot_planes.cache_info() == planes
-            assert memo.keys() == left.keys()
-            assert all(memo[sig] is left[sig] for sig in left)
-            assert _built(warm) == _built(cold)
-            assert warm.verify() == cold.verify()
-
-
-def _cold_copy(phi):
-    # a parameter validated afresh from its JSON, sharing no object with phi
-    return param_from_json(json.loads(json.dumps(param_to_json(phi))))
-
-
 def _span(gens):
     span = {0}
     for g in gens:
@@ -981,19 +614,6 @@ def _span(gens):
 
 @pytest.mark.parametrize("family", SWEEP_FAMILIES)
 class TestPerParameterCaches:
-    def test_warm_and_cold_parameters_give_the_same_table(self, family):
-        max_dim, max_k, n_pairs = SWEEP_FAMILIES[family]
-        n = 0
-        for gp in sweep_pairs(max_dim, max_k):
-            warm = GPCharacterTable(gp)
-            cold_gp = make_gp_pair(_cold_copy(gp.phiW), _cold_copy(gp.phiV))
-            assert "group" not in vars(cold_gp.phiW)  # nothing cached yet
-            cold = GPCharacterTable(cold_gp)
-            assert _built(warm) == _built(cold), gp
-            assert warm.verify() == cold.verify(), gp
-            n += 1
-        assert n == n_pairs
-
     def test_cached_group_data_match_a_fresh_computation(self, family):
         max_dim, max_k, _ = SWEEP_FAMILIES[family]
         seen = set()

@@ -252,10 +252,8 @@ def test_copies_keep_value_repr_and_stored_data(cls):
     for name in CACHED.get(cls, ()):
         getattr(a, name)
     copies = [copy.copy(a), copy.deepcopy(a)]
-    # a WeilRep has slots and no __getstate__, so it pickles from protocol 2
-    lowest = 2 if cls in (LParameter, GPPair) else 0
     copies += [pickle.loads(pickle.dumps(a, protocol))
-               for protocol in range(lowest, pickle.HIGHEST_PROTOCOL + 1)]
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     for back in copies:
         assert type(back) is cls and back == a and repr(back) == repr(a)
         assert vars(back) == vars(a)
