@@ -1,8 +1,8 @@
 """Value semantics of the frozen value classes of gpkit.
 
 Each class names its fields once and builds its instances in its own
-constructor; equality, hashing, order, the repr and immutability come from
-one base in ``gpkit.quadspace``.  The reprs are pinned byte for byte: they
+constructor; equality, hashing, order, the repr (``WeilRep`` keeps its own)
+and immutability come from one base in ``gpkit.quadspace``.  The reprs are pinned byte for byte: they
 reach the failure records of the CLI (``repr(kappa.factors)``) and the
 digest of ``tests/test_conjclass.py``.
 """
@@ -156,6 +156,11 @@ SAMPLES = {
         "pair=AdmissiblePair(W=QuadSpace(0, 0), V=QuadSpace(1, 0), r=0, "
         "d_sign=1))",
     ),
+    WeilRep: (
+        lambda: (WeilRep([DiscRep(1), (CharRep(0), 2)]), WeilRep()),
+        "WeilRep[2*CharRep(a=0, t=Fraction(0, 1)) + DiscRep(k=1, t=Fraction(0, 1))]",
+        "WeilRep()",
+    ),
     DichotomyReport: (
         lambda: (_REPORTS[0], DichotomyReport(False, -1, 1, 1)),
         "DichotomyReport(ok=True, chi=1, factor_wplus_vminus=1, "
@@ -186,12 +191,15 @@ def _values(obj):
 
 
 def _rebuilt(obj):
-    # the same value built again through the constructor, by keyword
+    # the same value built again through the constructor, by keyword; a
+    # WeilRep takes its summands as its one argument
+    if type(obj) is WeilRep:
+        return WeilRep(obj._summands)
     return type(obj)(**{name: getattr(obj, name) for name in type(obj)._fields})
 
 
 def test_every_value_class_is_sampled():
-    assert len(SAMPLES) == 16 and ORDERED <= set(SAMPLES)
+    assert len(SAMPLES) == 17 and ORDERED <= set(SAMPLES)
 
 
 @pytest.mark.parametrize("cls", SAMPLES, ids=lambda c: c.__name__)

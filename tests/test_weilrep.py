@@ -1,7 +1,6 @@
 import cmath
 import json
 import math
-import pickle
 import random
 from fractions import Fraction
 
@@ -109,17 +108,6 @@ def test_weilrep_canonicalization():
     assert hash(r1) == hash(r2)
     assert r1.mult(C(0)) == 2
     assert r1.dim == 6
-
-
-def test_weilrep_is_a_frozen_value():
-    # on the frozen-value base of gpkit.quadspace, with its own repr: no
-    # field can be set, and it pickles at every protocol
-    r = WeilRep([(C(0), 2), D(1)])
-    with pytest.raises(AttributeError, match="cannot assign to field"):
-        r._summands = ()
-    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        back = pickle.loads(pickle.dumps(r, protocol))
-        assert back == r and hash(back) == hash(r) and repr(back) == repr(r)
 
 
 def test_weilrep_add_and_zero():
