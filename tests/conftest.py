@@ -7,7 +7,9 @@ oracle the bit rows of a pair's factor table under the same breach
 :class:`gp_reference.ReferenceTable` to read.  Pairs walked under a seam
 must be enumerated under it, since a component group keeps the slot planes
 it was first read with.  Every memo a seam touches is emptied or swapped
-for a fresh one, and restored on teardown.
+for a fresh one, and restored on teardown; the fixtures ``cold`` and
+``exponents`` that the seams are built from serve the tests of cold and
+warm tables too.
 
 * ``exponent_seam`` replaces the exponents e of ε(σ ⊗ ρ) = i^e by
   :func:`odd_exponent`.  It reaches the mod-4 carries and the entries that
@@ -52,21 +54,36 @@ def unmutated():
 
 
 @pytest.fixture
-def fresh_contents(monkeypatch):
-    # the tables' content memo, swapped for an empty one for one test
-    monkeypatch.setattr(lparam, "_CONTENTS", {})
+def cold(monkeypatch):
+    """A function that empties the χ memos of ``gpkit.lparam`` that outlive
+    a table (the slot planes, and the tables' content memo, swapped for an
+    empty one), so that the next table is built from its exponents."""
+    def empty():
+        lparam._slot_planes.cache_clear()
+        monkeypatch.setattr(lparam, "_CONTENTS", {})
+    yield empty
+    lparam._slot_planes.cache_clear()  # drop planes a seam or test left
 
 
 @pytest.fixture
-def exponent_seam(monkeypatch, fresh_contents):
-    monkeypatch.setattr(lparam, "_pair_exponent", odd_exponent)
-    lparam._slot_planes.cache_clear()
-    yield lambda gp: factor_rows(gp, odd_exponent)
-    lparam._slot_planes.cache_clear()  # drop the planes of odd exponents
+def exponents(monkeypatch, cold):
+    """A function that puts an exponent function in place of the library's,
+    with the memos emptied, and gives the oracle's ``rows_of`` for it."""
+    def install(exponent):
+        monkeypatch.setattr(lparam, "_pair_exponent", exponent)
+        cold()
+        return lambda gp: factor_rows(gp, exponent)
+    return install
 
 
 @pytest.fixture
-def row_seam(monkeypatch, fresh_contents):
+def exponent_seam(exponents):
+    return exponents(odd_exponent)
+
+
+@pytest.fixture
+def row_seam(monkeypatch, cold):
     build = lparam._factor_rows
     monkeypatch.setattr(lparam, "_factor_rows", lambda *a: flip_rows(*build(*a)))
+    cold()
     return lambda gp: flip_rows(*factor_rows(gp))

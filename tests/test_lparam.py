@@ -2,6 +2,7 @@ import json
 import pickle
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,9 +10,11 @@ from hypothesis import given, strategies as st
 from gp_reference import (
     ReferenceTable,
     dichotomy_identity_check,
+    direct_exponent,
     eigenspace_split,
     endoscopic_split,
     enumerate_reduced_by_scan,
+    factor_rows,
     gp_character,
     sweep_pairs,
     sweep_records,
@@ -372,6 +375,11 @@ SWEEP_FAMILIES = {"criterion-5": (10, 9, 992), "chi-narrow": (5, 25, 8_464)}
 # --max-k 11`
 FAMILIES = dict(SWEEP_FAMILIES, **{"8/11": (8, 11, 2_394)})
 
+# the facets in which the contract compares a table's reads with the
+# reference's: chi, dichotomy where the reference reports and where it
+# raises, and verify
+FACETS = ("chi", "reports", "errors", "verify")
+
 # the outcomes every walk of the contract meets, and those that each seam
 # adds: the errors of the reads, the values of chi, the dichotomy reports
 # (ok ones unmutated, all eight under the row seam), and the verdicts of
@@ -379,7 +387,8 @@ FAMILIES = dict(SWEEP_FAMILIES, **{"8/11": (8, 11, 2_394)})
 REPORTS = {DichotomyReport(f1 * f2 == chi, chi, f1, f2)
            for f1, f2, chi in product((1, -1), repeat=3)}
 OK_REPORTS = {r for r in REPORTS if r.ok}
-OUTCOMES = {ValueError, CentralElement, OddHalfExponent, 1, -1}
+ERRORS = {ValueError, CentralElement, OddHalfExponent}
+OUTCOMES = ERRORS | {1, -1}
 SEAM_OUTCOMES = {
     "unmutated": OK_REPORTS | {"passed"},
     "exponent_seam": OK_REPORTS | {"passed", "raised"},
@@ -395,14 +404,16 @@ def _outcome(read, *args):
         return type(exc), str(exc)
 
 
-def _reads(table, fullW, fullV):
+def _reads(table):
     # the outcomes of chi on every mask pair, of dichotomy on every x and y
     # from -1 to full + 1, and of verify, for a table or its reference; the
     # reads catch their errors inline, as the contract makes about a million
-    out = []
-    for read, xs, ys in (
-        (table.chi, range(fullW + 1), range(fullV + 1)),
-        (table.dichotomy, range(-1, fullW + 2), range(-1, fullV + 2)),
+    fullW = (1 << len(table.groupW.basis)) - 1
+    fullV = (1 << len(table.groupV.basis)) - 1
+    chi, dichotomy = [], []
+    for read, out, xs, ys in (
+        (table.chi, chi, range(fullW + 1), range(fullV + 1)),
+        (table.dichotomy, dichotomy, range(-1, fullW + 2), range(-1, fullV + 2)),
     ):
         for x in xs:
             for y in ys:
@@ -410,20 +421,95 @@ def _reads(table, fullW, fullV):
                     out.append(("ok", read(x, y)))
                 except (ValueError, OddHalfExponent) as exc:
                     out.append((type(exc), str(exc)))
-    return out + [_outcome(table.verify)]
+    return chi, dichotomy, _outcome(table.verify)
 
 
 def _kinds(outcomes):
-    # the outcomes as SEAM_OUTCOMES counts them: each error type, each value
-    # of chi, each report, and the verdict of verify
-    *reads, (tag, verdict) = outcomes
-    kinds = {value if tag == "ok" else tag for tag, value in reads}
-    if tag != "ok":
-        return kinds | {"raised"}
-    _, is_character, failures = verdict
-    broken = set() if is_character else {"not a character"}
-    broken |= {"failures"} if failures else set()
-    return kinds | (broken or {"passed"})
+    # the kinds of outcome in each facet: the values and errors of chi, the
+    # reports and errors of dichotomy, and the verdict of verify
+    chi, dichotomy, (tag, verdict) = outcomes
+    kinds = {
+        "chi": {value if t == "ok" else t for t, value in chi},
+        "reports": {value for t, value in dichotomy if t == "ok"},
+        "errors": {t for t, _ in dichotomy if t != "ok"},
+        "verify": {"raised"},
+    }
+    if tag == "ok":
+        _, is_character, failures = verdict
+        broken = set() if is_character else {"not a character"}
+        broken |= {"failures"} if failures else set()
+        kinds["verify"] = broken or {"passed"}
+    return kinds
+
+
+# the reference's outcomes and their kinds by what it reads: the rows, fullV
+# and the groups' elements.  It is a function of these, so each distinct
+# input is read once per session, under any seam
+_REFERENCE = {}
+
+
+def _reference(gp, rows):
+    groupW, groupV = gp.phiW.group, gp.phiV.group
+    key = rows, len(groupV.basis), groupW.masks, groupV.masks
+    if key not in _REFERENCE:
+        outcomes = _reads(ReferenceTable(gp, rows))
+        _REFERENCE[key] = outcomes, _kinds(outcomes)
+    return _REFERENCE[key]
+
+
+def _facets_off(table, want):
+    # the facets in which the table's reads differ from the outcomes want
+    chi, dichotomy, verdict = _reads(table)
+    off = {"chi"} if chi != want[0] else set()
+    if dichotomy != want[1]:
+        off |= {"reports" if w[0] == "ok" else "errors"
+                for got, w in zip(dichotomy, want[1]) if got != w}
+    return off | ({"verify"} if verdict != want[2] else set())
+
+
+def _walk_family(max_dim, max_k, rows_of):
+    # every pair enumerated before any table is built, so that every table of
+    # the family is built with one content memo, not one memo per sweep
+    # unit: contents are shared across units too
+    pairs = list(sweep_pairs(max_dim, max_k))
+    diffs = {facet: [] for facet in FACETS}
+    seen = {facet: set() for facet in FACETS}
+    verdicts = []
+    for gp in pairs:
+        want, kinds = _reference(gp, rows_of(gp))
+        for facet in _facets_off(GPCharacterTable(gp), want):
+            diffs[facet].append(gp)
+        for facet in FACETS:
+            seen[facet] |= kinds[facet]
+        if want[2][0] == "ok":
+            verdicts.append((gp, want[2][1]))
+    return SimpleNamespace(
+        n=len(pairs), diffs=diffs, seen=seen,
+        complete=len(verdicts) == len(pairs),
+        records=sweep_records(verdicts),
+        cases=sum(verdict[0] for _, verdict in verdicts),
+    )
+
+
+# the walks of the contract, one per family and seam, each made by the
+# first test that reads it
+_WALKS = {}
+
+
+def _walk(request, family, seam):
+    # the seam stays in place for the rest of the calling test
+    rows_of = request.getfixturevalue(seam)
+    if (family, seam) not in _WALKS:
+        _WALKS[family, seam] = _walk_family(*FAMILIES[family][:2], rows_of)
+    return _WALKS[family, seam]
+
+
+def _facet(request, family, seam, facet):
+    # the kinds of outcome the facet met on the family under the seam, once
+    # the table's reads in it equal the reference's on every pair
+    walk = _walk(request, family, seam)
+    assert not walk.diffs[facet], walk.diffs[facet][:3]
+    return walk.seen[facet]
 
 
 @pytest.mark.parametrize("seam", ["unmutated", "exponent_seam", "row_seam"])
@@ -435,59 +521,128 @@ def test_chi_oracle_contract(family, seam, request, capsys):
     every mask pair, ``dichotomy`` on every x and y from −1 to full + 1
     (reports, errors and their order) and ``verify``.  ``verify
     dichotomy`` over the family reports the reference's verdicts as
-    failure records, or exits 3 where one raised.  The walk builds its
-    tables with one content memo for the whole family, so contents are
-    shared across sweep units too; the sweep empties it per unit.
+    failure records, or exits 3 where one raised.
 
-    The reference is a function of what it reads (the rows, fullV and the
-    groups' elements), so its outcomes are computed once per distinct
-    input; the table's are computed on every pair."""
-    rows_of = request.getfixturevalue(seam)
+    The tests below name the facets of the same walk, one family and seam
+    each, and pin the outcomes each facet meets."""
+    walk = _walk(request, family, seam)
     max_dim, max_k, n_pairs = FAMILIES[family]
-    reference, seen, verdicts = {}, set(), []
-    # enumerated whole before any table is built, so that every table of the
-    # family is built with one content memo, not one memo per sweep unit
-    pairs = list(sweep_pairs(max_dim, max_k))
-    for gp in pairs:
-        tab, rows = GPCharacterTable(gp), rows_of(gp)
-        fullW, fullV = len(rows[0]) - 1, (1 << len(tab.groupV.basis)) - 1
-        key = rows, fullV, tab.groupW.masks, tab.groupV.masks
-        want = reference.get(key)
-        if want is None:
-            want = reference[key] = _reads(ReferenceTable(gp, rows), fullW, fullV)
-            seen |= _kinds(want)
-        assert _reads(tab, fullW, fullV) == want, gp
-        if want[-1][0] == "ok":
-            verdicts.append((gp, want[-1][1]))
-    assert len(pairs) == n_pairs
+    assert walk.n == n_pairs
+    assert walk.diffs == {facet: [] for facet in FACETS}
+    seen = set().union(*walk.seen.values())
     assert seen == OUTCOMES | SEAM_OUTCOMES[seam], seen
 
     rc = cli.run(["--json", "verify", "dichotomy", "--max-dim", str(max_dim),
                   "--max-k", str(max_k), "--jobs", "1"])
     report = json.loads(capsys.readouterr().out)
-    if len(verdicts) < n_pairs:
+    if not walk.complete:
         assert (rc, report) == (3, {
             "error": "OddHalfExponent: non-symplectic tensor block in χ"
         })
         return
-    records = sweep_records(verdicts)
-    assert (rc, report["status"]) == ((1, "FAIL") if records else (0, "PASS"))
-    assert report["cases_checked"] == sum(v[0] for _, v in verdicts)
-    assert report["counterexamples"] == records
+    assert (rc, report["status"]) == ((1, "FAIL") if walk.records else (0, "PASS"))
+    assert report["cases_checked"] == walk.cases
+    assert report["counterexamples"] == walk.records
 
 
-# the contents of the last unit of `verify dichotomy --max-dim 5 --max-k 25`
-# (dim W = 4, dim V = 5), which the content memo holds after that sweep
+@pytest.mark.parametrize("family", SWEEP_FAMILIES)
+def test_bit_rows_match_the_integer_table(family, request):
+    # chi reads the table's bit rows; the reference reads those of the
+    # integer table, its 0 (non-symplectic) entries included
+    assert _facet(request, family, "unmutated", "chi") == OUTCOMES - {
+        ValueError, CentralElement}
+
+
+def test_bit_rows_match_the_integer_table_on_synthetic_exponents(request):
+    # odd exponents: the mod-4 carries and the zeros of odd block sums
+    assert _facet(request, "criterion-5", "exponent_seam", "chi") == OUTCOMES - {
+        ValueError, CentralElement}
+
+
+def test_reads_follow_the_integer_table_on_synthetic_exponents(request):
+    # chi and dichotomy: the value read off the reference table, or
+    # OddHalfExponent where an entry they read is 0
+    for facet in ("chi", "reports", "errors"):
+        _facet(request, "criterion-5", "exponent_seam", facet)
+    assert _walk(request, "criterion-5", "exponent_seam").seen["reports"] == OK_REPORTS
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_report_rows_match_the_bit_formula(family, request):
+    # dichotomy's reports against the four entries the reference reads off
+    # the rows on each call
+    assert _facet(request, family, "unmutated", "reports") == OK_REPORTS
+
+
+def test_report_rows_match_the_bit_formula_on_random_rows(request):
+    # flipped rows, so that the four entries an identity reads are +1 and
+    # -1 in every combination: the eight reports and the three errors
+    assert _facet(request, "chi-narrow", "row_seam", "reports") == REPORTS
+    assert _facet(request, "chi-narrow", "row_seam", "errors") == ERRORS
+
+
+def test_dichotomy_errors_keep_their_precedence(request):
+    # a mask out of range first, then a central y (0 or fullV), then an
+    # entry that is not +-1: on every x and y from -1 to full + 1
+    for family in FAMILIES:
+        assert _facet(request, family, "unmutated", "errors") == ERRORS, family
+
+
+@pytest.mark.parametrize("family", SWEEP_FAMILIES)
+def test_verify_matches_the_all_pairs_oracle_and_a_dichotomy_loop(family, request):
+    # the reference's verify: all_pairs_multiplicative on chi over the
+    # elements and a loop of the identity over every x and non-central y
+    assert _facet(request, family, "unmutated", "verify") == {"passed"}
+
+
+@pytest.mark.parametrize("family", SWEEP_FAMILIES)
+def test_verify_matches_the_reference_on_flipped_entries(family, request):
+    # where the checks can disagree: non-characters and failing identities
+    assert _facet(request, family, "row_seam", "verify") == {
+        "passed", "not a character", "failures"}
+
+
+@pytest.mark.parametrize("family", SWEEP_FAMILIES)
+def test_verify_matches_the_reference_on_synthetic_exponents(family, request):
+    # undefined entries: verify raises exactly where the reference does
+    assert _facet(request, family, "exponent_seam", "verify") == {
+        "passed", "raised"}
+
+
+def _sweep_units(max_dim, max_k):
+    # the pairs of sweep_pairs(max_dim, max_k), one list per (dw, dv) unit
+    for dv in range(1, max_dim + 1):
+        for dw in range(dv - 1, -1, -2):
+            yield list(lparam.reduced_gp_pairs(dw, dv, max_k))
+
+
+@pytest.mark.parametrize("family", SWEEP_FAMILIES)
+def test_tables_share_rows_by_content(family):
+    # each unit's tables built twice, as a sweep builds them: with the
+    # content memo that listing the unit emptied (cold), and again with
+    # every content of the unit in it (warm).  Every table of both passes,
+    # those that take an earlier pair's content included, reads as the
+    # reference
+    max_dim, max_k, n_pairs = SWEEP_FAMILIES[family]
+    n = 0
+    for pairs in _sweep_units(max_dim, max_k):
+        for gp in pairs + pairs:
+            want, _ = _reference(gp, factor_rows(gp))
+            assert not _facets_off(GPCharacterTable(gp), want), gp
+        n += len(pairs)
+    assert n == n_pairs
+
+
+# the content records of the last unit of `verify dichotomy --max-dim 5
+# --max-k 25` (dim W = 4, dim V = 5), which the content memo holds after
+# that sweep
 LAST_UNIT_RECORDS = 18
 
 
 def test_memos_hold_one_unit_after_a_sweep(capsys):
-    # the tables' one memo is the memo of their content records (the row
-    # build keeps no memo, the verdict memo is gone).  Starting a sweep unit
-    # empties it, so after a sweep it holds the last unit's contents, and
+    # the tables' one memo, of their content records, is emptied when a
+    # sweep unit starts, so after a sweep it holds the last unit's contents;
     # in a record the rows of every x with F[x][fullV] not +-1 are one object
-    assert not hasattr(lparam, "_MULTIPLICATIVE")
-    assert not hasattr(lparam._factor_rows, "cache_info")
     memo = lparam._CONTENTS
     assert cli.run(["--json", "verify", "dichotomy", "--max-dim", "5",
                     "--max-k", "25", "--jobs", "1"]) == 0
@@ -605,6 +760,35 @@ def test_enumerate_reduced_lists_the_scan_in_order():
     assert n == 57_638
 
 
+class TestPairExponentMemo:
+    def test_entries_match_direct_tensor_on_family(self, exponents):
+        # the library's exponents, and those of the tensor product taken
+        # directly (gp_reference.direct_exponent) put in their place: the
+        # tables of the family read the same either way
+        library = [GPCharacterTable(gp) for gp in _criterion5_pairs()]
+        exponents(direct_exponent)
+        direct = list(_criterion5_pairs())
+        assert [tab.gp for tab in library] == direct
+        for tab, gp in zip(library, direct):
+            assert _reads(GPCharacterTable(gp)) == _reads(tab), gp
+
+    def test_cold_and_warm_tables_agree_on_family(self, cold):
+        # each pair's table built cold, from parameters read afresh from
+        # their JSON with the chi memos emptied, and again warm: both read
+        # as the reference
+        for gp in _criterion5_pairs():
+            want, _ = _reference(gp, factor_rows(gp))
+            cold()
+            fresh = make_gp_pair(_cold_copy(gp.phiW), _cold_copy(gp.phiV))
+            for _ in ("cold", "warm"):
+                assert not _facets_off(GPCharacterTable(fresh), want), gp
+
+
+def _cold_copy(phi):
+    # a parameter validated afresh from its JSON, sharing no object with phi
+    return param_from_json(json.loads(json.dumps(param_to_json(phi))))
+
+
 def _span(gens):
     span = {0}
     for g in gens:
@@ -614,6 +798,22 @@ def _span(gens):
 
 @pytest.mark.parametrize("family", SWEEP_FAMILIES)
 class TestPerParameterCaches:
+    def test_warm_and_cold_parameters_give_the_same_table(self, family, request):
+        # the table of each pair read afresh from JSON, whose parameters
+        # hold no group yet, reads as the reference, and so does the table
+        # of the family's own pair (the contract's unmutated walk)
+        for facet in FACETS:
+            _facet(request, family, "unmutated", facet)
+        max_dim, max_k, n_pairs = SWEEP_FAMILIES[family]
+        n = 0
+        for gp in sweep_pairs(max_dim, max_k):
+            fresh = make_gp_pair(_cold_copy(gp.phiW), _cold_copy(gp.phiV))
+            assert "group" not in vars(fresh.phiW)  # nothing cached yet
+            want, _ = _reference(gp, factor_rows(gp))
+            assert not _facets_off(GPCharacterTable(fresh), want), gp
+            n += 1
+        assert n == n_pairs
+
     def test_cached_group_data_match_a_fresh_computation(self, family):
         max_dim, max_k, _ = SWEEP_FAMILIES[family]
         seen = set()
