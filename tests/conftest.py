@@ -1,4 +1,5 @@
-"""The breach seams of the χ oracle contract (``tests/test_lparam.py``).
+"""The breach seams of the χ tests (``tests/test_lparam.py``,
+``tests/test_cli.py``).
 
 Each seam fixture puts one deliberate breach into ``gpkit.lparam`` for the
 length of one test and yields ``rows_of``: the function that gives the
@@ -6,33 +7,31 @@ oracle the bit rows of a pair's factor table under the same breach
 (:func:`gp_reference.factor_rows`, breached alike), for
 :class:`gp_reference.ReferenceTable` to read.  Pairs walked under a seam
 must be enumerated under it, since a component group keeps the slot planes
-it was first read with.  Every memo a seam touches is emptied or swapped
-for a fresh one, and restored on teardown; the fixtures ``cold`` and
-``exponents`` that the seams are built from serve the tests of cold and
-warm tables too.
+it was first read with.  Every memo a fixture touches is emptied or swapped
+for a fresh one, and restored on teardown, so no test sees what another
+left.
 
+* ``unmutated`` puts no breach in: the oracle reads the reference's own
+  rows.
 * ``exponent_seam`` replaces the exponents e of ε(σ ⊗ ρ) = i^e by
-  :func:`odd_exponent`.  It reaches the mod-4 carries and the entries that
-  are not ±1, where ``chi``, ``dichotomy`` and ``verify`` raise.
+  :func:`gp_reference.odd_exponent`.  It reaches the mod-4 carries and the
+  entries that are not ±1, where ``chi``, ``dichotomy`` and ``verify``
+  raise.
 * ``row_seam`` negates entries of the factor table itself
   (:func:`flip_rows`).  Changed exponents keep every dichotomy identity
   whose four entries are ±1, since the block sums are bilinear; so this is
   the seam that reaches the failure records of ``verify dichotomy``.
+
+The fixtures they are built from serve other tests too: ``cold`` empties
+the memos, ``exponents`` installs any exponent function, and
+``built_rows`` wraps the row build, which ``factor_rows_calls`` uses to
+count the content records built.
 """
 
 import pytest
 
-from gp_reference import factor_rows
+from gp_reference import factor_rows, odd_exponent
 from gpkit import lparam
-from gpkit.weilrep import DiscRep
-
-
-def odd_exponent(sig, rho) -> int:
-    """Odd and negative exponents, −5…5, which no reduced pair has (every
-    reduced exponent is even)."""
-    i = sig.k if isinstance(sig, DiscRep) else sig.a
-    j = rho.k if isinstance(rho, DiscRep) else rho.a
-    return (7 * i - 3 * j) % 11 - 5
 
 
 def flip_rows(defined, minus):
@@ -48,21 +47,22 @@ def flip_rows(defined, minus):
 
 
 @pytest.fixture
-def unmutated():
-    """No breach: the oracle reads the reference's own bit rows."""
-    return factor_rows
-
-
-@pytest.fixture
 def cold(monkeypatch):
     """A function that empties the χ memos of ``gpkit.lparam`` that outlive
     a table (the slot planes, and the tables' content memo, swapped for an
     empty one), so that the next table is built from its exponents."""
+    clear = lparam._slot_planes.cache_clear
     def empty():
-        lparam._slot_planes.cache_clear()
+        clear()
         monkeypatch.setattr(lparam, "_CONTENTS", {})
     yield empty
-    lparam._slot_planes.cache_clear()  # drop planes a seam or test left
+    clear()  # drop planes a seam or test left
+
+
+@pytest.fixture
+def unmutated(cold):
+    cold()
+    return factor_rows
 
 
 @pytest.fixture
@@ -82,8 +82,27 @@ def exponent_seam(exponents):
 
 
 @pytest.fixture
-def row_seam(monkeypatch, cold):
+def built_rows(monkeypatch, cold):
+    """A function that puts ``wrap(rows)`` in place of the bit rows
+    ``(defined, minus)`` that the library builds for a content record, with
+    the memos emptied."""
     build = lparam._factor_rows
-    monkeypatch.setattr(lparam, "_factor_rows", lambda *a: flip_rows(*build(*a)))
-    cold()
+    def install(wrap):
+        monkeypatch.setattr(lparam, "_factor_rows", lambda *a: wrap(build(*a)))
+        cold()
+    return install
+
+
+@pytest.fixture
+def row_seam(built_rows):
+    built_rows(lambda rows: flip_rows(*rows))
     return lambda gp: flip_rows(*factor_rows(gp))
+
+
+@pytest.fixture
+def factor_rows_calls(built_rows):
+    """A list that gains one entry per row build, i.e. per content record
+    built, from an empty content memo on."""
+    calls = []
+    built_rows(lambda rows: calls.append(rows) or rows)
+    return calls

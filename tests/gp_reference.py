@@ -8,7 +8,8 @@
 * The bilinear model: :func:`reference_factor_table` is the factor table
   F[x][y] of :class:`gpkit.lparam.GPCharacterTable` as integers, one ±1/0
   entry per mask pair, summed from the exponents of the irreducible pairs
-  (:func:`direct_exponent`, or any exponent function given).
+  (:func:`direct_exponent`, or any exponent function given, such as the
+  synthetic :func:`odd_exponent`).
   :func:`factor_rows` turns it into two bit rows per W-mask, and
   :class:`ReferenceTable` reads ``chi``, ``dichotomy`` and ``verify`` off
   such rows, with the same errors in the same order; :func:`sweep_records`
@@ -46,13 +47,23 @@ from gpkit.lparam import (
     validate,
 )
 from gpkit.quadspace import InvariantViolation, QuadSpace
-from gpkit.weilrep import IrredRep, WeilRep, irred_dim, tensor
+from gpkit.weilrep import DiscRep, IrredRep, WeilRep, irred_dim, tensor
 
 
 @cache
 def direct_exponent(sig: IrredRep, rho: IrredRep) -> int:
     """The exponent e of ε(σ ⊗ ρ) = i^e, from the tensor product directly."""
     return eps_half(tensor(WeilRep([sig]), WeilRep([rho]))).e
+
+
+def odd_exponent(sig: IrredRep, rho: IrredRep) -> int:
+    """Synthetic exponents, odd and negative ones among them (−5…5), which no
+    reduced pair has (every reduced exponent is even): in place of
+    :func:`direct_exponent` they reach the mod-4 carries and the entries of
+    the factor table that are not ±1."""
+    i = sig.k if isinstance(sig, DiscRep) else sig.a
+    j = rho.k if isinstance(rho, DiscRep) else rho.a
+    return (7 * i - 3 * j) % 11 - 5
 
 
 def _subset_sums(values) -> list[int]:
@@ -73,8 +84,7 @@ def reference_factor_table(gp: GPPair, exponent=direct_exponent):
     The block sums are built row by row, E(x, ·) = E(x ⊕ low, ·) + the
     subset sums of slot low's exponent row, with low the lowest set bit of x.
     """
-    basisW = component_group(gp.phiW).basis
-    basisV = component_group(gp.phiV).basis
+    basisW, basisV = gp.phiW.group.basis, gp.phiV.group.basis
     dimW = _subset_sums([irred_dim(sig) for sig in basisW])
     dimV = _subset_sums([irred_dim(rho) for rho in basisV])
     rows = [_subset_sums([exponent(sig, rho) for rho in basisV])
@@ -93,12 +103,10 @@ def reference_factor_table(gp: GPPair, exponent=direct_exponent):
     )
 
 
-@cache
 def factor_rows(gp: GPPair, exponent=direct_exponent):
     """(``defined``, ``minus``): :func:`reference_factor_table` as two bit
     rows per W-mask x, bit y of ``defined[x]`` set when F[x][y] is ±1 and
-    bit y of ``minus[x]`` when F[x][y] = −1.  Memoised: the oracle contract
-    reads the rows of each pair of a family once per seam."""
+    bit y of ``minus[x]`` when F[x][y] = −1."""
     table = reference_factor_table(gp, exponent)
     return (
         tuple(sum(1 << y for y, f in enumerate(row) if f) for row in table),
@@ -218,14 +226,11 @@ def all_pairs_multiplicative(table: dict) -> bool:
     :meth:`GPCharacterTable.chi_table` gives it, is ±1-valued with
     χ(s·t) = χ(s)·χ(t) for every pair of elements s, t: all
     |𝒮_W × 𝒮_V|² product identities, one by one."""
-    if not all(v in (1, -1) for v in table.values()):
-        return False
-    items = list(table.items())
-    for (x1, y1), v1 in items:
-        for (x2, y2), v2 in items:
-            if table[x1 ^ x2, y1 ^ y2] != v1 * v2:
-                return False
-    return True
+    return all(v in (1, -1) for v in table.values()) and all(
+        table[(x1 ^ x2, y1 ^ y2)] == v1 * v2
+        for (x1, y1), v1 in table.items()
+        for (x2, y2), v2 in table.items()
+    )
 
 
 def eps_symplectic(A: WeilRep | IrredRep) -> int:

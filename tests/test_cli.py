@@ -467,10 +467,8 @@ print("ok")
             # conftest.py): some tables are no characters and some
             # identities fail, as the reference finds under the same breach
             rows_of = request.getfixturevalue("row_seam")
-            want = sweep_records(
-                (gp, ReferenceTable(gp, rows_of(gp)).verify())
-                for gp in sweep_pairs(5, 5)
-            )
+            verdicts = [(gp, ReferenceTable(gp, rows_of(gp)).verify())
+                        for gp in sweep_pairs(5, 5)]
         else:
             # every form gets Kottwitz sign +1, so the e0 = -1 side selects
             # nothing and its predicted coset is missed
@@ -488,7 +486,8 @@ print("ok")
                     assert ce["case"]["kind"] == "chi-multiplicativity"
             kinds = {ce["case"]["kind"] for ce in out["counterexamples"]}
             assert kinds == {"chi-multiplicativity", "dichotomy"}
-            assert out["counterexamples"] == want
+            assert out["counterexamples"] == sweep_records(verdicts)
+            assert out["cases_checked"] == sum(v[0] for _, v in verdicts)
             return
         for ce in out["counterexamples"]:
             assert set(ce) == {"case", "lhs", "rhs"}

@@ -2,7 +2,6 @@ import json
 import pickle
 from fractions import Fraction
 from itertools import product
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,8 +15,9 @@ from gp_reference import (
     enumerate_reduced_by_scan,
     factor_rows,
     gp_character,
+    odd_exponent,
+    reference_factor_table,
     sweep_pairs,
-    sweep_records,
 )
 from gpkit import cli, lparam, quadspace
 from gpkit.lparam import (
@@ -371,29 +371,16 @@ def _criterion5_pairs():
 # workload (`verify dichotomy --max-dim 5 --max-k 25`), with their pair counts
 SWEEP_FAMILIES = {"criterion-5": (10, 9, 992), "chi-narrow": (5, 25, 8_464)}
 
-# the families of the χ oracle contract: the two above and `--max-dim 8
-# --max-k 11`
+# the families over which the table's reads are compared with the
+# reference's: the two sweep families and `--max-dim 8 --max-k 11`
 FAMILIES = dict(SWEEP_FAMILIES, **{"8/11": (8, 11, 2_394)})
 
-# the facets in which the contract compares a table's reads with the
-# reference's: chi, dichotomy where the reference reports and where it
-# raises, and verify
-FACETS = ("chi", "reports", "errors", "verify")
-
-# the outcomes every walk of the contract meets, and those that each seam
-# adds: the errors of the reads, the values of chi, the dichotomy reports
-# (ok ones unmutated, all eight under the row seam), and the verdicts of
-# verify
+# the reports dichotomy can give (the four ok ones on a true table) and the
+# errors it raises
 REPORTS = {DichotomyReport(f1 * f2 == chi, chi, f1, f2)
            for f1, f2, chi in product((1, -1), repeat=3)}
 OK_REPORTS = {r for r in REPORTS if r.ok}
 ERRORS = {ValueError, CentralElement, OddHalfExponent}
-OUTCOMES = ERRORS | {1, -1}
-SEAM_OUTCOMES = {
-    "unmutated": OK_REPORTS | {"passed"},
-    "exponent_seam": OK_REPORTS | {"passed", "raised"},
-    "row_seam": REPORTS | {"passed", "not a character", "failures"},
-}
 
 
 def _outcome(read, *args):
@@ -404,209 +391,183 @@ def _outcome(read, *args):
         return type(exc), str(exc)
 
 
-def _reads(table):
-    # the outcomes of chi on every mask pair, of dichotomy on every x and y
-    # from -1 to full + 1, and of verify, for a table or its reference; the
-    # reads catch their errors inline, as the contract makes about a million
-    fullW = (1 << len(table.groupW.basis)) - 1
-    fullV = (1 << len(table.groupV.basis)) - 1
-    chi, dichotomy = [], []
-    for read, out, xs, ys in (
-        (table.chi, chi, range(fullW + 1), range(fullV + 1)),
-        (table.dichotomy, dichotomy, range(-1, fullW + 2), range(-1, fullV + 2)),
-    ):
-        for x in xs:
-            for y in ys:
-                try:
-                    out.append(("ok", read(x, y)))
-                except (ValueError, OddHalfExponent) as exc:
-                    out.append((type(exc), str(exc)))
-    return chi, dichotomy, _outcome(table.verify)
+def _grid(read, xs, ys):
+    # the outcomes of read on every (x, y); the errors are caught inline, as
+    # the family walks make about a million reads
+    out = []
+    for x in xs:
+        for y in ys:
+            try:
+                out.append(("ok", read(x, y)))
+            except (ValueError, OddHalfExponent) as exc:
+                out.append((type(exc), str(exc)))
+    return out
 
 
-def _kinds(outcomes):
-    # the kinds of outcome in each facet: the values and errors of chi, the
-    # reports and errors of dichotomy, and the verdict of verify
-    chi, dichotomy, (tag, verdict) = outcomes
-    kinds = {
-        "chi": {value if t == "ok" else t for t, value in chi},
-        "reports": {value for t, value in dichotomy if t == "ok"},
-        "errors": {t for t, _ in dichotomy if t != "ok"},
-        "verify": {"raised"},
-    }
-    if tag == "ok":
+def _fulls(table):
+    return ((1 << len(table.groupW.basis)) - 1,
+            (1 << len(table.groupV.basis)) - 1)
+
+
+# the reads compared, each a function of a table or of its reference:
+def _chi(table):
+    # chi on every mask pair, elements or not
+    fullW, fullV = _fulls(table)
+    return _grid(table.chi, range(fullW + 1), range(fullV + 1))
+
+
+def _dichotomy(table):
+    # dichotomy on every x and y from -1 to full + 1: the reports, and the
+    # errors with their precedence (a mask out of range, then a central y,
+    # then an entry that is not +-1); it reads every entry of the table
+    fullW, fullV = _fulls(table)
+    return _grid(table.dichotomy, range(-1, fullW + 2), range(-1, fullV + 2))
+
+
+def _verify(table):
+    return [_outcome(table.verify)]
+
+
+def _entries(table):
+    # chi and dichotomy: every entry of the factor table, as the public
+    # reads give it
+    return _chi(table) + _dichotomy(table)
+
+
+def _reference(reads):
+    # want(gp, rows): the reads of ReferenceTable(gp, rows).  The reference
+    # is a function of the rows, fullV and the groups' elements, so each
+    # distinct input is read once per call of _reference
+    memo = {}
+
+    def want(gp, rows):
+        groupW, groupV = gp.phiW.group, gp.phiV.group
+        key = rows, len(groupV.basis), groupW.masks, groupV.masks
+        if key not in memo:
+            memo[key] = reads(ReferenceTable(gp, rows))
+        return memo[key]
+    return want
+
+
+def _walk(family, rows_of, reads):
+    # on every pair of the family, the table's reads equal the reference's
+    # on the rows that rows_of gives (a fixture of conftest.py: unmutated or
+    # a seam); returns (pair, the reference's reads).  Every pair is
+    # enumerated before any table is built, so that the tables of the whole
+    # family share one content memo, across sweep units too
+    max_dim, max_k, n_pairs = FAMILIES[family]
+    pairs = list(sweep_pairs(max_dim, max_k))
+    assert len(pairs) == n_pairs
+    want = _reference(reads)
+    walk = [(gp, want(gp, rows_of(gp))) for gp in pairs]
+    for gp, outcomes in walk:
+        assert reads(GPCharacterTable(gp)) == outcomes, gp
+    return walk
+
+
+def _kinds(walk):
+    # the values returned and the types of error raised in a walk's reads
+    distinct = {id(outcomes): outcomes for _, outcomes in walk}.values()
+    return {value if tag == "ok" else tag
+            for outcomes in distinct for tag, value in outcomes}
+
+
+def _verdicts(walk):
+    # the kinds of verdict of verify in a walk of _verify
+    kinds = set()
+    for _, [(tag, verdict)] in walk:
+        if tag != "ok":
+            kinds.add("raised")
+            continue
         _, is_character, failures = verdict
         broken = set() if is_character else {"not a character"}
-        broken |= {"failures"} if failures else set()
-        kinds["verify"] = broken or {"passed"}
+        kinds |= (broken | ({"failures"} if failures else set())) or {"passed"}
     return kinds
 
 
-# the reference's outcomes and their kinds by what it reads: the rows, fullV
-# and the groups' elements.  It is a function of these, so each distinct
-# input is read once per session, under any seam
-_REFERENCE = {}
-
-
-def _reference(gp, rows):
-    groupW, groupV = gp.phiW.group, gp.phiV.group
-    key = rows, len(groupV.basis), groupW.masks, groupV.masks
-    if key not in _REFERENCE:
-        outcomes = _reads(ReferenceTable(gp, rows))
-        _REFERENCE[key] = outcomes, _kinds(outcomes)
-    return _REFERENCE[key]
-
-
-def _facets_off(table, want):
-    # the facets in which the table's reads differ from the outcomes want
-    chi, dichotomy, verdict = _reads(table)
-    off = {"chi"} if chi != want[0] else set()
-    if dichotomy != want[1]:
-        off |= {"reports" if w[0] == "ok" else "errors"
-                for got, w in zip(dichotomy, want[1]) if got != w}
-    return off | ({"verify"} if verdict != want[2] else set())
-
-
-def _walk_family(max_dim, max_k, rows_of):
-    # every pair enumerated before any table is built, so that every table of
-    # the family is built with one content memo, not one memo per sweep
-    # unit: contents are shared across units too
-    pairs = list(sweep_pairs(max_dim, max_k))
-    diffs = {facet: [] for facet in FACETS}
-    seen = {facet: set() for facet in FACETS}
-    verdicts = []
-    for gp in pairs:
-        want, kinds = _reference(gp, rows_of(gp))
-        for facet in _facets_off(GPCharacterTable(gp), want):
-            diffs[facet].append(gp)
-        for facet in FACETS:
-            seen[facet] |= kinds[facet]
-        if want[2][0] == "ok":
-            verdicts.append((gp, want[2][1]))
-    return SimpleNamespace(
-        n=len(pairs), diffs=diffs, seen=seen,
-        complete=len(verdicts) == len(pairs),
-        records=sweep_records(verdicts),
-        cases=sum(verdict[0] for _, verdict in verdicts),
-    )
-
-
-# the walks of the contract, one per family and seam, each made by the
-# first test that reads it
-_WALKS = {}
-
-
-def _walk(request, family, seam):
-    # the seam stays in place for the rest of the calling test
-    rows_of = request.getfixturevalue(seam)
-    if (family, seam) not in _WALKS:
-        _WALKS[family, seam] = _walk_family(*FAMILIES[family][:2], rows_of)
-    return _WALKS[family, seam]
-
-
-def _facet(request, family, seam, facet):
-    # the kinds of outcome the facet met on the family under the seam, once
-    # the table's reads in it equal the reference's on every pair
-    walk = _walk(request, family, seam)
-    assert not walk.diffs[facet], walk.diffs[facet][:3]
-    return walk.seen[facet]
-
-
-@pytest.mark.parametrize("seam", ["unmutated", "exponent_seam", "row_seam"])
-@pytest.mark.parametrize("family", FAMILIES)
-def test_chi_oracle_contract(family, seam, request, capsys):
-    """On every pair of the family, the public reads of the χ table equal
-    those of ``gp_reference.ReferenceTable`` on the bit rows that the seam
-    gives (``conftest.py``; unmutated, the reference's own): ``chi`` on
-    every mask pair, ``dichotomy`` on every x and y from −1 to full + 1
-    (reports, errors and their order) and ``verify``.  ``verify
-    dichotomy`` over the family reports the reference's verdicts as
-    failure records, or exits 3 where one raised.
-
-    The tests below name the facets of the same walk, one family and seam
-    each, and pin the outcomes each facet meets."""
-    walk = _walk(request, family, seam)
-    max_dim, max_k, n_pairs = FAMILIES[family]
-    assert walk.n == n_pairs
-    assert walk.diffs == {facet: [] for facet in FACETS}
-    seen = set().union(*walk.seen.values())
-    assert seen == OUTCOMES | SEAM_OUTCOMES[seam], seen
-
-    rc = cli.run(["--json", "verify", "dichotomy", "--max-dim", str(max_dim),
-                  "--max-k", str(max_k), "--jobs", "1"])
-    report = json.loads(capsys.readouterr().out)
-    if not walk.complete:
-        assert (rc, report) == (3, {
-            "error": "OddHalfExponent: non-symplectic tensor block in χ"
-        })
-        return
-    assert (rc, report["status"]) == ((1, "FAIL") if walk.records else (0, "PASS"))
-    assert report["cases_checked"] == walk.cases
-    assert report["counterexamples"] == walk.records
-
-
 @pytest.mark.parametrize("family", SWEEP_FAMILIES)
-def test_bit_rows_match_the_integer_table(family, request):
+def test_bit_rows_match_the_integer_table(family, unmutated):
     # chi reads the table's bit rows; the reference reads those of the
     # integer table, its 0 (non-symplectic) entries included
-    assert _facet(request, family, "unmutated", "chi") == OUTCOMES - {
-        ValueError, CentralElement}
+    walk = _walk(family, unmutated, _chi)
+    assert _kinds(walk) == {1, -1, OddHalfExponent}
 
 
-def test_bit_rows_match_the_integer_table_on_synthetic_exponents(request):
-    # odd exponents: the mod-4 carries and the zeros of odd block sums
-    assert _facet(request, "criterion-5", "exponent_seam", "chi") == OUTCOMES - {
-        ValueError, CentralElement}
+def test_bit_rows_match_the_integer_table_on_synthetic_exponents(exponent_seam):
+    # odd and negative exponents, every one of -5..5 on the family's slot
+    # pairs: the mod-4 carries, and entries of symplectic dimensions that
+    # are 0 by an odd block sum
+    walk = _walk("criterion-5", exponent_seam, _chi)
+    assert _kinds(walk) == {1, -1, OddHalfExponent}
+    seen, zeros = set(), 0
+    for gp, _ in walk:
+        basisW, basisV = gp.phiW.group.basis, gp.phiV.group.basis
+        seen.update(odd_exponent(sig, rho) for sig in basisW for rho in basisV)
+        plain = reference_factor_table(gp)
+        odd = reference_factor_table(gp, odd_exponent)
+        zeros += sum(f == 0 != p for row, prow in zip(odd, plain)
+                     for f, p in zip(row, prow))
+    assert seen == set(range(-5, 6)) and zeros
 
 
-def test_reads_follow_the_integer_table_on_synthetic_exponents(request):
-    # chi and dichotomy: the value read off the reference table, or
-    # OddHalfExponent where an entry they read is 0
-    for facet in ("chi", "reports", "errors"):
-        _facet(request, "criterion-5", "exponent_seam", facet)
-    assert _walk(request, "criterion-5", "exponent_seam").seen["reports"] == OK_REPORTS
+def test_reads_follow_the_integer_table_on_synthetic_exponents(exponent_seam):
+    # dichotomy: the report read off the reference table, or OddHalfExponent
+    # where an entry it reads is 0
+    walk = _walk("criterion-5", exponent_seam, _dichotomy)
+    assert _kinds(walk) == OK_REPORTS | ERRORS
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_report_rows_match_the_bit_formula(family, request):
+def test_report_rows_match_the_bit_formula(family, unmutated):
     # dichotomy's reports against the four entries the reference reads off
     # the rows on each call
-    assert _facet(request, family, "unmutated", "reports") == OK_REPORTS
+    assert _kinds(_walk(family, unmutated, _dichotomy)) == OK_REPORTS | ERRORS
 
 
-def test_report_rows_match_the_bit_formula_on_random_rows(request):
+def test_report_rows_match_the_bit_formula_on_random_rows(row_seam):
     # flipped rows, so that the four entries an identity reads are +1 and
-    # -1 in every combination: the eight reports and the three errors
-    assert _facet(request, "chi-narrow", "row_seam", "reports") == REPORTS
-    assert _facet(request, "chi-narrow", "row_seam", "errors") == ERRORS
+    # -1 in every combination: the eight reports and the three errors, and
+    # chi read off the flipped factors
+    walk = _walk("criterion-5", row_seam, _entries)
+    assert _kinds(walk) == REPORTS | ERRORS | {1, -1}
 
 
-def test_dichotomy_errors_keep_their_precedence(request):
-    # a mask out of range first, then a central y (0 or fullV), then an
-    # entry that is not +-1: on every x and y from -1 to full + 1
-    for family in FAMILIES:
-        assert _facet(request, family, "unmutated", "errors") == ERRORS, family
+def test_dichotomy_errors_keep_their_precedence(unmutated):
+    # the first pair of each basis-size shape up to dims 6, k <= 7 (empty,
+    # one-slot and larger bases on either side), read by dichotomy on every
+    # x and y from -1 to full + 1: the errors where several apply come in
+    # the reference's order
+    shapes = {}
+    for gp in sweep_pairs(6, 7):
+        shapes.setdefault((len(gp.phiW.group.basis), len(gp.phiV.group.basis)), gp)
+    assert len(shapes) >= 8
+    want = _reference(_dichotomy)
+    walk = [(gp, want(gp, unmutated(gp))) for gp in shapes.values()]
+    for gp, outcomes in walk:
+        assert _dichotomy(GPCharacterTable(gp)) == outcomes, gp
+    assert _kinds(walk) >= ERRORS
 
 
-@pytest.mark.parametrize("family", SWEEP_FAMILIES)
-def test_verify_matches_the_all_pairs_oracle_and_a_dichotomy_loop(family, request):
+@pytest.mark.parametrize("family", FAMILIES)
+def test_verify_matches_the_all_pairs_oracle_and_a_dichotomy_loop(family, unmutated):
     # the reference's verify: all_pairs_multiplicative on chi over the
     # elements and a loop of the identity over every x and non-central y
-    assert _facet(request, family, "unmutated", "verify") == {"passed"}
+    assert _verdicts(_walk(family, unmutated, _verify)) == {"passed"}
 
 
-@pytest.mark.parametrize("family", SWEEP_FAMILIES)
-def test_verify_matches_the_reference_on_flipped_entries(family, request):
+@pytest.mark.parametrize("family", FAMILIES)
+def test_verify_matches_the_reference_on_flipped_entries(family, row_seam):
     # where the checks can disagree: non-characters and failing identities
-    assert _facet(request, family, "row_seam", "verify") == {
-        "passed", "not a character", "failures"}
+    # (the sweep's records of them: test_cli's
+    # test_broken_identity_gives_failure_records)
+    walk = _walk(family, row_seam, _verify)
+    assert _verdicts(walk) == {"passed", "not a character", "failures"}
 
 
-@pytest.mark.parametrize("family", SWEEP_FAMILIES)
-def test_verify_matches_the_reference_on_synthetic_exponents(family, request):
+@pytest.mark.parametrize("family", FAMILIES)
+def test_verify_matches_the_reference_on_synthetic_exponents(family, exponent_seam):
     # undefined entries: verify raises exactly where the reference does
-    assert _facet(request, family, "exponent_seam", "verify") == {
-        "passed", "raised"}
+    assert _verdicts(_walk(family, exponent_seam, _verify)) == {"passed", "raised"}
 
 
 def _sweep_units(max_dim, max_k):
@@ -616,38 +577,50 @@ def _sweep_units(max_dim, max_k):
             yield list(lparam.reduced_gp_pairs(dw, dv, max_k))
 
 
+# the content records built by a sweep, summed over its units (one per
+# distinct content of each unit), and those of its largest and of its last
+# unit, which the content memo holds after the sweep
+RECORDS_BUILT = {"criterion-5": (395, 50, 5), "chi-narrow": (43, 18, 18)}
+
+
 @pytest.mark.parametrize("family", SWEEP_FAMILIES)
-def test_tables_share_rows_by_content(family):
+def test_tables_share_rows_by_content(family, factor_rows_calls):
     # each unit's tables built twice, as a sweep builds them: with the
     # content memo that listing the unit emptied (cold), and again with
-    # every content of the unit in it (warm).  Every table of both passes,
-    # those that take an earlier pair's content included, reads as the
-    # reference
+    # every content of the unit in it (warm).  The cold pass builds one
+    # content record per distinct content, and every table of it, those
+    # that take an earlier pair's record included, reads as the reference;
+    # the warm pass builds none, so its tables take the same records
     max_dim, max_k, n_pairs = SWEEP_FAMILIES[family]
-    n = 0
+    want = _reference(_entries)
+    per_unit, n = [], 0
     for pairs in _sweep_units(max_dim, max_k):
-        for gp in pairs + pairs:
-            want, _ = _reference(gp, factor_rows(gp))
-            assert not _facets_off(GPCharacterTable(gp), want), gp
+        before = len(factor_rows_calls)
+        for gp in pairs:
+            assert _entries(GPCharacterTable(gp)) == want(gp, factor_rows(gp)), gp
+        per_unit.append(len(factor_rows_calls) - before)
+        for gp in pairs:
+            GPCharacterTable(gp)
+        assert len(factor_rows_calls) == before + per_unit[-1]
         n += len(pairs)
     assert n == n_pairs
+    assert (sum(per_unit), max(per_unit)) == RECORDS_BUILT[family][:2]
 
 
-# the content records of the last unit of `verify dichotomy --max-dim 5
-# --max-k 25` (dim W = 4, dim V = 5), which the content memo holds after
-# that sweep
-LAST_UNIT_RECORDS = 18
-
-
-def test_memos_hold_one_unit_after_a_sweep(capsys):
-    # the tables' one memo, of their content records, is emptied when a
-    # sweep unit starts, so after a sweep it holds the last unit's contents;
-    # in a record the rows of every x with F[x][fullV] not +-1 are one object
+def test_memos_hold_one_unit_after_a_sweep(factor_rows_calls, capsys):
+    # `verify dichotomy`, run in this process, builds one content record
+    # per distinct content of each unit; the one memo, of these records, is
+    # emptied when a unit starts, so after the sweep it holds the last
+    # unit's records.  In a record the rows of every x with F[x][fullV] not
+    # +-1 are one object
     memo = lparam._CONTENTS
-    assert cli.run(["--json", "verify", "dichotomy", "--max-dim", "5",
-                    "--max-k", "25", "--jobs", "1"]) == 0
-    assert json.loads(capsys.readouterr().out)["status"] == "PASS"
-    assert len(memo) == LAST_UNIT_RECORDS
+    for family, (max_dim, max_k, _) in SWEEP_FAMILIES.items():
+        factor_rows_calls.clear()
+        assert cli.run(["--json", "verify", "dichotomy", "--max-dim",
+                        str(max_dim), "--max-k", str(max_k), "--jobs", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "PASS"
+        total, _, last = RECORDS_BUILT[family]
+        assert (len(factor_rows_calls), len(memo)) == (total, last), family
     assert any(len(set(map(id, c.reports))) < len(c.reports) for c in memo.values())
     next(lparam.reduced_gp_pairs(0, 1, 25))
     assert not memo
@@ -763,25 +736,30 @@ def test_enumerate_reduced_lists_the_scan_in_order():
 class TestPairExponentMemo:
     def test_entries_match_direct_tensor_on_family(self, exponents):
         # the library's exponents, and those of the tensor product taken
-        # directly (gp_reference.direct_exponent) put in their place: the
-        # tables of the family read the same either way
-        library = [GPCharacterTable(gp) for gp in _criterion5_pairs()]
+        # directly (gp_reference.direct_exponent) put in their place: every
+        # entry of every table of the family, as dichotomy reads it, is the
+        # same either way
+        library = [_dichotomy(GPCharacterTable(gp)) for gp in _criterion5_pairs()]
         exponents(direct_exponent)
-        direct = list(_criterion5_pairs())
-        assert [tab.gp for tab in library] == direct
-        for tab, gp in zip(library, direct):
-            assert _reads(GPCharacterTable(gp)) == _reads(tab), gp
+        direct = [_dichotomy(GPCharacterTable(gp)) for gp in _criterion5_pairs()]
+        assert len(library) == 992 and library == direct
 
-    def test_cold_and_warm_tables_agree_on_family(self, cold):
+    def test_cold_and_warm_tables_agree_on_family(self, cold, factor_rows_calls):
         # each pair's table built cold, from parameters read afresh from
-        # their JSON with the chi memos emptied, and again warm: both read
-        # as the reference
+        # their JSON with the chi memos emptied, reads as the reference and
+        # verifies as the pair's own table; built again warm, it builds no
+        # content record, so it takes the cold table's, and verifies alike
+        want = _reference(_entries)
         for gp in _criterion5_pairs():
-            want, _ = _reference(gp, factor_rows(gp))
+            verdict = GPCharacterTable(gp).verify()
             cold()
             fresh = make_gp_pair(_cold_copy(gp.phiW), _cold_copy(gp.phiV))
-            for _ in ("cold", "warm"):
-                assert not _facets_off(GPCharacterTable(fresh), want), gp
+            table = GPCharacterTable(fresh)
+            assert _entries(table) == want(gp, factor_rows(gp)), gp
+            assert table.verify() == verdict
+            built = len(factor_rows_calls)
+            assert GPCharacterTable(fresh).verify() == verdict
+            assert len(factor_rows_calls) == built
 
 
 def _cold_copy(phi):
@@ -798,19 +776,20 @@ def _span(gens):
 
 @pytest.mark.parametrize("family", SWEEP_FAMILIES)
 class TestPerParameterCaches:
-    def test_warm_and_cold_parameters_give_the_same_table(self, family, request):
+    def test_warm_and_cold_parameters_give_the_same_table(self, family, unmutated):
         # the table of each pair read afresh from JSON, whose parameters
-        # hold no group yet, reads as the reference, and so does the table
-        # of the family's own pair (the contract's unmutated walk)
-        for facet in FACETS:
-            _facet(request, family, "unmutated", facet)
+        # hold no group yet, reads as the reference and verifies as the
+        # family's own pair, whose verdict the verify tests compare with
+        # the reference
         max_dim, max_k, n_pairs = SWEEP_FAMILIES[family]
+        want = _reference(_entries)
         n = 0
         for gp in sweep_pairs(max_dim, max_k):
             fresh = make_gp_pair(_cold_copy(gp.phiW), _cold_copy(gp.phiV))
             assert "group" not in vars(fresh.phiW)  # nothing cached yet
-            want, _ = _reference(gp, factor_rows(gp))
-            assert not _facets_off(GPCharacterTable(fresh), want), gp
+            table = GPCharacterTable(fresh)
+            assert _entries(table) == want(gp, unmutated(gp)), gp
+            assert table.verify() == GPCharacterTable(gp).verify(), gp
             n += 1
         assert n == n_pairs
 
