@@ -144,9 +144,9 @@ class LParameter(_Value):
     def __init__(self, rep: WeilRep, target: QuadSpace) -> None:
         self.__dict__.update(rep=rep, target=target)
 
-    @cached_property
+    @property
     def ambient(self) -> Ambient:
-        """:func:`ambient_of` the target space, computed once."""
+        """:func:`ambient_of` the target space."""
         return ambient_of(self.target)
 
     @cached_property
@@ -211,7 +211,7 @@ class ComponentGroup(_Value):
     def __init__(self, basis: tuple[IrredRep, ...]) -> None:
         self.__dict__["basis"] = basis
 
-    @cached_property
+    @property
     def _odd_mask(self) -> int:
         return sum(1 << i for i, rho in enumerate(self.basis) if irred_dim(rho) % 2)
 
@@ -401,7 +401,8 @@ class GPCharacterTable:
     Both come from E(x, ·) mod 4, held as two bit planes (bit 0 and bit 1 of
     E(x, y) at bit y).  Row x is row x ⊕ low plus the plane of slot
     low = lowest set bit of x (:func:`_slot_planes`, kept per W-slot
-    irreducible in the V group), added with the bitwise mod-4 adder
+    irreducible in the V group, their one home), added with the bitwise
+    mod-4 adder
 
         lo = a₀ ⊕ b₀,   hi = a₁ ⊕ b₁ ⊕ (a₀ ∧ b₀).
 
@@ -430,7 +431,8 @@ class GPCharacterTable:
     (:attr:`LParameter.reduced`, :attr:`LParameter.group`), the group's
     element masks, their bitmask and its generating set, and the V group's
     slot planes of each W-slot irreducible
-    (:attr:`ComponentGroup._planes_by_slot`).
+    (:attr:`ComponentGroup._planes_by_slot`, the one memo of the planes:
+    another V group with the same basis builds them again).
     """
 
     def __init__(self, gp: GPPair):
@@ -534,7 +536,8 @@ class _TableContent:
     * ``verdict`` = (defined, is_character, ys, checked): whether both
       factors are ±1 on the elements, the :func:`_is_multiplicative` verdict
       on ``colM`` and ``rowM`` (False when not defined), the non-central
-      V-masks (:func:`_noncentral`) and the count of
+      V-masks (the set bits of ``evenV`` other than 0 and ``fullV``,
+      ascending) and the count of
       :meth:`GPCharacterTable.verify`.  Each is a function of the content:
       the groups are read only through their ``masks`` and ``generators``,
       which are fixed by their ``even_dims`` (see
@@ -589,7 +592,7 @@ class _TableContent:
 
         evenV, nW = groupV.even_dims, len(groupW.masks)
         chi_defined = not (groupW.even_dims & ~colD or evenV & ~rowD)
-        ys = _noncentral(evenV, fullV)
+        ys = tuple([y for y in range(1, fullV) if evenV >> y & 1])
         self.verdict = (
             chi_defined,
             chi_defined and _is_multiplicative(groupW, groupV, colM, rowM),
@@ -623,14 +626,6 @@ class _TableContent:
         self.reports = tuple(reports)
 
 
-@cache
-def _noncentral(evenV: int, fullV: int) -> tuple[int, ...]:
-    """The V-masks of the non-central elements, ascending: the set bits of
-    ``evenV`` other than 0 and ``fullV``.  One tuple per pair, shared by the
-    verdicts of every content record with that V group shape."""
-    return tuple([y for y in range(1, fullV) if evenV >> y & 1])
-
-
 # The content records of one sweep unit, keyed on what the bit rows are
 # built from; reduced_gp_pairs empties it when a family starts.
 _CONTENTS: dict[tuple, _TableContent] = {}
@@ -642,7 +637,6 @@ def _pair_exponent(sig: IrredRep, rho: IrredRep) -> int:
     return eps_half(tensor(WeilRep([sig]), WeilRep([rho]))).e
 
 
-@cache
 def _slot_planes(sig: IrredRep, basisV: tuple[IrredRep, ...]) -> tuple[int, int]:
     """(lo, hi): bit y of each is bit 0, resp. bit 1, of the exponent row sum
     Σ_{j∈y} e(σ, ρ_j) mod 4, for every subset y of ``basisV``.
@@ -650,10 +644,9 @@ def _slot_planes(sig: IrredRep, basisV: tuple[IrredRep, ...]) -> tuple[int, int]
     Built by doubling: the subsets holding slot j are those without it, shifted
     up by 2^j, plus the constant e(σ, ρ_j), added with the bitwise mod-4 adder
     of :class:`GPCharacterTable` (a constant's planes are all ones or all
-    zeros).  Memoised, like :func:`_pair_exponent`, once per process; a
-    table looks its planes up first in the V group's
-    :attr:`~ComponentGroup._planes_by_slot`, which hashes one irreducible
-    instead of the whole V-basis.
+    zeros).  A table keeps the planes it builds in the V group's
+    :attr:`~ComponentGroup._planes_by_slot`, keyed on σ alone, their only
+    memo.
     """
     lo = hi = 0
     for j, rho in enumerate(basisV):
@@ -770,11 +763,14 @@ def _reduced_pool(symplectic: bool, max_k: int) -> tuple[IrredRep, ...]:
     Every enumeration with the same bounds builds its parameters from these
     same objects, so the memo lookups of :func:`_pair_exponent` find their
     keys by identity instead of comparing twists.  ``max_k`` must be an
-    exact int; the key holds the types too, so a bool or a float equal to a
-    cached int misses the cache and is refused, warm or cold.
+    exact non-negative int; the key holds the types too, so a bool or a
+    float equal to a cached int misses the cache and is refused, warm or
+    cold.
     """
     if type(max_k) is not int:
         raise TypeError("max_k must be an integer")
+    if max_k < 0:
+        raise ValueError(f"max_k must be non-negative, got {max_k}")
     if symplectic:
         return tuple(DiscRep(k) for k in range(1, max_k + 1, 2))
     return (CharRep(0), CharRep(1)) + tuple(

@@ -147,12 +147,11 @@ class QuadSpace(_Ordered, _Value):
 
 @lru_cache(maxsize=None, typed=True)
 def _space(p: int, q: int) -> QuadSpace:
-    """``QuadSpace(p, q)``, built once per signature and shared by every
-    later call.  Keyed on the two ints, so a sum or a complement costs one
-    dict lookup, and a later cache keyed on the space (``pure_inner_forms``,
-    ``is_admissible_pair``) finds it by identity.  The key holds the types
-    too, so a bool or a float equal to a cached int misses the cache and
-    meets the constructor's exact-int check, warm or cold."""
+    """``QuadSpace(p, q)``, memoised on the two ints, so a sum or a
+    complement costs one dict lookup, and ``pure_inner_forms``'s cache
+    finds the space by identity.  The key holds the types too, so a bool or
+    a float equal to a cached int misses the cache and meets the
+    constructor's exact-int check, warm or cold."""
     return QuadSpace(p, q)
 
 
@@ -265,13 +264,9 @@ class AdmissiblePair(_Value):
         return _space(self.V.p - self.W.p, self.V.q - self.W.q)
 
 
-@cache
 def is_admissible_pair(W: QuadSpace, V: QuadSpace) -> AdmissiblePair | None:
-    """Decompose V = W ⟂ D ⟂ Z if possible, returning the (r, d_sign) datum.
-
-    The pair is built and validated once per (W, V) and shared by every
-    later call.
-    """
+    """Decompose V = W ⟂ D ⟂ Z if possible, returning the (r, d_sign) datum:
+    a new, validated pair on every call."""
     a, b = V.p - W.p, V.q - W.q
     if a < 0 or b < 0 or abs(a - b) != 1:
         return None

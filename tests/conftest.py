@@ -6,10 +6,10 @@ length of one test and yields ``rows_of``: the function that gives the
 oracle the bit rows of a pair's factor table under the same breach
 (:func:`gp_reference.factor_rows`, breached alike), for
 :class:`gp_reference.ReferenceTable` to read.  Pairs walked under a seam
-must be enumerated under it, since a component group keeps the slot planes
-it was first read with.  Every memo a fixture touches is emptied or swapped
-for a fresh one, and restored on teardown, so no test sees what another
-left.
+must be enumerated under it: the slot planes live only in the V component
+group, which keeps the planes it was first read with.  The tables' content
+memo is swapped for a fresh one and restored on teardown, so no test sees
+what another left.
 
 * ``unmutated`` puts no breach in: the oracle reads the reference's own
   rows.
@@ -23,7 +23,7 @@ left.
   the seam that reaches the failure records of ``verify dichotomy``.
 
 The fixtures they are built from serve other tests too: ``cold`` empties
-the memos, ``exponents`` installs any exponent function, and
+the content memo, ``exponents`` installs any exponent function, and
 ``built_rows`` wraps the row build, which ``factor_rows_calls`` uses to
 count the content records built.
 """
@@ -48,15 +48,10 @@ def flip_rows(defined, minus):
 
 @pytest.fixture
 def cold(monkeypatch):
-    """A function that empties the χ memos of ``gpkit.lparam`` that outlive
-    a table (the slot planes, and the tables' content memo, swapped for an
-    empty one), so that the next table is built from its exponents."""
-    clear = lparam._slot_planes.cache_clear
-    def empty():
-        clear()
-        monkeypatch.setattr(lparam, "_CONTENTS", {})
-    yield empty
-    clear()  # drop planes a seam or test left
+    """A function that swaps the tables' content memo of ``gpkit.lparam``
+    for an empty one, so that the next table of freshly enumerated pairs is
+    built from its exponents."""
+    return lambda: monkeypatch.setattr(lparam, "_CONTENTS", {})
 
 
 @pytest.fixture
@@ -68,7 +63,8 @@ def unmutated(cold):
 @pytest.fixture
 def exponents(monkeypatch, cold):
     """A function that puts an exponent function in place of the library's,
-    with the memos emptied, and gives the oracle's ``rows_of`` for it."""
+    with the content memo emptied, and gives the oracle's ``rows_of`` for
+    it."""
     def install(exponent):
         monkeypatch.setattr(lparam, "_pair_exponent", exponent)
         cold()
@@ -85,7 +81,7 @@ def exponent_seam(exponents):
 def built_rows(monkeypatch, cold):
     """A function that puts ``wrap(rows)`` in place of the bit rows
     ``(defined, minus)`` that the library builds for a content record, with
-    the memos emptied."""
+    the content memo emptied."""
     build = lparam._factor_rows
     def install(wrap):
         monkeypatch.setattr(lparam, "_factor_rows", lambda *a: wrap(build(*a)))

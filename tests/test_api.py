@@ -77,10 +77,16 @@ def test_table_memos_are_the_one_content_memo():
     # a table's rows, verdicts and report rows live in one per-unit memo of
     # content records, whose scope test_memos_hold_one_unit_after_a_sweep
     # pins: the separate verdict memo is gone, and the row build keeps no
-    # memo of its own
+    # memo of its own.  The slot planes live only in the V group, the
+    # non-central V-masks are computed in the record, and an admissible
+    # pair is built afresh per call: none of them keeps a process memo
     lparam = importlib.import_module("gpkit.lparam")
+    quadspace = importlib.import_module("gpkit.quadspace")
     assert not hasattr(lparam, "_MULTIPLICATIVE")
     assert not hasattr(lparam._factor_rows, "cache_info")
+    assert not hasattr(lparam._slot_planes, "cache_info")
+    assert not hasattr(quadspace.is_admissible_pair, "cache_info")
+    assert not hasattr(lparam, "_noncentral")
 
 
 def test_cli_builds_no_union_or_fiber_check():

@@ -677,6 +677,17 @@ class TestErrorsAndFormat:
         rc, out = run_json(capsys, ["verify", "fibers", "--max-dv", "-0"])
         assert rc == 2 and "no case" in out["error"]
 
+    @pytest.mark.parametrize("max_k", ["-1", "-5"])
+    def test_negative_max_k_is_refused(self, capsys, max_k):
+        # the k range was empty, so a negative bound once checked the five
+        # cases of --max-k 0 and printed PASS
+        rc, out = run_json(capsys, ["verify", "dichotomy", "--max-dim", "3",
+                                    "--max-k", max_k])
+        assert rc == 2
+        assert out == {
+            "error": f"ValueError: max_k must be non-negative, got {max_k}"
+        }
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -746,8 +746,8 @@ class TestPairExponentMemo:
 
     def test_cold_and_warm_tables_agree_on_family(self, cold, factor_rows_calls):
         # each pair's table built cold, from parameters read afresh from
-        # their JSON with the chi memos emptied, reads as the reference and
-        # verifies as the pair's own table; built again warm, it builds no
+        # their JSON with the content memo emptied, reads as the reference
+        # and verifies as the pair's own table; built again warm, it builds no
         # content record, so it takes the cold table's, and verifies alike
         want = _reference(_entries)
         for gp in _criterion5_pairs():
@@ -870,6 +870,14 @@ def test_enumerate_reduced_counts():
     assert len(enumerate_reduced(QuadSpace(1, 0), 9)) == 1
     for phi in enumerate_reduced(QuadSpace(2, 2), 9):
         assert is_reduced(phi)
+
+
+def test_enumerate_reduced_refuses_a_negative_bound():
+    # an empty pool once gave the parameters of max_k = 0
+    for V in (QuadSpace(0, 0), QuadSpace(1, 0), QuadSpace(2, 1)):
+        with pytest.raises(ValueError, match="max_k must be non-negative"):
+            enumerate_reduced(V, -1)
+        enumerate_reduced(V, 0)
 
 
 def test_param_json_round_trip():

@@ -172,9 +172,8 @@ SAMPLES = {
 ORDERED = {QuadSpace, CharRep, DiscRep, CFieldFactor, RSplitFactor, CSplitFactor}
 # the values each class computes on first request and keeps
 CACHED = {
-    LParameter: ("ambient", "group", "reduced"),
-    ComponentGroup: ("_odd_mask", "masks", "even_dims", "_planes_by_slot",
-                     "generators"),
+    LParameter: ("group", "reduced"),
+    ComponentGroup: ("masks", "even_dims", "_planes_by_slot", "generators"),
     KappaDatum: ("signed",),
 }
 HASHABLE = set(SAMPLES) - {CheckReport}  # its details are a dict
