@@ -15,14 +15,17 @@ certified — before being relied on — by :func:`eps_numeric_oracle`, which kn
 nothing of the table: it evaluates the local γ-factor at s = 1/2 by numerical
 quadrature of Tate/Godement–Jacquet zeta integrals against Gaussian test
 functions, on ℝ for characters and on ℂ (through induction in stages, with
-λ(ℂ/ℝ, ψ) itself computed numerically as ε(1/2, sgn, ψ)) for the D_k.
+λ(ℂ/ℝ, ψ) itself computed numerically as ε(1/2, sgn, ψ), its error charged
+to every D_k call) for the D_k.
 
 On ℝ the Mellin integral of f̂ against sgn^a reads f̂(y) + (−1)^a f̂(−y) at
 nodes y > 0.  The test functions are real, so f̂(−y) = conj f̂(y) and that is
 2·Re f̂(y) for a = 0 and 2i·Im f̂(y) for a = 1: only that part is integrated,
-as one integral with QUADPACK's oscillatory-weight rule (QAWO).  The twist t
-enters the Mellin kernel |x|^{it} and never f̂, so each node's part depends on
-(a, y) alone and is computed once per process, for every twist.  On the ℂ
+as one integral with QUADPACK's oscillatory-weight rule (QAWO).  Its
+integrand is even (f_a and its weight cos or sin both have parity a), so
+the rule runs over the half line x ≥ 0 and the result is doubled.  The twist
+t enters the Mellin kernel |x|^{it} and never f̂, so each node's part depends
+on (a, y) alone and is computed once per process, for every twist.  On the ℂ
 side the radial Fourier transform is Weber's closed form (Gradshteyn–Ryzhik
 6.631.4), which is real and positive and so adds no phase of its own.  The
 L-factors are evaluated through log Γ, and their ratio as one exponential,
@@ -165,11 +168,12 @@ def _l_ratio(plus: IrredRep, minus: IrredRep) -> complex:
 _QUAD_OPTS = dict(limit=250, epsabs=1e-11, epsrel=1e-11)
 
 # Finite integration windows.  Every integrand below carries a factor
-# e^{-πx²} (real side) or e^{-2πr²} (complex side), so the discarded tails are
+# e^{-πx²} (real side) or e^{-2πr²} (complex side), so the discarded tail is
 # of order e^{-π·36} ≈ 1e-49 — twenty orders of magnitude below the oracle
-# tolerance.  The Fourier kernels e^{2πixy} are QAWO weights: the rule
-# integrates the oscillation through Chebyshev moments instead of resolving it.
-_X_CUT = 6.0       # |x| cut for e^{-πx²}-weighted integrands
+# tolerance.  The Fourier kernels cos and sin of 2πxy are QAWO weights: the
+# rule integrates the oscillation through Chebyshev moments instead of
+# resolving it.
+_X_CUT = 6.0       # x cut of the even e^{-πx²}-weighted integrands on [0, _X_CUT]
 _U_LO, _U_HI = -90.0, 1.7   # x = e^u window for Mellin integrals (e^{1.7} ≈ 5.5)
 _R_CUT = 4.0       # least radial cut for the ρ^k e^{-2πρ²} and r^k e^{-2πr²} integrands
 
@@ -221,7 +225,16 @@ def _fourier_part(a: int, y: float) -> tuple[float, float]:
     f̂(y) = ∫ f(x) ψ(xy) dx with ψ(x) = e^{2πix}, for the test function f_a.
     The part is Re f̂_a(y) = ∫ f_a(x) cos(2πxy) dx for a = 0 and
     Im f̂_a(y) = ∫ f_a(x) sin(2πxy) dx for a = 1, one QAWO integral either
-    way, at the node y > 0.  It depends on (a, y) alone, so it is memoised
+    way, at the node y > 0.
+
+    The integral runs over [0, _X_CUT] only, and its value and its error
+    estimate are doubled.  This is exact: f_a(−x) = (−1)^a f_a(x), and the
+    weight w_a = (cos, sin)[a] of 2πxy has the same parity, w_a(−x) =
+    (−1)^a w_a(x).  So g = f_a·w_a has g(−x) = (−1)^{2a} g(x) = g(x), and
+    ∫_{−X}^{X} g = ∫_0^X g + ∫_0^X g(−x) dx = 2 ∫_0^X g.  The doubled error
+    estimate bounds the doubled integral's error.
+
+    The part depends on (a, y) alone, so it is memoised
     for the process; the Mellin nodes lie in the fixed window e^{[_U_LO,
     _U_HI]} on subdivisions bounded by the QUADPACK ``limit``, which bounds
     the memo.  The integral runs through :func:`_scipy`, so a wrapper put in
@@ -230,10 +243,11 @@ def _fourier_part(a: int, y: float) -> tuple[float, float]:
     integrate = _scipy("integrate")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", category=integrate.IntegrationWarning)
-        return integrate.quad(
-            _TEST_FUNCTIONS[a], -_X_CUT, _X_CUT,
+        half, err = integrate.quad(
+            _TEST_FUNCTIONS[a], 0.0, _X_CUT,
             weight=("cos", "sin")[a], wvar=2 * math.pi * y, **_QUAD_OPTS,
         )
+    return 2 * half, 2 * err
 
 
 def _mellin_real(g, s: float, t: float, q: _Quadrature) -> complex:
@@ -268,9 +282,13 @@ def _eps_oracle_char(a: int, t: float, q: _Quadrature) -> complex:
     error budget does not depend on what an earlier call computed: each
     call charges 2·err, the error of what its integrand reads, once for
     every distinct node it reads.
+
+    By the same parity, φ(x) + (−1)^a φ(−x) is 2·f(x) for φ = f, and it is
+    evaluated that way: f(−x) is (−1)^a f(x) bit for bit, since negating x
+    changes only signs, which round symmetrically.
     """
     f = _TEST_FUNCTIONS[a]
-    sign, fold = (-1) ** a, (2, 2j)[a]
+    fold = (2, 2j)[a]
     read: set[float] = set()
 
     def fhat_fold(y: float) -> complex:
@@ -281,15 +299,21 @@ def _eps_oracle_char(a: int, t: float, q: _Quadrature) -> complex:
         return fold * part
 
     z_top = _mellin_real(fhat_fold, 0.5, -t, q)   # Z(f̂, χ^{-1}, 1-s) at s=1/2
-    z_bot = _mellin_real(lambda x: f(x) + sign * f(-x), 0.5, t, q)  # Z(f, χ, s)
+    z_bot = _mellin_real(lambda x: 2 * f(x), 0.5, t, q)  # Z(f, χ, s)
     tt = Fraction(t).limit_denominator(10**9)
     return z_top / z_bot * _l_ratio(CharRep(a, tt), CharRep(a, -tt))
 
 
 @lru_cache(maxsize=1)
-def _lambda_factor() -> complex:
-    """λ(ℂ/ℝ, ψ) = ε(1/2, sgn, ψ), computed numerically."""
-    return _eps_oracle_char(1, 0.0, _Quadrature(1e-7))
+def _lambda_factor() -> tuple[complex, float]:
+    """λ(ℂ/ℝ, ψ) = ε(1/2, sgn, ψ), computed numerically, and the error its
+    integrals charge.
+
+    It is computed once per process, under no budget of its own: every
+    D_k call charges that error to its own budget instead.
+    """
+    q = _Quadrature(math.inf)
+    return _eps_oracle_char(1, 0.0, q), q.spent
 
 
 def _hankel_G(k: int, rho: float) -> float:
@@ -312,7 +336,8 @@ def _eps_oracle_disc(k: int, t: float, q: _Quadrature) -> complex:
                             = ρ^k e^{-2πρ²} / (4π).
 
     G is real and positive, so it carries no phase: the i^k is the angular
-    identity's and the remaining i is λ(ℂ/ℝ, ψ), computed numerically.
+    identity's and the remaining i is λ(ℂ/ℝ, ψ), computed numerically; the
+    error of λ's integrals is charged to this call's budget too.
 
     Both radial integrands are r^k e^{-2πr²} up to a unimodular twist, which
     peaks at r = √(k/4π) with width ≈ 0.2, so the window runs three units
@@ -345,7 +370,9 @@ def _eps_oracle_disc(k: int, t: float, q: _Quadrature) -> complex:
     # Z(f̂)/Z(f) = 16π² i^k ∫G / (4π ∫r^k…).  The integrals are divided
     # first: near k = 520 either one times 16π² leaves the float range.
     gamma = 4 * math.pi * (1, 1j, -1, -1j)[k % 4] * (z_top_int / z_bot_int)
-    return _lambda_factor() * gamma * _l_ratio(DiscRep(k, tt), DiscRep(k, -tt))
+    lam, lam_err = _lambda_factor()
+    q.add(lam_err)
+    return lam * gamma * _l_ratio(DiscRep(k, tt), DiscRep(k, -tt))
 
 
 def _radial_integral(f, r_cut: float, q: _Quadrature) -> complex:
