@@ -389,8 +389,14 @@ def eps_numeric_oracle(rho: IrredRep, tol: float = 1e-6) -> complex:
 
     Independent of the exact table in :func:`eps_half`; used to certify it.
     Raises :class:`QuadratureFailure` if the integrators cannot promise the
-    requested tolerance.
+    requested tolerance.  A tolerance that is a bool (:class:`TypeError`),
+    NaN or not positive (:class:`ValueError`) is refused before any
+    quadrature runs.
     """
+    if isinstance(tol, bool):
+        raise TypeError(f"tol must be a number, not a bool: {tol!r}")
+    if not tol > 0:  # NaN fails too
+        raise ValueError(f"tol must be positive, got {tol!r}")
     q = _Quadrature(tol / 10)
     if isinstance(rho, CharRep):
         return _eps_oracle_char(rho.a, float(rho.t), q)

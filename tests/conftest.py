@@ -1,5 +1,6 @@
 """The breach seams of the χ tests (``tests/test_lparam.py``,
-``tests/test_cli.py``).
+``tests/test_cli.py``), and the call counter of the tests that pin how
+often a sweep calls a function.
 
 Each seam fixture puts one deliberate breach into ``gpkit.lparam`` for the
 length of one test and yields ``rows_of``: the function that gives the
@@ -22,16 +23,18 @@ what another left.
   whose four entries are ±1, since the block sums are bilinear; so this is
   the seam that reaches the failure records of ``verify dichotomy``.
 
-The fixtures they are built from serve other tests too: ``cold`` empties
-the content memo, ``exponents`` installs any exponent function, and
-``built_rows`` wraps the row build, which ``factor_rows_calls`` uses to
-count the content records built.
+``cold`` empties the content memo, and ``built_rows`` wraps the row
+build, which ``factor_rows_calls`` uses to count the content records built:
+the sweep walk of ``tests/test_lparam.py`` counts them per unit, cold and
+warm.
 """
 
 import pytest
 
 from gp_reference import factor_rows, odd_exponent
-from gpkit import lparam
+from gpkit import cli, conjclass, epsilon, lparam, quadspace, weilrep
+
+GPKIT_MODULES = (cli, conjclass, epsilon, lparam, quadspace, weilrep)
 
 
 def flip_rows(defined, minus):
@@ -61,20 +64,10 @@ def unmutated(cold):
 
 
 @pytest.fixture
-def exponents(monkeypatch, cold):
-    """A function that puts an exponent function in place of the library's,
-    with the content memo emptied, and gives the oracle's ``rows_of`` for
-    it."""
-    def install(exponent):
-        monkeypatch.setattr(lparam, "_pair_exponent", exponent)
-        cold()
-        return lambda gp: factor_rows(gp, exponent)
-    return install
-
-
-@pytest.fixture
-def exponent_seam(exponents):
-    return exponents(odd_exponent)
+def exponent_seam(monkeypatch, cold):
+    monkeypatch.setattr(lparam, "_pair_exponent", odd_exponent)
+    cold()
+    return lambda gp: factor_rows(gp, odd_exponent)
 
 
 @pytest.fixture
@@ -102,3 +95,30 @@ def factor_rows_calls(built_rows):
     calls = []
     built_rows(lambda rows: calls.append(rows) or rows)
     return calls
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """A function ``count(home, *names)`` that makes each name of ``home``
+    count its calls, and returns the one dict of counts, name → calls, of
+    every name counted so far.  A function of a module is replaced in every
+    gpkit module that holds it, as ``perfbench/traced_cli.py`` traces the
+    layers, and a method of a class on the class."""
+    counts = {}
+
+    def count(home, *names):
+        for name in names:
+            target = vars(home)[name]
+            counts[name] = 0
+
+            def counted(*args, _name=name, _fn=target, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            holders = [home] if isinstance(home, type) else [
+                mod for mod in GPKIT_MODULES if vars(mod).get(name) is target
+            ]
+            for holder in holders:
+                monkeypatch.setattr(holder, name, counted)
+        return counts
+    return count

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
+from itertools import chain, combinations
 
 from gpkit.epsilon import eps_half
 from gpkit.lparam import (
@@ -212,13 +212,20 @@ def enumerate_reduced_by_scan(V: QuadSpace, max_k: int) -> list[LParameter]:
     return out
 
 
-def sweep_pairs(max_dim: int, max_k: int):
-    """The pairs of ``verify dichotomy --max-dim max_dim --max-k max_k``:
-    :func:`gpkit.lparam.reduced_gp_pairs` of every dimension pair
-    dw < dv ≤ max_dim with dv − dw odd."""
+def sweep_units(max_dim: int, max_k: int):
+    """The units of ``verify dichotomy --max-dim max_dim --max-k max_k``, one
+    list of :func:`gpkit.lparam.reduced_gp_pairs` per dimension pair
+    dw < dv ≤ max_dim with dv − dw odd, dv ascending and dw descending.  A
+    unit is listed whole before it is yielded, so listing it has emptied the
+    tables' content memo, as the start of a unit of the sweep does."""
     for dv in range(1, max_dim + 1):
         for dw in range(dv - 1, -1, -2):
-            yield from reduced_gp_pairs(dw, dv, max_k)
+            yield list(reduced_gp_pairs(dw, dv, max_k))
+
+
+def sweep_pairs(max_dim: int, max_k: int):
+    """The pairs of :func:`sweep_units`, unit after unit."""
+    return chain.from_iterable(sweep_units(max_dim, max_k))
 
 
 def all_pairs_multiplicative(table: dict) -> bool:

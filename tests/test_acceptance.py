@@ -370,33 +370,25 @@ def test_criterion_07_classification_trichotomy(capsys):
 # 8-10: conjugacy class statements
 # ---------------------------------------------------------------------------
 
-def _cli_sweep(monkeypatch, argv, counted):
+def _cli_sweep(count_calls, argv, counted):
     """The sweep of ``gpkit verify ARGV``, run in-process unit by unit as
     ``--jobs 1`` runs it, with each ``conjclass`` verifier named in
-    ``counted`` wrapped to count its calls.
+    ``counted`` wrapped to count its calls (``count_calls`` of conftest.py).
 
     Returns (summed ``checked``, counterexamples, calls per verifier).
     """
-    calls = dict.fromkeys(counted, 0)
-    for name in counted:
-
-        def wrapped(*args, _name=name, _fn=getattr(conjclass, name), **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-
-        # the units import their verifiers from conjclass when they run
-        monkeypatch.setattr(conjclass, name, wrapped)
+    calls = count_calls(conjclass, *counted)
     args = cli._build_parser().parse_args(["verify", *argv])
     results = [cli._SWEEPS[args.what](case) for case in cli._sweep_cases(args)]
     bad = [ce for r in results for ce in r["counterexamples"]]
     return sum(r["checked"] for r in results), bad, calls
 
 
-def test_criterion_08_union_over_pure_inner_forms(capsys, monkeypatch):
+def test_criterion_08_union_over_pure_inner_forms(capsys, count_calls):
     """The sweep of ``verify union --max-dim 9``."""
     t0 = time.monotonic()
     cases, bad, calls = _cli_sweep(
-        monkeypatch, ["union", "--max-dim", "9"], ("verify_union_prop",)
+        count_calls, ["union", "--max-dim", "9"], ("verify_union_prop",)
     )
     ok = not bad and cases == 940 and calls == {"verify_union_prop": 940}
     _verdict(
@@ -406,11 +398,11 @@ def test_criterion_08_union_over_pure_inner_forms(capsys, monkeypatch):
     )
 
 
-def test_criterion_09_fiber_lemmas(capsys, monkeypatch):
+def test_criterion_09_fiber_lemmas(capsys, count_calls):
     """The sweep of ``verify fibers --max-dv 9``."""
     t0 = time.monotonic()
     cases, bad, calls = _cli_sweep(
-        monkeypatch,
+        count_calls,
         ["fibers", "--max-dv", "9"],
         ("verify_fiber_lemma", "verify_fiber_union"),
     )

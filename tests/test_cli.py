@@ -1005,20 +1005,12 @@ BENCHMARK_IDENTITIES = {
 
 
 @pytest.mark.parametrize("workload", BENCHMARK_IDENTITIES)
-def test_sweep_pins_the_benchmark_call_counts(workload, monkeypatch):
+def test_sweep_pins_the_benchmark_call_counts(workload, count_calls):
     # one table per pair and one dichotomy call per non-central element: the
     # counts the traced benchmark asserts, counted by wrapping the class the
     # same way, so a change that moves one fails here first
     max_dim, max_k, tables, dichotomies, cases = BENCHMARK_IDENTITIES[workload]
-    calls = {"__init__": 0, "dichotomy": 0}
-    for name in calls:
-        method = vars(GPCharacterTable)[name]
-
-        def counted(*args, _name=name, _method=method, **kwargs):
-            calls[_name] += 1
-            return _method(*args, **kwargs)
-
-        monkeypatch.setattr(GPCharacterTable, name, counted)
+    calls = count_calls(GPCharacterTable, "__init__", "dichotomy")
     args = cli._build_parser().parse_args(
         ["verify", "dichotomy", "--max-dim", str(max_dim), "--max-k", str(max_k)]
     )
@@ -1044,21 +1036,12 @@ CONJCLASS_CALLS = {
 CONJCLASS_CASES = {"union": 3_036, "fibers": 4_368}
 
 
-def test_conjclass_sweeps_pin_the_benchmark_call_counts(monkeypatch):
+def test_conjclass_sweeps_pin_the_benchmark_call_counts(count_calls):
     # each name wrapped in every module that holds it, as the traced
     # benchmark does: every predicate runs on every (form, sign vector), so
     # a change that memoises a verdict or skips a call fails here first
-    calls = dict.fromkeys(CONJCLASS_CALLS, 0)
-    for name in calls:
-        target = getattr(conjclass, name, None) or getattr(quadspace, name)
-
-        def counted(*args, _name=name, _fn=target, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-
-        for mod in (cli, conjclass, quadspace):
-            if getattr(mod, name, None) is target:
-                monkeypatch.setattr(mod, name, counted)
+    for name in CONJCLASS_CALLS:
+        calls = count_calls(quadspace if name in vars(quadspace) else conjclass, name)
     cases = {}
     for what, flag, bound, unit in (
         ("union", "--max-dim", 13, cli._union_unit),

@@ -444,22 +444,68 @@ def _reference_is_regular(kappa):
     return len(classes) == len(set(classes))
 
 
+def _shape_family():
+    """Every shape of kappa_shapes(d), d <= 13, and make_regular_kappa(n),
+    n <= 6."""
+    return [k for d in range(14) for k in kappa_shapes(d)] + [
+        make_regular_kappa(n) for n in range(7)
+    ]
+
+
+def _reference_regular_kappa(nc, nr, ns):
+    """make_regular_kappa(nc, nr, ns) built anew from its docstring."""
+    return KappaDatum(
+        [CFieldFactor(F(2 * j + 1, 2 * nc + 1)) for j in range(nc)]
+        + [RSplitFactor(F(j + 2)) for j in range(nr)]
+        + [CSplitFactor((F(j + 2), F(1))) for j in range(ns)]
+    )
+
+
+def _reference_shapes(d):
+    """Every (nc, nr, ns) with 2nc + 2nr + 4ns = d, ns then nr ascending."""
+    return [
+        _reference_regular_kappa((d - 4 * ns - 2 * nr) // 2, nr, ns)
+        for ns in range(d // 4 + 1)
+        for nr in range((d - 4 * ns) // 2 + 1)
+        if d % 2 == 0
+    ]
+
+
+def _invariants(kappa):
+    """(dim, signature, n_elliptic, sum_c, Πc) as the datum stores them."""
+    return (kappa.dim, kappa.signature, kappa.n_elliptic, kappa.sum_c,
+            math.prod(_signs(kappa)))
+
+
 def test_with_signs_matches_fresh_construction_on_families():
     """Every shape of kappa_shapes(d), d <= 13, and make_regular_kappa(n),
     n <= 6, each also with its first factor repeated and with a degenerate
     factor added (two non-regular data), under every sign vector: with_signs
     equals, hashes and prints like fresh factors, its invariants match
-    factor_signature, and is_regular matches the uncached reference."""
-    base = [k for d in range(14) for k in kappa_shapes(d)]
-    base += [make_regular_kappa(n) for n in range(7)]
+    factor_signature, and is_regular matches the uncached reference.  On the
+    shapes, the entry (c, κ_c) of ``signed`` is with_signs(c), in
+    sign-vector order, and building it changes neither the datum's
+    equality nor its hash or repr.  Then, warm as after a sweep, each shape
+    list and regular datum is one cached object equal to the data its
+    docstring describes, built anew."""
+    shapes = _shape_family()
     degenerate = [cf(1, 1), RSplitFactor(F(-1)), CSplitFactor((F(3, 5), F(4, 5)))]
-    family = base + [KappaDatum(k.factors + k.factors[:1]) for k in base if len(k)]
+    family = shapes + [KappaDatum(k.factors + k.factors[:1]) for k in shapes if len(k)]
     family += [
-        KappaDatum(k.factors + (degenerate[i % 3],)) for i, k in enumerate(base)
+        KappaDatum(k.factors + (degenerate[i % 3],)) for i, k in enumerate(shapes)
     ]
-    cases = regular = 0
-    for kappa in family:
-        for signs in product((1, -1), repeat=kappa.n_elliptic):
+    cases = regular = entries = 0
+    for i, kappa in enumerate(family):
+        vectors = list(product((1, -1), repeat=kappa.n_elliptic))
+        if i < len(shapes):
+            bare = KappaDatum(kappa.factors)
+            key = (hash(bare), repr(bare))
+            signed = kappa.signed
+            assert kappa.signed is signed and isinstance(signed, tuple)
+            assert [c for c, _ in signed] == vectors
+            assert kappa == bare and (hash(kappa), repr(kappa)) == key
+            entries += len(signed)
+        for j, signs in enumerate(vectors):
             kc, fresh = kappa.with_signs(signs), _fresh(kappa, signs)
             assert kc == fresh and hash(kc) == hash(fresh)
             assert repr(kc) == repr(fresh)
@@ -467,13 +513,32 @@ def test_with_signs_matches_fresh_construction_on_families():
             for f, g in zip(kc, fresh):
                 assert f == g and hash(f) == hash(g)
             assert (
-                kc.dim, kc.signature, kc.n_elliptic, kc.sum_c, math.prod(_signs(kc))
-            ) == _reference_invariants(kc) == _reference_invariants(fresh)
+                _invariants(kc) == _reference_invariants(kc)
+                == _reference_invariants(fresh)
+            )
             assert is_regular(kc) is _reference_is_regular(kc)
             assert is_regular(fresh) is is_regular(kc)
+            if i < len(shapes):
+                entry = signed[j][1]
+                assert entry == kc and hash(entry) == hash(kc)
+                assert repr(entry) == repr(kc)
+                assert _invariants(entry) == _reference_invariants(fresh)
+                assert _signs(entry) == signs
             cases += 1
             regular += is_regular(kc)
-    assert (cases, regular) == (1_829, 443)
+    assert (cases, regular, entries) == (1_829, 443, 443)
+    for d in range(14):
+        built = kappa_shapes(d)
+        assert isinstance(built, tuple) and kappa_shapes(d) is built
+        ref = _reference_shapes(d)
+        assert built == tuple(ref)
+        assert [repr(k) for k in built] == [repr(k) for k in ref]
+        assert [hash(k) for k in built] == [hash(k) for k in ref]
+    for n in range(7):
+        kappa = make_regular_kappa(n)
+        assert make_regular_kappa(n) is kappa
+        assert kappa == _reference_regular_kappa(n, 0, 0)
+        assert repr(kappa) == repr(_reference_regular_kappa(n, 0, 0))
 
 
 def test_with_sign_shares_the_regularity_data():
@@ -542,78 +607,6 @@ def test_make_regular_kappa_spellings_share_one_datum():
         assert all(kappa is spellings[0] for kappa in spellings)
         shapes = kappa_shapes(2 * nc + 2 * nr + 4 * ns)
         assert any(kappa is spellings[0] for kappa in shapes)
-
-
-def _shape_family():
-    """Every shape of kappa_shapes(d), d <= 13, and make_regular_kappa(n),
-    n <= 6."""
-    return [k for d in range(14) for k in kappa_shapes(d)] + [
-        make_regular_kappa(n) for n in range(7)
-    ]
-
-
-def test_signed_data_matches_with_signs_on_families():
-    """Each entry (c, κ_c) of ``signed`` equals a fresh ``with_signs(c)`` and
-    the fresh-factor reference in equality, hash, repr and the five
-    invariants, in sign-vector order; building it changes neither the
-    datum's equality nor its hash or repr."""
-    cases = 0
-    for kappa in _shape_family():
-        bare = KappaDatum(kappa.factors)
-        key = (hash(bare), repr(bare))
-        signed = kappa.signed
-        assert kappa.signed is signed and isinstance(signed, tuple)
-        assert [c for c, _ in signed] == list(
-            product((1, -1), repeat=kappa.n_elliptic)
-        )
-        for c, kc in signed:
-            fresh, ref = kappa.with_signs(c), _fresh(kappa, c)
-            assert kc == fresh == ref
-            assert hash(kc) == hash(fresh) == hash(ref)
-            assert repr(kc) == repr(fresh) == repr(ref)
-            assert (
-                kc.dim, kc.signature, kc.n_elliptic, kc.sum_c, math.prod(_signs(kc))
-            ) == _reference_invariants(ref)
-            assert _signs(kc) == c
-            cases += 1
-        assert kappa == bare and (hash(kappa), repr(kappa)) == key
-    assert cases == 443
-
-
-def _reference_regular_kappa(nc, nr, ns):
-    """make_regular_kappa(nc, nr, ns) built anew from its docstring."""
-    return KappaDatum(
-        [CFieldFactor(F(2 * j + 1, 2 * nc + 1)) for j in range(nc)]
-        + [RSplitFactor(F(j + 2)) for j in range(nr)]
-        + [CSplitFactor((F(j + 2), F(1))) for j in range(ns)]
-    )
-
-
-def _reference_shapes(d):
-    """Every (nc, nr, ns) with 2nc + 2nr + 4ns = d, ns then nr ascending."""
-    return [
-        _reference_regular_kappa((d - 4 * ns - 2 * nr) // 2, nr, ns)
-        for ns in range(d // 4 + 1)
-        for nr in range((d - 4 * ns) // 2 + 1)
-        if d % 2 == 0
-    ]
-
-
-def test_shapes_are_built_once_and_equal_fresh_data():
-    for kappa in _shape_family():
-        kappa.signed  # warm, as after a sweep
-    for d in range(14):
-        shapes = kappa_shapes(d)
-        assert isinstance(shapes, tuple) and kappa_shapes(d) is shapes
-        ref = _reference_shapes(d)
-        assert shapes == tuple(ref)
-        assert [repr(k) for k in shapes] == [repr(k) for k in ref]
-        assert [hash(k) for k in shapes] == [hash(k) for k in ref]
-    for n in range(7):
-        kappa = make_regular_kappa(n)
-        assert make_regular_kappa(n) is kappa
-        assert kappa == _reference_regular_kappa(n, 0, 0)
-        assert repr(kappa) == repr(_reference_regular_kappa(n, 0, 0))
 
 
 def test_xi_reg_matches_direct_formula_on_union_sweep():

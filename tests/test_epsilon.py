@@ -376,6 +376,24 @@ def test_oracle_rejects_unknown():
         eps_numeric_oracle(WeilRep([C(0)]))  # oracle works constituent-wise
 
 
+def test_oracle_refuses_a_bad_tolerance_before_any_quadrature(monkeypatch):
+    # True once ran at tolerance 1, and 0, -1.0 and NaN ran the integrals
+    # only to blame them (QuadratureFailure) for the input
+    import gpkit.epsilon as eps
+
+    class NoQuadrature:
+        def __getattr__(self, attr):
+            raise AssertionError(f"quadrature ran: integrate.{attr}")
+
+    monkeypatch.setattr(eps, "integrate", NoQuadrature(), raising=False)
+    bad = [(True, TypeError), (False, TypeError), (0, ValueError),
+           (0.0, ValueError), (-1.0, ValueError), (math.nan, ValueError)]
+    for tol, error in bad:
+        for rho in (C(0), D(1)):
+            with pytest.raises(error, match="tol must be"):
+                eps_numeric_oracle(rho, tol=tol)
+
+
 def test_counting_wrapper_in_place_of_integrate(monkeypatch):
     # A stand-in for scipy.integrate that counts quad calls, set the way the
     # traced benchmark sets it: the oracle must call through it and must

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from gp_reference import (
     ReferenceTable,
     dichotomy_identity_check,
-    direct_exponent,
     eigenspace_split,
     endoscopic_split,
     enumerate_reduced_by_scan,
@@ -18,6 +17,7 @@ from gp_reference import (
     odd_exponent,
     reference_factor_table,
     sweep_pairs,
+    sweep_units,
 )
 from gpkit import cli, lparam, quadspace
 from gpkit.lparam import (
@@ -570,41 +570,72 @@ def test_verify_matches_the_reference_on_synthetic_exponents(family, exponent_se
     assert _verdicts(_walk(family, exponent_seam, _verify)) == {"passed", "raised"}
 
 
-def _sweep_units(max_dim, max_k):
-    # the pairs of sweep_pairs(max_dim, max_k), one list per (dw, dv) unit
-    for dv in range(1, max_dim + 1):
-        for dw in range(dv - 1, -1, -2):
-            yield list(lparam.reduced_gp_pairs(dw, dv, max_k))
-
-
 # the content records built by a sweep, summed over its units (one per
 # distinct content of each unit), and those of its largest and of its last
 # unit, which the content memo holds after the sweep
 RECORDS_BUILT = {"criterion-5": (395, 50, 5), "chi-narrow": (43, 18, 18)}
 
 
+def _reads(table):
+    return _entries(table) + _verify(table)
+
+
 @pytest.mark.parametrize("family", SWEEP_FAMILIES)
-def test_tables_share_rows_by_content(family, factor_rows_calls):
-    # each unit's tables built twice, as a sweep builds them: with the
-    # content memo that listing the unit emptied (cold), and again with
-    # every content of the unit in it (warm).  The cold pass builds one
-    # content record per distinct content, and every table of it, those
-    # that take an earlier pair's record included, reads as the reference;
-    # the warm pass builds none, so its tables take the same records
+def test_sweep_units_read_as_the_reference_cold_and_warm(family, factor_rows_calls):
+    # each unit walked as `verify dichotomy` walks it, from the content memo
+    # that listing the unit emptied.  Each pair's table is built cold, from
+    # its parameters read afresh from their JSON, once per parameter and
+    # unit, and reads as the reference on the rows of the exponents of the
+    # tensor products taken directly; the enumerated pair's table, built
+    # warm, takes a record built before and verifies alike.  Both read
+    # their parameters' groups, whose data are immutable tuples.  The cold
+    # tables build one content record per distinct content of the unit
     max_dim, max_k, n_pairs = SWEEP_FAMILIES[family]
-    want = _reference(_entries)
+    want = _reference(_reads)
     per_unit, n = [], 0
-    for pairs in _sweep_units(max_dim, max_k):
-        before = len(factor_rows_calls)
+    for pairs in sweep_units(max_dim, max_k):
+        assert not lparam._CONTENTS
+        before, copies = len(factor_rows_calls), {}
         for gp in pairs:
-            assert _entries(GPCharacterTable(gp)) == want(gp, factor_rows(gp)), gp
+            new = [phi for phi in (gp.phiW, gp.phiV) if phi not in copies]
+            copies.update((phi, _cold_copy(phi)) for phi in new)
+            cold = make_gp_pair(copies[gp.phiW], copies[gp.phiV])
+            table = GPCharacterTable(cold)
+            outcomes = want(gp, factor_rows(gp))
+            assert _reads(table) == outcomes, gp
+            built = len(factor_rows_calls)
+            warm = GPCharacterTable(gp)
+            assert _verify(warm) == outcomes[-1:], gp
+            assert len(factor_rows_calls) == built
+            for tab, pair in ((table, cold), (warm, gp)):
+                assert tab.groupW is pair.phiW.group and tab.groupV is pair.phiV.group
+            for phi in new:
+                _assert_frozen(phi)
+                _assert_frozen(copies[phi])
         per_unit.append(len(factor_rows_calls) - before)
-        for gp in pairs:
-            GPCharacterTable(gp)
-        assert len(factor_rows_calls) == before + per_unit[-1]
         n += len(pairs)
     assert n == n_pairs
     assert (sum(per_unit), max(per_unit)) == RECORDS_BUILT[family][:2]
+
+
+def _cold_copy(phi):
+    # a parameter validated afresh from its JSON, sharing no object with phi
+    # and holding no group yet
+    copy = param_from_json(json.loads(json.dumps(param_to_json(phi))))
+    assert "group" not in vars(copy)
+    return copy
+
+
+def _assert_frozen(phi):
+    # the group's cached data are tuples, and no cached field of the group
+    # or the parameter can be assigned
+    grp = phi.group
+    assert type(grp.masks) is tuple and type(grp.generators) is tuple
+    for obj, names in ((grp, ("masks", "even_dims", "generators")),
+                       (phi, ("group", "reduced"))):
+        for name in names:
+            with pytest.raises(AttributeError, match="cannot assign to field"):
+                setattr(obj, name, None)
 
 
 def test_memos_hold_one_unit_after_a_sweep(factor_rows_calls, capsys):
@@ -643,21 +674,14 @@ def test_reduced_gp_pairs_share_the_v_parameters():
     assert len(paramsW) > 1 and len(byV) == len(paramsV) > 1
 
 
-def test_reduced_gp_pairs_validate_no_parameter(monkeypatch):
+def test_reduced_gp_pairs_validate_no_parameter(count_calls):
     # the enumerated parameters are valid by construction (the proof in
     # enumerate_reduced's docstring), so one sweep unit validates none;
     # the scan of test_enumerate_reduced_lists_the_scan_in_order validates
     # every subset, which is the differential check of that proof
-    calls = []
-    checked = lparam.validate
-
-    def counted(rep, V):
-        calls.append(V)
-        return checked(rep, V)
-
-    monkeypatch.setattr(lparam, "validate", counted)
+    calls = count_calls(lparam, "validate")
     pairs = list(lparam.reduced_gp_pairs(2, 5, 9))
-    assert len(pairs) > 1 and calls == []
+    assert len(pairs) > 1 and calls == {"validate": 0}
 
 
 @pytest.mark.parametrize("family", SWEEP_FAMILIES)
@@ -677,23 +701,12 @@ ADMISSIBILITY_CHECKS = {"criterion-5": 30, "chi-narrow": 9}
 
 
 @pytest.mark.parametrize("family", SWEEP_FAMILIES)
-def test_sweep_checks_admissibility_once_per_unit(family, monkeypatch):
-    # is_admissible_pair wrapped in every module that holds it, and
-    # make_gp_pair where the sweep would look it up, as the traced benchmark
-    # wraps them
+def test_sweep_checks_admissibility_once_per_unit(family, count_calls):
+    # is_admissible_pair and make_gp_pair wrapped in every module that holds
+    # them, as the traced benchmark wraps them
     max_dim, max_k, _ = SWEEP_FAMILIES[family]
-    calls = {"is_admissible_pair": 0, "make_gp_pair": 0}
-    for name, home in (("is_admissible_pair", quadspace),
-                       ("make_gp_pair", lparam)):
-        target = getattr(home, name)
-
-        def counted(*args, _name=name, _fn=target, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-
-        for mod in (cli, lparam, quadspace):
-            if getattr(mod, name, None) is target:
-                monkeypatch.setattr(mod, name, counted)
+    count_calls(quadspace, "is_admissible_pair")
+    calls = count_calls(lparam, "make_gp_pair")
     args = cli._build_parser().parse_args(
         ["verify", "dichotomy", "--max-dim", str(max_dim), "--max-k", str(max_k)]
     )
@@ -733,40 +746,6 @@ def test_enumerate_reduced_lists_the_scan_in_order():
     assert n == 57_638
 
 
-class TestPairExponentMemo:
-    def test_entries_match_direct_tensor_on_family(self, exponents):
-        # the library's exponents, and those of the tensor product taken
-        # directly (gp_reference.direct_exponent) put in their place: every
-        # entry of every table of the family, as dichotomy reads it, is the
-        # same either way
-        library = [_dichotomy(GPCharacterTable(gp)) for gp in _criterion5_pairs()]
-        exponents(direct_exponent)
-        direct = [_dichotomy(GPCharacterTable(gp)) for gp in _criterion5_pairs()]
-        assert len(library) == 992 and library == direct
-
-    def test_cold_and_warm_tables_agree_on_family(self, cold, factor_rows_calls):
-        # each pair's table built cold, from parameters read afresh from
-        # their JSON with the content memo emptied, reads as the reference
-        # and verifies as the pair's own table; built again warm, it builds no
-        # content record, so it takes the cold table's, and verifies alike
-        want = _reference(_entries)
-        for gp in _criterion5_pairs():
-            verdict = GPCharacterTable(gp).verify()
-            cold()
-            fresh = make_gp_pair(_cold_copy(gp.phiW), _cold_copy(gp.phiV))
-            table = GPCharacterTable(fresh)
-            assert _entries(table) == want(gp, factor_rows(gp)), gp
-            assert table.verify() == verdict
-            built = len(factor_rows_calls)
-            assert GPCharacterTable(fresh).verify() == verdict
-            assert len(factor_rows_calls) == built
-
-
-def _cold_copy(phi):
-    # a parameter validated afresh from its JSON, sharing no object with phi
-    return param_from_json(json.loads(json.dumps(param_to_json(phi))))
-
-
 def _span(gens):
     span = {0}
     for g in gens:
@@ -776,23 +755,6 @@ def _span(gens):
 
 @pytest.mark.parametrize("family", SWEEP_FAMILIES)
 class TestPerParameterCaches:
-    def test_warm_and_cold_parameters_give_the_same_table(self, family, unmutated):
-        # the table of each pair read afresh from JSON, whose parameters
-        # hold no group yet, reads as the reference and verifies as the
-        # family's own pair, whose verdict the verify tests compare with
-        # the reference
-        max_dim, max_k, n_pairs = SWEEP_FAMILIES[family]
-        want = _reference(_entries)
-        n = 0
-        for gp in sweep_pairs(max_dim, max_k):
-            fresh = make_gp_pair(_cold_copy(gp.phiW), _cold_copy(gp.phiV))
-            assert "group" not in vars(fresh.phiW)  # nothing cached yet
-            table = GPCharacterTable(fresh)
-            assert _entries(table) == want(gp, unmutated(gp)), gp
-            assert table.verify() == GPCharacterTable(gp).verify(), gp
-            n += 1
-        assert n == n_pairs
-
     def test_cached_group_data_match_a_fresh_computation(self, family):
         max_dim, max_k, _ = SWEEP_FAMILIES[family]
         seen = set()
@@ -819,24 +781,6 @@ class TestPerParameterCaches:
                 assert len(grp.generators) == grp.rank
                 assert _span(grp.generators) == set(want)
         assert seen
-
-    def test_cached_masks_are_immutable_and_shared(self, family):
-        max_dim, max_k, _ = SWEEP_FAMILIES[family]
-        for gp in sweep_pairs(max_dim, max_k):
-            tab = GPCharacterTable(gp)
-            assert tab.groupW is gp.phiW.group and tab.groupV is gp.phiV.group
-            for grp in (tab.groupW, tab.groupV):
-                for data in (grp.masks, grp.generators):
-                    assert type(data) is tuple
-                for name in ("masks", "even_dims", "generators"):
-                    with pytest.raises(AttributeError,
-                                       match="cannot assign to field"):
-                        setattr(grp, name, ())
-            for phi in (gp.phiW, gp.phiV):
-                for name in ("group", "reduced"):
-                    with pytest.raises(AttributeError,
-                                       match="cannot assign to field"):
-                        setattr(phi, name, None)
 
 
 _twists = st.fractions(min_value=-3, max_value=3, max_denominator=12)

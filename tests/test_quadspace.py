@@ -270,23 +270,17 @@ def test_relevant_pairs_requires_admissible():
         relevant_pairs(QuadSpace(1, 1), QuadSpace(2, 2))
 
 
-def test_admissible_pair_checks_once(monkeypatch):
-    calls = []
-
-    def counted(W, V):
-        calls.append((W, V))
-        return is_admissible_pair(W, V)
-
-    monkeypatch.setattr(quadspace, "is_admissible_pair", counted)
+def test_admissible_pair_checks_once(count_calls):
+    calls = count_calls(quadspace, "is_admissible_pair")
     W, V = QuadSpace(2, 0), QuadSpace(3, 2)
     assert admissible_pair(W, V) == is_admissible_pair(W, V)
-    assert len(calls) == 1
+    assert calls == {"is_admissible_pair": 1}
     with pytest.raises(NotAdmissible) as err:
         admissible_pair(QuadSpace(1, 1), QuadSpace(2, 2))
     assert str(err.value) == (
         "(QuadSpace(1, 1), QuadSpace(2, 2)) is not an admissible pair"
     )
-    assert len(calls) == 2
+    assert calls == {"is_admissible_pair": 2}
 
 
 def _same_space(got, p, q):
