@@ -1,16 +1,18 @@
 """Command-line front end.
 
 One-shot subcommands (``classify``, ``component-group``, ``chi``, ``epsilon``,
-``dichotomy``, ``enumerate-pureinner``) read JSON input files and print a JSON
-result.  ``verify`` runs an exhaustive sweep and prints a report object
+``dichotomy``, ``enumerate-pureinner``) read JSON input files and give a JSON
+result.  ``verify`` runs an exhaustive sweep and gives a report object
 ``{command, status, cases_checked, counterexamples, timing_ms}``.
 
-Exit codes: 0 success/PASS, 1 a sweep found a counterexample, 2 input or
-usage error (including a sweep whose bounds leave no case to check, and an
-``epsilon --oracle`` run with no constituent to check), 3 an internal
-invariant failed (a bug, not a counterexample).  All output is exact
-integers and sign strings; only the ε oracle produces floats, labelled with
-its tolerance.
+Each handler (``_cmd_*``) returns its result; :func:`run` alone prints it,
+or the error a handler raised, and sets the exit code: 0 success/PASS, 1 a
+result with a non-empty ``counterexamples`` (a sweep's, or an ``epsilon
+--oracle`` miss), 2 input or usage error (including a sweep whose bounds
+leave no case to check, and an ``epsilon --oracle`` run with no constituent
+to check), 3 an internal invariant failed (a bug, not a counterexample).
+All output is exact integers and sign strings; only the ε oracle produces
+floats, labelled with its tolerance.
 
 Start-up: at module level this file imports only the standard library and
 ``quadspace``.  Each handler and sweep unit imports the layer it runs when it
@@ -33,7 +35,6 @@ from .quadspace import (
     InvariantViolation,
     QuadSpace,
     is_quasi_split,
-    json_object,
     kottwitz_sign,
     pure_inner_forms,
 )
@@ -95,41 +96,33 @@ class SystemExit2(Exception):
 # One-shot subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> dict:
     from .lparam import classify, param_from_json
 
     phi = param_from_json(_load_json(args.file))
     res = classify(phi)
-    _emit(
-        {
-            "type": res.canonical,
-            "flags": sorted(res.flags),
-            "explicit_condition": res.explicit_condition,
-        },
-        args.json,
-    )
-    return 0
+    return {
+        "type": res.canonical,
+        "flags": sorted(res.flags),
+        "explicit_condition": res.explicit_condition,
+    }
 
 
-def _cmd_component_group(args) -> int:
+def _cmd_component_group(args) -> dict:
     from .lparam import component_group, param_from_json
 
     phi = param_from_json(_load_json(args.file))
     grp = component_group(phi)
-    _emit(
-        {
-            "basis": [repr(rho) for rho in grp.basis],
-            "constraint": grp.constraint,
-            "size": grp.size,
-            # product order of the sign tuples: ++, +-, -+, --
-            "elements": [
-                "".join("+" if s == 1 else "-" for s in signs)
-                for signs in sorted(map(grp.signs_of, grp.masks), reverse=True)
-            ],
-        },
-        args.json,
-    )
-    return 0
+    return {
+        "basis": [repr(rho) for rho in grp.basis],
+        "constraint": grp.constraint,
+        "size": grp.size,
+        # product order of the sign tuples: ++, +-, -+, --
+        "elements": [
+            "".join("+" if s == 1 else "-" for s in signs)
+            for signs in sorted(map(grp.signs_of, grp.masks), reverse=True)
+        ],
+    }
 
 
 def _chi_inputs(args):
@@ -142,39 +135,33 @@ def _chi_inputs(args):
     return tab, x, y
 
 
-def _cmd_chi(args) -> int:
+def _cmd_chi(args) -> dict:
     tab, x, y = _chi_inputs(args)
-    _emit({"chi": tab.chi(x, y)}, args.json)
-    return 0
+    return {"chi": tab.chi(x, y)}
 
 
-def _cmd_dichotomy(args) -> int:
+def _cmd_dichotomy(args) -> dict:
     from .lparam import CentralElement
 
     tab, x, y = _chi_inputs(args)
     try:
-        rep = tab.dichotomy(x, y)
+        return tab.dichotomy(x, y).breakdown()
     except CentralElement as exc:
         raise SystemExit2(f"--sV: {exc}")
-    _emit(rep.breakdown(), args.json)
-    return 0
 
 
-def _cmd_epsilon(args) -> int:
+def _cmd_epsilon(args) -> dict:
     from .epsilon import eps_half, eps_numeric_oracle
     from .weilrep import weilrep_from_json
 
     obj = _load_json(args.file)
-    if not isinstance(obj, dict):
-        rho = weilrep_from_json(obj)
-    elif "V" in obj:
+    if isinstance(obj, dict):
         # a parameter object: its rep is validated against the space
         from .lparam import param_from_json
 
         rho = param_from_json(obj).rep
     else:
-        json_object(obj, "parameter", ("rep",), ("V",))
-        rho = weilrep_from_json(obj["rep"])
+        rho = weilrep_from_json(obj)
     root = eps_half(rho)
     out = {
         "epsilon": str(root),
@@ -205,32 +192,27 @@ def _cmd_epsilon(args) -> int:
         out["oracle"] = checks
         out["status"] = "FAIL" if missed else "PASS"
         out["counterexamples"] = missed
-    _emit(out, args.json)
-    return 1 if out.get("counterexamples") else 0
+    return out
 
 
-def _cmd_enumerate_pureinner(args) -> int:
+def _cmd_enumerate_pureinner(args) -> dict:
     V = _parse_space(args.space)
-    _emit(
-        {
-            "space": {"p": V.p, "q": V.q},
-            "forms": [
-                {
-                    "p": U.p,
-                    "q": U.q,
-                    "kottwitz_sign": kottwitz_sign(U),
-                    "quasi_split": is_quasi_split(U),
-                }
-                for U in pure_inner_forms(V)
-            ],
-        },
-        args.json,
-    )
-    return 0
+    return {
+        "space": {"p": V.p, "q": V.q},
+        "forms": [
+            {
+                "p": U.p,
+                "q": U.q,
+                "kottwitz_sign": kottwitz_sign(U),
+                "quasi_split": is_quasi_split(U),
+            }
+            for U in pure_inner_forms(V)
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------
-# Verification sweeps (coarse-grained parallel units, canonical ordering)
+# Verification sweeps (coarse-grained parallel units)
 # ---------------------------------------------------------------------------
 
 def _failure(report, **case) -> dict:
@@ -242,15 +224,13 @@ def _failure(report, **case) -> dict:
     }
 
 
-def _union_unit(case) -> dict:
+def _union_unit(case) -> tuple[int, list]:
     from .conjclass import union_cases, verify_union_prop
 
-    d, p, e0s = case
-    checked = 0
+    cases = union_cases(*case)
     bad = []
-    for kappa, V, e0, D in union_cases(d, p, e0s):
+    for kappa, V, e0, D in cases:
         r = verify_union_prop(kappa, V, e0, D=D)
-        checked += 1
         if not r.passed:
             bad.append(_failure(
                 r,
@@ -259,23 +239,21 @@ def _union_unit(case) -> dict:
                 D=None if D is None else [D.p, D.q],
                 shape=repr(kappa.factors),
             ))
-    return {"key": [d, p], "checked": checked, "counterexamples": bad}
+    return len(cases), bad
 
 
-def _fiber_unit(case) -> dict:
+def _fiber_unit(case) -> tuple[int, list]:
     from .conjclass import fiber_cases, verify_fiber_lemma, verify_fiber_union
 
-    dv, pv = case
-    checked = 0
+    cases = fiber_cases(*case)
     bad = []
-    for kappa, W, V in fiber_cases(dv, pv):
+    for kappa, W, V in cases:
         reports = [("fiber", None, verify_fiber_lemma(kappa, W, V))]
         for e0 in (1, -1):
             reports.append(
                 ("fiber-union", e0, verify_fiber_union(kappa, W, V, e0))
             )
         for kind, e0, r in reports:
-            checked += 1
             if not r.passed:
                 bad.append(_failure(
                     r,
@@ -285,16 +263,15 @@ def _fiber_unit(case) -> dict:
                     n_elliptic=kappa.n_elliptic,
                     e0=e0,
                 ))
-    return {"key": [dv, pv], "checked": checked, "counterexamples": bad}
+    return 3 * len(cases), bad
 
 
-def _dichotomy_unit(case) -> dict:
+def _dichotomy_unit(case) -> tuple[int, list]:
     from .lparam import GPCharacterTable, reduced_gp_pairs
 
-    dw, dv, max_k = case
     checked = 0
     bad = []
-    for gp in reduced_gp_pairs(dw, dv, max_k):
+    for gp in reduced_gp_pairs(*case):
         tab = GPCharacterTable(gp)
         n, is_character, failures = tab.verify()
         checked += n
@@ -308,7 +285,7 @@ def _dichotomy_unit(case) -> dict:
                      "sV": list(tab.groupV.signs_of(y))}
             bad.append({"case": {"kind": "dichotomy", **pair, **signs},
                         "breakdown": report.breakdown()})
-    return {"key": [dw, dv], "checked": checked, "counterexamples": bad}
+    return checked, bad
 
 
 _SWEEPS = {
@@ -347,7 +324,7 @@ def _worker_count(jobs: int) -> int:
     return min(jobs, os.cpu_count() or 1)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> dict:
     t0 = time.monotonic()
     unit = _SWEEPS[args.what]
     cases = _sweep_cases(args)
@@ -359,24 +336,20 @@ def _cmd_verify(args) -> int:
             results = list(pool.map(unit, cases))
     else:
         results = [unit(c) for c in cases]
-    results.sort(key=lambda r: r["key"])
 
-    checked = sum(r["checked"] for r in results)
+    checked = sum(n for n, _ in results)
     if not checked:
         raise SystemExit2(f"verify {args.what}: the bounds leave no case to check")
-    bad = [ce for r in results for ce in r["counterexamples"]]
-    bad.sort(key=lambda ce: json.dumps(ce, sort_keys=True))
-    _emit(
-        {
-            "command": f"verify {args.what}",
-            "status": "FAIL" if bad else "PASS",
-            "cases_checked": checked,
-            "counterexamples": bad,
-            "timing_ms": int((time.monotonic() - t0) * 1000),
-        },
-        args.json,
-    )
-    return 1 if bad else 0
+    # sorted by their JSON, so the report is the same for any --jobs
+    bad = sorted((ce for _, records in results for ce in records),
+                 key=lambda ce: json.dumps(ce, sort_keys=True))
+    return {
+        "command": f"verify {args.what}",
+        "status": "FAIL" if bad else "PASS",
+        "cases_checked": checked,
+        "counterexamples": bad,
+        "timing_ms": int((time.monotonic() - t0) * 1000),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -469,22 +442,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    """Run one command: print its result, or its error, as JSON and return
+    the exit code."""
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        out = args.fn(args)
     except SystemExit2 as exc:
-        _emit({"error": str(exc)}, getattr(args, "json", True))
-        return 2
+        out, code = {"error": str(exc)}, 2
     except InvariantViolation as exc:
         # named by its class, which may be a subclass (OddHalfExponent)
-        _emit({"error": f"{type(exc).__name__}: {exc}"},
-              getattr(args, "json", True))
-        return 3
+        out, code = {"error": f"{type(exc).__name__}: {exc}"}, 3
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
             ArithmeticError) as exc:
-        _emit({"error": f"{type(exc).__name__}: {exc}"},
-              getattr(args, "json", True))
-        return 2
+        out, code = {"error": f"{type(exc).__name__}: {exc}"}, 2
+    else:
+        code = 1 if out.get("counterexamples") else 0
+    _emit(out, args.json)
+    return code
 
 
 def main() -> None:

@@ -251,14 +251,30 @@ class ComponentGroup(_Value):
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
-        """A generating set of :attr:`masks` under XOR, each mask taken in
-        ascending order unless the earlier ones already span it."""
-        span, gens = {0}, []
-        for m in self.masks:
-            if m not in span:
-                gens.append(m)
-                span |= {s ^ m for s in span}
-        return tuple(gens)
+        """A basis of :attr:`masks` under XOR, in ascending order: the
+        singleton {i} of each even-dimensional slot i, and the pair {o0, o}
+        of each odd-dimensional slot o above the lowest one, o0.
+
+        Proof.  Each lies in the group: {i} has even dimension, and {o0, o}
+        holds two odd-dimensional slots.  Each has its highest bit at its
+        own slot (i, or o > o0), so they are independent, and listed by slot
+        they ascend.  Every slot but o0 gives one, so there are
+        len(basis) − 1 of them when an odd slot exists and len(basis)
+        otherwise, which is the rank; independent elements as many as the
+        rank of the 𝔽₂-space 𝒮_φ span it.  ∎
+
+        Each generator is also the least element whose highest bit is its
+        slot (an element headed by o holds another odd slot, so one ≥ o0,
+        and no element is headed by o0), so the tuple is a function of
+        :attr:`masks` alone: the greedy basis that takes each mask in
+        ascending order unless the earlier ones span it."""
+        odd = self._odd_mask
+        low = odd & -odd
+        return tuple(
+            (low if odd >> i & 1 else 0) | 1 << i
+            for i in range(len(self.basis))
+            if 1 << i != low
+        )
 
     def mask_of(self, signs) -> int:
         """The minus-set mask of the element with ±1 ``signs`` on the basis:
@@ -718,7 +734,8 @@ def _is_multiplicative(groupW, groupV, rowW: int, rowV: int) -> bool:
     rowV), so :class:`_TableContent` keeps it once per content.
     Proof: :func:`_is_homomorphism` reads a group only through ``masks``
     and ``generators``; ``masks`` are the set bits of ``even_dims``, in
-    ascending order, and ``generators`` is computed from ``masks`` alone.  ∎
+    ascending order, and ``generators`` is a function of ``masks`` alone
+    (see :attr:`ComponentGroup.generators`).  ∎
     """
     return (
         not (rowW ^ rowV) & 1  # χ(0, 0) = 1

@@ -10,6 +10,7 @@ straight to the terminal, bypassing capture.
 """
 
 import cmath
+import json
 import math
 import random
 import time
@@ -370,25 +371,25 @@ def test_criterion_07_classification_trichotomy(capsys):
 # 8-10: conjugacy class statements
 # ---------------------------------------------------------------------------
 
-def _cli_sweep(count_calls, argv, counted):
-    """The sweep of ``gpkit verify ARGV``, run in-process unit by unit as
-    ``--jobs 1`` runs it, with each ``conjclass`` verifier named in
+def _cli_sweep(capsys, count_calls, argv, counted):
+    """The sweep of ``gpkit verify ARGV``, run in-process through
+    :func:`gpkit.cli.run`, with each ``conjclass`` verifier named in
     ``counted`` wrapped to count its calls (``count_calls`` of conftest.py).
 
-    Returns (summed ``checked``, counterexamples, calls per verifier).
+    Returns (``cases_checked``, counterexamples, calls per verifier).
     """
     calls = count_calls(conjclass, *counted)
-    args = cli._build_parser().parse_args(["verify", *argv])
-    results = [cli._SWEEPS[args.what](case) for case in cli._sweep_cases(args)]
-    bad = [ce for r in results for ce in r["counterexamples"]]
-    return sum(r["checked"] for r in results), bad, calls
+    cli.run(["--json", "verify", *argv])
+    out = json.loads(capsys.readouterr().out)
+    return out["cases_checked"], out["counterexamples"], calls
 
 
 def test_criterion_08_union_over_pure_inner_forms(capsys, count_calls):
     """The sweep of ``verify union --max-dim 9``."""
     t0 = time.monotonic()
     cases, bad, calls = _cli_sweep(
-        count_calls, ["union", "--max-dim", "9"], ("verify_union_prop",)
+        capsys, count_calls, ["union", "--max-dim", "9"],
+        ("verify_union_prop",),
     )
     ok = not bad and cases == 940 and calls == {"verify_union_prop": 940}
     _verdict(
@@ -402,7 +403,7 @@ def test_criterion_09_fiber_lemmas(capsys, count_calls):
     """The sweep of ``verify fibers --max-dv 9``."""
     t0 = time.monotonic()
     cases, bad, calls = _cli_sweep(
-        count_calls,
+        capsys, count_calls,
         ["fibers", "--max-dv", "9"],
         ("verify_fiber_lemma", "verify_fiber_union"),
     )

@@ -336,25 +336,10 @@ class TestVerify:
         rc, out = run_json(capsys, ["verify", "union", "--max-dim", "3", "--e0", "-1"])
         assert rc == 0 and out["status"] == "PASS"
 
-    def test_parallel_jobs(self, capsys):
-        # the README promise: identical output for any job count, timing aside
-        for argv in (
-            ["verify", "union", "--max-dim", "4"],
-            ["verify", "fibers", "--max-dv", "5"],
-            ["verify", "dichotomy", "--max-dim", "6", "--max-k", "7"],
-        ):
-            reports = []
-            for jobs in ("1", "2"):
-                rc, out = run_json(capsys, argv + ["--jobs", jobs])
-                assert rc == 0 and out["status"] == "PASS"
-                del out["timing_ms"]
-                reports.append(out)
-            assert reports[0] == reports[1]
-
     def test_parallel_jobs_from_a_fresh_interpreter(self, capsys):
-        # test_parallel_jobs runs with every layer already imported; here
-        # the parent process and the pool workers start from nothing, so a
-        # unit that misses one of its own imports fails here
+        # the README promise: identical output for any job count, timing
+        # aside.  The parent process and the pool workers start from
+        # nothing, so a unit that misses one of its own imports fails here
         for argv in (
             ["verify", "union", "--max-dim", "4"],
             ["verify", "fibers", "--max-dv", "5"],
@@ -431,18 +416,12 @@ print("ok")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
         assert [cli._worker_count(j) for j in (1, 2, 3, 10**6)] == [1, 2, 2, 2]
-
-    def test_counterexample_exits_one(self, capsys, monkeypatch):
-        fake = {"case": {"V": [1, 0]}, "lhs": [], "rhs": [[1]]}
-
-        def broken_unit(case):
-            return {"key": list(case[:2]), "checked": 1, "counterexamples": [fake]}
-
-        monkeypatch.setitem(cli._SWEEPS, "union", broken_unit)
-        rc, out = run_json(capsys, ["verify", "union", "--max-dim", "1"])
-        assert rc == 1
-        assert out["status"] == "FAIL"
-        assert fake in out["counterexamples"]
+        # with no sched_getaffinity: os.cpu_count(), or 1 when it is unknown
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert [cli._worker_count(j) for j in (1, 2, 3, 10**6)] == [1, 2, 3, 3]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert [cli._worker_count(j) for j in (1, 10**6)] == [1, 1]
 
     @pytest.mark.parametrize(
         "argv,case_keys",
@@ -826,11 +805,16 @@ class TestErrorsAndFormat:
         self, jfile, capsys
     ):
         rc, out = run_json(capsys, ["epsilon", jfile(PARAM_SO21)])
-        assert rc == 0 and out["exponent"] == 2
+        assert rc == 0
+        assert out == {"epsilon": "-1", "exponent": 2, "is_real": True}
         rc, out = run_json(
             capsys, ["epsilon", jfile(dict(PARAM_SO21, junk=1))]
         )
         assert rc == 2 and "unknown key(s) ['junk']" in out["error"]
+        # a JSON object is always a parameter object, so it needs its V
+        rc, out = run_json(capsys, ["epsilon", jfile({"rep": PARAM_SO21["rep"]})])
+        assert rc == 2
+        assert out["error"] == "ValueError: missing key(s) ['V'] in parameter object"
 
     @pytest.mark.parametrize(
         "space,message",
@@ -851,9 +835,6 @@ class TestErrorsAndFormat:
         bad = dict(PARAM_SO21, V={"p": 5, "q": 5})
         rc, out = run_json(capsys, ["epsilon", jfile(bad)])
         assert rc == 2 and out["error"].startswith("OddSpMultiplicity: ")
-        rc, out = run_json(capsys, ["epsilon", jfile(PARAM_SO21)])
-        assert rc == 0
-        assert out == {"epsilon": "-1", "exponent": 2, "is_real": True}
 
     def test_missing_key_is_named(self, jfile, capsys):
         param = json.loads(json.dumps(PARAM_SO21))
@@ -1005,18 +986,15 @@ BENCHMARK_IDENTITIES = {
 
 
 @pytest.mark.parametrize("workload", BENCHMARK_IDENTITIES)
-def test_sweep_pins_the_benchmark_call_counts(workload, count_calls):
+def test_sweep_pins_the_benchmark_call_counts(workload, count_calls, capsys):
     # one table per pair and one dichotomy call per non-central element: the
     # counts the traced benchmark asserts, counted by wrapping the class the
     # same way, so a change that moves one fails here first
     max_dim, max_k, tables, dichotomies, cases = BENCHMARK_IDENTITIES[workload]
     calls = count_calls(GPCharacterTable, "__init__", "dichotomy")
-    args = cli._build_parser().parse_args(
-        ["verify", "dichotomy", "--max-dim", str(max_dim), "--max-k", str(max_k)]
-    )
-    results = [cli._dichotomy_unit(case) for case in cli._sweep_cases(args)]
-    assert sum(r["checked"] for r in results) == cases
-    assert not any(r["counterexamples"] for r in results)
+    rc, out = run_json(capsys, ["verify", "dichotomy", "--max-dim",
+                                str(max_dim), "--max-k", str(max_k)])
+    assert (rc, out["cases_checked"], out["counterexamples"]) == (0, cases, [])
     assert calls == {"__init__": tables, "dichotomy": dichotomies}
 
 
@@ -1036,21 +1014,18 @@ CONJCLASS_CALLS = {
 CONJCLASS_CASES = {"union": 3_036, "fibers": 4_368}
 
 
-def test_conjclass_sweeps_pin_the_benchmark_call_counts(count_calls):
+def test_conjclass_sweeps_pin_the_benchmark_call_counts(count_calls, capsys):
     # each name wrapped in every module that holds it, as the traced
     # benchmark does: every predicate runs on every (form, sign vector), so
     # a change that memoises a verdict or skips a call fails here first
     for name in CONJCLASS_CALLS:
         calls = count_calls(quadspace if name in vars(quadspace) else conjclass, name)
     cases = {}
-    for what, flag, bound, unit in (
-        ("union", "--max-dim", 13, cli._union_unit),
-        ("fibers", "--max-dv", 12, cli._fiber_unit),
-    ):
-        args = cli._build_parser().parse_args(["verify", what, flag, str(bound)])
-        results = [unit(case) for case in cli._sweep_cases(args)]
-        assert not any(r["counterexamples"] for r in results)
-        cases[what] = sum(r["checked"] for r in results)
+    for what, flag, bound in (("union", "--max-dim", 13),
+                              ("fibers", "--max-dv", 12)):
+        rc, out = run_json(capsys, ["verify", what, flag, str(bound)])
+        assert (rc, out["counterexamples"]) == (0, [])
+        cases[what] = out["cases_checked"]
     assert cases == CONJCLASS_CASES
     assert calls == CONJCLASS_CALLS
 

@@ -287,6 +287,13 @@ class TestGPCharacter:
             with pytest.raises(OddHalfExponent):
                 read(x, 0b01)
 
+    def test_non_reduced_pair_is_refused(self):
+        # D_2 twice on the W side: a valid parameter, but not reduced
+        phiW = validate(WeilRep([(D(2), 2)]), QuadSpace(4, 0))
+        phiV = validate(WeilRep([D(1), D(3)]), QuadSpace(5, 0))
+        with pytest.raises(NotReduced, match="need reduced parameters"):
+            GPCharacterTable(make_gp_pair(phiW, phiV))
+
     def test_masks_outside_the_bases_are_refused(self):
         tab = GPCharacterTable(so45_pair())
         # both bases have two slots: masks run over 0..3
@@ -701,20 +708,17 @@ ADMISSIBILITY_CHECKS = {"criterion-5": 30, "chi-narrow": 9}
 
 
 @pytest.mark.parametrize("family", SWEEP_FAMILIES)
-def test_sweep_checks_admissibility_once_per_unit(family, count_calls):
+def test_sweep_checks_admissibility_once_per_unit(family, count_calls, capsys):
     # is_admissible_pair and make_gp_pair wrapped in every module that holds
     # them, as the traced benchmark wraps them
     max_dim, max_k, _ = SWEEP_FAMILIES[family]
     count_calls(quadspace, "is_admissible_pair")
     calls = count_calls(lparam, "make_gp_pair")
-    args = cli._build_parser().parse_args(
-        ["verify", "dichotomy", "--max-dim", str(max_dim), "--max-k", str(max_k)]
-    )
-    cases = cli._sweep_cases(args)
-    results = [cli._dichotomy_unit(case) for case in cases]
-    assert not any(r["counterexamples"] for r in results)
-    assert len(cases) == ADMISSIBILITY_CHECKS[family]
-    assert calls == {"is_admissible_pair": len(cases), "make_gp_pair": 0}
+    assert cli.run(["--json", "verify", "dichotomy", "--max-dim", str(max_dim),
+                    "--max-k", str(max_k)]) == 0
+    assert json.loads(capsys.readouterr().out)["counterexamples"] == []
+    assert calls == {"is_admissible_pair": ADMISSIBILITY_CHECKS[family],
+                     "make_gp_pair": 0}
 
 
 @pytest.mark.parametrize("dw, dv", [(2, 4), (3, 3), (1, 5), (0, 2)])
@@ -746,11 +750,20 @@ def test_enumerate_reduced_lists_the_scan_in_order():
     assert n == 57_638
 
 
-def _span(gens):
-    span = {0}
-    for g in gens:
-        span |= {s ^ g for s in span}
-    return span
+def test_generators_are_the_greedy_basis():
+    # every basis of length <= 10, by its odd-dimensional slots (a character
+    # on each set bit of `odd`, D_1 elsewhere), against the greedy basis:
+    # each mask in ascending order unless the earlier ones already span it
+    for n in range(11):
+        for odd in range(1 << n):
+            grp = lparam.ComponentGroup(
+                tuple(C(0, i) if odd >> i & 1 else D(1, i) for i in range(n)))
+            span, greedy = {0}, []
+            for m in grp.masks:
+                if m not in span:
+                    greedy.append(m)
+                    span |= {s ^ m for s in span}
+            assert grp.generators == tuple(greedy), (n, odd)
 
 
 @pytest.mark.parametrize("family", SWEEP_FAMILIES)
@@ -778,8 +791,6 @@ class TestPerParameterCaches:
                 want = [m for m in subsets
                         if sum(d % 2 for i, d in enumerate(dims) if m >> i & 1) % 2 == 0]
                 assert grp.masks == tuple(want)
-                assert len(grp.generators) == grp.rank
-                assert _span(grp.generators) == set(want)
         assert seen
 
 

@@ -236,6 +236,9 @@ class TestAdmissiblePairs:
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             AdmissiblePair(QuadSpace(1, 1), QuadSpace(2, 2), r=0, d_sign=1)
+        # the gap 2r + 1 is right, but no negative line fills (1, 0) to (2, 0)
+        with pytest.raises(ValueError, match="not W ⟂ D ⟂ Z shaped"):
+            AdmissiblePair(QuadSpace(1, 0), QuadSpace(2, 0), 0, -1)
 
     @pytest.mark.parametrize(
         "W,V,r,d_sign",

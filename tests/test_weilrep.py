@@ -70,6 +70,13 @@ def test_constructors_refuse_non_int_values(build):
         build()
 
 
+def test_entries_must_be_irreducibles_of_positive_multiplicity():
+    with pytest.raises(ValueError, match="multiplicities must be >= 1"):
+        WeilRep([(DiscRep(1), 0)])
+    with pytest.raises(TypeError, match="not an irreducible"):
+        WeilRep([("D1", 1)])
+
+
 def test_a_mapping_is_refused():
     # iterating a mapping reads its keys, which would drop the multiplicities
     with pytest.raises(TypeError, match="not a mapping"):
