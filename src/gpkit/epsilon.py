@@ -21,26 +21,26 @@ to every D_k call) for the D_k.
 On ℝ the Mellin integral of f̂ against sgn^a reads f̂(y) + (−1)^a f̂(−y) at
 nodes y > 0.  The test functions are real, so f̂(−y) = conj f̂(y) and that is
 2·Re f̂(y) for a = 0 and 2i·Im f̂(y) for a = 1: only that part is integrated,
-as one integral with QUADPACK's oscillatory-weight rule (QAWO).  Its
-integrand is even (f_a and its weight cos or sin both have parity a), so
-the rule runs over the half line x ≥ 0 and the result is doubled.  The twist
-t enters the Mellin kernel |x|^{it} and never f̂, so each node's part depends
-on (a, y) alone and is computed once per process, for every twist.  On the ℂ
-side the radial Fourier transform is Weber's closed form (Gradshteyn–Ryzhik
-6.631.4), which is real and positive and so adds no phase of its own.  The
-L-factors are evaluated through log Γ, and their ratio as one exponential,
-so that they stay in the float range for large k.
+as one integral of f_a(x)·(cos, sin)(2πxy).  That integrand is even (f_a and
+its kernel both have parity a), so the rule runs over the half line x ≥ 0
+and the result is doubled.  The twist t enters the Mellin kernel |x|^{it}
+and never f̂, so each node's part depends on (a, y) alone and is computed
+once per process, for every twist.  On the ℂ side the radial Fourier
+transform is Weber's closed form (Gradshteyn–Ryzhik 6.631.4), which is real
+and positive and so adds no phase of its own.  The L-factors are evaluated
+through log Γ, and their ratio as one exponential, so that they stay in the
+float range for large k.
 
-scipy is imported on first use, by the oracle; the exact table does not
-need it, so importing this module leaves scipy unloaded.
+Every integral is one call of ``integrate.quad``, the adaptive Gauss–Kronrod
+rule of :mod:`gpkit.quadrature`, which integrates complex integrands
+directly.  That module is imported on first use, by the oracle; the exact
+table does not need it, so importing this module leaves it unloaded.
 """
 
 from __future__ import annotations
 
 import cmath
-import importlib
 import math
-import warnings
 from fractions import Fraction
 from functools import cache, lru_cache
 
@@ -57,23 +57,26 @@ __all__ = [
 ]
 
 
-def _scipy(name: str):
-    """``scipy.<name>``, imported on first use and kept as a module global.
+def _integrate():
+    """The quadrature module, imported on first use and kept as the module
+    global ``integrate``.
 
-    Only the ε oracle needs scipy, so importing this module does not load
-    it.  A global that is already set (for instance a wrapper put in its
-    place) is returned as it is, never replaced.
+    Only the ε oracle integrates, so importing this module does not load
+    :mod:`gpkit.quadrature`.  A global that is already set (for instance a
+    wrapper put in its place) is returned as it is, never replaced.
     """
-    mod = globals().get(name)
+    mod = globals().get("integrate")
     if mod is None:
-        mod = globals()[name] = importlib.import_module(f"scipy.{name}")
+        from . import quadrature as mod
+
+        globals()["integrate"] = mod
     return mod
 
 
 def __getattr__(name: str):
-    # PEP 562: ``integrate`` and ``special`` resolve on first attribute access.
-    if name in ("integrate", "special"):
-        return _scipy(name)
+    # PEP 562: ``integrate`` resolves on first attribute access.
+    if name == "integrate":
+        return _integrate()
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -142,17 +145,18 @@ def _log_l_factor(rho: IrredRep, s) -> complex:
 
     through log Γ: it stays in the float range where Γ itself overflows
     (from Γ(172) on)."""
+    from .quadrature import loggamma
+
     s = _as_fraction(s)
-    loggamma = _scipy("special").loggamma
     if isinstance(rho, CharRep):
         re, tw = (s + rho.a) / 2, rho.t / 2
         _pole_check(re, tw)
         w = complex(float(re), float(tw))
-        return complex(loggamma(w)) - w * math.log(math.pi)
+        return loggamma(w) - w * math.log(math.pi)
     re, tw = s + Fraction(rho.k, 2), rho.t
     _pole_check(re, tw)
     w = complex(float(re), float(tw))
-    return math.log(2) + complex(loggamma(w)) - w * math.log(2 * math.pi)
+    return math.log(2) + loggamma(w) - w * math.log(2 * math.pi)
 
 
 def _l_ratio(plus: IrredRep, minus: IrredRep) -> complex:
@@ -170,23 +174,19 @@ _QUAD_OPTS = dict(limit=250, epsabs=1e-11, epsrel=1e-11)
 # Finite integration windows.  Every integrand below carries a factor
 # e^{-πx²} (real side) or e^{-2πr²} (complex side), so the discarded tail is
 # of order e^{-π·36} ≈ 1e-49 — twenty orders of magnitude below the oracle
-# tolerance.  The Fourier kernels cos and sin of 2πxy are QAWO weights: the
-# rule integrates the oscillation through Chebyshev moments instead of
-# resolving it.
+# tolerance.
 _X_CUT = 6.0       # x cut of the even e^{-πx²}-weighted integrands on [0, _X_CUT]
 _U_LO, _U_HI = -90.0, 1.7   # x = e^u window for Mellin integrals (e^{1.7} ≈ 5.5)
 _R_CUT = 4.0       # least radial cut for the ρ^k e^{-2πρ²} and r^k e^{-2πr²} integrands
 
 
 class _Quadrature:
-    """One oracle call's integrator: scipy's ``quad``, bound once per call
-    through :func:`_scipy`, and the error budget that every integral of the
-    call draws on."""
+    """One oracle call's integrator, ``integrate.quad`` bound once per call
+    through :func:`_integrate`, and the error budget that every integral of
+    the call draws on."""
 
     def __init__(self, tol: float) -> None:
-        integrate = _scipy("integrate")
-        self.quad = integrate.quad
-        self.warning = integrate.IntegrationWarning
+        self.quad = _integrate().quad
         self.tol = tol
         self.spent = 0.0
 
@@ -198,11 +198,8 @@ class _Quadrature:
             )
 
     def cquad(self, f, a, b) -> tuple[complex, float]:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", category=self.warning)
-            re, re_err = self.quad(lambda x: f(x).real, a, b, **_QUAD_OPTS)
-            im, im_err = self.quad(lambda x: f(x).imag, a, b, **_QUAD_OPTS)
-        return complex(re, im), re_err + im_err
+        """∫_a^b f of a complex integrand, in one pass, and its error."""
+        return self.quad(f, a, b, **_QUAD_OPTS)
 
 
 def _gauss(x: float) -> float:
@@ -224,29 +221,26 @@ def _fourier_part(a: int, y: float) -> tuple[float, float]:
 
     f̂(y) = ∫ f(x) ψ(xy) dx with ψ(x) = e^{2πix}, for the test function f_a.
     The part is Re f̂_a(y) = ∫ f_a(x) cos(2πxy) dx for a = 0 and
-    Im f̂_a(y) = ∫ f_a(x) sin(2πxy) dx for a = 1, one QAWO integral either
-    way, at the node y > 0.
+    Im f̂_a(y) = ∫ f_a(x) sin(2πxy) dx for a = 1, one integral either way,
+    at the node y > 0.
 
     The integral runs over [0, _X_CUT] only, and its value and its error
     estimate are doubled.  This is exact: f_a(−x) = (−1)^a f_a(x), and the
-    weight w_a = (cos, sin)[a] of 2πxy has the same parity, w_a(−x) =
+    kernel w_a = (cos, sin)[a] of 2πxy has the same parity, w_a(−x) =
     (−1)^a w_a(x).  So g = f_a·w_a has g(−x) = (−1)^{2a} g(x) = g(x), and
     ∫_{−X}^{X} g = ∫_0^X g + ∫_0^X g(−x) dx = 2 ∫_0^X g.  The doubled error
     estimate bounds the doubled integral's error.
 
-    The part depends on (a, y) alone, so it is memoised
-    for the process; the Mellin nodes lie in the fixed window e^{[_U_LO,
-    _U_HI]} on subdivisions bounded by the QUADPACK ``limit``, which bounds
-    the memo.  The integral runs through :func:`_scipy`, so a wrapper put in
-    place of ``scipy.integrate`` sees it.
+    The part depends on (a, y) alone, so it is memoised for the process;
+    the Mellin nodes lie in the fixed window e^{[_U_LO, _U_HI]} on
+    subdivisions bounded by the quadrature ``limit``, which bounds the memo.
+    The integral runs through :func:`_integrate`, so a wrapper put in place
+    of ``integrate`` sees it.
     """
-    integrate = _scipy("integrate")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", category=integrate.IntegrationWarning)
-        half, err = integrate.quad(
-            _TEST_FUNCTIONS[a], 0.0, _X_CUT,
-            weight=("cos", "sin")[a], wvar=2 * math.pi * y, **_QUAD_OPTS,
-        )
+    f, kernel, w = _TEST_FUNCTIONS[a], (math.cos, math.sin)[a], 2 * math.pi * y
+    half, err = _integrate().quad(
+        lambda x: f(x) * kernel(w * x), 0.0, _X_CUT, **_QUAD_OPTS
+    )
     return 2 * half, 2 * err
 
 
@@ -274,9 +268,9 @@ def _eps_oracle_char(a: int, t: float, q: _Quadrature) -> complex:
 
     Only one part of f̂ is integrated.  f is real, so f̂(−y) = conj f̂(y)
     and f̂(y) + (−1)^a f̂(−y) is 2·Re f̂(y) for a = 0 and 2i·Im f̂(y) for
-    a = 1: one QAWO integral (cos or sin weight) per node y of the Mellin
-    rule, :func:`_fourier_part`.  The twist t never enters f̂: it sits in
-    the Mellin kernel x^{1/2−it} alone, so a node's part depends on (a, y)
+    a = 1: one integral (cos or sin kernel) per node y of the Mellin rule,
+    :func:`_fourier_part`.  The twist t never enters f̂: it sits in the
+    Mellin kernel x^{1/2−it} alone, so a node's part depends on (a, y)
     only and is computed once per process, and every twist's Mellin rule
     subdivides the same u window from the same Gauss–Kronrod nodes.  The
     error budget does not depend on what an earlier call computed: each

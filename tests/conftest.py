@@ -1,6 +1,6 @@
 """The breach seams of the χ tests (``tests/test_lparam.py``,
-``tests/test_cli.py``), and the call counter of the tests that pin how
-often a sweep calls a function.
+``tests/test_cli.py``), the call counter of the tests that pin how
+often a sweep calls a function, and the log of the ε oracle's integrals.
 
 Each seam fixture puts one deliberate breach into ``gpkit.lparam`` for the
 length of one test and yields ``rows_of``: the function that gives the
@@ -122,3 +122,22 @@ def count_calls(monkeypatch):
                 monkeypatch.setattr(holder, name, counted)
         return counts
     return count
+
+
+@pytest.fixture
+def quad_log(monkeypatch) -> list:
+    """(f, a, b, value, error) of every quad call made through
+    ``gpkit.epsilon.integrate``, the oracle's one quadrature seam, with the
+    Fourier memo cleared first.  The Fourier parts are the calls over
+    [0, ``epsilon._X_CUT``]."""
+    real, log = epsilon.integrate, []
+
+    class Recorded:
+        def quad(self, f, a, b, **kwargs):
+            val, err = real.quad(f, a, b, **kwargs)
+            log.append((f, a, b, val, err))
+            return val, err
+
+    monkeypatch.setattr(epsilon, "integrate", Recorded())
+    epsilon._fourier_part.cache_clear()
+    return log

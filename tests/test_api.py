@@ -4,7 +4,7 @@ import importlib
 
 import pytest
 
-MODULES = ("quadspace", "weilrep", "epsilon", "lparam", "conjclass", "cli")
+MODULES = ("quadspace", "weilrep", "epsilon", "quadrature", "lparam", "conjclass", "cli")
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -109,15 +109,17 @@ def _fresh_python(*args):
 
 
 # the modules whose loading the start-up test tracks: the process pool, the
-# layers that `cli` imports on demand, scipy, and the standard modules that
-# cost start-up time (`dataclasses` with `inspect`) or that only commands
-# reading rationals need (`fractions`)
+# layers that `cli` imports on demand, the oracle's quadrature, scipy (which
+# no command may load), and the standard modules that cost start-up time
+# (`dataclasses` with `inspect`) or that only commands reading rationals
+# need (`fractions`)
 POOL_MODULES = {"concurrent.futures", "multiprocessing"}
 STDLIB_MODULES = {"dataclasses", "fractions", "inspect"}
 WATCHED_MODULES = POOL_MODULES | STDLIB_MODULES | {
     "gpkit.conjclass",
     "gpkit.epsilon",
     "gpkit.lparam",
+    "gpkit.quadrature",
     "gpkit.weilrep",
     "scipy",
 }
@@ -214,13 +216,13 @@ class TestOneShots:
             "constituent to check"
         }
 
-    def test_scipy_is_loaded_only_by_the_oracle(self, jfile):
+    def test_quadrature_is_loaded_only_by_the_oracle(self, jfile):
         # A fresh interpreter per command: `import gpkit.cli` loads no layer
         # (not even gpkit.weilrep, which the package re-exports lazily), no
         # process pool and no `fractions`, each command loads only the
-        # layers it runs, no command loads `dataclasses` or `inspect`, and
-        # only the oracle loads scipy.  Unknown attributes of gpkit.epsilon
-        # still raise without loading scipy.
+        # layers it runs, no command loads `dataclasses`, `inspect` or
+        # scipy, and only the oracle loads gpkit.quadrature.  Unknown
+        # attributes of gpkit.epsilon still raise without loading it.
         lp, eps, wr = "gpkit.lparam", "gpkit.epsilon", "gpkit.weilrep"
         cc, fr = "gpkit.conjclass", "fractions"
         for argv, loaded in (
@@ -236,7 +238,7 @@ class TestOneShots:
             (["epsilon", jfile(PARAM_SO21["rep"], "rep.json")],
              {eps, wr, fr}),
             (["epsilon", jfile(PARAM_SO21), "--oracle"],
-             {lp, eps, wr, "scipy"}),
+             {lp, eps, wr, fr, "gpkit.quadrature"}),
         ):
             script = f"""
 import json, sys
@@ -244,7 +246,7 @@ import gpkit.cli
 argv = {argv!r}
 if argv is not None:
     assert gpkit.cli.run(["--json"] + argv) == 0, argv
-if "gpkit.epsilon" in sys.modules and "scipy" not in sys.modules:
+if "gpkit.epsilon" in sys.modules and "gpkit.quadrature" not in sys.modules:
     try:
         getattr(sys.modules["gpkit.epsilon"], "nope")
     except AttributeError:
@@ -256,18 +258,33 @@ print(json.dumps([m for m in {sorted(WATCHED_MODULES)!r} if m in sys.modules]))
             proc = _fresh_python("-c", script)
             assert proc.returncode == 0, (argv, proc.stderr)
             found = set(json.loads(proc.stdout.splitlines()[-1]))
-            if "scipy" in loaded:
-                # scipy may load them itself
-                found -= POOL_MODULES | STDLIB_MODULES
             assert found == loaded, argv
 
+    def test_oracle_runs_without_scipy(self, jfile):
+        # scipy made unimportable: the oracle needs nothing outside the
+        # standard library and still certifies a twisted character and a
+        # twisted D_k
+        rep = [{"rep": {"kind": "char", "a": 1, "t": "1/3"}, "mult": 1},
+               {"rep": {"kind": "disc", "k": 3, "t": "-1/4"}, "mult": 1}]
+        script = f"""
+import sys
+sys.modules["scipy"] = None
+import gpkit.cli
+sys.exit(gpkit.cli.run(["--json", "epsilon", {jfile(rep, "rep.json")!r}, "--oracle"]))
+"""
+        proc = _fresh_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.splitlines()[-1])
+        assert out["status"] == "PASS"
+        assert len(out["oracle"]) == 2
+
     def test_no_gpkit_module_loads_dataclasses(self):
-        # every module of the package, scipy aside, imported in a fresh
-        # interpreter: the value classes need neither module
+        # every module of the package imported in a fresh interpreter: the
+        # value classes need neither module, and none needs scipy
         script = """
 import json, sys
 import gpkit.cli, gpkit.conjclass, gpkit.epsilon, gpkit.lparam
-import gpkit.quadspace, gpkit.weilrep
+import gpkit.quadrature, gpkit.quadspace, gpkit.weilrep
 print(json.dumps([m for m in ("dataclasses", "inspect", "scipy")
                   if m in sys.modules]))
 """

@@ -19,6 +19,7 @@ from gpkit.epsilon import (
     _log_l_factor,
     _Quadrature,
     _TEST_FUNCTIONS,
+    _X_CUT,
     eps_half,
     eps_numeric_oracle,
 )
@@ -187,27 +188,9 @@ def _recording(q: _Quadrature) -> list:
     return seen
 
 
-@pytest.fixture
-def quad_log(monkeypatch) -> list:
-    """(weighted, value, error) of every quad call made through
-    ``gpkit.epsilon.integrate``, with the Fourier memo cleared first;
-    ``weighted`` marks the QAWO calls, i.e. the Fourier parts."""
-    import gpkit.epsilon as eps
-
-    real, log = eps.integrate, []
-
-    class Recorded:
-        def quad(self, *args, **kwargs):
-            val, err = real.quad(*args, **kwargs)
-            log.append(("weight" in kwargs, val, err))
-            return val, err
-
-        def __getattr__(self, attr):
-            return getattr(real, attr)
-
-    monkeypatch.setattr(eps, "integrate", Recorded())
-    _fourier_part.cache_clear()
-    return log
+def is_fourier(call) -> bool:
+    """Whether a ``quad_log`` entry integrates a Fourier part."""
+    return call[1:3] == (0.0, _X_CUT)
 
 
 def test_character_path_charges_absolute_errors(quad_log):
@@ -217,8 +200,8 @@ def test_character_path_charges_absolute_errors(quad_log):
     # reads 2·part.
     q = _Quadrature(1e-7)
     _eps_oracle_char(1, 1 / 3, q)
-    fourier = sum(err for weighted, _, err in quad_log if weighted)
-    mellin = sum(err for weighted, _, err in quad_log if not weighted)
+    fourier = sum(call[4] for call in quad_log if is_fourier(call))
+    mellin = sum(call[4] for call in quad_log if not is_fourier(call))
     assert fourier > 0 and mellin > 0
     assert q.spent == pytest.approx(4 * fourier + mellin, rel=1e-9)
 
@@ -234,23 +217,20 @@ def test_character_path_charge_does_not_depend_on_the_memo(quad_log):
         before = len(quad_log)
         q = _Quadrature(1e-7)
         _eps_oracle_char(1, 3, q)
-        computed.append(sum(weighted for weighted, _, _ in quad_log[before:]))
+        computed.append(sum(map(is_fourier, quad_log[before:])))
         spent.append(q.spent)
     assert computed[0] > computed[1] > computed[2] == 0
     assert spent[0] == spent[1] == spent[2]
 
 
 def test_disc_path_charges_errors_relative_to_each_integral():
-    # the two radial integrals, each a real and an imaginary quad, and the
-    # error of λ(ℂ/ℝ, ψ), whose integrals ran once for the process
+    # the two radial integrals, one complex quad each, and the error of
+    # λ(ℂ/ℝ, ψ), whose integrals ran once for the process
     q = _Quadrature(1e-7)
     seen = _recording(q)
     _eps_oracle_disc(60, -0.25, q)
-    assert len(seen) == 4
-    relative = sum(
-        (re_err + im_err) / abs(complex(re, im))
-        for (re, re_err), (im, im_err) in (seen[:2], seen[2:])
-    )
+    assert len(seen) == 2
+    relative = sum(err / abs(val) for val, err in seen)
     lambda_err = _lambda_factor()[1]
     assert lambda_err > 0
     assert q.spent == pytest.approx(relative + lambda_err, rel=1e-9)
@@ -344,7 +324,7 @@ def test_fourier_part_matches_the_two_part_transform(monkeypatch):
     # test_fourier_transform_of_the_test_functions, and against the
     # whole-line two-part transform within the sum of the two sides' own
     # error estimates.  The largest distance to the closed forms measured
-    # here is 1.2e-15; a whole-line QAWO rule reads 2.3e-11 (see
+    # here is 5.3e-16; scipy's whole-line QAWO rule reads 2.3e-11 (see
     # fourier_reference).
     import gpkit.epsilon as eps
 
@@ -395,9 +375,11 @@ def test_oracle_refuses_a_bad_tolerance_before_any_quadrature(monkeypatch):
 
 
 def test_counting_wrapper_in_place_of_integrate(monkeypatch):
-    # A stand-in for scipy.integrate that counts quad calls, set the way the
-    # traced benchmark sets it: the oracle must call through it and must
-    # never put the real module back.
+    # A stand-in for gpkit.quadrature that counts quad calls, set the way the
+    # traced benchmark sets it: every integral of the oracle must go through
+    # it, and the oracle must never put the real module back.  With λ and
+    # the Fourier memo warm, each call is its two zeta integrals; from a
+    # cold memo the Fourier parts go through it too.
     import gpkit.epsilon as eps
 
     real = eps.integrate
@@ -411,10 +393,16 @@ def test_counting_wrapper_in_place_of_integrate(monkeypatch):
         def __getattr__(self, attr):
             return getattr(real, attr)
 
+    for rho in (C(0), D(1)):
+        eps_numeric_oracle(rho, tol=1e-6)
     wrapper = Counted()
     monkeypatch.setattr(eps, "integrate", wrapper)
     for rho in (C(0), D(1)):
         before = len(calls)
         eps_numeric_oracle(rho, tol=1e-6)
-        assert len(calls) > before
+        assert len(calls) - before == 2
         assert eps.integrate is wrapper
+    _fourier_part.cache_clear()
+    eps_numeric_oracle(C(0), tol=1e-6)
+    assert len(calls) - 4 > 2
+    assert eps.integrate is wrapper

@@ -1,0 +1,157 @@
+"""gpkit.quadrature on its own: the G10/K21 rule, the adaptive integrator
+against scipy's QUADPACK on each integrand family of the ε oracle, and
+complex log Γ.  scipy is a test-only reference here."""
+
+import ast
+import cmath
+import inspect
+import math
+import warnings
+from fractions import Fraction
+
+import pytest
+
+import gpkit.epsilon as eps
+from gpkit.epsilon import (
+    _QUAD_OPTS,
+    _U_HI,
+    _U_LO,
+    _X_CUT,
+    _eps_oracle_char,
+    _eps_oracle_disc,
+    _fourier_part,
+    _Quadrature,
+)
+from gpkit.quadrature import _WG, _WGK, _XGK, loggamma, quad
+
+
+def test_rule_constants_are_quadpacks():
+    # the abscissae and both weight sets, read from the literals of scipy's
+    # own 21-point Gauss–Kronrod rule
+    from scipy.integrate import _quad_vec
+
+    tree = ast.parse(inspect.getsource(_quad_vec._quadrature_gk21))
+    literals = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)
+    }
+    assert literals == {"x": _XGK, "w": _WG, "v": _WGK}
+
+
+def test_kronrod_and_gauss_degrees_of_exactness():
+    # K21 integrates x^j exactly over [-1, 1] for j ≤ 31 and G10, on the odd
+    # positions of the abscissae, for j ≤ 19; neither one degree further
+    assert math.fsum(_WGK) == pytest.approx(2, abs=1e-15)
+    assert math.fsum(_WG) == pytest.approx(2, abs=1e-15)
+    gauss_nodes = _XGK[1::2]
+    for j in range(34):
+        exact = 2 / (j + 1) if j % 2 == 0 else 0.0
+        kronrod = math.fsum(w * x**j for w, x in zip(_WGK, _XGK))
+        gauss = math.fsum(w * x**j for w, x in zip(_WG, gauss_nodes))
+        assert (abs(kronrod - exact) < 1e-15) is (j <= 31 or j % 2 == 1), j
+        assert (abs(gauss - exact) < 1e-15) is (j <= 19 or j % 2 == 1), j
+
+
+def scipy_quad(f, a: float, b: float) -> tuple[complex, float]:
+    """∫_a^b f by scipy's QUADPACK at the oracle's options, the real and
+    the imaginary part apart, and the sum of the two error estimates."""
+    from scipy.integrate import IntegrationWarning
+    from scipy.integrate import quad as qp
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", category=IntegrationWarning)
+        re, re_err = qp(lambda x: f(x).real, a, b, **_QUAD_OPTS)
+        im, im_err = qp(lambda x: f(x).imag, a, b, **_QUAD_OPTS)
+    return complex(re, im), re_err + im_err
+
+
+def assert_agree_with_scipy(calls) -> None:
+    assert calls
+    for f, a, b, val, err in calls:
+        ref, ref_err = scipy_quad(f, a, b)
+        assert abs(val - ref) <= err + ref_err, (a, b, val, ref)
+
+
+@pytest.mark.parametrize("a", [0, 1])
+def test_quad_matches_scipy_on_the_fourier_parts(quad_log, a):
+    for y in (1e-6, 0.01, 0.1, 0.37, 1.0, 2.0, 3.3, 4.5, 5.5):
+        _fourier_part(a, y)
+    assert {(lo, hi) for _, lo, hi, _, _ in quad_log} == {(0.0, _X_CUT)}
+    assert_agree_with_scipy(quad_log)
+
+
+@pytest.mark.parametrize("a,t", [(0, 0.0), (1, 1 / 3), (0, -3.0)])
+def test_quad_matches_scipy_on_the_mellin_integrands(quad_log, a, t):
+    # both zeta integrals of sgn^a|·|^{it}; the Fourier parts that the f̂
+    # integrand reads are memoised, so scipy's nodes reuse or extend them
+    _eps_oracle_char(a, t, _Quadrature(1e-6))
+    mellin = [c for c in quad_log if (c[1], c[2]) == (_U_LO, _U_HI)]
+    assert len(mellin) == 2
+    assert_agree_with_scipy(mellin)
+
+
+@pytest.mark.parametrize("k", [1, 60, 520])
+@pytest.mark.parametrize("t", [0.0, -0.25])
+def test_quad_matches_scipy_on_the_radial_integrands(quad_log, k, t):
+    eps._lambda_factor()  # λ's own integrals are not the family here
+    quad_log.clear()
+    _eps_oracle_disc(k, t, _Quadrature(1e-6))
+    assert len(quad_log) == 2
+    assert_agree_with_scipy(quad_log)
+
+
+@pytest.mark.parametrize("epsabs,limit", [(1e-3, 5), (1e-6, 250), (1e-11, 5),
+                                          (_QUAD_OPTS["epsabs"], _QUAD_OPTS["limit"])])
+def test_error_estimate_bounds_the_true_error(epsabs, limit):
+    # ∫₀^X e^{-πx²} cos(2πxy) dx = e^{-πy²}/2 up to a tail below e^{-πX²}
+    # ≈ 1e-49, for y past the oracle's largest node (≈ 5.5)
+    for j in range(161):
+        y = j / 20
+        w = 2 * math.pi * y
+        val, err = quad(lambda x: math.exp(-math.pi * x * x) * math.cos(w * x),
+                        0.0, _X_CUT, epsabs=epsabs, epsrel=epsabs, limit=limit)
+        assert abs(val - math.exp(-math.pi * y * y) / 2) <= err, y
+
+
+def test_quad_integrates_a_complex_integrand_in_one_pass():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return cmath.exp(1j * x)
+
+    val, err = quad(f, 0.0, 1.0, **_QUAD_OPTS)
+    assert abs(val - (cmath.exp(1j) - 1) / 1j) <= err < 1e-13
+    assert len(calls) == 21  # one panel, one evaluation per node
+
+
+def mod_2pi_i(d: complex) -> complex:
+    return complex(d.real, math.remainder(d.imag, 2 * math.pi))
+
+
+def test_loggamma_matches_scipy_modulo_2_pi_i():
+    # relative to max(1, |log Γ|): log Γ vanishes at 1 and 2
+    from scipy.special import loggamma as reference
+
+    reals = [Fraction(1, 4), Fraction(3, 4)] + [
+        Fraction(1, 2) + Fraction(k, 2) for k in range(521)
+    ]
+    imags = [0.0, 1 / 8, 1 / 3, 1.0, 7.3, 25.0, 60.5, 100.0]
+    for re in reals:
+        for im in imags + [-v for v in imags[1:]]:
+            z = complex(float(re), im)
+            ref = complex(reference(z))
+            d = mod_2pi_i(loggamma(z) - ref)
+            assert abs(d) <= 1e-12 * max(1.0, abs(ref)), z
+
+
+def test_loggamma_matches_lgamma_on_the_real_axis():
+    # log|Γ(x)| is the real part; Γ(x) > 0 for x > 0, so there the imaginary
+    # part is 0 modulo 2π
+    for x in [j / 16 for j in range(1, 400)] + [97.5, 260.75, 700.0]:
+        d = mod_2pi_i(loggamma(x) - math.lgamma(x))
+        assert abs(d) <= 1e-12 * max(1.0, math.lgamma(x)), x
+    for x in (-0.5, -1.25, -7.5, -12.1):
+        got = loggamma(x).real
+        assert abs(got - math.lgamma(x)) <= 1e-12 * max(1.0, abs(math.lgamma(x)))
