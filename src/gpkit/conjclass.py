@@ -62,7 +62,6 @@ __all__ = [
     "is_in_Xi_reg_V",
     "XiRegResult",
     "is_in_Xi_dVdW",
-    "is_in_C_VW",
     "verify_union_prop",
     "verify_fiber_lemma",
     "verify_fiber_union",
@@ -333,17 +332,6 @@ def _embeds_with_qs_complement(kappa: KappaDatum, space: QuadSpace) -> bool:
     return _signature_is_quasi_split(space.p - p, space.q - q)
 
 
-def is_in_C_VW(kappa: KappaDatum, W: QuadSpace, V: QuadSpace) -> bool:
-    """Membership in the correspondence set C_{V,W} of the admissible pair.
-
-    The constraint sits on the odd-dimensional member: the class must embed
-    there with quasi-split complement.  For odd W that is a condition inside
-    W; for even W the pair has odd V and the condition lives inside V.
-    """
-    admissible_pair(W, V)
-    return _in_C(kappa, V.dim, W.dim, W if W.dim % 2 else V)
-
-
 # ---------------------------------------------------------------------------
 # Exhaustive verifiers
 # ---------------------------------------------------------------------------
@@ -372,9 +360,14 @@ def _sign_vectors(n: int):
 
 
 def _in_C(kc: KappaDatum, d_V: int, d_W: int, X: QuadSpace) -> bool:
-    """:func:`is_in_C_VW` on a pair of dimensions (d_V, d_W) with
-    odd-dimensional member ``X``, without the admissibility check, which
-    each verifier makes once, before its sign sweep."""
+    """Membership in the correspondence set C_{V,W} of an admissible pair of
+    dimensions (d_V, d_W) with odd-dimensional member ``X``.
+
+    The constraint sits on the odd-dimensional member: the class must embed
+    there with quasi-split complement.  For odd W that is a condition inside
+    W; for even W the pair has odd V and the condition lives inside V.  The
+    admissibility of the pair is not checked here: each verifier makes that
+    check once, before its sign sweep."""
     return is_in_Xi_dVdW(kc, d_V, d_W) and _embeds_with_qs_complement(kc, X)
 
 

@@ -16,7 +16,7 @@ nothing of the table: it evaluates the local γ-factor at s = 1/2 by numerical
 quadrature of Tate/Godement–Jacquet zeta integrals against Gaussian test
 functions, on ℝ for characters and on ℂ (through induction in stages, with
 λ(ℂ/ℝ, ψ) itself computed numerically as ε(1/2, sgn, ψ), its error charged
-to every D_k call) for the D_k.
+to every D_k call) for the D_k.  Everything is evaluated at s = 1/2 only.
 
 On ℝ the Mellin integral of f̂ against sgn^a reads f̂(y) + (−1)^a f̂(−y) at
 nodes y > 0.  The test functions are real, so f̂(−y) = conj f̂(y) and that is
@@ -27,9 +27,11 @@ and the result is doubled.  The twist t enters the Mellin kernel |x|^{it}
 and never f̂, so each node's part depends on (a, y) alone and is computed
 once per process, for every twist.  On the ℂ side the radial Fourier
 transform is Weber's closed form (Gradshteyn–Ryzhik 6.631.4), which is real
-and positive and so adds no phase of its own.  The L-factors are evaluated
-through log Γ, and their ratio as one exponential, so that they stay in the
-float range for large k.
+and positive and so adds no phase of its own; with it the radial integral of
+f̂ is the complex conjugate of the radial integral of f, so only the latter
+is integrated.  At s = 1/2 the dual's L-factor is the conjugate of ρ's,
+L(1/2, ρ^∨) = conj L(1/2, ρ), so the L-ratio is exp(2i·Im log L(1/2, ρ)):
+one log Γ per call, which stays in the float range for large k.
 
 Every integral is one call of ``integrate.quad``, the adaptive Gauss–Kronrod
 rule of :mod:`gpkit.quadrature`, which integrates complex integrands
@@ -41,16 +43,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 from functools import cache, lru_cache
 
-from .quadspace import _Value, _as_fraction
+from .quadspace import _Value
 from .weilrep import CharRep, DiscRep, IrredRep, WeilRep
 
 __all__ = [
     "FourthRoot",
     "NotSymplectic",
-    "PoleAt",
     "QuadratureFailure",
     "eps_half",
     "eps_numeric_oracle",
@@ -82,10 +82,6 @@ def __getattr__(name: str):
 
 class NotSymplectic(ValueError):
     """ε came out imaginary: the input was not of symplectic type."""
-
-
-class PoleAt(ArithmeticError):
-    """The Γ-factor has a pole at the requested point."""
 
 
 class QuadratureFailure(ArithmeticError):
@@ -132,37 +128,30 @@ def eps_half(A: WeilRep | IrredRep) -> FourthRoot:
     return FourthRoot(sum(m * _base_exponent(rho) for rho, m in A))
 
 
-def _pole_check(real_part: Fraction, t: Fraction) -> None:
-    if t == 0 and real_part <= 0 and real_part.denominator == 1:
-        raise PoleAt(f"Gamma pole at argument {real_part}")
+def _log_l_factor(rho: IrredRep) -> complex:
+    """log L(1/2, ρ) of the local L-factor at the center,
 
-
-def _log_l_factor(rho: IrredRep, s) -> complex:
-    """log L(s, ρ) of the local L-factor
-
-        Char(a,t) ↦ π^{-(s+it+a)/2} Γ((s+it+a)/2);
-        Disc(k,t) ↦ 2(2π)^{-(s+it+k/2)} Γ(s+it+k/2),
+        Char(a,t) ↦ π^{-w} Γ(w),        w = (1/2 + a + it)/2;
+        Disc(k,t) ↦ 2(2π)^{-w} Γ(w),     w = (1 + k)/2 + it,
 
     through log Γ: it stays in the float range where Γ itself overflows
-    (from Γ(172) on)."""
+    (from Γ(172) on).  Re w ≥ 1/4, so w is never a pole of Γ."""
     from .quadrature import loggamma
 
-    s = _as_fraction(s)
     if isinstance(rho, CharRep):
-        re, tw = (s + rho.a) / 2, rho.t / 2
-        _pole_check(re, tw)
-        w = complex(float(re), float(tw))
+        w = complex((1 + 2 * rho.a) / 4, float(rho.t / 2))
         return loggamma(w) - w * math.log(math.pi)
-    re, tw = s + Fraction(rho.k, 2), rho.t
-    _pole_check(re, tw)
-    w = complex(float(re), float(tw))
+    w = complex((1 + rho.k) / 2, float(rho.t))
     return math.log(2) + loggamma(w) - w * math.log(2 * math.pi)
 
 
-def _l_ratio(plus: IrredRep, minus: IrredRep) -> complex:
-    """L(1/2, plus) / L(1/2, minus) as exp(log L⁺ − log L⁻)."""
-    half = Fraction(1, 2)
-    return cmath.exp(_log_l_factor(plus, half) - _log_l_factor(minus, half))
+def _l_ratio(rho: IrredRep) -> complex:
+    """L(1/2, ρ) / L(1/2, ρ^∨) = exp(2i·Im log L(1/2, ρ)).
+
+    The dual ρ^∨ is ρ with the twist t negated, and L(1/2, ρ^∨) =
+    conj L(1/2, ρ): its Γ argument is the conjugate one, and Γ(w̄) = conj Γ(w).
+    """
+    return cmath.exp(2j * _log_l_factor(rho).imag)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +159,10 @@ def _l_ratio(plus: IrredRep, minus: IrredRep) -> complex:
 # ---------------------------------------------------------------------------
 
 _QUAD_OPTS = dict(limit=250, epsabs=1e-11, epsrel=1e-11)
+# The radial integral's error is charged relative to its modulus, so its rule
+# stops at the relative tolerance alone: an absolute floor would stop early
+# wherever a twist makes the integral small by cancellation.
+_RADIAL_OPTS = dict(_QUAD_OPTS, epsabs=0.0)
 
 # Finite integration windows.  Every integrand below carries a factor
 # e^{-πx²} (real side) or e^{-2πr²} (complex side), so the discarded tail is
@@ -177,7 +170,7 @@ _QUAD_OPTS = dict(limit=250, epsabs=1e-11, epsrel=1e-11)
 # tolerance.
 _X_CUT = 6.0       # x cut of the even e^{-πx²}-weighted integrands on [0, _X_CUT]
 _U_LO, _U_HI = -90.0, 1.7   # x = e^u window for Mellin integrals (e^{1.7} ≈ 5.5)
-_R_CUT = 4.0       # least radial cut for the ρ^k e^{-2πρ²} and r^k e^{-2πr²} integrands
+_R_CUT = 4.0       # least radial cut of the r^k e^{-2πr²} integrand
 
 
 class _Quadrature:
@@ -196,10 +189,6 @@ class _Quadrature:
             raise QuadratureFailure(
                 f"accumulated quadrature error {self.spent:.2e} exceeds {self.tol:.2e}"
             )
-
-    def cquad(self, f, a, b) -> tuple[complex, float]:
-        """∫_a^b f of a complex integrand, in one pass, and its error."""
-        return self.quad(f, a, b, **_QUAD_OPTS)
 
 
 def _gauss(x: float) -> float:
@@ -244,22 +233,22 @@ def _fourier_part(a: int, y: float) -> tuple[float, float]:
     return 2 * half, 2 * err
 
 
-def _mellin_real(g, s: float, t: float, q: _Quadrature) -> complex:
-    """∫₀^∞ g(x) x^{s+it} d^×x via the substitution x = e^u.
+def _mellin_real(g, t: float, q: _Quadrature) -> complex:
+    """∫₀^∞ g(x) x^{1/2+it} d^×x via the substitution x = e^u.
 
     With g(x) = φ(x) + (−1)^a φ(−x) this is the zeta integral
-    ∫_{ℝ^×} φ(x) sgn(x)^a |x|^{s+it} d^×x.
+    ∫_{ℝ^×} φ(x) sgn(x)^a |x|^{1/2+it} d^×x.
     """
 
     def integrand(u: float) -> complex:
-        return g(math.exp(u)) * cmath.exp((s + 1j * t) * u)
+        return g(math.exp(u)) * cmath.exp((0.5 + 1j * t) * u)
 
-    val, err = q.cquad(integrand, _U_LO, _U_HI)
+    val, err = q.quad(integrand, _U_LO, _U_HI, **_QUAD_OPTS)
     q.add(err)
     return val
 
 
-def _eps_oracle_char(a: int, t: float, q: _Quadrature) -> complex:
+def _eps_oracle_char(rho: CharRep, q: _Quadrature) -> complex:
     """ε(1/2, sgn^a|·|^{it}, ψ) = γ(1/2) · L(1/2, χ) / L(1/2, χ^{-1}).
 
     γ(1/2) = Z(f̂, χ^{-1}, 1/2) / Z(f, χ, 1/2) for the test function f = f_a
@@ -274,28 +263,26 @@ def _eps_oracle_char(a: int, t: float, q: _Quadrature) -> complex:
     only and is computed once per process, and every twist's Mellin rule
     subdivides the same u window from the same Gauss–Kronrod nodes.  The
     error budget does not depend on what an earlier call computed: each
-    call charges 2·err, the error of what its integrand reads, once for
-    every distinct node it reads.
+    call charges 2·err, the error of what its integrand reads, for every
+    node it reads (a node read twice would be charged twice, which only
+    overcharges).
 
     By the same parity, φ(x) + (−1)^a φ(−x) is 2·f(x) for φ = f, and it is
     evaluated that way: f(−x) is (−1)^a f(x) bit for bit, since negating x
     changes only signs, which round symmetrically.
     """
+    a, t = rho.a, float(rho.t)
     f = _TEST_FUNCTIONS[a]
     fold = (2, 2j)[a]
-    read: set[float] = set()
 
     def fhat_fold(y: float) -> complex:
         part, err = _fourier_part(a, y)
-        if y not in read:
-            read.add(y)
-            q.add(2 * err)
+        q.add(2 * err)
         return fold * part
 
-    z_top = _mellin_real(fhat_fold, 0.5, -t, q)   # Z(f̂, χ^{-1}, 1-s) at s=1/2
-    z_bot = _mellin_real(lambda x: 2 * f(x), 0.5, t, q)  # Z(f, χ, s)
-    tt = Fraction(t).limit_denominator(10**9)
-    return z_top / z_bot * _l_ratio(CharRep(a, tt), CharRep(a, -tt))
+    z_top = _mellin_real(fhat_fold, -t, q)          # Z(f̂, χ^{-1}, 1/2)
+    z_bot = _mellin_real(lambda x: 2 * f(x), t, q)  # Z(f, χ, 1/2)
+    return z_top / z_bot * _l_ratio(rho)
 
 
 @lru_cache(maxsize=1)
@@ -307,75 +294,56 @@ def _lambda_factor() -> tuple[complex, float]:
     D_k call charges that error to its own budget instead.
     """
     q = _Quadrature(math.inf)
-    return _eps_oracle_char(1, 0.0, q), q.spent
+    return _eps_oracle_char(CharRep(1), q), q.spent
 
 
-def _hankel_G(k: int, rho: float) -> float:
-    """G(ρ) = ∫₀^∞ r^{k+1} e^{-2πr²} J_k(4πrρ) dr = ρ^k e^{-2πρ²} / (4π)."""
-    return math.exp(k * math.log(rho) - 2 * math.pi * rho * rho) / (4 * math.pi)
-
-
-def _eps_oracle_disc(k: int, t: float, q: _Quadrature) -> complex:
+def _eps_oracle_disc(rho: DiscRep, q: _Quadrature) -> complex:
     """ε(1/2, D_k ⊗ |·|^{it}, ψ) = λ(ℂ/ℝ,ψ) · ε(1/2, χ_{k,t}, ψ_ℂ).
 
     The ℂ^×-side zeta integrals use f(z) = z̄^k e^{-2π|z|²}.  The angular
     integral in the ψ_ℂ-Fourier transform of f is carried out with the Bessel
     identity ∫₀^{2π} e^{i(x cos θ − kθ)} dθ = 2π i^k J_k(x), which leaves the
-    Hankel integral G in closed form (Weber; Gradshteyn–Ryzhik 6.631.4) and
-    two radial integrals that are evaluated by adaptive quadrature:
+    Hankel integral G in closed form (Weber; Gradshteyn–Ryzhik 6.631.4):
 
-        Z(f, χ, s)          = 4π ∫ r^{2s+k+2it-1} e^{-2πr²} dr
-        Z(f̂, χ^{-1}, 1-s)  = 16π² i^k ∫ G(ρ) ρ^{1-2s-2it} dρ,
-        G(ρ)                = ∫₀^∞ r^{k+1} e^{-2πr²} J_k(4πrρ) dr
-                            = ρ^k e^{-2πρ²} / (4π).
+        Z(f, χ, 1/2)         = 4π ∫ r^{k+2it} e^{-2πr²} dr      = 4π I
+        Z(f̂, χ^{-1}, 1/2)   = 16π² i^k ∫ G(ρ) ρ^{-2it} dρ,
+        G(ρ)                 = ∫₀^∞ r^{k+1} e^{-2πr²} J_k(4πrρ) dr
+                             = ρ^k e^{-2πρ²} / (4π).
 
+    So G(ρ)ρ^{-2it} = conj(ρ^{k+2it} e^{-2πρ²}) / (4π), Z(f̂)/Z(f) =
+    i^k·conj(I)/I, and the one radial integral I is all that is integrated.
     G is real and positive, so it carries no phase: the i^k is the angular
     identity's and the remaining i is λ(ℂ/ℝ, ψ), computed numerically; the
     error of λ's integrals is charged to this call's budget too.
 
-    Both radial integrands are r^k e^{-2πr²} up to a unimodular twist, which
-    peaks at r = √(k/4π) with width ≈ 0.2, so the window runs three units
-    past the peak (it is ``_R_CUT`` for k ≤ 12).  The integrals grow like
-    Γ((k+1)/2)/(2π)^{k/2} and only their ratio counts, so each error
-    estimate is charged relative to the integral's modulus: since |ε| = 1,
-    the two relative errors bound the error of ε.  Each integrand is one
-    exponential, e^{k·log r − 2πr²} with the twist inside, and the L-ratio is
-    exp(log L⁺ − log L⁻), so nothing overflows before the integrals do: D_k
-    is certified up to k = 520, and from k = 521 on, where e^{k·log r − 2πr²}
-    leaves the float range at its peak, the oracle raises
+    The integrand r^{k+2it} e^{-2πr²} peaks at r = √(k/4π) with width
+    ≈ 0.2, so the window runs three units past the peak (it is ``_R_CUT``
+    for k ≤ 12).  I grows like Γ((k+1)/2)/(2π)^{k/2} and only conj(I)/I
+    counts, so its error estimate is charged relative to its modulus, twice,
+    once for I and once for conj(I): since |ε| = 1, that bounds the error of
+    ε.  The integrand is one exponential, e^{(k+2it)·log r − 2πr²}, and the
+    L-ratio is exp(2i·Im log L), so nothing overflows before the integral
+    does: D_k is certified up to k = 520, and from k = 521 on, where
+    e^{k·log r − 2πr²} leaves the float range at its peak, the oracle raises
     :class:`QuadratureFailure`.
     """
+    k, t = rho.k, float(rho.t)
     r_cut = max(_R_CUT, math.sqrt(k / (4 * math.pi)) + 3)
-
-    def outer(rho: float) -> complex:
-        if rho <= 0:
-            return 0j
-        return _hankel_G(k, rho) * cmath.exp(-2j * t * math.log(rho))
 
     def radial(r: float) -> complex:
         return cmath.exp((k + 2j * t) * math.log(r) - 2 * math.pi * r * r)
 
-    tt = Fraction(t).limit_denominator(10**9)
     try:
-        z_top_int = _radial_integral(outer, r_cut, q)
-        z_bot_int = _radial_integral(radial, r_cut, q)
+        val, err = q.quad(radial, 0.0, r_cut, **_RADIAL_OPTS)
     except OverflowError as exc:
         raise QuadratureFailure(f"D_{k} leaves the float range: {exc}") from exc
-    # Z(f̂)/Z(f) = 16π² i^k ∫G / (4π ∫r^k…).  The integrals are divided
-    # first: near k = 520 either one times 16π² leaves the float range.
-    gamma = 4 * math.pi * (1, 1j, -1, -1j)[k % 4] * (z_top_int / z_bot_int)
-    lam, lam_err = _lambda_factor()
-    q.add(lam_err)
-    return lam * gamma * _l_ratio(DiscRep(k, tt), DiscRep(k, -tt))
-
-
-def _radial_integral(f, r_cut: float, q: _Quadrature) -> complex:
-    """∫₀^{r_cut} f, its error estimate charged relative to its modulus."""
-    val, err = q.cquad(f, 0.0, r_cut)
     if not (cmath.isfinite(val) and val):
         raise QuadratureFailure(f"radial integral came out {val}")
-    q.add(err / abs(val))
-    return val
+    q.add(2 * err / abs(val))
+    lam, lam_err = _lambda_factor()
+    q.add(lam_err)
+    gamma = (1, 1j, -1, -1j)[k % 4] * (val.conjugate() / val)
+    return lam * gamma * _l_ratio(rho)
 
 
 def eps_numeric_oracle(rho: IrredRep, tol: float = 1e-6) -> complex:
@@ -393,7 +361,7 @@ def eps_numeric_oracle(rho: IrredRep, tol: float = 1e-6) -> complex:
         raise ValueError(f"tol must be positive, got {tol!r}")
     q = _Quadrature(tol / 10)
     if isinstance(rho, CharRep):
-        return _eps_oracle_char(rho.a, float(rho.t), q)
+        return _eps_oracle_char(rho, q)
     if isinstance(rho, DiscRep):
-        return _eps_oracle_disc(rho.k, float(rho.t), q)
+        return _eps_oracle_disc(rho, q)
     raise TypeError(f"not an irreducible representation: {rho!r}")

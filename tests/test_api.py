@@ -64,6 +64,10 @@ def test_stored_fields_are_only_the_defining_data():
         ("weilrep", "WeilRep", "__add__"),
         ("weilrep", "WeilRep", "dual"),
         ("weilrep", "WeilRep", "constituents"),
+        ("epsilon", None, "PoleAt"),
+        ("epsilon", None, "_hankel_G"),
+        ("epsilon", None, "_radial_integral"),
+        ("conjclass", None, "is_in_C_VW"),
     ],
 )
 def test_conveniences_over_the_kept_api_stay_deleted(module, owner, attr):

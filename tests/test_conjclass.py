@@ -30,7 +30,6 @@ from gpkit.conjclass import (
     factor_signature,
     fiber_cases,
     iota,
-    is_in_C_VW,
     is_in_Xi_dVdW,
     is_in_Xi_reg_V,
     is_regular,
@@ -236,21 +235,22 @@ class TestXiMembership:
 
 
 class TestCorrespondenceSet:
+    # C_{V,W} membership read off the swept set of verify_fiber_lemma: the
+    # sign vectors c with κ_c in C_{V,W}
     def test_odd_w_embedding(self):
         kappa = KappaDatum([cf(1, 3)])
         W, V = QuadSpace(2, 1), QuadSpace(3, 3)
-        assert is_in_C_VW(kappa, W, V)
-        assert not is_in_C_VW(kappa.with_signs([-1]), W, V)
+        assert verify_fiber_lemma(kappa, W, V).lhs == ((1,),)
 
     def test_requires_admissible(self):
         with pytest.raises(NotAdmissible):
-            is_in_C_VW(KappaDatum([]), QuadSpace(1, 1), QuadSpace(2, 2))
+            verify_fiber_lemma(KappaDatum([]), QuadSpace(1, 1), QuadSpace(2, 2))
 
     def test_even_w_condition_lives_in_v(self):
         kappa = KappaDatum([cf(1, 3)])
         W, V = QuadSpace(1, 1), QuadSpace(2, 1)
-        assert is_in_C_VW(kappa, W, V)  # (2,0) ⊂ (2,1), complement (0,1) quasi-split
-        assert not is_in_C_VW(kappa.with_signs([-1]), W, V)  # (0,2) does not fit in (2,1)
+        # (2,0) ⊂ (2,1) with quasi-split complement (0,1); (0,2) does not fit
+        assert verify_fiber_lemma(kappa, W, V).lhs == ((1,),)
 
 
 class TestVerifiers:

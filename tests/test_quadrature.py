@@ -14,6 +14,7 @@ import pytest
 import gpkit.epsilon as eps
 from gpkit.epsilon import (
     _QUAD_OPTS,
+    _RADIAL_OPTS,
     _U_HI,
     _U_LO,
     _X_CUT,
@@ -23,6 +24,7 @@ from gpkit.epsilon import (
     _Quadrature,
 )
 from gpkit.quadrature import _WG, _WGK, _XGK, loggamma, quad
+from gpkit.weilrep import CharRep, DiscRep
 
 
 def test_rule_constants_are_quadpacks():
@@ -53,23 +55,23 @@ def test_kronrod_and_gauss_degrees_of_exactness():
         assert (abs(gauss - exact) < 1e-15) is (j <= 19 or j % 2 == 1), j
 
 
-def scipy_quad(f, a: float, b: float) -> tuple[complex, float]:
-    """∫_a^b f by scipy's QUADPACK at the oracle's options, the real and
-    the imaginary part apart, and the sum of the two error estimates."""
+def scipy_quad(f, a: float, b: float, opts) -> tuple[complex, float]:
+    """∫_a^b f by scipy's QUADPACK at the oracle's options ``opts``, the real
+    and the imaginary part apart, and the sum of the two error estimates."""
     from scipy.integrate import IntegrationWarning
     from scipy.integrate import quad as qp
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", category=IntegrationWarning)
-        re, re_err = qp(lambda x: f(x).real, a, b, **_QUAD_OPTS)
-        im, im_err = qp(lambda x: f(x).imag, a, b, **_QUAD_OPTS)
+        re, re_err = qp(lambda x: f(x).real, a, b, **opts)
+        im, im_err = qp(lambda x: f(x).imag, a, b, **opts)
     return complex(re, im), re_err + im_err
 
 
-def assert_agree_with_scipy(calls) -> None:
+def assert_agree_with_scipy(calls, opts=_QUAD_OPTS) -> None:
     assert calls
     for f, a, b, val, err in calls:
-        ref, ref_err = scipy_quad(f, a, b)
+        ref, ref_err = scipy_quad(f, a, b, opts)
         assert abs(val - ref) <= err + ref_err, (a, b, val, ref)
 
 
@@ -85,7 +87,7 @@ def test_quad_matches_scipy_on_the_fourier_parts(quad_log, a):
 def test_quad_matches_scipy_on_the_mellin_integrands(quad_log, a, t):
     # both zeta integrals of sgn^a|·|^{it}; the Fourier parts that the f̂
     # integrand reads are memoised, so scipy's nodes reuse or extend them
-    _eps_oracle_char(a, t, _Quadrature(1e-6))
+    _eps_oracle_char(CharRep(a, Fraction(t)), _Quadrature(1e-6))
     mellin = [c for c in quad_log if (c[1], c[2]) == (_U_LO, _U_HI)]
     assert len(mellin) == 2
     assert_agree_with_scipy(mellin)
@@ -96,9 +98,9 @@ def test_quad_matches_scipy_on_the_mellin_integrands(quad_log, a, t):
 def test_quad_matches_scipy_on_the_radial_integrands(quad_log, k, t):
     eps._lambda_factor()  # λ's own integrals are not the family here
     quad_log.clear()
-    _eps_oracle_disc(k, t, _Quadrature(1e-6))
-    assert len(quad_log) == 2
-    assert_agree_with_scipy(quad_log)
+    _eps_oracle_disc(DiscRep(k, Fraction(t)), _Quadrature(1e-6))
+    assert len(quad_log) == 1
+    assert_agree_with_scipy(quad_log, _RADIAL_OPTS)
 
 
 @pytest.mark.parametrize("epsabs,limit", [(1e-3, 5), (1e-6, 250), (1e-11, 5),
