@@ -35,8 +35,15 @@ one log Γ per call, which stays in the float range for large k.
 
 Every integral is one call of ``integrate.quad``, the adaptive Gauss–Kronrod
 rule of :mod:`gpkit.quadrature`, which integrates complex integrands
-directly.  That module is imported on first use, by the oracle; the exact
-table does not need it, so importing this module leaves it unloaded.
+directly.  The character path's two rules start from fixed break points:
+the Mellin window is split at the seven midpoints that the rule's own first
+bisections reach toward the cut-off of f(e^u) near u ≈ 0 (``_U_POINTS``),
+and the Fourier window at 1.5 and 3 (``_X_POINTS``).  So a small twist's
+Mellin rule bisects no panel, and no Fourier part is integrated at a node of
+a panel that the rule would bisect and throw away.  The D_k radial rule
+starts from its whole window.  The quadrature module is imported on first
+use, by the oracle; the exact table does not need it, so importing this
+module leaves it unloaded.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import cache, lru_cache
+from itertools import accumulate
 
 from .quadspace import _Value
 from .weilrep import CharRep, DiscRep, IrredRep, WeilRep
@@ -172,6 +180,17 @@ _X_CUT = 6.0       # x cut of the even e^{-πx²}-weighted integrands on [0, _X_
 _U_LO, _U_HI = -90.0, 1.7   # x = e^u window for Mellin integrals (e^{1.7} ≈ 5.5)
 _R_CUT = 4.0       # least radial cut of the r^k e^{-2πr²} integrand
 
+# Initial partitions of the character path's two rules.  A Mellin integrand
+# g(e^u)·e^{(1/2±it)u} is small and smooth far left and cut off by g(e^u)
+# near u ≈ 0, so the rule's first seven bisections of [_U_LO, _U_HI] each
+# halve the panel next to _U_HI; the break points are those midpoints,
+# computed as the rule computes them.  A Fourier integrand carries e^{-πx²},
+# which is below 1e-12 past x = 3.
+_U_POINTS = tuple(
+    accumulate(range(7), lambda u, _: 0.5 * (u + _U_HI), initial=_U_LO)
+)[1:]
+_X_POINTS = (1.5, 3.0)
+
 
 class _Quadrature:
     """One oracle call's integrator, ``integrate.quad`` bound once per call
@@ -220,15 +239,19 @@ def _fourier_part(a: int, y: float) -> tuple[float, float]:
     ∫_{−X}^{X} g = ∫_0^X g + ∫_0^X g(−x) dx = 2 ∫_0^X g.  The doubled error
     estimate bounds the doubled integral's error.
 
-    The part depends on (a, y) alone, so it is memoised for the process;
-    the Mellin nodes lie in the fixed window e^{[_U_LO, _U_HI]} on
-    subdivisions bounded by the quadrature ``limit``, which bounds the memo.
+    The part depends on (a, y) alone, so it is memoised for the process.
+    The Mellin nodes are the Kronrod nodes of the 8 panels of the fixed
+    partition ``_U_POINTS`` and of their bisections: a rule that bisects
+    nothing reads the same 8 × 21 = 168 nodes per parity for every twist,
+    and each panel a rule bisects adds the 42 nodes of its halves, at most
+    ``limit`` panels per rule.  That bounds the memo.
     The integral runs through :func:`_integrate`, so a wrapper put in place
     of ``integrate`` sees it.
     """
     f, kernel, w = _TEST_FUNCTIONS[a], (math.cos, math.sin)[a], 2 * math.pi * y
     half, err = _integrate().quad(
-        lambda x: f(x) * kernel(w * x), 0.0, _X_CUT, **_QUAD_OPTS
+        lambda x: f(x) * kernel(w * x), 0.0, _X_CUT,
+        points=_X_POINTS, **_QUAD_OPTS,
     )
     return 2 * half, 2 * err
 
@@ -243,7 +266,7 @@ def _mellin_real(g, t: float, q: _Quadrature) -> complex:
     def integrand(u: float) -> complex:
         return g(math.exp(u)) * cmath.exp((0.5 + 1j * t) * u)
 
-    val, err = q.quad(integrand, _U_LO, _U_HI, **_QUAD_OPTS)
+    val, err = q.quad(integrand, _U_LO, _U_HI, points=_U_POINTS, **_QUAD_OPTS)
     q.add(err)
     return val
 

@@ -4,8 +4,13 @@
 Gauss–Kronrod pair (Piessens, de Doncker-Kapenga, Überhuber and Kahaner,
 *QUADPACK*, 1983): the panel with the largest error estimate is bisected
 until the summed estimate meets the tolerance or the panel count reaches
-``limit``.  Each panel's estimate is QUADPACK's qk21 estimate.  Values may be
-complex; magnitudes are moduli, so one pass integrates a complex integrand.
+``limit``.  Each panel's estimate is QUADPACK's qk21 estimate.  Break
+``points`` give the initial partition, as in QUADPACK's QAGP (scipy's
+``points=``) but with QAG's plain bisection and no extrapolation: a caller
+that knows where the rule would bisect anyway starts there, and no
+integrand call is spent on a parent panel that is thrown away.  Values may
+be complex; magnitudes are moduli, so one pass integrates a complex
+integrand.
 
 :func:`loggamma` is log Γ(z) for complex z, by upward recurrence to
 Re z ≥ 16 and the Stirling series there.  Its imaginary part is fixed only
@@ -113,17 +118,34 @@ def _qk21(f, a: float, b: float):
     return resk * hlgth, err
 
 
-def quad(f, a: float, b: float, *, epsabs: float, epsrel: float, limit: int):
+def quad(f, a: float, b: float, *, points=(), epsabs: float, epsrel: float,
+         limit: int):
     """(value, error estimate) of ∫_a^b f by globally adaptive G10/K21.
 
-    Stops when the summed estimate is at most max(epsabs, epsrel·|value|),
-    when ``limit`` panels are in use, or when the worst panel can no longer
-    be bisected in floating point.  The estimate is returned either way;
-    the caller decides whether it is good enough.
+    The rule starts from the panels of the partition a < p₁ < … < b given
+    by the break ``points`` (QUADPACK's QAGP initial partition, without its
+    extrapolation); with no points that is the one panel [a, b].  It stops
+    when the summed estimate is at most max(epsabs, epsrel·|value|), when
+    ``limit`` panels are in use, or when the worst panel can no longer be
+    bisected in floating point.  The estimate is returned either way; the
+    caller decides whether it is good enough.
+
+    Raises :class:`ValueError` unless a, the points and b are finite and
+    strictly increasing, and unless the partition has at most ``limit``
+    panels.
     """
-    val, err = _qk21(f, a, b)
-    panels = [(-err, a, b, val)]
-    total, errsum = val, err
+    edges = (a, *points, b)
+    if not (all(map(math.isfinite, edges))
+            and all(lo < hi for lo, hi in zip(edges, edges[1:]))):
+        raise ValueError(f"quad needs finite, increasing a, points, b: {edges!r}")
+    if len(edges) - 1 > limit:
+        raise ValueError(f"{len(edges) - 1} initial panels exceed limit={limit}")
+    panels = []
+    for lo, hi in zip(edges, edges[1:]):
+        v, e = _qk21(f, lo, hi)
+        panels.append((-e, lo, hi, v))
+    heapq.heapify(panels)
+    total, errsum = sum(p[3] for p in panels), sum(-p[0] for p in panels)
     while errsum > max(epsabs, epsrel * abs(total)) and len(panels) < limit:
         neg_err, lo, hi, v = panels[0]
         mid = 0.5 * (lo + hi)

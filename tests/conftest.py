@@ -126,16 +126,16 @@ def count_calls(monkeypatch):
 
 @pytest.fixture
 def quad_log(monkeypatch) -> list:
-    """(f, a, b, value, error) of every quad call made through
+    """(f, a, b, value, error, points) of every quad call made through
     ``gpkit.epsilon.integrate``, the oracle's one quadrature seam, with the
-    Fourier memo cleared first.  The Fourier parts are the calls over
-    [0, ``epsilon._X_CUT``]."""
+    Fourier memo cleared first; ``points`` are the call's break points.
+    The Fourier parts are the calls over [0, ``epsilon._X_CUT``]."""
     real, log = epsilon.integrate, []
 
     class Recorded:
-        def quad(self, f, a, b, **kwargs):
-            val, err = real.quad(f, a, b, **kwargs)
-            log.append((f, a, b, val, err))
+        def quad(self, f, a, b, *, points=(), **kwargs):
+            val, err = real.quad(f, a, b, points=points, **kwargs)
+            log.append((f, a, b, val, err, tuple(points)))
             return val, err
 
     monkeypatch.setattr(epsilon, "integrate", Recorded())

@@ -248,12 +248,34 @@ def test_twisted_disc_is_certified(rho):
 
 
 def test_disc_path_charges_the_error_of_lambda():
-    # λ(ℂ/ℝ, ψ) is ε(1/2, sgn, ψ), the integrals of C(1) itself: a budget too
-    # small for C(1) is too small for every D_k, whose ε carries λ.  D_3's
-    # own radial integral fits in this budget.
+    # λ(ℂ/ℝ, ψ) is ε(1/2, sgn, ψ), the integrals of C(1) itself: a budget
+    # below λ's own charge is too small for C(1) and for every D_k, whose ε
+    # carries λ.  The oracle's budget is tol/10, here half of λ's charge,
+    # and D_3's own radial integral fits in it.
+    lambda_err = _lambda_factor()[1]
+    tol = 5 * lambda_err
+    q = _Quadrature(math.inf)
+    seen = _recording(q)
+    _eps_oracle_disc(D(3), q)
+    (val, err), = seen
+    assert 2 * err / abs(val) < tol / 10
     for rho in (C(1), D(3)):
         with pytest.raises(QuadratureFailure):
-            eps_numeric_oracle(rho, tol=1e-8)
+            eps_numeric_oracle(rho, tol=tol)
+
+
+def test_small_twists_start_from_the_whole_mellin_partition():
+    # The benchmark's twists ±1/3, ±1/4, ±1/5 for both parities, and λ
+    # (sgn at t = 0), from a cold memo: no Mellin rule bisects a panel of
+    # its initial partition, so the memo holds the 21 Kronrod nodes of each
+    # of the 8 initial panels per parity, and no node of a parent panel.
+    _fourier_part.cache_clear()
+    _lambda_factor.cache_clear()
+    for a in (0, 1):
+        for t in (Fraction(sign, d) for d in (3, 4, 5) for sign in (1, -1)):
+            eps_numeric_oracle(C(a, t), tol=1e-6)
+    _lambda_factor()
+    assert _fourier_part.cache_info().currsize == 2 * 8 * 21
 
 
 def _hankel_numeric(k: int, rho: float) -> float:

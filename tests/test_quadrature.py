@@ -17,7 +17,9 @@ from gpkit.epsilon import (
     _RADIAL_OPTS,
     _U_HI,
     _U_LO,
+    _U_POINTS,
     _X_CUT,
+    _X_POINTS,
     _eps_oracle_char,
     _eps_oracle_disc,
     _fourier_part,
@@ -55,12 +57,14 @@ def test_kronrod_and_gauss_degrees_of_exactness():
         assert (abs(gauss - exact) < 1e-15) is (j <= 19 or j % 2 == 1), j
 
 
-def scipy_quad(f, a: float, b: float, opts) -> tuple[complex, float]:
-    """∫_a^b f by scipy's QUADPACK at the oracle's options ``opts``, the real
-    and the imaginary part apart, and the sum of the two error estimates."""
+def scipy_quad(f, a: float, b: float, points, opts) -> tuple[complex, float]:
+    """∫_a^b f by scipy's QUADPACK at the oracle's options ``opts``, from the
+    same break ``points``, the real and the imaginary part apart, and the sum
+    of the two error estimates."""
     from scipy.integrate import IntegrationWarning
     from scipy.integrate import quad as qp
 
+    opts = dict(opts, points=points or None)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", category=IntegrationWarning)
         re, re_err = qp(lambda x: f(x).real, a, b, **opts)
@@ -70,16 +74,16 @@ def scipy_quad(f, a: float, b: float, opts) -> tuple[complex, float]:
 
 def assert_agree_with_scipy(calls, opts=_QUAD_OPTS) -> None:
     assert calls
-    for f, a, b, val, err in calls:
-        ref, ref_err = scipy_quad(f, a, b, opts)
-        assert abs(val - ref) <= err + ref_err, (a, b, val, ref)
+    for f, a, b, val, err, points in calls:
+        ref, ref_err = scipy_quad(f, a, b, points, opts)
+        assert abs(val - ref) <= err + ref_err, (a, b, points, val, ref)
 
 
 @pytest.mark.parametrize("a", [0, 1])
 def test_quad_matches_scipy_on_the_fourier_parts(quad_log, a):
     for y in (1e-6, 0.01, 0.1, 0.37, 1.0, 2.0, 3.3, 4.5, 5.5):
         _fourier_part(a, y)
-    assert {(lo, hi) for _, lo, hi, _, _ in quad_log} == {(0.0, _X_CUT)}
+    assert {call[1:3] + call[5:] for call in quad_log} == {(0.0, _X_CUT, _X_POINTS)}
     assert_agree_with_scipy(quad_log)
 
 
@@ -90,7 +94,19 @@ def test_quad_matches_scipy_on_the_mellin_integrands(quad_log, a, t):
     _eps_oracle_char(CharRep(a, Fraction(t)), _Quadrature(1e-6))
     mellin = [c for c in quad_log if (c[1], c[2]) == (_U_LO, _U_HI)]
     assert len(mellin) == 2
+    assert {c[5] for c in mellin} == {_U_POINTS}
     assert_agree_with_scipy(mellin)
+
+
+def test_quad_matches_scipy_from_break_points():
+    # a kink at each break point: |x − 1/3| and |x − 2| are smooth on every
+    # initial panel, and the complex factor is integrated in one pass
+    def f(x):
+        return (abs(x - 1 / 3) + abs(x - 2)) * cmath.exp((1j - 0.5) * x)
+
+    points = (1 / 3, 2.0)
+    val, err = quad(f, 0.0, 5.0, points=points, **_QUAD_OPTS)
+    assert_agree_with_scipy([(f, 0.0, 5.0, val, err, points)])
 
 
 @pytest.mark.parametrize("k", [1, 60, 520])
@@ -126,6 +142,60 @@ def test_quad_integrates_a_complex_integrand_in_one_pass():
     val, err = quad(f, 0.0, 1.0, **_QUAD_OPTS)
     assert abs(val - (cmath.exp(1j) - 1) / 1j) <= err < 1e-13
     assert len(calls) == 21  # one panel, one evaluation per node
+
+
+def counted_kink():
+    """|x − 0.3|·e^{−x}, which QAG bisects toward its kink, and the list of
+    its arguments."""
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return abs(x - 0.3) * math.exp(-x)
+
+    return f, calls
+
+
+def test_break_points_at_qags_own_midpoints_skip_the_parent_panels():
+    # QAG bisects [0, 4] at 2 and then [0, 2] at 1; starting from those
+    # panels gives the same leaves without the 21 calls of each parent
+    f, calls = counted_kink()
+    val, err = quad(f, 0.0, 4.0, **_QUAD_OPTS)
+    for points in ((2.0,), (1.0, 2.0)):
+        g, g_calls = counted_kink()
+        got = quad(g, 0.0, 4.0, points=points, **_QUAD_OPTS)
+        assert got == (pytest.approx(val, rel=1e-14), pytest.approx(err, rel=1e-12))
+        assert len(g_calls) == len(calls) - 21 * len(points)
+
+
+@pytest.mark.parametrize(
+    "a,b,points",
+    [
+        (6.0, 0.0, ()),            # reversed
+        (1.0, 1.0, ()),            # equal
+        (0.0, math.inf, ()),       # infinite
+        (-math.inf, 0.0, ()),
+        (math.nan, 1.0, ()),       # NaN
+        (0.0, 1.0, (math.nan,)),
+        (0.0, 3.0, (2.0, 1.0)),    # an unsorted point
+        (0.0, 3.0, (1.0, 1.0)),    # a repeated point
+        (0.0, 3.0, (4.0,)),        # a point outside the bounds
+        (0.0, 3.0, (0.0,)),        # a point on a bound
+    ],
+)
+def test_quad_refuses_edges_that_are_not_finite_and_increasing(a, b, points):
+    f, calls = counted_kink()
+    with pytest.raises(ValueError, match="increasing"):
+        quad(f, a, b, points=points, **_QUAD_OPTS)
+    assert not calls
+
+
+def test_quad_refuses_more_panels_than_its_limit():
+    f, _ = counted_kink()
+    opts = dict(_QUAD_OPTS, limit=4)
+    assert quad(f, 0.0, 4.0, points=(1.0, 2.0, 3.0), **opts)[1] > 0
+    with pytest.raises(ValueError, match="limit"):
+        quad(f, 0.0, 5.0, points=(1.0, 2.0, 3.0, 4.0), **opts)
 
 
 def mod_2pi_i(d: complex) -> complex:
