@@ -22,8 +22,10 @@ from gpkit.conjclass import (
     MismatchedSignVector,
     RSplitFactor,
     XiRegResult,
+    _C_sweep,
     _coset_report,
     _embeds_with_qs_complement,
+    _forms_with_sign,
     _predicted,
     _regular_kappa,
     factor_eigenvalues,
@@ -722,6 +724,26 @@ def test_report_digest_is_pinned():
     assert digest == REPORT_DIGEST
 
 
+# sha256 of every ``verify fibers`` report with dim V ≤ 12, the benchmark's
+# bound, computed as above from the per-(form, c) C_{V,W} predicate that
+# ``_reference_in_C`` keeps.
+FIBER_REPORT_DIGEST_12 = (
+    "efb46fe7c7d4bff99afd184a55957ace7ecc230dcadb0a25bcad3e82cb55e03d"
+)
+
+
+def test_fiber_report_digest_at_the_benchmark_bound_is_pinned():
+    reports = list(_fiber_reports(12))
+    lines = [
+        json.dumps([r.kind, r.passed, r.lhs, r.rhs, r.details], sort_keys=True)
+        for r in reports
+    ]
+    assert len(lines) == 4368
+    assert all(r.passed for r in reports)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == FIBER_REPORT_DIGEST_12
+
+
 def test_predicted_sets_match_the_direct_comprehension():
     """For every n ≤ 8 and every v: the cached coset {c : Πc = v} and slice
     {c : Σc = v} equal the comprehension over the sign hypercube, as a
@@ -856,3 +878,56 @@ def test_kappa_stored_invariants_leave_eq_hash_repr_and_pickle_alone():
                 )
     assert KappaDatum([RSplitFactor(F(2))])._all_elliptic is False
     assert KappaDatum([])._all_elliptic is True
+
+
+def _reference_in_C(kc, d_V, d_W, X):
+    """C_{V,W} membership of one κ_c for the pair with odd member X, asked
+    afresh per (X, c): elliptic, regular and small, and embedded in X with
+    quasi-split complement."""
+    return is_in_Xi_dVdW(kc, d_V, d_W) and _embeds_with_qs_complement(kc, X)
+
+
+def _reference_C_sweep(kappa, d_V, d_W, members):
+    return {
+        c for X in members for c, kc in kappa.signed
+        if _reference_in_C(kc, d_V, d_W, X)
+    }
+
+
+def test_C_sweep_matches_the_reference_on_every_fiber_check():
+    """Every check of ``verify fibers`` with dim V ≤ 12: the lemma's one odd
+    member, and the forms of each e0 that ``verify_fiber_union`` sweeps, in
+    its odd-W branch (forms W_α) and its even-W branch (forms V_α)."""
+    branches = {0: 0, 1: 0}
+    for dv in range(1, 13):
+        for pv in range(dv + 1):
+            for kappa, W, V in fiber_cases(dv, pv):
+                X = W if W.dim % 2 else V
+                branches[W.dim % 2] += 1
+                for members in ((X,), *(_forms_with_sign(X, e0) for e0 in (1, -1))):
+                    assert _C_sweep(kappa, V.dim, W.dim, members) == (
+                        _reference_C_sweep(kappa, V.dim, W.dim, members)
+                    )
+    assert branches == {0: 672, 1: 784}
+
+
+def test_C_sweep_matches_the_reference_off_the_verifiers_domain():
+    """Data the verifiers never sweep, since ``_fiber_pair`` admits only
+    elliptic regular small classes: non-elliptic, irregular and sign-flipped
+    data, under bounds min(d_V, d_W) that make 2|I| too large and bounds
+    that just fit, against every space of three dimensions at once, so that
+    one signature fits some members and not others."""
+    small = {True: 0, False: 0}
+    found = 0
+    for kappa in _kappa_family():
+        n, d = kappa.n_elliptic, kappa.dim
+        members = [
+            QuadSpace(p, dx - p) for dx in (d, d + 1, d + 2) for p in range(dx + 1)
+        ]
+        for m in sorted({0, max(2 * n - 1, 0), 2 * n}):
+            for d_V, d_W in ((m, m + 3), (m + 3, m)):
+                small[2 * n <= m] += 1
+                expected = _reference_C_sweep(kappa, d_V, d_W, members)
+                assert _C_sweep(kappa, d_V, d_W, members) == expected
+                found += len(expected)
+    assert small[True] and small[False] and found

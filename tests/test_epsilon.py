@@ -247,6 +247,21 @@ def test_twisted_disc_is_certified(rho):
     assert abs(got - eps_half(rho).value) < 1e-10
 
 
+@pytest.mark.parametrize("t", [12, 20, 30, 60, 100])
+@pytest.mark.parametrize("k", [1, 5, 20])
+def test_large_twist_disc_is_refused_or_right(k, t):
+    # past |t| ≈ 12 the radial integral falls below the rule's rounding
+    # floor relative to its size, so the oracle refuses small k there (every
+    # k ≤ 60 from t = 40 on); whatever it returns must still be within tol
+    # of i^{k+1}, never a silently wrong value
+    tol = 1e-6
+    try:
+        got = eps_numeric_oracle(D(k, t), tol=tol)
+    except QuadratureFailure:
+        return
+    assert abs(got - 1j ** (k + 1)) < tol
+
+
 def test_disc_path_charges_the_error_of_lambda():
     # λ(ℂ/ℝ, ψ) is ε(1/2, sgn, ψ), the integrals of C(1) itself: a budget
     # below λ's own charge is too small for C(1) and for every D_k, whose ε
