@@ -35,15 +35,17 @@ one log Γ per call, which stays in the float range for large k.
 
 Every integral is one call of ``integrate.quad``, the adaptive Gauss–Kronrod
 rule of :mod:`gpkit.quadrature`, which integrates complex integrands
-directly.  The character path's two rules start from fixed break points:
-the Mellin window is split at the seven midpoints that the rule's own first
-bisections reach toward the cut-off of f(e^u) near u ≈ 0 (``_U_POINTS``),
-and the Fourier window at 1.5 and 3 (``_X_POINTS``).  So a small twist's
-Mellin rule bisects no panel, and no Fourier part is integrated at a node of
-a panel that the rule would bisect and throw away.  The D_k radial rule
-starts from its whole window.  The quadrature module is imported on first
-use, by the oracle; the exact table does not need it, so importing this
-module leaves it unloaded.
+directly and calls each integrand once per panel, on its 21 abscissae.  The
+character path's two rules start from fixed break points: the Mellin window
+at the seven midpoints that the rule's own first bisections reach toward
+the cut-off of f(e^u) near u ≈ 0 (``_U_POINTS``), and the Fourier window of
+the node y on the grid of [0, 3] with step 1.5/2^j, j ≥ 0 least with at most
+two periods of the kernel per panel, and at 3 (:func:`_fourier_part`).
+So a small twist's Mellin rule bisects no panel, and no Fourier rule
+integrates a panel that it would bisect and throw away.  The D_k radial
+rule starts from its whole window.  The quadrature module is imported on
+first use, by the oracle; the exact table does not need it, so importing
+this module leaves it unloaded.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import cache, lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 from .quadspace import _Value
 from .weilrep import CharRep, DiscRep, IrredRep, WeilRep
@@ -180,16 +182,14 @@ _X_CUT = 6.0       # x cut of the even e^{-πx²}-weighted integrands on [0, _X_
 _U_LO, _U_HI = -90.0, 1.7   # x = e^u window for Mellin integrals (e^{1.7} ≈ 5.5)
 _R_CUT = 4.0       # least radial cut of the r^k e^{-2πr²} integrand
 
-# Initial partitions of the character path's two rules.  A Mellin integrand
-# g(e^u)·e^{(1/2±it)u} is small and smooth far left and cut off by g(e^u)
-# near u ≈ 0, so the rule's first seven bisections of [_U_LO, _U_HI] each
-# halve the panel next to _U_HI; the break points are those midpoints,
-# computed as the rule computes them.  A Fourier integrand carries e^{-πx²},
-# which is below 1e-12 past x = 3.
+# The Mellin rule's initial partition.  Its integrand g(e^u)·e^{(1/2±it)u}
+# is small and smooth far left and cut off by g(e^u) near u ≈ 0, so the
+# rule's first seven bisections of [_U_LO, _U_HI] each halve the panel next
+# to _U_HI; the break points are those midpoints, computed as the rule
+# computes them.
 _U_POINTS = tuple(
     accumulate(range(7), lambda u, _: 0.5 * (u + _U_HI), initial=_U_LO)
 )[1:]
-_X_POINTS = (1.5, 3.0)
 
 
 class _Quadrature:
@@ -221,6 +221,9 @@ def _x_gauss(x: float) -> float:
 # The real Gaussian test function of parity a, indexed by a: it is matched to
 # the parity of sgn^a, so neither zeta integral vanishes.
 _TEST_FUNCTIONS = (_gauss, _x_gauss)
+# Per parity a, the abscissae of each Fourier panel and f_a's values there,
+# keyed by the first abscissa: see :func:`_fourier_part`.
+_TEST_VALUES = ({}, {})
 
 
 @cache
@@ -245,13 +248,32 @@ def _fourier_part(a: int, y: float) -> tuple[float, float]:
     nothing reads the same 8 × 21 = 168 nodes per parity for every twist,
     and each panel a rule bisects adds the 42 nodes of its halves, at most
     ``limit`` panels per rule.  That bounds the memo.
+
+    The rule's break points follow the node: the grid of [0, 3] with step
+    h = 1.5/2^j, j ≥ 0 least with h·y ≤ 2, so that no panel holds more than
+    two periods of the kernel, and then 3; past 3, e^{-πx²} is below 1e-12
+    and [3, _X_CUT] is one panel.  For y ≤ 4/3 the points are (1.5, 3).
+    Every panel the rule integrates is then a dyadic piece of [0, 3] or of
+    [3, _X_CUT], whatever y is, so f_a's 21 values on a panel are shared by
+    every node: ``_TEST_VALUES[a]`` keeps them with the abscissae, which a
+    hit must match in full.  Its entries are the distinct panels of the
+    process's Fourier rules: the grid panels with h ≥ 0.1875, the step of
+    the largest node e^{_U_HI} ≈ 5.5, which are 30, then [3, _X_CUT], and
+    the halves of the panels a rule bisects, at most ``limit`` per rule.
     The integral runs through :func:`_integrate`, so a wrapper put in place
     of ``integrate`` sees it.
     """
-    f, kernel, w = _TEST_FUNCTIONS[a], (math.cos, math.sin)[a], 2 * math.pi * y
+    from .quadrature import fourier_integrand
+
+    h = 1.5
+    while h * y > 2:
+        h /= 2
+    integrand = fourier_integrand(
+        _TEST_FUNCTIONS[a], (math.cos, math.sin)[a], 2 * math.pi * y, _TEST_VALUES[a]
+    )
     half, err = _integrate().quad(
-        lambda x: f(x) * kernel(w * x), 0.0, _X_CUT,
-        points=_X_POINTS, **_QUAD_OPTS,
+        integrand, 0.0, _X_CUT, points=tuple(accumulate(repeat(h, round(3 / h)))),
+        **_QUAD_OPTS,
     )
     return 2 * half, 2 * err
 
@@ -260,13 +282,13 @@ def _mellin_real(g, t: float, q: _Quadrature) -> complex:
     """∫₀^∞ g(x) x^{1/2+it} d^×x via the substitution x = e^u.
 
     With g(x) = φ(x) + (−1)^a φ(−x) this is the zeta integral
-    ∫_{ℝ^×} φ(x) sgn(x)^a |x|^{1/2+it} d^×x.
+    ∫_{ℝ^×} φ(x) sgn(x)^a |x|^{1/2+it} d^×x.  ``g`` maps a list of x to the
+    list of g(x), as the rule's integrands do.
     """
+    from .quadrature import mellin_integrand
 
-    def integrand(u: float) -> complex:
-        return g(math.exp(u)) * cmath.exp((0.5 + 1j * t) * u)
-
-    val, err = q.quad(integrand, _U_LO, _U_HI, points=_U_POINTS, **_QUAD_OPTS)
+    val, err = q.quad(mellin_integrand(g, 0.5 + 1j * t), _U_LO, _U_HI,
+                      points=_U_POINTS, **_QUAD_OPTS)
     q.add(err)
     return val
 
@@ -298,13 +320,16 @@ def _eps_oracle_char(rho: CharRep, q: _Quadrature) -> complex:
     f = _TEST_FUNCTIONS[a]
     fold = (2, 2j)[a]
 
-    def fhat_fold(y: float) -> complex:
-        part, err = _fourier_part(a, y)
-        q.add(2 * err)
-        return fold * part
+    def fhat_fold(ys: list[float]) -> list[complex]:
+        out = []
+        for y in ys:
+            part, err = _fourier_part(a, y)
+            q.add(2 * err)
+            out.append(fold * part)
+        return out
 
-    z_top = _mellin_real(fhat_fold, -t, q)          # Z(f̂, χ^{-1}, 1/2)
-    z_bot = _mellin_real(lambda x: 2 * f(x), t, q)  # Z(f, χ, 1/2)
+    z_top = _mellin_real(fhat_fold, -t, q)                      # Z(f̂, χ^{-1}, 1/2)
+    z_bot = _mellin_real(lambda xs: [2 * f(x) for x in xs], t, q)  # Z(f, χ, 1/2)
     return z_top / z_bot * _l_ratio(rho)
 
 
@@ -353,11 +378,11 @@ def _eps_oracle_disc(rho: DiscRep, q: _Quadrature) -> complex:
     k, t = rho.k, float(rho.t)
     r_cut = max(_R_CUT, math.sqrt(k / (4 * math.pi)) + 3)
 
-    def radial(r: float) -> complex:
-        return cmath.exp((k + 2j * t) * math.log(r) - 2 * math.pi * r * r)
+    from .quadrature import power_gaussian
 
     try:
-        val, err = q.quad(radial, 0.0, r_cut, **_RADIAL_OPTS)
+        val, err = q.quad(power_gaussian(k + 2j * t, 2 * math.pi), 0.0, r_cut,
+                          **_RADIAL_OPTS)
     except OverflowError as exc:
         raise QuadratureFailure(f"D_{k} leaves the float range: {exc}") from exc
     if not (cmath.isfinite(val) and val):

@@ -4,13 +4,23 @@
 Gauss–Kronrod pair (Piessens, de Doncker-Kapenga, Überhuber and Kahaner,
 *QUADPACK*, 1983): the panel with the largest error estimate is bisected
 until the summed estimate meets the tolerance or the panel count reaches
-``limit``.  Each panel's estimate is QUADPACK's qk21 estimate.  Break
+``limit``.  Each panel's estimate is QUADPACK's qk21 estimate.  The
+integrand is called once per panel: it takes the panel's 21 Kronrod
+abscissae, in the order of ``_XGK``, and returns their 21 values, so a
+caller's integrand is one list comprehension and not 21 Python calls.  Break
 ``points`` give the initial partition, as in QUADPACK's QAGP (scipy's
 ``points=``) but with QAG's plain bisection and no extrapolation: a caller
 that knows where the rule would bisect anyway starts there, and no
 integrand call is spent on a parent panel that is thrown away.  Values may
 be complex; magnitudes are moduli, so one pass integrates a complex
 integrand.
+
+The oracle's three integrands are built here, in that convention:
+:func:`fourier_integrand` (f(x)·kernel(w·x), with f's values on a panel
+shared by every frequency w), :func:`mellin_integrand` (g(e^u)·e^{su})
+and :func:`power_gaussian` (r^c·e^{−τr²}).  They live here and not in
+:mod:`gpkit.epsilon` because every χ process imports that module for its
+exact table and compiles it, and none integrates.
 
 :func:`loggamma` is log Γ(z) for complex z, by upward recurrence to
 Re z ≥ 16 and the Stirling series there.  Its imaginary part is fixed only
@@ -24,9 +34,15 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
-from operator import mul
+from operator import itemgetter, lt, mul, neg
 
-__all__ = ["loggamma", "quad"]
+__all__ = [
+    "fourier_integrand",
+    "loggamma",
+    "mellin_integrand",
+    "power_gaussian",
+    "quad",
+]
 
 # The 21-point Kronrod abscissae on [-1, 1], descending.  The ten Gauss
 # abscissae are the odd positions 1, 3, ..., 19.
@@ -93,17 +109,20 @@ _WG = (
 
 _EPMACH = 2.0**-52  # QUADPACK's d1mach(4)
 _UFLOW = 2.0**-1022  # d1mach(1)
+_ERR_FLOOR = 50 * _EPMACH  # qk21's least error estimate, relative to resabs
+_RESABS_MIN = _UFLOW / _ERR_FLOOR  # the resabs from which that floor applies
 
 
 def _qk21(f, a: float, b: float):
-    """The K21 value of ∫_a^b f and QUADPACK's qk21 error estimate.
+    """The K21 value of ∫_a^b f and QUADPACK's qk21 error estimate, from
+    one call of f on the 21 abscissae.
 
     The raw estimate |K21 − G10| is scaled by the integrand's spread about
     its mean (``resasc``) as (200·raw/resasc)^{3/2}·resasc, and never set
     below 50 machine epsilons of ∫|f| (``resabs``).
     """
     centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
-    fv = [f(centr + hlgth * x) for x in _XGK]
+    fv = f([centr + hlgth * x for x in _XGK])
     resk = sum(map(mul, _WGK, fv))
     resg = sum(map(mul, _WG, fv[1::2]))
     mean = 0.5 * resk
@@ -112,15 +131,19 @@ def _qk21(f, a: float, b: float):
     resasc = dh * sum(map(mul, _WGK, [abs(v - mean) for v in fv]))
     err = abs((resk - resg) * hlgth)
     if resasc and err:
-        err = resasc * min(1.0, (200 * err / resasc) ** 1.5)
-    if resabs > _UFLOW / (50 * _EPMACH):
-        err = max(50 * _EPMACH * resabs, err)
+        scale = (200 * err / resasc) ** 1.5
+        err = resasc * (scale if scale < 1.0 else 1.0)
+    if resabs > _RESABS_MIN and not err > _ERR_FLOOR * resabs:
+        err = _ERR_FLOOR * resabs
     return resk * hlgth, err
 
 
 def quad(f, a: float, b: float, *, points=(), epsabs: float, epsrel: float,
          limit: int):
     """(value, error estimate) of ∫_a^b f by globally adaptive G10/K21.
+
+    ``f`` maps the list of a panel's 21 Kronrod abscissae to the list of
+    its values there, one call per panel.
 
     The rule starts from the panels of the partition a < p₁ < … < b given
     by the break ``points`` (QUADPACK's QAGP initial partition, without its
@@ -135,8 +158,7 @@ def quad(f, a: float, b: float, *, points=(), epsabs: float, epsrel: float,
     panels.
     """
     edges = (a, *points, b)
-    if not (all(map(math.isfinite, edges))
-            and all(lo < hi for lo, hi in zip(edges, edges[1:]))):
+    if not (all(map(math.isfinite, edges)) and all(map(lt, edges, edges[1:]))):
         raise ValueError(f"quad needs finite, increasing a, points, b: {edges!r}")
     if len(edges) - 1 > limit:
         raise ValueError(f"{len(edges) - 1} initial panels exceed limit={limit}")
@@ -145,7 +167,7 @@ def quad(f, a: float, b: float, *, points=(), epsabs: float, epsrel: float,
         v, e = _qk21(f, lo, hi)
         panels.append((-e, lo, hi, v))
     heapq.heapify(panels)
-    total, errsum = sum(p[3] for p in panels), sum(-p[0] for p in panels)
+    total, errsum = _sums(panels)
     while errsum > max(epsabs, epsrel * abs(total)) and len(panels) < limit:
         neg_err, lo, hi, v = panels[0]
         mid = 0.5 * (lo + hi)
@@ -158,7 +180,55 @@ def quad(f, a: float, b: float, *, points=(), epsabs: float, epsrel: float,
         total += v1 + v2 - v
         errsum += e1 + e2 + neg_err
     # the running sums drift; the panels are exact
-    return sum(p[3] for p in panels), sum(-p[0] for p in panels)
+    return _sums(panels)
+
+
+def _sums(panels):
+    """(Σ value, Σ error) over the (−error, lo, hi, value) panels, in heap order."""
+    return sum(map(itemgetter(3), panels)), sum(map(neg, map(itemgetter(0), panels)))
+
+
+def fourier_integrand(f, kernel, w: float, memo: dict):
+    """The integrand x ↦ f(x)·kernel(w·x) of a Fourier-type integral, in
+    :func:`quad`'s convention, with f's values kept in ``memo``.
+
+    f's values on a panel do not depend on w, so rules at many frequencies
+    that integrate the same panels evaluate f once per panel: ``memo`` maps
+    a panel's first abscissa to its 21 abscissae and f's values there, and
+    a hit must match all 21 abscissae.  Entries are added, never dropped.
+    """
+
+    def integrand(xs: list[float]) -> list[float]:
+        hit = memo.get(xs[0])
+        if hit is None or hit[0] != xs:
+            hit = memo[xs[0]] = xs, [f(x) for x in xs]
+        return [v * kernel(w * x) for v, x in zip(hit[1], xs)]
+
+    return integrand
+
+
+def mellin_integrand(g, s: complex):
+    """The integrand u ↦ g(e^u)·e^{su} of a Mellin integral ∫₀^∞ g(x) x^s d^×x
+    after the substitution x = e^u, in :func:`quad`'s convention; ``g``
+    maps a list of x to the list of g(x) as well."""
+    exp, cexp = math.exp, cmath.exp
+
+    def integrand(us: list[float]) -> list[complex]:
+        return [gx * cexp(s * u) for gx, u in zip(g(list(map(exp, us))), us)]
+
+    return integrand
+
+
+def power_gaussian(c: complex, tau: float):
+    """The integrand r ↦ r^c·e^{−τr²} for r > 0, in :func:`quad`'s
+    convention, as the one exponential e^{c·log r − τr²}: it stays in the
+    float range wherever the value does, where r^c alone may not."""
+    log, cexp = math.log, cmath.exp
+
+    def integrand(rs: list[float]) -> list[complex]:
+        return [cexp(c * log(r) - tau * r * r) for r in rs]
+
+    return integrand
 
 
 # B_{2n} / (2n(2n−1)) for n = 1..9: the Stirling series coefficients.

@@ -128,7 +128,9 @@ def count_calls(monkeypatch):
 def quad_log(monkeypatch) -> list:
     """(f, a, b, value, error, points) of every quad call made through
     ``gpkit.epsilon.integrate``, the oracle's one quadrature seam, with the
-    Fourier memo cleared first; ``points`` are the call's break points.
+    Fourier memos cleared first; ``points`` are the call's break points.
+    ``f`` is the integrand in quad's convention, a list of abscissae to the
+    list of values, so a scalar reference such as scipy reads ``f([x])[0]``.
     The Fourier parts are the calls over [0, ``epsilon._X_CUT``]."""
     real, log = epsilon.integrate, []
 
@@ -140,4 +142,6 @@ def quad_log(monkeypatch) -> list:
 
     monkeypatch.setattr(epsilon, "integrate", Recorded())
     epsilon._fourier_part.cache_clear()
+    for values in epsilon._TEST_VALUES:
+        values.clear()
     return log

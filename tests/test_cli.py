@@ -1033,8 +1033,11 @@ CONJCLASS_CASES = {"union": 3_036, "fibers": 4_368}
 
 def test_conjclass_sweeps_pin_the_benchmark_call_counts(count_calls, capsys):
     # each name wrapped in every module that holds it, as the traced
-    # benchmark does: every predicate runs on every (form, sign vector), so
-    # a change that memoises a verdict or skips a call fails here first
+    # benchmark does: every counted name runs on every (form, sign vector),
+    # so a change that memoises one of their verdicts or skips a call fails
+    # here first.  The embedding test of C_{V,W} is not counted: it runs
+    # once per (form, signature), and its memo is checked by the
+    # differential tests of tests/test_conjclass.py and the report digests
     for name in CONJCLASS_CALLS:
         calls = count_calls(quadspace if name in vars(quadspace) else conjclass, name)
     cases = {}
