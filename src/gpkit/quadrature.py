@@ -34,7 +34,7 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
-from operator import itemgetter, lt, mul, neg
+from operator import mul
 
 __all__ = [
     "fourier_integrand",
@@ -109,8 +109,6 @@ _WG = (
 
 _EPMACH = 2.0**-52  # QUADPACK's d1mach(4)
 _UFLOW = 2.0**-1022  # d1mach(1)
-_ERR_FLOOR = 50 * _EPMACH  # qk21's least error estimate, relative to resabs
-_RESABS_MIN = _UFLOW / _ERR_FLOOR  # the resabs from which that floor applies
 
 
 def _qk21(f, a: float, b: float):
@@ -131,10 +129,9 @@ def _qk21(f, a: float, b: float):
     resasc = dh * sum(map(mul, _WGK, [abs(v - mean) for v in fv]))
     err = abs((resk - resg) * hlgth)
     if resasc and err:
-        scale = (200 * err / resasc) ** 1.5
-        err = resasc * (scale if scale < 1.0 else 1.0)
-    if resabs > _RESABS_MIN and not err > _ERR_FLOOR * resabs:
-        err = _ERR_FLOOR * resabs
+        err = resasc * min(1.0, (200 * err / resasc) ** 1.5)
+    if resabs > _UFLOW / (50 * _EPMACH):
+        err = max(50 * _EPMACH * resabs, err)
     return resk * hlgth, err
 
 
@@ -158,7 +155,8 @@ def quad(f, a: float, b: float, *, points=(), epsabs: float, epsrel: float,
     panels.
     """
     edges = (a, *points, b)
-    if not (all(map(math.isfinite, edges)) and all(map(lt, edges, edges[1:]))):
+    if not (all(map(math.isfinite, edges))
+            and all(lo < hi for lo, hi in zip(edges, edges[1:]))):
         raise ValueError(f"quad needs finite, increasing a, points, b: {edges!r}")
     if len(edges) - 1 > limit:
         raise ValueError(f"{len(edges) - 1} initial panels exceed limit={limit}")
@@ -167,7 +165,7 @@ def quad(f, a: float, b: float, *, points=(), epsabs: float, epsrel: float,
         v, e = _qk21(f, lo, hi)
         panels.append((-e, lo, hi, v))
     heapq.heapify(panels)
-    total, errsum = _sums(panels)
+    total, errsum = sum(p[3] for p in panels), sum(-p[0] for p in panels)
     while errsum > max(epsabs, epsrel * abs(total)) and len(panels) < limit:
         neg_err, lo, hi, v = panels[0]
         mid = 0.5 * (lo + hi)
@@ -180,23 +178,29 @@ def quad(f, a: float, b: float, *, points=(), epsabs: float, epsrel: float,
         total += v1 + v2 - v
         errsum += e1 + e2 + neg_err
     # the running sums drift; the panels are exact
-    return _sums(panels)
+    return sum(p[3] for p in panels), sum(-p[0] for p in panels)
 
 
-def _sums(panels):
-    """(Σ value, Σ error) over the (−error, lo, hi, value) panels, in heap order."""
-    return sum(map(itemgetter(3), panels)), sum(map(neg, map(itemgetter(0), panels)))
+# Per function f, the panels that a fourier_integrand of f has been called
+# on: each panel's first abscissa → (its 21 abscissae, f's values there).
+_F_VALUES: dict = {}
 
 
-def fourier_integrand(f, kernel, w: float, memo: dict):
+def fourier_integrand(f, kernel, w: float):
     """The integrand x ↦ f(x)·kernel(w·x) of a Fourier-type integral, in
-    :func:`quad`'s convention, with f's values kept in ``memo``.
+    :func:`quad`'s convention.
 
     f's values on a panel do not depend on w, so rules at many frequencies
-    that integrate the same panels evaluate f once per panel: ``memo`` maps
-    a panel's first abscissa to its 21 abscissae and f's values there, and
-    a hit must match all 21 abscissae.  Entries are added, never dropped.
+    that integrate the same panels evaluate f once per panel: ``_F_VALUES``
+    keeps, per f, each panel's abscissae and f's values there, keyed by the
+    first abscissa, and a hit must match all 21 abscissae.  Entries are
+    added, never dropped, so the memo holds one entry per distinct panel
+    that an integrand of f has been called on in the process; a caller
+    bounds it by starting every rule from break points on one dyadic grid,
+    as the ε oracle's Fourier parts do (:func:`gpkit.epsilon._fourier_part`
+    states that bound).
     """
+    memo = _F_VALUES.setdefault(f, {})
 
     def integrand(xs: list[float]) -> list[float]:
         hit = memo.get(xs[0])

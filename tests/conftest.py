@@ -132,6 +132,8 @@ def quad_log(monkeypatch) -> list:
     ``f`` is the integrand in quad's convention, a list of abscissae to the
     list of values, so a scalar reference such as scipy reads ``f([x])[0]``.
     The Fourier parts are the calls over [0, ``epsilon._X_CUT``]."""
+    from gpkit import quadrature
+
     real, log = epsilon.integrate, []
 
     class Recorded:
@@ -142,6 +144,5 @@ def quad_log(monkeypatch) -> list:
 
     monkeypatch.setattr(epsilon, "integrate", Recorded())
     epsilon._fourier_part.cache_clear()
-    for values in epsilon._TEST_VALUES:
-        values.clear()
+    quadrature._F_VALUES.clear()
     return log

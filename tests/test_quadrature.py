@@ -27,6 +27,7 @@ from gpkit.epsilon import (
     _lambda_factor,
     _Quadrature,
 )
+from gpkit import quadrature
 from gpkit.quadrature import _WG, _WGK, _XGK, fourier_integrand, loggamma, quad
 from gpkit.weilrep import CharRep, DiscRep
 from quad_reference import scalar_quad
@@ -233,15 +234,22 @@ def test_fourier_rules_start_from_the_nodes_grid(quad_log, monkeypatch):
     # Each Fourier rule of the benchmark's twists and of λ starts from its
     # node's grid, which is (1.5, 3) up to y = 4/3; and none integrates more
     # panels than the scalar rule does from (1.5, 3) for every node.
+    # The 336 rules start from 1,392 panels and make 132 bisections of 264
+    # panels, as README and gpkit.epsilon state; from (1.5, 3), 447.
     fourier, _ = benchmark_rules(quad_log, monkeypatch)
     ys = [y for (_, y), _ in fourier]
     assert min(ys) <= 4 / 3 < max(ys)
+    start = total = parents = 0
     for (a, y), (f, lo, hi, _, _, points) in fourier:
         assert points == node_grid(y), (a, y)
         if y <= 4 / 3:
             assert points == (1.5, 3.0), (a, y)
         whole = scalar_quad(scalar(f), lo, hi, points=(1.5, 3.0), **_QUAD_OPTS)[2]
-        assert batched_panels(f, lo, hi, points, _QUAD_OPTS) <= whole, (a, y)
+        panels = batched_panels(f, lo, hi, points, _QUAD_OPTS)
+        assert panels <= whole, (a, y)
+        start, total, parents = start + len(points) + 1, total + panels, parents + whole
+    assert (len(fourier), start, total) == (336, 1392, 1392 + 2 * 132)
+    assert parents == 336 * 3 + 2 * 447
 
 
 @pytest.mark.parametrize("epsabs,limit", [(1e-3, 5), (1e-6, 250), (1e-11, 5),
@@ -276,19 +284,19 @@ def test_fourier_integrand_reads_its_memo_only_on_a_full_match():
     # f's values are kept per panel, keyed by the first abscissa; a list
     # with the same first abscissa and another one after it is a different
     # panel, and f is evaluated there afresh
-    seen, memo = [], {}
+    seen = []
 
     def f(x):
         seen.append(x)
         return x * x
 
-    g = fourier_integrand(f, math.cos, 3.0, memo)
+    g = fourier_integrand(f, math.cos, 3.0)
     xs = [0.5 + 0.5 * x for x in _XGK]
     other = [xs[0]] + [0.25 + 0.25 * x for x in _XGK[1:]]
     for abscissae in (xs, xs, other, xs):
         assert g(list(abscissae)) == [x * x * math.cos(3.0 * x) for x in abscissae]
     assert seen == xs + other + xs  # the repeat of xs read the memo
-    assert list(memo) == [xs[0]]
+    assert list(quadrature._F_VALUES.pop(f)) == [xs[0]]
 
 
 def counted_kink():
