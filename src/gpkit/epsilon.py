@@ -68,19 +68,30 @@ __all__ = [
 ]
 
 
-def _integrate():
-    """The quadrature module, imported on first use and kept as the module
-    global ``integrate``.
+@cache
+def _quadrature():
+    """The module :mod:`gpkit.quadrature`, imported on first use and bound
+    once per process: the oracle's integrands and log Γ come from it, and
+    it is the default ``integrate``.
 
     Only the ε oracle integrates, so importing this module does not load
-    :mod:`gpkit.quadrature`.  A global that is already set (for instance a
-    wrapper put in its place) is returned as it is, never replaced.
+    :mod:`gpkit.quadrature`.
+    """
+    from . import quadrature
+
+    return quadrature
+
+
+def _integrate():
+    """The quadrature module, :func:`_quadrature`, kept as the module global
+    ``integrate``, through which every integral runs.
+
+    A global that is already set (for instance a wrapper put in its place)
+    is returned as it is, never replaced.
     """
     mod = globals().get("integrate")
     if mod is None:
-        from . import quadrature as mod
-
-        globals()["integrate"] = mod
+        mod = globals()["integrate"] = _quadrature()
     return mod
 
 
@@ -147,8 +158,7 @@ def _log_l_factor(rho: IrredRep) -> complex:
 
     through log Γ: it stays in the float range where Γ itself overflows
     (from Γ(172) on).  Re w ≥ 1/4, so w is never a pole of Γ."""
-    from .quadrature import loggamma
-
+    loggamma = _quadrature().loggamma
     if isinstance(rho, CharRep):
         w = complex((1 + 2 * rho.a) / 4, float(rho.t / 2))
         return loggamma(w) - w * math.log(math.pi)
@@ -262,12 +272,10 @@ def _fourier_part(a: int, y: float) -> tuple[float, float]:
     The integral runs through :func:`_integrate`, so a wrapper put in place
     of ``integrate`` sees it.
     """
-    from .quadrature import fourier_integrand
-
     h = 1.5
     while h * y > 2:
         h /= 2
-    integrand = fourier_integrand(
+    integrand = _quadrature().fourier_integrand(
         _TEST_FUNCTIONS[a], (math.cos, math.sin)[a], 2 * math.pi * y
     )
     half, err = _integrate().quad(
@@ -284,10 +292,8 @@ def _mellin_real(g, t: float, q: _Quadrature) -> complex:
     ∫_{ℝ^×} φ(x) sgn(x)^a |x|^{1/2+it} d^×x.  ``g`` maps a list of x to the
     list of g(x), as the rule's integrands do.
     """
-    from .quadrature import mellin_integrand
-
-    val, err = q.quad(mellin_integrand(g, 0.5 + 1j * t), _U_LO, _U_HI,
-                      points=_U_POINTS, **_QUAD_OPTS)
+    integrand = _quadrature().mellin_integrand(g, 0.5 + 1j * t)
+    val, err = q.quad(integrand, _U_LO, _U_HI, points=_U_POINTS, **_QUAD_OPTS)
     q.add(err)
     return val
 
@@ -377,11 +383,9 @@ def _eps_oracle_disc(rho: DiscRep, q: _Quadrature) -> complex:
     k, t = rho.k, float(rho.t)
     r_cut = max(_R_CUT, math.sqrt(k / (4 * math.pi)) + 3)
 
-    from .quadrature import power_gaussian
-
+    integrand = _quadrature().power_gaussian(k + 2j * t, 2 * math.pi)
     try:
-        val, err = q.quad(power_gaussian(k + 2j * t, 2 * math.pi), 0.0, r_cut,
-                          **_RADIAL_OPTS)
+        val, err = q.quad(integrand, 0.0, r_cut, **_RADIAL_OPTS)
     except OverflowError as exc:
         raise QuadratureFailure(f"D_{k} leaves the float range: {exc}") from exc
     if not (cmath.isfinite(val) and val):

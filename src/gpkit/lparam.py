@@ -203,7 +203,8 @@ class ComponentGroup(_Value):
     ±1 signs.  The constraint says that an element's −1-eigenspace has even
     dimension, so the elements are the even-dimensional subsets of the basis.
     The mask data every Gross–Prasad pair of the parameter reads are
-    computed on first use and kept.
+    computed on first use and kept; the parameters that
+    :func:`enumerate_reduced` lists share one group per basis.
     """
 
     _fields = ("basis",)
@@ -441,14 +442,17 @@ class GPCharacterTable:
     ``_CONTENTS`` holds one sweep unit's contents: these almost never repeat
     across units (at ``--max-dim 10 --max-k 9``, 395 distinct contents
     summed over the units, 383 over the whole sweep).  Each pair still gets
-    its own table, with its own groups.  What depends on one side only is
-    built once per parameter and shared by every table of a sweep that
-    pairs it: the reducedness test and the component group
-    (:attr:`LParameter.reduced`, :attr:`LParameter.group`), the group's
-    element masks, their bitmask and its generating set, and the V group's
-    slot planes of each W-slot irreducible
-    (:attr:`ComponentGroup._planes_by_slot`, the one memo of the planes:
-    another V group with the same basis builds them again).
+    its own table.  What depends on one side only is built once per basis
+    and shared by every table that reads it, across the units of a sweep:
+    :func:`enumerate_reduced` lists each parameter with its reducedness
+    and its component group set (:attr:`LParameter.reduced`,
+    :attr:`LParameter.group`), the group of each basis one object for the
+    process, and that group keeps its element masks, their bitmask, its
+    generating set and, as a V group, the slot planes of each W-slot
+    irreducible (:attr:`ComponentGroup._planes_by_slot`, the one memo of
+    the planes).  At ``--max-dim 10 --max-k 9`` the 992 tables read 62
+    groups.  A parameter built otherwise (from JSON, say) computes both
+    fields on first use, with a group of its own.
     """
 
     def __init__(self, gp: GPPair):
@@ -585,6 +589,13 @@ class _TableContent:
     fullV − y of row x, which is digit y of row x's binary string of
     2^|basis_V| digits read from the most significant end.  ∎
 
+    Each bit row of F is written as that binary string once, and the
+    string is read in both byte orders: as a big-endian integer its byte y
+    is bit y of the row (what report row fullW ⊕ r reads of row r), and as
+    a little-endian one bit fullV − y (what report row r reads).  Only the
+    rows x and fullW ⊕ x of an x with F[x][fullV] = ±1 are written, and an
+    all-zero row is not written at all.
+
     Building every row up front costs next to nothing over building only
     the rows read.  A sweep reads every report row of an element x whenever
     the V group has a non-central element, and a row with F[x][fullV] not
@@ -620,25 +631,30 @@ class _TableContent:
         ones = int.from_bytes(b"\1" * width, "little")
         digits = f"0{width}b"
 
-        def spread(row: int, order: str = "big") -> int:
-            # byte y is bit y of row ("big") or bit fullV − y ("little"):
-            # the digits '0'/'1' are the bytes 0x30/0x31
-            return int.from_bytes(format(row, digits).encode(), order) & ones
+        def spread(row: int) -> tuple[int, int]:
+            # (byte y is bit y of row, byte y is bit fullV − y of row): the
+            # digits '0'/'1' are the bytes 0x30/0x31, written once and read
+            # in both byte orders
+            if not row:
+                return 0, 0
+            text = format(row, digits).encode()
+            return (int.from_bytes(text, "big") & ones,
+                    int.from_bytes(text, "little") & ones)
 
-        undefined = bytes([_UNDEFINED]) * width
-        factorD, factorM = spread(rowD), spread(rowM)
-        reports = []
-        for x in range(fullW + 1):
-            if not colD >> x & 1:  # F[x][fullV] is not ±1
-                reports.append(undefined)
-                continue
+        xs = [x for x in range(fullW + 1) if colD >> x & 1]  # F[x][fullV] is ±1
+        written = {*xs, *[fullW ^ x for x in xs]}
+        spreadD = {r: spread(defined[r]) for r in written}
+        spreadM = {r: spread(minus[r]) for r in written}
+        factorD, factorM = spread(rowD)[0], spread(rowM)[0]
+        reports = [bytes([_UNDEFINED]) * width] * (fullW + 1)
+        for x in xs:
             xc = fullW ^ x
-            ok = spread(defined[xc]) & factorD & spread(defined[x], "little")
-            index = spread(minus[xc]) << 2 | spread(minus[x], "little") << 1
+            ok = spreadD[xc][0] & factorD & spreadD[x][1]
+            index = spreadM[xc][0] << 2 | spreadM[x][1] << 1
             index |= factorM ^ ones if colM >> x & 1 else factorM  # χ
             # each byte is at most 7 and the masks 0 or 7, so nothing carries
             index = (index & ok * 7) | (ones ^ ok) * _UNDEFINED
-            reports.append(index.to_bytes(width, "little"))
+            reports[x] = index.to_bytes(width, "little")
         self.reports = tuple(reports)
 
 
@@ -697,13 +713,31 @@ def _factor_rows(
 def _is_homomorphism(group, row: int) -> bool:
     """Whether f(x) = bit 0 ⊕ bit x of ``row`` is a homomorphism from
     ``group.masks`` (XOR) to ℤ/2: f(x ⊕ g) = f(x) ⊕ f(g) for every x and
-    every g in the group's generating set, at O(|masks|·rank) cost."""
+    every g in the group's generating set.
+
+    Bit 0 cancels on the left, so for one g the check is bit x ⊕ g ⊕ bit x
+    = f(g) at every element x, and it is decided for every x at once: the
+    row ``moved``, whose bit x is bit x ⊕ g of ``row``, is XORed with
+    ``row`` and cut to the elements (:attr:`~ComponentGroup.even_dims`),
+    which must give all of them when f(g) = 1 and none when f(g) = 0.
+    ``moved`` swaps, for each set bit 2^i of g, the bits at x and x + 2^i
+    for every x < 2^|basis| with bit i clear (the set bits of ``low``); the
+    swaps commute and compose to x ↦ x ⊕ g, and every element is below
+    2^|basis|.  So the verdict is the one of the check at each x, at
+    O(rank) big-integer operations on rows of 2^|basis| bits.
+    """
+    even = group.even_dims
+    span = (1 << (1 << len(group.basis))) - 1  # every x < 2^|basis|
     for g in group.generators:
-        # bit 0 cancels on the left: the check is bit x⊕g ⊕ bit x = f(g)
-        fg = (row >> g ^ row) & 1
-        for x in group.masks:
-            if (row >> (x ^ g) ^ row >> x) & 1 != fg:
-                return False
+        moved, bits = row, g
+        while bits:
+            w = bits & -bits  # 2^i for a set bit i of g
+            bits ^= w
+            # the x with bit i clear: runs of w ones every 2w bits
+            low = span // ((1 << 2 * w) - 1) * ((1 << w) - 1)
+            moved = (moved & low) << w | (moved >> w) & low
+        if (moved ^ row) & even != (even if (row >> g ^ row) & 1 else 0):
+            return False
     return True
 
 
@@ -728,13 +762,13 @@ def _is_multiplicative(groupW, groupV, rowW: int, rowV: int) -> bool:
     f(x ⊕ h) = f(x)·f(h).  ∎
 
     This certifies the |𝒮_W × 𝒮_V|² product identities of the all-pairs
-    check at O((|𝒮_W| + |𝒮_V|)·rank) cost.
+    check at O(rank_W + rank_V) big-integer operations.
 
     The verdict is a function of (groupW.even_dims, groupV.even_dims, rowW,
     rowV), so :class:`_TableContent` keeps it once per content.
-    Proof: :func:`_is_homomorphism` reads a group only through ``masks``
-    and ``generators``; ``masks`` are the set bits of ``even_dims``, in
-    ascending order, and ``generators`` is a function of ``masks`` alone
+    Proof: :func:`_is_homomorphism` gives the verdict of the check at each
+    element x of ``masks`` and each generator; ``masks`` are the set bits
+    of ``even_dims``, and ``generators`` is a function of ``masks`` alone
     (see :attr:`ComponentGroup.generators`).  ∎
     """
     return (
@@ -804,11 +838,16 @@ def enumerate_reduced(V: QuadSpace, max_k: int) -> list[LParameter]:
 
     The parameters are the subsets of :func:`_reduced_pool` of dimension
     ``want``, listed by size r and, within one size, in the order of
-    ``combinations(pool, r)``; each is built directly, with no scan.
+    ``combinations(pool, r)``; each is built directly, with no scan, and
+    with its :attr:`~LParameter.reduced` and :attr:`~LParameter.group`
+    already set.
 
     Proof.  A subset of r pieces holding c characters (dimension 1) and
     r − c discs (dimension 2) has dimension c + 2(r − c), so it has dimension
-    ``want`` iff c = 2r − want; hence want/2 ≤ r ≤ want.  The characters lead
+    ``want`` iff c = 2r − want; hence want/2 ≤ r ≤ want, and, as the pool
+    holds two characters in the orthogonal ambient and none in the
+    symplectic one, r ≤ (want + that count)/2: the other sizes list nothing
+    and are not visited.  The characters lead
     the pool, so the index tuple of such a subset is its c character indices
     followed by its r − c disc indices.  For fixed r all these tuples have the
     same c, and they compare lexicographically by the character part first,
@@ -827,18 +866,42 @@ def enumerate_reduced(V: QuadSpace, max_k: int) -> list[LParameter]:
     proof above (:class:`DimMismatch`).  ``validate`` stays the check of
     parameters read from JSON, and the scan oracle
     ``tests/gp_reference.enumerate_reduced_by_scan`` validates every subset.
+
+    The same facts fix the two cached fields.  Every piece is O-type with
+    multiplicity one, so :func:`is_reduced` holds.  The pool is listed in
+    the canonical order of a ``WeilRep`` (characters by a, then discs by
+    k, all untwisted), so the pieces cs + ds of a subset, in pool order, are
+    the constituents of its ``WeilRep`` in order, every one O-type: they
+    are the basis that :func:`component_group` reads.  The group is taken
+    from ``_GROUPS``, one :class:`ComponentGroup` per basis for the
+    process, so its masks, generators and V-side slot planes are built
+    once per basis, whatever the space, the sweep unit or the call that
+    lists it.  The memo holds one group per distinct basis enumerated (62
+    for every unit of ``verify dichotomy --max-dim 10 --max-k 9``).
     """
     pool = _reduced_pool(bool(V.dim % 2), max_k)
     want = V.dim - 1 if V.dim % 2 else V.dim
     nchars = 0 if V.dim % 2 else 2
     chars, discs = pool[:nchars], pool[nchars:]
-    return [
-        LParameter(WeilRep(cs + ds), V)
-        for r in range((want + 1) // 2, want + 1)
+    groups, params = _GROUPS, []
+    for r in range((want + 1) // 2, min(want, (want + nchars) // 2) + 1):
         for cs, ds in product(
             combinations(chars, 2 * r - want), combinations(discs, want - r)
-        )
-    ]
+        ):
+            basis = cs + ds
+            phi = LParameter(WeilRep(basis), V)
+            phi.__dict__.update(
+                reduced=True,
+                group=groups.get(basis)
+                or groups.setdefault(basis, ComponentGroup(basis)),
+            )
+            params.append(phi)
+    return params
+
+
+# The component group of each basis that enumerate_reduced lists, kept for
+# the process: one entry per distinct basis enumerated.
+_GROUPS: dict[tuple[IrredRep, ...], ComponentGroup] = {}
 
 
 def reduced_gp_pairs(dw: int, dv: int, max_k: int):

@@ -8,9 +8,10 @@ oracle the bit rows of a pair's factor table under the same breach
 (:func:`gp_reference.factor_rows`, breached alike), for
 :class:`gp_reference.ReferenceTable` to read.  Pairs walked under a seam
 must be enumerated under it: the slot planes live only in the V component
-group, which keeps the planes it was first read with.  The tables' content
-memo is swapped for a fresh one and restored on teardown, so no test sees
-what another left.
+group, which keeps the planes it was first read with, and the enumerated
+parameters share one group per basis for the process.  The tables' content
+memo and that group memo are swapped for fresh ones and restored on
+teardown, so no test sees what another left.
 
 * ``unmutated`` puts no breach in: the oracle reads the reference's own
   rows.
@@ -23,7 +24,7 @@ what another left.
   whose four entries are ±1, since the block sums are bilinear; so this is
   the seam that reaches the failure records of ``verify dichotomy``.
 
-``cold`` empties the content memo, and ``built_rows`` wraps the row
+``cold`` empties the content and group memos, and ``built_rows`` wraps the row
 build, which ``factor_rows_calls`` uses to count the content records built:
 the sweep walk of ``tests/test_lparam.py`` counts them per unit, cold and
 warm.
@@ -51,10 +52,14 @@ def flip_rows(defined, minus):
 
 @pytest.fixture
 def cold(monkeypatch):
-    """A function that swaps the tables' content memo of ``gpkit.lparam``
-    for an empty one, so that the next table of freshly enumerated pairs is
-    built from its exponents."""
-    return lambda: monkeypatch.setattr(lparam, "_CONTENTS", {})
+    """A function that swaps the tables' content memo and the component
+    group memo of ``gpkit.lparam`` for empty ones, so that the next table
+    of freshly enumerated pairs is built from its exponents: the parameters
+    get new groups, whose slot planes are built again."""
+    def swap():
+        monkeypatch.setattr(lparam, "_CONTENTS", {})
+        monkeypatch.setattr(lparam, "_GROUPS", {})
+    return swap
 
 
 @pytest.fixture

@@ -77,20 +77,30 @@ def test_conveniences_over_the_kept_api_stay_deleted(module, owner, attr):
     assert not hasattr(getattr(mod, owner, None) if owner else mod, attr)
 
 
-def test_table_memos_are_the_one_content_memo():
+def test_table_memos_are_the_one_content_memo(cold, capsys):
     # a table's rows, verdicts and report rows live in one per-unit memo of
     # content records, whose scope test_memos_hold_one_unit_after_a_sweep
     # pins: the separate verdict memo is gone, and the row build keeps no
     # memo of its own.  The slot planes live only in the V group, the
     # non-central V-masks are computed in the record, and an admissible
-    # pair is built afresh per call: none of them keeps a process memo
+    # pair is built afresh per call: none of them keeps a process memo.
+    # The groups of the enumerated parameters live in one process memo,
+    # one per distinct basis listed: 62 over every unit of the benchmark's
+    # chi-wide sweep
     lparam = importlib.import_module("gpkit.lparam")
     quadspace = importlib.import_module("gpkit.quadspace")
+    cli = importlib.import_module("gpkit.cli")
     assert not hasattr(lparam, "_MULTIPLICATIVE")
     assert not hasattr(lparam._factor_rows, "cache_info")
     assert not hasattr(lparam._slot_planes, "cache_info")
     assert not hasattr(quadspace.is_admissible_pair, "cache_info")
     assert not hasattr(lparam, "_noncentral")
+    cold()
+    assert cli.run(["--json", "verify", "dichotomy", "--max-dim", "10",
+                    "--max-k", "9", "--jobs", "1"]) == 0
+    capsys.readouterr()
+    assert len(lparam._GROUPS) == 62
+    assert all(group.basis == basis for basis, group in lparam._GROUPS.items())
 
 
 def test_cli_builds_no_union_or_fiber_check():

@@ -750,6 +750,73 @@ def test_enumerate_reduced_lists_the_scan_in_order():
     assert n == 57_638
 
 
+def _listed_spaces():
+    # the listing test's spaces, then one space per dimension up to 64 at
+    # the least bound whose pools fill it and the next: the listing reads V
+    # only through its dimension
+    yield from _scanned_spaces()
+    for d in range(15, 65):
+        for max_k in (d, d + 1):
+            yield QuadSpace((d + 1) // 2, d // 2), max_k
+
+
+def test_enumerated_parameters_come_with_their_reducedness_and_group(cold):
+    # enumerate_reduced sets both cached fields of every parameter it lists,
+    # and they equal what is_reduced and component_group compute; each group
+    # is the memo's one group of its basis
+    cold()
+    n, bases = 0, set()
+    for V, max_k in _listed_spaces():
+        for phi in enumerate_reduced(V, max_k):
+            assert vars(phi)["reduced"] is True and is_reduced(phi), phi
+            group = vars(phi)["group"]
+            assert group == component_group(phi), phi
+            assert lparam._GROUPS[group.basis] is group
+            bases.add(group.basis)
+            n += 1
+    assert n == 57_638 + 2_050
+    assert len(lparam._GROUPS) == len(bases)
+
+
+def test_one_basis_is_one_group_across_units_and_calls(cold):
+    # the V parameters of every unit with dim V = 5, listed again on
+    # another space of that dimension and at a larger bound, all read one
+    # group per basis; so do the W parameters of the units (2, 5), (2, 7)
+    cold()
+    groups = {}
+
+    def same(phi):
+        assert groups.setdefault(phi.rep, phi.group) is phi.group, phi
+
+    for dw, dv in ((0, 5), (2, 5), (4, 5), (2, 7)):
+        for gp in lparam.reduced_gp_pairs(dw, dv, 9):
+            same(gp.phiW)
+            same(gp.phiV)
+    for V, max_k in ((QuadSpace(3, 2), 9), (QuadSpace(5, 0), 9),
+                     (QuadSpace(4, 1), 11)):
+        listed = enumerate_reduced(V, max_k)
+        assert sum(phi.rep in groups for phi in listed) >= 10
+        for phi in listed:
+            same(phi)
+    assert len(lparam._GROUPS) == len(groups)
+
+
+def test_pair_exponents_follow_the_closed_form():
+    # the closed form of the pair exponents: with k odd and l even,
+    # e(D_k, D_l) = 2 max(k, l) + 2 and e(D_k, chi) = k + 1 (mod 4), since
+    # D_k x D_l = D_{k+l} + D_{|k-l|}, D_k x chi = D_k and eps(D_m) = i^{m+1};
+    # in both orders, over the pools of max_k 199
+    n = 0
+    for sig in lparam._reduced_pool(True, 199):
+        for rho in lparam._reduced_pool(False, 199):
+            k = sig.k
+            want = k + 1 if isinstance(rho, CharRep) else 2 * max(k, rho.k) + 2
+            for pair in ((sig, rho), (rho, sig)):
+                assert (lparam._pair_exponent(*pair) - want) % 4 == 0, pair
+            n += 1
+    assert n == 10_100
+
+
 def test_generators_are_the_greedy_basis():
     # every basis of length <= 10, by its odd-dimensional slots (a character
     # on each set bit of `odd`, D_1 elsewhere), against the greedy basis:
