@@ -12,11 +12,13 @@ root number i, and more generally
 
 The table is stored as exact exponents mod 4 (:class:`FourthRoot`).  It was
 certified — before being relied on — by :func:`eps_numeric_oracle`, which knows
-nothing of the table: it evaluates the local γ-factor at s = 1/2 by numerical
-quadrature of Tate/Godement–Jacquet zeta integrals against Gaussian test
-functions, on ℝ for characters and on ℂ (through induction in stages, with
-λ(ℂ/ℝ, ψ) itself computed numerically as ε(1/2, sgn, ψ), its error charged
-to every D_k call) for the D_k.  Everything is evaluated at s = 1/2 only.
+nothing of the table.  For the characters it evaluates the local γ-factor at
+s = 1/2 by numerical quadrature of Tate's zeta integrals against Gaussian
+test functions on ℝ.  For the D_k it uses induction in stages,
+ε(1/2, D_k ⊗ |·|^{it}, ψ) = λ(ℂ/ℝ, ψ)·ε(1/2, χ_{k,t}, ψ_ℂ): the second factor
+is i^k by the proof below, and only λ(ℂ/ℝ, ψ) = ε(1/2, sgn, ψ) is computed
+numerically, once, its error charged to every D_k call.  Everything is
+evaluated at s = 1/2 only.
 
 On ℝ the Mellin integral of f̂ against sgn^a reads f̂(y) + (−1)^a f̂(−y) at
 nodes y > 0.  The test functions are real, so f̂(−y) = conj f̂(y) and that is
@@ -25,13 +27,21 @@ as one integral of f_a(x)·(cos, sin)(2πxy).  That integrand is even (f_a and
 its kernel both have parity a), so the rule runs over the half line x ≥ 0
 and the result is doubled.  The twist t enters the Mellin kernel |x|^{it}
 and never f̂, so each node's part depends on (a, y) alone and is computed
-once per process, for every twist.  On the ℂ side the radial Fourier
-transform is Weber's closed form (Gradshteyn–Ryzhik 6.631.4), which is real
-and positive and so adds no phase of its own; with it the radial integral of
-f̂ is the complex conjugate of the radial integral of f, so only the latter
-is integrated.  At s = 1/2 the dual's L-factor is the conjugate of ρ's,
-L(1/2, ρ^∨) = conj L(1/2, ρ), so the L-ratio is exp(2i·Im log L(1/2, ρ)):
-one log Γ per call, which stays in the float range for large k.
+once per process, for every twist.  At s = 1/2 the dual's L-factor is the
+conjugate of χ's, L(1/2, χ^{-1}) = conj L(1/2, χ), so the L-ratio is
+exp(2i·Im log L(1/2, χ)): one log Γ per call.
+
+On ℂ nothing is integrated; ε(1/2, χ_{k,t}, ψ_ℂ) = i^k is proved.  Take
+f(z) = z̄^k e^{-2π|z|²}, w = (k+1)/2 + it and I = ∫₀^∞ r^{k+2it} e^{-2πr²} dr.
+The Bessel identity ∫₀^{2π} e^{i(x cos θ − kθ)} dθ = 2π i^k J_k(x) does the
+angular integral of f̂ and gives the factor i^k.  Weber's integral
+(Gradshteyn–Ryzhik 6.631.4) gives its Hankel integral in closed form, real
+and positive, so that Z(f̂, χ^{-1}, 1/2) / Z(f, χ, 1/2) = i^k·conj(I)/I.
+Euler's integral, with u = 2πr², gives I = ½(2π)^{-w}Γ(w) = L(1/2, χ)/4,
+which is not 0 (Γ has no zeros), and L(1/2, χ^{-1}) = conj L(1/2, χ) =
+4·conj(I).  So conj(I)/I · L(1/2, χ)/L(1/2, χ^{-1}) = 1, and ε = i^k for
+every k and t.  ``tests/test_epsilon.py`` checks Weber's and Euler's
+integrals by quadrature.
 
 Every integral is one call of ``integrate.quad``, the adaptive Gauss–Kronrod
 rule of :mod:`gpkit.quadrature`, which integrates complex integrands
@@ -43,10 +53,9 @@ the node y on the grid of [0, 3] with step 1.5/2^j, j ≥ 0 least with at most
 two periods of the kernel per panel, and at 3 (:func:`_fourier_part`).
 So a small twist's Mellin rule bisects no panel, and the Fourier rules
 bisect few: on the benchmark's seed-1 input the 336 of them start from
-1,392 panels and make 132 bisections (447 from (1.5, 3)).  The D_k radial
-rule starts from its whole window.  The quadrature module is imported on
-first use, by the oracle; the exact table does not need it, so importing
-this module leaves it unloaded.
+1,392 panels and make 132 bisections (447 from (1.5, 3)).  The quadrature
+module is imported on first use, by the oracle; the exact table does not
+need it, so importing this module leaves it unloaded.
 """
 
 from __future__ import annotations
@@ -150,29 +159,18 @@ def eps_half(A: WeilRep | IrredRep) -> FourthRoot:
     return FourthRoot(sum(m * _base_exponent(rho) for rho, m in A))
 
 
-def _log_l_factor(rho: IrredRep) -> complex:
-    """log L(1/2, ρ) of the local L-factor at the center,
+def _l_ratio(rho: CharRep) -> complex:
+    """L(1/2, χ) / L(1/2, χ^{-1}) = exp(2i·Im log L(1/2, χ)) for
+    χ = sgn^a|·|^{it}, whose L-factor at the center is π^{-w} Γ(w) with
+    w = (1/2 + a + it)/2.
 
-        Char(a,t) ↦ π^{-w} Γ(w),        w = (1/2 + a + it)/2;
-        Disc(k,t) ↦ 2(2π)^{-w} Γ(w),     w = (1 + k)/2 + it,
-
-    through log Γ: it stays in the float range where Γ itself overflows
-    (from Γ(172) on).  Re w ≥ 1/4, so w is never a pole of Γ."""
-    loggamma = _quadrature().loggamma
-    if isinstance(rho, CharRep):
-        w = complex((1 + 2 * rho.a) / 4, float(rho.t / 2))
-        return loggamma(w) - w * math.log(math.pi)
-    w = complex((1 + rho.k) / 2, float(rho.t))
-    return math.log(2) + loggamma(w) - w * math.log(2 * math.pi)
-
-
-def _l_ratio(rho: IrredRep) -> complex:
-    """L(1/2, ρ) / L(1/2, ρ^∨) = exp(2i·Im log L(1/2, ρ)).
-
-    The dual ρ^∨ is ρ with the twist t negated, and L(1/2, ρ^∨) =
-    conj L(1/2, ρ): its Γ argument is the conjugate one, and Γ(w̄) = conj Γ(w).
+    The dual χ^{-1} is χ with the twist t negated, and L(1/2, χ^{-1}) =
+    conj L(1/2, χ): its Γ argument is the conjugate one, and Γ(w̄) = conj Γ(w).
+    Re w ≥ 1/4, so w is never a pole of Γ.
     """
-    return cmath.exp(2j * _log_l_factor(rho).imag)
+    w = complex((1 + 2 * rho.a) / 4, float(rho.t / 2))
+    log_l = _quadrature().loggamma(w) - w * math.log(math.pi)
+    return cmath.exp(2j * log_l.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -180,18 +178,12 @@ def _l_ratio(rho: IrredRep) -> complex:
 # ---------------------------------------------------------------------------
 
 _QUAD_OPTS = dict(limit=250, epsabs=1e-11, epsrel=1e-11)
-# The radial integral's error is charged relative to its modulus, so its rule
-# stops at the relative tolerance alone: an absolute floor would stop early
-# wherever a twist makes the integral small by cancellation.
-_RADIAL_OPTS = dict(_QUAD_OPTS, epsabs=0.0)
 
 # Finite integration windows.  Every integrand below carries a factor
-# e^{-πx²} (real side) or e^{-2πr²} (complex side), so the discarded tail is
-# of order e^{-π·36} ≈ 1e-49 — twenty orders of magnitude below the oracle
-# tolerance.
+# e^{-πx²}, so the discarded tail is of order e^{-π·36} ≈ 1e-49 — twenty
+# orders of magnitude below the oracle tolerance.
 _X_CUT = 6.0       # x cut of the even e^{-πx²}-weighted integrands on [0, _X_CUT]
 _U_LO, _U_HI = -90.0, 1.7   # x = e^u window for Mellin integrals (e^{1.7} ≈ 5.5)
-_R_CUT = 4.0       # least radial cut of the r^k e^{-2πr²} integrand
 
 # The Mellin rule's initial partition.  Its integrand g(e^u)·e^{(1/2±it)u}
 # is small and smooth far left and cut off by g(e^u) near u ≈ 0, so the
@@ -351,54 +343,43 @@ def _lambda_factor() -> tuple[complex, float]:
 
 
 def _eps_oracle_disc(rho: DiscRep, q: _Quadrature) -> complex:
-    """ε(1/2, D_k ⊗ |·|^{it}, ψ) = λ(ℂ/ℝ,ψ) · ε(1/2, χ_{k,t}, ψ_ℂ).
+    """ε(1/2, D_k ⊗ |·|^{it}, ψ) = λ(ℂ/ℝ, ψ) · ε(1/2, χ_{k,t}, ψ_ℂ) = λ · i^k.
 
-    The ℂ^×-side zeta integrals use f(z) = z̄^k e^{-2π|z|²}.  The angular
-    integral in the ψ_ℂ-Fourier transform of f is carried out with the Bessel
-    identity ∫₀^{2π} e^{i(x cos θ − kθ)} dθ = 2π i^k J_k(x), which leaves the
-    Hankel integral G in closed form (Weber; Gradshteyn–Ryzhik 6.631.4):
+    Only λ(ℂ/ℝ, ψ) = ε(1/2, sgn, ψ) is computed numerically here
+    (:func:`_lambda_factor`), and its error is this call's only charge.
+    The factor i^k rests on the written proof, as it did when the radial
+    integral I below was also computed: conj(I)/I times the L-ratio is
+    exactly 1, so that integral checked nothing about k.  The proof, for
+    the ℂ^×-side zeta integrals with f(z) = z̄^k e^{-2π|z|²} and
+    w = (k+1)/2 + it:
 
-        Z(f, χ, 1/2)         = 4π ∫ r^{k+2it} e^{-2πr²} dr      = 4π I
-        Z(f̂, χ^{-1}, 1/2)   = 16π² i^k ∫ G(ρ) ρ^{-2it} dρ,
-        G(ρ)                 = ∫₀^∞ r^{k+1} e^{-2πr²} J_k(4πrρ) dr
-                             = ρ^k e^{-2πρ²} / (4π).
+    - Bessel: ∫₀^{2π} e^{i(x cos θ − kθ)} dθ = 2π i^k J_k(x) does the
+      angular integral in the ψ_ℂ-Fourier transform of f, and gives i^k.
+    - Weber (Gradshteyn–Ryzhik 6.631.4): the Hankel integral it leaves is
 
-    So G(ρ)ρ^{-2it} = conj(ρ^{k+2it} e^{-2πρ²}) / (4π), Z(f̂)/Z(f) =
-    i^k·conj(I)/I, and the one radial integral I is all that is integrated.
-    G is real and positive, so it carries no phase: the i^k is the angular
-    identity's and the remaining i is λ(ℂ/ℝ, ψ), computed numerically; the
-    error of λ's integrals is charged to this call's budget too.
+          G(ρ) = ∫₀^∞ r^{k+1} e^{-2πr²} J_k(4πrρ) dr = ρ^k e^{-2πρ²} / (4π),
 
-    The integrand r^{k+2it} e^{-2πr²} peaks at r = √(k/4π) with width
-    ≈ 0.2, so the window runs three units past the peak (it is ``_R_CUT``
-    for k ≤ 12).  I grows like Γ((k+1)/2)/(2π)^{k/2} and only conj(I)/I
-    counts, so its error estimate is charged relative to its modulus, twice,
-    once for I and once for conj(I): since |ε| = 1, that bounds the error of
-    ε.  The integrand is one exponential, e^{(k+2it)·log r − 2πr²}, and the
-    L-ratio is exp(2i·Im log L), so nothing overflows before the integral
-    does: D_k is certified up to k = 520, and from k = 521 on, where
-    e^{k·log r − 2πr²} leaves the float range at its peak, the oracle raises
-    :class:`QuadratureFailure`.
+      so Z(f, χ, 1/2) = 4π I and
+      Z(f̂, χ^{-1}, 1/2) = 16π² i^k ∫ G(ρ)ρ^{-2it} dρ = 4π i^k conj(I),
+      with I = ∫₀^∞ r^{k+2it} e^{-2πr²} dr.  So
+      γ(1/2) = Z(f̂)/Z(f) = i^k·conj(I)/I; G is real and positive, so it
+      adds no phase.
+    - Euler: u = 2πr² gives I = ½(2π)^{-w} Γ(w) = L(1/2, χ_{k,t})/4, which
+      is not 0 (Γ has no zeros), and
+      L(1/2, χ_{k,t}^{-1}) = conj L(1/2, χ_{k,t}) = 4·conj(I).
+
+    So ε(1/2, χ_{k,t}, ψ_ℂ) = γ(1/2)·L(1/2, χ)/L(1/2, χ^{-1})
+    = i^k·(conj(I)/I)·(I/conj(I)) = i^k, for every k ≥ 1 and every real t.
     """
-    k, t = rho.k, float(rho.t)
-    r_cut = max(_R_CUT, math.sqrt(k / (4 * math.pi)) + 3)
-
-    integrand = _quadrature().power_gaussian(k + 2j * t, 2 * math.pi)
-    try:
-        val, err = q.quad(integrand, 0.0, r_cut, **_RADIAL_OPTS)
-    except OverflowError as exc:
-        raise QuadratureFailure(f"D_{k} leaves the float range: {exc}") from exc
-    if not (cmath.isfinite(val) and val):
-        raise QuadratureFailure(f"radial integral came out {val}")
-    q.add(2 * err / abs(val))
     lam, lam_err = _lambda_factor()
     q.add(lam_err)
-    gamma = (1, 1j, -1, -1j)[k % 4] * (val.conjugate() / val)
-    return lam * gamma * _l_ratio(rho)
+    return lam * (1, 1j, -1, -1j)[rho.k % 4]
 
 
 def eps_numeric_oracle(rho: IrredRep, tol: float = 1e-6) -> complex:
-    """ε(1/2, ρ, ψ) by numerical quadrature of the local functional equation.
+    """ε(1/2, ρ, ψ) by numerical quadrature of the local functional equation:
+    of Tate's zeta integrals for a character, of λ(ℂ/ℝ, ψ) alone for a D_k
+    (:func:`_eps_oracle_disc` proves the rest).
 
     Independent of the exact table in :func:`eps_half`; used to certify it.
     Raises :class:`QuadratureFailure` if the integrators cannot promise the

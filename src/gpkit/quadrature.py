@@ -15,12 +15,12 @@ integrand call is spent on a parent panel that is thrown away.  Values may
 be complex; magnitudes are moduli, so one pass integrates a complex
 integrand.
 
-The oracle's three integrands are built here, in that convention:
-:func:`fourier_integrand` (f(x)·kernel(w·x), with f's values on a panel
-shared by every frequency w), :func:`mellin_integrand` (g(e^u)·e^{su})
-and :func:`power_gaussian` (r^c·e^{−τr²}).  They live here and not in
-:mod:`gpkit.epsilon` because every χ process imports that module for its
-exact table and compiles it, and none integrates.
+The oracle's two integrands, both on the character path, are built here,
+in that convention: :func:`fourier_integrand` (f(x)·kernel(w·x), with f's
+values on a panel shared by every frequency w) and :func:`mellin_integrand`
+(g(e^u)·e^{su}).  They live here and not in :mod:`gpkit.epsilon` because
+every χ process imports that module for its exact table and compiles it,
+and none integrates.
 
 :func:`loggamma` is log Γ(z) for complex z, by upward recurrence to
 Re z ≥ 16 and the Stirling series there.  Its imaginary part is fixed only
@@ -40,7 +40,6 @@ __all__ = [
     "fourier_integrand",
     "loggamma",
     "mellin_integrand",
-    "power_gaussian",
     "quad",
 ]
 
@@ -219,18 +218,6 @@ def mellin_integrand(g, s: complex):
 
     def integrand(us: list[float]) -> list[complex]:
         return [gx * cexp(s * u) for gx, u in zip(g(list(map(exp, us))), us)]
-
-    return integrand
-
-
-def power_gaussian(c: complex, tau: float):
-    """The integrand r ↦ r^c·e^{−τr²} for r > 0, in :func:`quad`'s
-    convention, as the one exponential e^{c·log r − τr²}: it stays in the
-    float range wherever the value does, where r^c alone may not."""
-    log, cexp = math.log, cmath.exp
-
-    def integrand(rs: list[float]) -> list[complex]:
-        return [cexp(c * log(r) - tau * r * r) for r in rs]
 
     return integrand
 

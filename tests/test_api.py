@@ -67,6 +67,9 @@ def test_stored_fields_are_only_the_defining_data():
         ("epsilon", None, "PoleAt"),
         ("epsilon", None, "_hankel_G"),
         ("epsilon", None, "_radial_integral"),
+        ("epsilon", None, "_RADIAL_OPTS"),
+        ("epsilon", None, "_R_CUT"),
+        ("quadrature", None, "power_gaussian"),
         ("conjclass", None, "is_in_C_VW"),
     ],
 )

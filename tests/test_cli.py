@@ -190,10 +190,11 @@ class TestOneShots:
     def test_epsilon_oracle_quadrature_failure_is_an_input_error(
         self, jfile, capsys
     ):
-        # r^600 e^{-2πr²} peaks at √(600/4π) ≈ 6.9 near e^{860}, past the
-        # largest float (≈ e^{709.8}), even taken as one exponential: the
-        # oracle refuses, it does not return a value.
-        rep = [{"rep": {"kind": "disc", "k": 600, "t": "0"}, "mult": 1}]
+        # At t = 150 both zeta integrals of sgn^0 shrink like e^{-π|t|/4},
+        # and the error estimates of its rules overrun the budget (1.5e-4
+        # charged against 1e-7): the oracle refuses, it does not return a
+        # value.
+        rep = [{"rep": {"kind": "char", "a": 0, "t": "150"}, "mult": 1}]
         rc, out = run_json(capsys, ["epsilon", jfile(rep), "--oracle"])
         assert rc == 2
         assert out["error"].startswith("QuadratureFailure: ")

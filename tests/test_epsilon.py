@@ -15,7 +15,6 @@ from gpkit.epsilon import (
     _fourier_part,
     _lambda_factor,
     _l_ratio,
-    _log_l_factor,
     _Quadrature,
     _TEST_FUNCTIONS,
     _X_CUT,
@@ -78,41 +77,33 @@ def test_eps_half_additive():
 
 
 def l_factor(rho) -> complex:
-    """Test reference for :func:`_log_l_factor`: the local L-factor
-    L(1/2, ρ) itself, as exp of its logarithm.  Raises ``OverflowError``
-    where L leaves the float range; the oracle never needs L alone, only
-    its phase."""
-    return cmath.exp(_log_l_factor(rho))
+    """Test reference for the L-factor behind :func:`_l_ratio`:
+    L(1/2, sgn^a|·|^{it}) = π^{-w} Γ(w), w = (1/2 + a + it)/2, from scipy's
+    complex Γ."""
+    from scipy.special import gamma
+
+    w = complex((0.5 + rho.a) / 2, float(rho.t) / 2)
+    return complex(math.pi ** -w * gamma(w))
 
 
 class TestLFactor:
     def test_char_values(self):
-        # π^{-(1/2+a)/2} Γ((1/2+a)/2) at a = 0 and a = 1
-        assert l_factor(C(0)) == pytest.approx(
-            math.pi ** -0.25 * math.gamma(0.25), abs=1e-12)
-        assert l_factor(C(1)) == pytest.approx(
-            math.pi ** -0.75 * math.gamma(0.75), abs=1e-12)
-
-    def test_disc_value(self):
-        # 2(2π)^{-(1/2+k/2)} Γ(1/2+k/2) at k = 1
-        assert l_factor(D(1)) == pytest.approx(1 / math.pi, abs=1e-12)
+        # the ratio L(1/2, χ)/L(1/2, χ^{-1}) against the reference quotient,
+        # whose phase depends on both parts of w; 1 at t = 0
+        assert _l_ratio(C(0)) == _l_ratio(C(1)) == 1
+        for a in (0, 1):
+            for t in (Fraction(1, 3), Fraction(-5, 2), 17, 40, 150):
+                ratio = l_factor(C(a, t)) / l_factor(C(a, -t))
+                assert _l_ratio(C(a, t)) == pytest.approx(ratio, rel=1e-12), (a, t)
 
     def test_twist_conjugate_symmetry(self):
-        # L(1/2, ρ^∨) = conj L(1/2, ρ): the identity _l_ratio rests on
+        # L(1/2, χ^{-1}) = conj L(1/2, χ): the identity _l_ratio rests on
         for rho, dual in ((C(0, Fraction(1, 3)), C(0, Fraction(-1, 3))),
-                          (C(1, Fraction(5, 2)), C(1, Fraction(-5, 2))),
-                          (D(7, Fraction(-1, 4)), D(7, Fraction(1, 4)))):
+                          (C(1, Fraction(5, 2)), C(1, Fraction(-5, 2)))):
             a, b = l_factor(rho), l_factor(dual)
             assert a == pytest.approx(b.conjugate(), rel=1e-12)
             assert a.imag != 0
             assert _l_ratio(rho) == pytest.approx(a / b, rel=1e-12)
-
-    def test_log_stays_finite_past_the_float_range(self):
-        # L(1/2, D_600) ≈ e^{860}, past the largest float (≈ e^{709.8}):
-        # its log is finite
-        val = _log_l_factor(D(600))
-        assert cmath.isfinite(val)
-        assert val.real > 709.8
 
 
 # sgn^a|·|^{it} for a ∈ {0, 1}, t ∈ {0, ±1/3, 1/2, 1}, and D_k ⊗ |·|^{it}
@@ -134,17 +125,11 @@ def stated_accuracy(rho) -> float:
     bounds = {
         " ".join(family.split()): float(bound)
         for bound, family in re.findall(
-            r"below\s+`([^`]+)`\s+for\s+(the\s+characters|`D_k`\s+with\s+`[^`]+`)",
+            r"below\s+`([^`]+)`\s+for\s+(the\s+characters|every\s+`D_k`)",
             readme.read_text(),
         )
     }
-    if isinstance(rho, CharRep):
-        family = "the characters"
-    elif rho.k <= 30:
-        family = "`D_k` with `k ≤ 30`"
-    else:
-        assert 60 <= rho.k <= 520
-        family = "`D_k` with `60 ≤ k ≤ 520`"
+    family = "the characters" if isinstance(rho, CharRep) else "every `D_k`"
     assert bounds[family] <= 1e-6
     return bounds[family]
 
@@ -162,12 +147,8 @@ def test_oracle_matches_table_fast_cases(rho):
      for t in (0, Fraction(-1, 4), Fraction(1, 3))],
 )
 def test_oracle_certifies_large_k(rho):
-    # r^k e^{-2πr²} peaks at √(k/4π), past a fixed window of 4 from k ≈ 200
-    # on, and the radial integral grows like Γ((k+1)/2)/(2π)^{k/2}: the
-    # window must follow the peak and the error budget must be relative.
-    # r^k and Γ(k/2 + 1/2) leave the float range from k ≈ 340 on, so the
-    # integrand is one exponential and the L-ratio is exp(2i·Im log L); at
-    # k = 520 the integral reaches 1/13 of the largest float.
+    # the oracle reads λ·i^k for every k, so a large k costs nothing and
+    # lies within the one bound the README states for every D_k
     got = eps_numeric_oracle(rho, tol=1e-6)
     assert abs(got - eps_half(rho).value) < stated_accuracy(rho)
 
@@ -220,63 +201,38 @@ def test_character_path_charge_does_not_depend_on_the_memo(quad_log):
     assert spent[0] == spent[1] == spent[2]
 
 
-def test_disc_path_charges_errors_relative_to_each_integral():
-    # one radial integral, one complex quad: the radial integral of f̂ is
-    # its conjugate, so its relative error is charged twice; then the error
-    # of λ(ℂ/ℝ, ψ), whose integrals ran once for the process
-    q = _Quadrature(1e-7)
-    seen, charges, add = _recording(q), [], q.add
-    q.add = lambda err: charges.append(err) or add(err)
-    _eps_oracle_disc(D(60, Fraction(-1, 4)), q)
-    (val, err), = seen
-    lambda_err = _lambda_factor()[1]
-    assert lambda_err > 0
-    assert charges == [2 * err / abs(val), lambda_err]
-    assert abs(val) > 2  # so the relative charge is below the absolute one
-
-
 @pytest.mark.parametrize(
     "rho",
-    [D(9, 1), D(14, 3), D(17, Fraction(5, 2)), D(20, 10), D(5, 10)],
+    [D(9, 1), D(14, 3), D(17, Fraction(5, 2)), D(20, 10), D(5, 10)]
+    + [D(k, t) for k in (1, 5, 20, 60, 521, 600, 1000)
+       for t in (0, 12, 20, 30, 40, 60, 100)],
 )
 def test_twisted_disc_is_certified(rho):
-    # a twist makes the radial integral small by cancellation; its rule
-    # stops at the relative tolerance alone, so these are certified where
-    # an absolute floor of 1e-11 stopped early and overran the budget
+    # every k and every twist: a value is returned, and it is i^{k+1} up to
+    # the error of λ.  When the oracle integrated the radial Γ integral too
+    # it refused these past |t| ≈ 12, where that integral cancels below the
+    # rule's rounding floor, and from k = 521 on, where its integrand leaves
+    # the float range.
     got = eps_numeric_oracle(rho, tol=1e-6)
-    assert abs(got - eps_half(rho).value) < 1e-10
-
-
-@pytest.mark.parametrize("t", [12, 20, 30, 60, 100])
-@pytest.mark.parametrize("k", [1, 5, 20])
-def test_large_twist_disc_is_refused_or_right(k, t):
-    # past |t| ≈ 12 the radial integral falls below the rule's rounding
-    # floor relative to its size, so the oracle refuses small k there (every
-    # k ≤ 60 from t = 40 on); whatever it returns must still be within tol
-    # of i^{k+1}, never a silently wrong value
-    tol = 1e-6
-    try:
-        got = eps_numeric_oracle(D(k, t), tol=tol)
-    except QuadratureFailure:
-        return
-    assert abs(got - 1j ** (k + 1)) < tol
+    assert abs(got - 1j ** ((rho.k + 1) % 4)) < 1e-12
 
 
 def test_disc_path_charges_the_error_of_lambda():
-    # λ(ℂ/ℝ, ψ) is ε(1/2, sgn, ψ), the integrals of C(1) itself: a budget
-    # below λ's own charge is too small for C(1) and for every D_k, whose ε
-    # carries λ.  The oracle's budget is tol/10, here half of λ's charge,
-    # and D_3's own radial integral fits in it.
+    # λ(ℂ/ℝ, ψ) is ε(1/2, sgn, ψ), the integrals of C(1) itself, and it is
+    # all a D_k integrates: D_3 makes no integral of its own and charges
+    # exactly λ's error.  So a budget below λ's charge is too small for C(1)
+    # and for every D_k (the oracle's budget is tol/10, here half of λ's
+    # charge), and one just above it certifies D_3.
     lambda_err = _lambda_factor()[1]
-    tol = 5 * lambda_err
+    assert lambda_err > 0
     q = _Quadrature(math.inf)
     seen = _recording(q)
     _eps_oracle_disc(D(3), q)
-    (val, err), = seen
-    assert 2 * err / abs(val) < tol / 10
+    assert seen == [] and q.spent == lambda_err
     for rho in (C(1), D(3)):
         with pytest.raises(QuadratureFailure):
-            eps_numeric_oracle(rho, tol=tol)
+            eps_numeric_oracle(rho, tol=5 * lambda_err)
+    eps_numeric_oracle(D(3), tol=11 * lambda_err)
 
 
 def test_small_twists_start_from_the_whole_mellin_partition():
@@ -308,6 +264,31 @@ def _hankel_numeric(k: int, rho: float) -> float:
         epsrel=1e-11,
     )
     return val
+
+
+@pytest.mark.parametrize("k", [1, 60, 520])
+@pytest.mark.parametrize("t", [0.0, -0.25])
+def test_radial_integral_is_eulers_gamma(k, t):
+    # Euler's integral, the last lemma of _eps_oracle_disc's proof: with
+    # w = (k+1)/2 + it, I = ∫₀^∞ r^{k+2it} e^{-2πr²} dr = ½(2π)^{-w} Γ(w),
+    # which is L(1/2, D_k ⊗ |·|^{it})/4.  The integrand is one exponential,
+    # so it stays in the float range up to k = 520, where I nears the
+    # largest float; it peaks at √(k/4π) with width ≈ 0.2, so the window
+    # runs three units past the peak.
+    from scipy.special import loggamma
+
+    from gpkit.quadrature import quad
+
+    c = k + 2j * t
+
+    def integrand(rs):
+        return [cmath.exp(c * math.log(r) - 2 * math.pi * r * r) for r in rs]
+
+    cut = max(4.0, math.sqrt(k / (4 * math.pi)) + 3)
+    val, err = quad(integrand, 0.0, cut, limit=250, epsabs=0.0, epsrel=1e-11)
+    w = complex((k + 1) / 2, t)
+    log_ref = -math.log(2) - w * math.log(2 * math.pi) + complex(loggamma(w))
+    assert abs(cmath.exp(cmath.log(val) - log_ref) - 1) < err / abs(val) + 1e-12
 
 
 @pytest.mark.parametrize("k", range(1, 31))
@@ -426,8 +407,8 @@ def test_counting_wrapper_in_place_of_integrate(monkeypatch):
     # A stand-in for gpkit.quadrature that counts quad calls, set the way the
     # traced benchmark sets it: every integral of the oracle must go through
     # it, and the oracle must never put the real module back.  With λ and
-    # the Fourier memo warm, each call is its two zeta integrals; from a
-    # cold memo the Fourier parts go through it too.
+    # the Fourier memo warm, a character makes its two zeta integrals and a
+    # D_k none; from a cold memo the Fourier parts go through it too.
     import gpkit.epsilon as eps
 
     real = eps.integrate
@@ -445,12 +426,12 @@ def test_counting_wrapper_in_place_of_integrate(monkeypatch):
         eps_numeric_oracle(rho, tol=1e-6)
     wrapper = Counted()
     monkeypatch.setattr(eps, "integrate", wrapper)
-    for rho, integrals in ((C(0), 2), (D(1), 1)):
+    for rho, integrals in ((C(0), 2), (D(1), 0)):
         before = len(calls)
         eps_numeric_oracle(rho, tol=1e-6)
         assert len(calls) - before == integrals
         assert eps.integrate is wrapper
     _fourier_part.cache_clear()
     eps_numeric_oracle(C(0), tol=1e-6)
-    assert len(calls) - 3 > 2
+    assert len(calls) - 2 > 2
     assert eps.integrate is wrapper

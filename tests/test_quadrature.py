@@ -16,20 +16,18 @@ import pytest
 import gpkit.epsilon as eps
 from gpkit.epsilon import (
     _QUAD_OPTS,
-    _RADIAL_OPTS,
     _U_HI,
     _U_LO,
     _U_POINTS,
     _X_CUT,
     _eps_oracle_char,
-    _eps_oracle_disc,
     _fourier_part,
     _lambda_factor,
     _Quadrature,
 )
 from gpkit import quadrature
 from gpkit.quadrature import _WG, _WGK, _XGK, fourier_integrand, loggamma, quad
-from gpkit.weilrep import CharRep, DiscRep
+from gpkit.weilrep import CharRep
 from quad_reference import scalar_quad
 
 # The twists of the benchmark's eps-oracle input.
@@ -98,10 +96,10 @@ def scipy_quad(f, a: float, b: float, points, opts) -> tuple[complex, float]:
     return complex(re, im), re_err + im_err
 
 
-def assert_agree_with_scipy(calls, opts=_QUAD_OPTS) -> None:
+def assert_agree_with_scipy(calls) -> None:
     assert calls
     for f, a, b, val, err, points in calls:
-        ref, ref_err = scipy_quad(f, a, b, points, opts)
+        ref, ref_err = scipy_quad(f, a, b, points, _QUAD_OPTS)
         assert abs(val - ref) <= err + ref_err, (a, b, points, val, ref)
 
 
@@ -137,16 +135,6 @@ def test_quad_matches_scipy_from_break_points():
     assert_agree_with_scipy([(f, 0.0, 5.0, val, err, points)])
 
 
-@pytest.mark.parametrize("k", [1, 60, 520])
-@pytest.mark.parametrize("t", [0.0, -0.25])
-def test_quad_matches_scipy_on_the_radial_integrands(quad_log, k, t):
-    eps._lambda_factor()  # λ's own integrals are not the family here
-    quad_log.clear()
-    _eps_oracle_disc(DiscRep(k, Fraction(t)), _Quadrature(1e-6))
-    assert len(quad_log) == 1
-    assert_agree_with_scipy(quad_log, _RADIAL_OPTS)
-
-
 def within_ulps(x: complex, y: complex, n: int = 4) -> bool:
     """Whether x and y agree within n ulps, the real and imaginary parts
     apart."""
@@ -170,15 +158,16 @@ def batched_panels(f, a: float, b: float, points, opts) -> int:
     return len(calls)
 
 
-def assert_matches_scalar_rule(calls, opts=_QUAD_OPTS) -> None:
+def assert_matches_scalar_rule(calls) -> None:
     """Each logged quad call against the scalar rule of quad_reference from
     the same partition: value and error estimate within 4 ulps, and the
     same panels integrated."""
     assert calls
     for f, a, b, val, err, points in calls:
-        ref, ref_err, ref_panels = scalar_quad(scalar(f), a, b, points=points, **opts)
+        ref, ref_err, ref_panels = scalar_quad(
+            scalar(f), a, b, points=points, **_QUAD_OPTS)
         assert within_ulps(val, ref) and within_ulps(err, ref_err), (a, b, points)
-        assert batched_panels(f, a, b, points, opts) == ref_panels, (a, b, points)
+        assert batched_panels(f, a, b, points, _QUAD_OPTS) == ref_panels, (a, b, points)
 
 
 def benchmark_rules(quad_log, monkeypatch):
@@ -218,16 +207,6 @@ def test_batched_rule_matches_the_scalar_rule_on_the_fourier_nodes(quad_log, a):
     for y in FOURIER_NODES:
         _fourier_part(a, y)
     assert_matches_scalar_rule(quad_log)
-
-
-@pytest.mark.parametrize("k", [1, 60, 520])
-@pytest.mark.parametrize("t", [0.0, -0.25])
-def test_batched_rule_matches_the_scalar_rule_on_the_radial_integrands(
-        quad_log, k, t):
-    eps._lambda_factor()
-    quad_log.clear()
-    _eps_oracle_disc(DiscRep(k, Fraction(t)), _Quadrature(1e-6))
-    assert_matches_scalar_rule(quad_log, _RADIAL_OPTS)
 
 
 def test_fourier_rules_start_from_the_nodes_grid(quad_log, monkeypatch):
