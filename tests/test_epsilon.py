@@ -96,6 +96,17 @@ class TestLFactor:
                 ratio = l_factor(C(a, t)) / l_factor(C(a, -t))
                 assert _l_ratio(C(a, t)) == pytest.approx(ratio, rel=1e-12), (a, t)
 
+    def test_disc_value(self):
+        # 2(2π)^{-(1/2+k/2)} Γ(1/2+k/2) at k = 1, which is 4·I with Euler's
+        # integral I = ∫₀^∞ r e^{-2πr²} dr: the identity that makes the
+        # oracle's D_k value λ·i^k
+        from gpkit.quadrature import quad
+
+        val, err = quad(lambda rs: [r * math.exp(-2 * math.pi * r * r) for r in rs],
+                        0.0, 4.0, epsabs=0.0, epsrel=1e-13, limit=250)
+        assert err < 1e-13
+        assert 4 * val == pytest.approx(1 / math.pi, abs=1e-12)
+
     def test_twist_conjugate_symmetry(self):
         # L(1/2, χ^{-1}) = conj L(1/2, χ): the identity _l_ratio rests on
         for rho, dual in ((C(0, Fraction(1, 3)), C(0, Fraction(-1, 3))),

@@ -1,7 +1,8 @@
 """gpkit.quadrature on its own: the G10/K21 rule, the adaptive integrator
 against scipy's QUADPACK and against the scalar rule of
-``tests/quad_reference.py`` on each integrand family of the ε oracle, the
-Fourier rules' initial partitions, and complex log Γ.  scipy is a test-only
+``tests/quad_reference.py`` on each integrand family of the ε oracle and
+on Euler's radial integral of D_k, the Fourier rules' initial partitions,
+and complex log Γ.  scipy is a test-only
 reference here."""
 
 import ast
@@ -34,6 +35,9 @@ from quad_reference import scalar_quad
 BENCHMARK_TWISTS = tuple(Fraction(sign, d) for d in (3, 4, 5) for sign in (1, -1))
 # Fourier nodes off the Mellin rules' own, up to the largest, e^{_U_HI} ≈ 5.5.
 FOURIER_NODES = (1e-6, 0.01, 0.1, 0.37, 1.0, 2.0, 3.3, 4.5, 5.5)
+# Relative tolerance only: the radial integral nears the largest float at
+# k = 520, where no absolute tolerance means anything.
+RADIAL_OPTS = dict(_QUAD_OPTS, epsabs=0.0)
 
 
 def test_rule_constants_are_quadpacks():
@@ -96,10 +100,10 @@ def scipy_quad(f, a: float, b: float, points, opts) -> tuple[complex, float]:
     return complex(re, im), re_err + im_err
 
 
-def assert_agree_with_scipy(calls) -> None:
+def assert_agree_with_scipy(calls, opts=_QUAD_OPTS) -> None:
     assert calls
     for f, a, b, val, err, points in calls:
-        ref, ref_err = scipy_quad(f, a, b, points, _QUAD_OPTS)
+        ref, ref_err = scipy_quad(f, a, b, points, opts)
         assert abs(val - ref) <= err + ref_err, (a, b, points, val, ref)
 
 
@@ -135,6 +139,28 @@ def test_quad_matches_scipy_from_break_points():
     assert_agree_with_scipy([(f, 0.0, 5.0, val, err, points)])
 
 
+def radial_call(k: int, t: float):
+    """quad of Euler's integrand r^{k+2it}·e^{−2πr²}, the radial integral
+    of D_k ⊗ |·|^{it}, as a quad_log entry.  It is written as the one
+    exponential e^{c·log r − 2πr²}, which stays in the float range wherever
+    the value does; it peaks at √(k/4π) with width ≈ 0.2, so the window runs
+    three units past the peak."""
+    c = k + 2j * t
+
+    def f(rs):
+        return [cmath.exp(c * math.log(r) - 2 * math.pi * r * r) for r in rs]
+
+    b = max(4.0, math.sqrt(k / (4 * math.pi)) + 3)
+    val, err = quad(f, 0.0, b, **RADIAL_OPTS)
+    return f, 0.0, b, val, err, ()
+
+
+@pytest.mark.parametrize("k", [1, 60, 520])
+@pytest.mark.parametrize("t", [0.0, -0.25])
+def test_quad_matches_scipy_on_the_radial_integrands(k, t):
+    assert_agree_with_scipy([radial_call(k, t)], RADIAL_OPTS)
+
+
 def within_ulps(x: complex, y: complex, n: int = 4) -> bool:
     """Whether x and y agree within n ulps, the real and imaginary parts
     apart."""
@@ -158,16 +184,15 @@ def batched_panels(f, a: float, b: float, points, opts) -> int:
     return len(calls)
 
 
-def assert_matches_scalar_rule(calls) -> None:
+def assert_matches_scalar_rule(calls, opts=_QUAD_OPTS) -> None:
     """Each logged quad call against the scalar rule of quad_reference from
     the same partition: value and error estimate within 4 ulps, and the
     same panels integrated."""
     assert calls
     for f, a, b, val, err, points in calls:
-        ref, ref_err, ref_panels = scalar_quad(
-            scalar(f), a, b, points=points, **_QUAD_OPTS)
+        ref, ref_err, ref_panels = scalar_quad(scalar(f), a, b, points=points, **opts)
         assert within_ulps(val, ref) and within_ulps(err, ref_err), (a, b, points)
-        assert batched_panels(f, a, b, points, _QUAD_OPTS) == ref_panels, (a, b, points)
+        assert batched_panels(f, a, b, points, opts) == ref_panels, (a, b, points)
 
 
 def benchmark_rules(quad_log, monkeypatch):
@@ -207,6 +232,12 @@ def test_batched_rule_matches_the_scalar_rule_on_the_fourier_nodes(quad_log, a):
     for y in FOURIER_NODES:
         _fourier_part(a, y)
     assert_matches_scalar_rule(quad_log)
+
+
+@pytest.mark.parametrize("k", [1, 60, 520])
+@pytest.mark.parametrize("t", [0.0, -0.25])
+def test_batched_rule_matches_the_scalar_rule_on_the_radial_integrands(k, t):
+    assert_matches_scalar_rule([radial_call(k, t)], RADIAL_OPTS)
 
 
 def test_fourier_rules_start_from_the_nodes_grid(quad_log, monkeypatch):
