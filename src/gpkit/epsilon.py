@@ -12,9 +12,10 @@ root number i, and more generally
 
 The table is stored as exact exponents mod 4 (:class:`FourthRoot`).  It was
 certified — before being relied on — by :func:`eps_numeric_oracle`, which knows
-nothing of the table.  For the characters it evaluates the local γ-factor at
-s = 1/2 by numerical quadrature of Tate's zeta integrals against Gaussian
-test functions on ℝ.  For the D_k it uses induction in stages,
+nothing of the table.  For the characters it evaluates ε(1/2, χ, ψ) as the
+ratio of two of Tate's zeta integrals against a Gaussian test function on
+ℝ, by numerical quadrature, with no L-factor and no Γ function.  For the
+D_k it uses induction in stages,
 ε(1/2, D_k ⊗ |·|^{it}, ψ) = λ(ℂ/ℝ, ψ)·ε(1/2, χ_{k,t}, ψ_ℂ): the second factor
 is i^k by the proof below, and only λ(ℂ/ℝ, ψ) = ε(1/2, sgn, ψ) is computed
 numerically, once, its error charged to every D_k call.  Everything is
@@ -27,9 +28,17 @@ as one integral of f_a(x)·(cos, sin)(2πxy).  That integrand is even (f_a and
 its kernel both have parity a), so the rule runs over the half line x ≥ 0
 and the result is doubled.  The twist t enters the Mellin kernel |x|^{it}
 and never f̂, so each node's part depends on (a, y) alone and is computed
-once per process, for every twist.  At s = 1/2 the dual's L-factor is the
-conjugate of χ's, L(1/2, χ^{-1}) = conj L(1/2, χ), so the L-ratio is
-exp(2i·Im log L(1/2, χ)): one log Γ per call.
+once per process, for every twist.
+
+No L-factor is needed on ℝ.  Tate's local functional equation at s = 1/2
+gives ε(1/2, χ, ψ) = Z(f̂, χ^{-1}, 1/2)/Z(f, χ, 1/2) · L(1/2, χ)/L(1/2, χ^{-1}).
+For the Gaussian f_a of χ's parity a, Tate's computation gives
+Z(f_a, χ, 1/2) = L(1/2, χ), and χ^{-1} has the same parity, so also
+Z(f_a, χ^{-1}, 1/2) = L(1/2, χ^{-1}); both are π^{-w}Γ(w), which is not 0.
+So ε(1/2, χ, ψ) = Z(f̂, χ^{-1}, 1/2)/Z(f, χ^{-1}, 1/2), two Mellin
+integrals against the one kernel |x|^{1/2−it}.  f_a is real, so
+Z(f, χ^{-1}, 1/2) = conj Z(f, χ, 1/2): the oracle computes Z(f, χ, 1/2) and
+conjugates it (:func:`_eps_oracle_char`).
 
 On ℂ nothing is integrated; ε(1/2, χ_{k,t}, ψ_ℂ) = i^k is proved.  Take
 f(z) = z̄^k e^{-2π|z|²}, w = (k+1)/2 + it and I = ∫₀^∞ r^{k+2it} e^{-2πr²} dr.
@@ -60,7 +69,6 @@ need it, so importing this module leaves it unloaded.
 
 from __future__ import annotations
 
-import cmath
 import math
 from functools import cache, lru_cache
 from itertools import accumulate, repeat
@@ -80,8 +88,8 @@ __all__ = [
 @cache
 def _quadrature():
     """The module :mod:`gpkit.quadrature`, imported on first use and bound
-    once per process: the oracle's integrands and log Γ come from it, and
-    it is the default ``integrate``.
+    once per process: the oracle's integrands come from it, and it is the
+    default ``integrate``.
 
     Only the ε oracle integrates, so importing this module does not load
     :mod:`gpkit.quadrature`.
@@ -157,20 +165,6 @@ def eps_half(A: WeilRep | IrredRep) -> FourthRoot:
     if isinstance(A, (CharRep, DiscRep)):
         return FourthRoot(_base_exponent(A))
     return FourthRoot(sum(m * _base_exponent(rho) for rho, m in A))
-
-
-def _l_ratio(rho: CharRep) -> complex:
-    """L(1/2, χ) / L(1/2, χ^{-1}) = exp(2i·Im log L(1/2, χ)) for
-    χ = sgn^a|·|^{it}, whose L-factor at the center is π^{-w} Γ(w) with
-    w = (1/2 + a + it)/2.
-
-    The dual χ^{-1} is χ with the twist t negated, and L(1/2, χ^{-1}) =
-    conj L(1/2, χ): its Γ argument is the conjugate one, and Γ(w̄) = conj Γ(w).
-    Re w ≥ 1/4, so w is never a pole of Γ.
-    """
-    w = complex((1 + 2 * rho.a) / 4, float(rho.t / 2))
-    log_l = _quadrature().loggamma(w) - w * math.log(math.pi)
-    return cmath.exp(2j * log_l.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +285,27 @@ def _mellin_real(g, t: float, q: _Quadrature) -> complex:
 
 
 def _eps_oracle_char(rho: CharRep, q: _Quadrature) -> complex:
-    """ε(1/2, sgn^a|·|^{it}, ψ) = γ(1/2) · L(1/2, χ) / L(1/2, χ^{-1}).
+    """ε(1/2, χ, ψ) = Z(f̂, χ^{-1}, 1/2) / conj Z(f, χ, 1/2) for
+    χ = sgn^a|·|^{it} and the test function f = f_a of parity a.
 
-    γ(1/2) = Z(f̂, χ^{-1}, 1/2) / Z(f, χ, 1/2) for the test function f = f_a
-    of parity a (Tate's local functional equation), and each zeta integral
-    is a Mellin integral over x > 0 of φ(x) + (−1)^a φ(−x), for φ = f or f̂.
+    The proof, with w = (1/2 + a + it)/2:
+
+    - Tate's local functional equation at s = 1/2:
+      ε(1/2, χ, ψ) = Z(f̂, χ^{-1}, 1/2)/Z(f, χ, 1/2) · L(1/2, χ)/L(1/2, χ^{-1}).
+    - The Gaussian zeta integral is the L-factor (Tate's computation):
+      Z(f_a, χ, 1/2) = 2∫₀^∞ x^a e^{-πx²} x^{1/2+it} d^×x = π^{-w}Γ(w) =
+      L(1/2, χ), which is not 0.  χ^{-1} = sgn^a|·|^{-it} has the same
+      parity, so Z(f_a, χ^{-1}, 1/2) = L(1/2, χ^{-1}) too, and
+      ε(1/2, χ, ψ) = Z(f̂, χ^{-1}, 1/2) / Z(f, χ^{-1}, 1/2).
+    - f_a is real, so Z(f, χ^{-1}, 1/2) = conj Z(f, χ, 1/2).
+
+    Each zeta integral is a Mellin integral over x > 0 of
+    φ(x) + (−1)^a φ(−x), for φ = f or f̂.  The rule at −t is the rule at t
+    conjugated, bit for bit (its integrand values are conjugates and their
+    moduli are equal, so it bisects the same panels), so conj Z(f, χ, 1/2) is
+    the rule for Z(f, χ^{-1}, 1/2) and no third integral is needed.  Top
+    and bottom then share the kernel x^{1/2−it} and the nodes, and their
+    quadrature errors largely cancel in the ratio.
 
     Only one part of f̂ is integrated.  f is real, so f̂(−y) = conj f̂(y)
     and f̂(y) + (−1)^a f̂(−y) is 2·Re f̂(y) for a = 0 and 2i·Im f̂(y) for
@@ -327,7 +337,7 @@ def _eps_oracle_char(rho: CharRep, q: _Quadrature) -> complex:
 
     z_top = _mellin_real(fhat_fold, -t, q)                      # Z(f̂, χ^{-1}, 1/2)
     z_bot = _mellin_real(lambda xs: [2 * f(x) for x in xs], t, q)  # Z(f, χ, 1/2)
-    return z_top / z_bot * _l_ratio(rho)
+    return z_top / z_bot.conjugate()
 
 
 @lru_cache(maxsize=1)
@@ -373,7 +383,7 @@ def _eps_oracle_disc(rho: DiscRep, q: _Quadrature) -> complex:
     """
     lam, lam_err = _lambda_factor()
     q.add(lam_err)
-    return lam * (1, 1j, -1, -1j)[rho.k % 4]
+    return lam * FourthRoot(rho.k).value
 
 
 def eps_numeric_oracle(rho: IrredRep, tol: float = 1e-6) -> complex:

@@ -1,4 +1,4 @@
-"""Adaptive Gauss–Kronrod quadrature and complex log Γ for the ε oracle.
+"""Adaptive Gauss–Kronrod quadrature and its integrands for the ε oracle.
 
 :func:`quad` is QUADPACK's globally adaptive rule QAG with the 21-point
 Gauss–Kronrod pair (Piessens, de Doncker-Kapenga, Überhuber and Kahaner,
@@ -20,11 +20,8 @@ in that convention: :func:`fourier_integrand` (f(x)·kernel(w·x), with f's
 values on a panel shared by every frequency w) and :func:`mellin_integrand`
 (g(e^u)·e^{su}).  They live here and not in :mod:`gpkit.epsilon` because
 every χ process imports that module for its exact table and compiles it,
-and none integrates.
-
-:func:`loggamma` is log Γ(z) for complex z, by upward recurrence to
-Re z ≥ 16 and the Stirling series there.  Its imaginary part is fixed only
-modulo 2π: the oracle exponentiates differences of it.
+and none integrates.  Nothing here evaluates a special function: the
+oracle's ratio of zeta integrals needs none.
 
 Only the ε oracle imports this module, on first use.
 """
@@ -38,7 +35,6 @@ from operator import mul
 
 __all__ = [
     "fourier_integrand",
-    "loggamma",
     "mellin_integrand",
     "quad",
 ]
@@ -221,32 +217,3 @@ def mellin_integrand(g, s: complex):
 
     return integrand
 
-
-# B_{2n} / (2n(2n−1)) for n = 1..9: the Stirling series coefficients.
-_STIRLING = (
-    1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
-    -691 / 360360, 1 / 156, -3617 / 122400, 43867 / 244188,
-)
-_HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
-
-
-def loggamma(z: complex) -> complex:
-    """log Γ(z) modulo 2πi, for complex z off the poles 0, −1, −2, ...
-
-    For Re z < 16, Γ(z) = Γ(z + n) / (z(z+1)···(z+n−1)) with n the least
-    shift to Re ≥ 16.  There |z| ≥ 16, and the Stirling series through
-    B_18 z^{-17} has a remainder below |B_20|/(380·16^19) ≈ 1e-24 relative
-    to its first term.
-    """
-    z = complex(z)
-    shift = max(0, math.ceil(16 - z.real))
-    prod = 1
-    for j in range(shift):
-        prod *= z + j
-    w = z + shift
-    inv, inv2 = 1 / w, 1 / (w * w)
-    series, power = 0j, inv
-    for c in _STIRLING:
-        series += c * power
-        power *= inv2
-    return (w - 0.5) * cmath.log(w) - w + _HALF_LOG_2PI + series - cmath.log(prod)

@@ -70,6 +70,9 @@ def test_stored_fields_are_only_the_defining_data():
         ("epsilon", None, "_RADIAL_OPTS"),
         ("epsilon", None, "_R_CUT"),
         ("quadrature", None, "power_gaussian"),
+        ("quadrature", None, "loggamma"),
+        ("quadrature", None, "_STIRLING"),
+        ("epsilon", None, "_l_ratio"),
         ("conjclass", None, "is_in_C_VW"),
     ],
 )

@@ -1,9 +1,8 @@
 """gpkit.quadrature on its own: the G10/K21 rule, the adaptive integrator
 against scipy's QUADPACK and against the scalar rule of
 ``tests/quad_reference.py`` on each integrand family of the ε oracle and
-on Euler's radial integral of D_k, the Fourier rules' initial partitions,
-and complex log Γ.  scipy is a test-only
-reference here."""
+on Euler's radial integral of D_k, and the Fourier rules' initial
+partitions.  scipy is a test-only reference here."""
 
 import ast
 import cmath
@@ -27,7 +26,7 @@ from gpkit.epsilon import (
     _Quadrature,
 )
 from gpkit import quadrature
-from gpkit.quadrature import _WG, _WGK, _XGK, fourier_integrand, loggamma, quad
+from gpkit.quadrature import _WG, _WGK, _XGK, fourier_integrand, quad
 from gpkit.weilrep import CharRep
 from quad_reference import scalar_quad
 
@@ -361,34 +360,3 @@ def test_quad_refuses_more_panels_than_its_limit():
     assert quad(f, 0.0, 4.0, points=(1.0, 2.0, 3.0), **opts)[1] > 0
     with pytest.raises(ValueError, match="limit"):
         quad(f, 0.0, 5.0, points=(1.0, 2.0, 3.0, 4.0), **opts)
-
-
-def mod_2pi_i(d: complex) -> complex:
-    return complex(d.real, math.remainder(d.imag, 2 * math.pi))
-
-
-def test_loggamma_matches_scipy_modulo_2_pi_i():
-    # relative to max(1, |log Γ|): log Γ vanishes at 1 and 2
-    from scipy.special import loggamma as reference
-
-    reals = [Fraction(1, 4), Fraction(3, 4)] + [
-        Fraction(1, 2) + Fraction(k, 2) for k in range(521)
-    ]
-    imags = [0.0, 1 / 8, 1 / 3, 1.0, 7.3, 25.0, 60.5, 100.0]
-    for re in reals:
-        for im in imags + [-v for v in imags[1:]]:
-            z = complex(float(re), im)
-            ref = complex(reference(z))
-            d = mod_2pi_i(loggamma(z) - ref)
-            assert abs(d) <= 1e-12 * max(1.0, abs(ref)), z
-
-
-def test_loggamma_matches_lgamma_on_the_real_axis():
-    # log|Γ(x)| is the real part; Γ(x) > 0 for x > 0, so there the imaginary
-    # part is 0 modulo 2π
-    for x in [j / 16 for j in range(1, 400)] + [97.5, 260.75, 700.0]:
-        d = mod_2pi_i(loggamma(x) - math.lgamma(x))
-        assert abs(d) <= 1e-12 * max(1.0, math.lgamma(x)), x
-    for x in (-0.5, -1.25, -7.5, -12.1):
-        got = loggamma(x).real
-        assert abs(got - math.lgamma(x)) <= 1e-12 * max(1.0, abs(math.lgamma(x)))
